@@ -76,20 +76,42 @@ def _tables(data: DataArray) -> _Tables:
     return _Tables(nums, dens, dnorms, tuple(data_poles(data)))
 
 
-def chain_arrays(data: DataArray, z: complex) -> ChainData:
-    """Evaluate the data at z and build the projection chain (hot path)."""
-    n, r = data.n, data.r
+class ChainBatch(NamedTuple):
+    """Kernel output for a batch of P fibers, with per-point flags."""
+
+    zs: np.ndarray         # (P,)
+    pis: np.ndarray        # (P, r, n, n)
+    perps: np.ndarray      # (P, r, n, n)
+    bases: np.ndarray      # (P, r, n, n)
+    ranks: np.ndarray      # (P, r)
+    gen_ranks: np.ndarray  # (P, r)
+    kvecs: np.ndarray      # (P, r, r, J, n)
+    pole: np.ndarray       # (P,) bool: a pole of the data is too close
+    ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
+
+    def at(self, p: int) -> ChainData:
+        """Point p's chain, raising as a single-point build does."""
+        if self.pole[p]:
+            raise PoleError(f"data array has a pole too close to z={complex(self.zs[p])}")
+        if self.ambiguous[p]:
+            raise DegeneratePoint(f"ambiguous rank decision at z={complex(self.zs[p])}")
+        return ChainData(self.pis[p], self.perps[p], self.bases[p], tuple(self.ranks[p].tolist()),
+                         tuple(self.gen_ranks[p].tolist()), self.kvecs[p])
+
+
+def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
+    """Evaluate the data at every point of zs and build the chains (hot path)."""
+    n, r, P = data.n, data.r, len(zs)
+    zs = np.asarray(zs, np.complex128).reshape(P)
+    flags = np.zeros(P, bool)
     if r == 0:
-        empty = np.zeros((0, n, n), np.complex128)
-        return ChainData(empty, empty.copy(), empty.copy(), (), (), np.zeros((0, 0, 0, n), np.complex128))
+        empty = np.zeros((P, 0, n, n), np.complex128)
+        none = np.zeros((P, 0), np.int64)
+        return ChainBatch(zs, empty, empty, empty, none, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
     t = _tables(data)
-    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, complex(z), POLE_TOL)
-    if not ok:
-        raise PoleError(f"data array has a pole too close to z={z}")
+    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, zs, POLE_TOL)
     pis, perps, bases, ranks, gen_ranks, kvecs, status = kernels.build_chain(vals, RANK_TOL)
-    if status != 0:
-        raise DegeneratePoint(f"ambiguous rank decision at z={z}")
-    return ChainData(pis, perps, bases, tuple(int(x) for x in ranks), tuple(int(x) for x in gen_ranks), kvecs)
+    return ChainBatch(zs, pis, perps, bases, ranks, gen_ranks, kvecs, ~ok, status != 0)
 
 
 @dataclass(frozen=True)
@@ -111,7 +133,7 @@ class UnitonFiber:
 
 def build_fiber(data: DataArray, z: complex, validate: bool = True) -> UnitonFiber:
     """Build alpha_1..alpha_r at z per the K-vector construction."""
-    cd = chain_arrays(data, z)
+    cd = chain_arrays(data, [z]).at(0)
     n = data.n
     alphas = tuple(
         Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(data.r)
@@ -146,6 +168,8 @@ class HarmonicMapSampler:
         if np.abs(phi0 @ phi0.conj().T - np.eye(n)).max() > 1e-12:
             raise BadShape("phi0 must be unitary")
         self.phi0 = phi0
+        self._batch: Optional[ChainBatch] = None
+        self._memo: dict[complex, int] = {}  # point -> its index in _batch
 
     @property
     def n(self) -> int:
@@ -155,8 +179,19 @@ class HarmonicMapSampler:
     def r(self) -> int:
         return self.data.r
 
+    def prefetch(self, zs: Sequence[complex]) -> None:
+        """Build the chains at all of zs in one kernel call; they replace the
+        memo that chain_at reads.  Nothing is built when all are memoized."""
+        if all(z in self._memo for z in zs):
+            return
+        self._batch = chain_arrays(self.data, zs)
+        self._memo = {z: p for p, z in enumerate(zs)}
+
     def chain_at(self, z: complex) -> ChainData:
-        return chain_arrays(self.data, z)
+        p = self._memo.get(z)
+        if p is None:
+            return chain_arrays(self.data, [z]).at(0)
+        return self._batch.at(p)
 
     def fiber_at(self, z: complex) -> UnitonFiber:
         return build_fiber(self.data, z)
@@ -287,47 +322,48 @@ def draw_sample_points(
     data: DataArray,
     count: int,
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
     stencil_h: Optional[float] = None,
 ) -> list[complex]:
     """Generic points in |z| <= 2: away from poles, with unambiguous ranks.
 
     When stencil_h is given, the rank profile must also be constant over the
     extreme finite-difference stencil offsets, so nested differencing stays on
-    one smooth branch.
+    one smooth branch.  Candidates are drawn in blocks and built with their
+    offsets in one kernel call; the first ``count`` accepted in stream order
+    are returned.
     """
     if count < 0:
         raise BadShape("count must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     poles = _tables(data).poles if data.r > 0 else ()
+    offsets = _stencil_offsets(stencil_h) if stencil_h is not None else []
     points: list[complex] = []
-    for _ in range(count):
-        for attempt in range(MAX_SAMPLE_TRIES):
-            zr = DISC_RADIUS * math.sqrt(rng.uniform())
-            th = rng.uniform(0.0, 2.0 * math.pi)
+    misses = 0
+    while len(points) < count:
+        cands = []
+        for u, v in rng.random((count - len(points), 2)).tolist():
+            zr = DISC_RADIUS * math.sqrt(u)
+            th = 2.0 * math.pi * v
             z = complex(zr * math.cos(th), zr * math.sin(th))
-            if any(abs(z - p) < POLE_CLEARANCE for p in poles):
-                continue
-            try:
-                center = chain_arrays(data, z)
-            except (DegeneratePoint, PoleError):
-                continue
-            if stencil_h is not None:
-                try:
-                    if any(
-                        chain_arrays(data, z + off).ranks != center.ranks
-                        for off in _stencil_offsets(stencil_h)
-                    ):
-                        continue
-                except (DegeneratePoint, PoleError):
-                    continue
-            points.append(z)
-            break
-        else:
-            raise DegeneratePoint(
-                f"could not find a generic sample point in {MAX_SAMPLE_TRIES} tries"
-            )
+            cands.append(None if any(abs(z - p) < POLE_CLEARANCE for p in poles) else z)
+        clear = [z for z in cands if z is not None]
+        batch = chain_arrays(data, [w for z in clear for w in [z] + [z + off for off in offsets]])
+        shape = (len(clear), 1 + len(offsets))
+        ranks = batch.ranks.reshape(shape + (data.r,))
+        good = iter(~(batch.pole | batch.ambiguous).reshape(shape).any(axis=1)
+                    & (ranks == ranks[:, :1]).all(axis=(1, 2)))
+        for z in cands:
+            if z is not None and next(good):
+                points.append(z)
+                misses = 0
+                if len(points) == count:
+                    break
+            else:
+                misses += 1
+                if misses == MAX_SAMPLE_TRIES:
+                    raise DegeneratePoint(
+                        f"could not find a generic sample point in {MAX_SAMPLE_TRIES} tries"
+                    )
     return points
 
 
@@ -335,10 +371,6 @@ def alpha1_is_full(data: DataArray, seed: int = 1234) -> bool:
     """Fullness of alpha_1, tested by spanning fibers over 2n generic points."""
     if data.r == 0:
         return False
-    pts = draw_sample_points(data, 2 * data.n, seed=seed)
-    cols = []
-    for z in pts:
-        cd = chain_arrays(data, z)
-        cols.append(cd.bases[0][:, : cd.ranks[0]])
-    span = orthonormal_basis(np.hstack(cols))
+    batch = chain_arrays(data, draw_sample_points(data, 2 * data.n, seed=seed))
+    span = orthonormal_basis(np.hstack([b[0, :, :k] for b, k in zip(batch.bases, batch.ranks[:, 0])]))
     return span.dim == data.n

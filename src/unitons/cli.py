@@ -143,6 +143,7 @@ def cmd_factorize(args) -> int:
         data = serialize.data_from_json(obj)
         sampler = HarmonicMapSampler(data)
         points = draw_sample_points(data, args.samples, seed=args.seed)
+        sampler.prefetch(points)
         fibers = []
         for z in points:
             cd = sampler.chain_at(z)
@@ -179,6 +180,7 @@ def cmd_grassmann(args) -> int:
     data = serialize.data_from_json(_load_json(args.input))
     sampler = HarmonicMapSampler(data)
     points = draw_sample_points(data, args.samples, seed=args.seed)
+    sampler.prefetch(points)
     if args.q_span:
         vecs = [np.array([serialize.decode_complex(c) for c in v]) for v in _load_json(args.q_span)]
         q = QInvolution(orthonormal_basis(np.column_stack(vecs)))
@@ -207,10 +209,11 @@ def cmd_sample(args) -> int:
     m = args.grid
     records = []
     for iy in range(m):
-        for ix in range(m):
-            x = x0 + (x1 - x0) * (ix + 0.5) / m
-            y = y0 + (y1 - y0) * (iy + 0.5) / m
-            z = complex(x, y)
+        # one kernel call per grid row keeps memory linear in the grid width
+        y = y0 + (y1 - y0) * (iy + 0.5) / m
+        row = [complex(x0 + (x1 - x0) * (ix + 0.5) / m, y) for ix in range(m)]
+        sampler.prefetch(row)
+        for z in row:
             rec = {"z": serialize.encode_complex(z)}
             try:
                 rec["phi"] = serialize.matrix_to_json(sampler.map_at(z))

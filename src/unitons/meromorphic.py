@@ -26,6 +26,9 @@ DISC_RADIUS = 2.0
 POLE_CLEARANCE = 1e-2
 # Rejection sampling gives up after this many draws per point.
 MAX_SAMPLE_TRIES = 100
+# Decoded coefficients above this magnitude are rejected: their values on the
+# sample disc, and the squared norms the SVD forms from them, would overflow.
+MAX_COEFFICIENT = 1e150
 
 _COEFF_RANGE = 4  # random coefficients are Gaussian integers in [-4, 4]^2
 

@@ -8,13 +8,14 @@ byte-exactly through the canonical writer.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadShape
 from .grassmannian import LoopPoly, WSubspace
-from .meromorphic import DataArray, MeroVector, RationalFn
+from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn
 from .projections import ProjChain
 
 
@@ -26,7 +27,10 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise BadShape("complex values must be [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+    re, im = float(pair[0]), float(pair[1])
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise BadShape("complex values must be finite")
+    return complex(re, im)
 
 
 def rational_to_json(f: RationalFn) -> dict:
@@ -34,10 +38,11 @@ def rational_to_json(f: RationalFn) -> dict:
 
 
 def rational_from_json(obj) -> RationalFn:
-    return RationalFn(
-        tuple(decode_complex(c) for c in obj["num"]),
-        tuple(decode_complex(c) for c in obj["den"]),
-    )
+    num = tuple(decode_complex(c) for c in obj["num"])
+    den = tuple(decode_complex(c) for c in obj["den"])
+    if any(abs(c) > MAX_COEFFICIENT for c in num + den):
+        raise BadShape(f"coefficient magnitude above {MAX_COEFFICIENT:g}")
+    return RationalFn(num, den)
 
 
 def vector_to_json(v: MeroVector) -> list:

@@ -72,16 +72,24 @@ class ConnectionFiber:
         return float(np.abs(self.a_zbar + self.a_z.conj().T).max())
 
 
+def _stencil(z: complex, scheme: FDScheme) -> list:
+    """The points wirtinger samples around z, in the order it combines them."""
+    h = scheme.h
+    if scheme.order == 4:
+        return [z + 2 * h, z + h, z - h, z - 2 * h, z + 2j * h, z + 1j * h, z - 1j * h, z - 2j * h]
+    return [z + h, z - h, z + 1j * h, z - 1j * h]
+
+
 def wirtinger(field_sampler: Callable, z: complex, scheme: FDScheme = FDScheme()):
     """(d/dz f, d/dzbar f) of a scalar/vector/matrix field by central differences."""
     h = scheme.h
-    f = field_sampler
+    f = [field_sampler(w) for w in _stencil(z, scheme)]
     if scheme.order == 4:
-        fx = (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
-        fy = (-f(z + 2j * h) + 8 * f(z + 1j * h) - 8 * f(z - 1j * h) + f(z - 2j * h)) / (12 * h)
+        fx = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
+        fy = (-f[4] + 8 * f[5] - 8 * f[6] + f[7]) / (12 * h)
     else:
-        fx = (f(z + h) - f(z - h)) / (2 * h)
-        fy = (f(z + 1j * h) - f(z - 1j * h)) / (2 * h)
+        fx = (f[0] - f[1]) / (2 * h)
+        fy = (f[2] - f[3]) / (2 * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
@@ -92,22 +100,19 @@ def connection_form(map_sampler: Callable, z: complex, scheme: FDScheme = FDSche
     return ConnectionFiber(0.5 * inv @ dz, 0.5 * inv @ dzb)
 
 
-def _memoized(sampler: Callable) -> Callable:
-    cache: dict[complex, object] = {}
-
-    def wrapped(w):
-        got = cache.get(w)
-        if got is None:
-            got = sampler(w)
-            cache[w] = got
-        return got
-
-    return wrapped
-
-
 def harmonicity_residual(map_sampler: Callable, z: complex, scheme: FDScheme = FDScheme()) -> float:
-    """Frobenius norm of d_zbar A_z + [A_zbar, A_z] (zero iff harmonic)."""
-    phi = _memoized(map_sampler)
+    """Frobenius norm of d_zbar A_z + [A_zbar, A_z] (zero iff harmonic).
+
+    The map is evaluated once per nested stencil point; a HarmonicMapSampler's
+    map_at builds all of their chains in one kernel call, and verification
+    reuses that memo for the checks that follow.
+    """
+    # every point a connection form differenced once more visits around z
+    points = list(dict.fromkeys(w for c in [z] + _stencil(z, scheme) for w in [c] + _stencil(c, scheme)))
+    owner = getattr(map_sampler, "__self__", None)
+    if isinstance(owner, HarmonicMapSampler):
+        owner.prefetch(points)
+    phi = dict(zip(points, map(map_sampler, points))).__getitem__
 
     def a_z_field(w):
         return connection_form(phi, w, scheme).a_z
@@ -127,7 +132,8 @@ def extended_checks(
     """Extended-solution equation residual, unitarity defect and Phi_1 defect."""
     lams = tuple(lambdas) if lambdas is not None else DEFAULT_LAMBDAS
     n = sampler.n
-    chains = _memoized(sampler.chain_at)
+    sampler.prefetch([z] + _stencil(z, scheme))
+    chains = sampler.chain_at
 
     def phi_minus_one(w):
         cd = chains(w)
@@ -159,7 +165,7 @@ def reality_defect(coeffs: np.ndarray) -> float:
 
 
 def section_identities(
-    data: DataArray,
+    data: DataArray | HarmonicMapSampler,
     z: complex,
     scheme: FDScheme = FDScheme(),
     seed: int = 0,
@@ -167,20 +173,16 @@ def section_identities(
 ) -> dict:
     """Residuals of the section identities at one fiber.
 
+    ``data`` may be a HarmonicMapSampler, whose chain memo is then reused.
+
     dbar_K:        D^{phi_i}_zbar K^(k)_{i,j} = 0      (holomorphic sections)
     Az_K:          A^{phi_i}_z K^(k)_{i,j} + K^(k+1)_{i,j} = 0  (K^(i+1) := 0)
     dzbar_lemma:   D^{phi_ell}_zbar(perp_ell C^{ell-1}_s H) + perp_ell d_zbar(C^{ell-1}_{s+1} H) = 0
     """
-    r, n, J = data.r, data.n, data.ncols
-    sampler = HarmonicMapSampler(data)
-    chains = _memoized(sampler.chain_at)
-
-    def prefix(ell):
-        def phi_ell(w):
-            return sampler.prefix_map_at(w, ell, chain=chains(w))
-
-        return phi_ell
-
+    sampler = data if isinstance(data, HarmonicMapSampler) else HarmonicMapSampler(data)
+    r, n, J = sampler.r, sampler.n, sampler.data.ncols
+    sampler.prefetch([z] + _stencil(z, scheme))
+    chains = sampler.chain_at
     dbar_k: list[float] = []
     az_k: list[float] = []
     lemma: list[float] = []
@@ -188,7 +190,8 @@ def section_identities(
         return {"dbar_K": dbar_k, "Az_K": az_k, "dzbar_lemma": lemma,
                 "max_dbar_K": 0.0, "max_Az_K": 0.0, "max_dzbar_lemma": 0.0}
 
-    conn = {ell: connection_form(prefix(ell), z, scheme) for ell in range(r + 1)}
+    conn = {ell: connection_form(lambda w, _ell=ell: sampler.prefix_map_at(w, _ell), z, scheme)
+            for ell in range(r + 1)}
     center = chains(z)
     for i in range(r):
         for k in range(i + 1):
@@ -299,16 +302,12 @@ def verification_report(
         stat = _fiber_static_checks(sampler, cd)
         for name, value in stat.items():
             worst[name] = max(worst[name], value)
-        sec = section_identities(data, z, scheme, seed=seed)
+        sec = section_identities(sampler, z, scheme, seed=seed)
         worst["section_holomorphic"] = max(worst["section_holomorphic"], sec["max_dbar_K"])
         worst["section_ladder"] = max(worst["section_ladder"], sec["max_Az_K"])
         worst["dzbar_lemma"] = max(worst["dzbar_lemma"], sec["max_dzbar_lemma"])
-        chains = _memoized(sampler.chain_at)
         for ell in range(1, data.r + 1):
-            def phi_prev(w, _ell=ell):
-                return sampler.prefix_map_at(w, _ell - 1, chain=chains(w))
-
-            a_prev = connection_form(phi_prev, z, scheme)
+            a_prev = connection_form(lambda w, _ell=ell: sampler.prefix_map_at(w, _ell - 1), z, scheme)
             worst["antibasic"] = max(
                 worst["antibasic"], float(np.linalg.norm(cd.perps[ell - 1] @ a_prev.a_z))
             )

@@ -25,6 +25,7 @@ from unitons import (
     s1_invariant_data,
     spans_equal,
 )
+from unitons.builder import chain_arrays
 from unitons.meromorphic import shifted_column
 
 P = RationalFn.polynomial
@@ -262,6 +263,56 @@ def test_sample_points_avoid_poles():
 def test_sample_points_deterministic():
     data = random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=0)
     assert draw_sample_points(data, 5, seed=4) == draw_sample_points(data, 5, seed=4)
+
+
+def test_sample_points_pinned():
+    # block drawing consumes the generator exactly as paired scalar draws did
+    data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=0)
+    assert draw_sample_points(data, 4, seed=5, stencil_h=1e-3) == [
+        0.6389356251770717 - 1.6768342082212855j,
+        -0.32024448035234826 + 1.3995519700862924j,
+        -0.34523022540261045 + 0.31070709839829613j,
+        1.226865585162311 + 0.3587389825825106j,
+    ]
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=1)
+    assert draw_sample_points(data, 3, seed=11) == [
+        -0.7171263650786719 + 0.003253857072761606j,
+        1.5259942316696253 + 0.27809177514709116j,
+        0.6922886003251958 - 0.33532198283083847j,
+    ]
+
+
+def _assert_batch_matches_points(data, zs):
+    batch = chain_arrays(data, zs)
+    for p, z in enumerate(zs):
+        try:
+            single = chain_arrays(data, [z]).at(0)
+        except (PoleError, DegeneratePoint) as exc:
+            with pytest.raises(type(exc)):
+                batch.at(p)
+            continue
+        got = batch.at(p)
+        assert got.ranks == single.ranks and got.gen_ranks == single.gen_ranks
+        assert np.abs(got.pis - single.pis).max() <= 1e-12
+        assert np.abs(got.kvecs - single.kvecs).max() <= 1e-12
+    return batch
+
+
+def test_chain_batch_matches_single_points():
+    # a pole at 0.5 (as in the pole test) and two columns that are nearly
+    # dependent near z = 0.03 (as in the degenerate-point test); ranks of
+    # alpha_1 differ between the ordinary points of the batch
+    pole_fn = RationalFn((1,), (-0.5, 1))
+    col_a = (MeroVector((P([1]), P([0]), pole_fn)), MeroVector((P([0, 1]), P([2]), P([0]))))
+    col_b = (MeroVector((P([1]), P([0, 1e-7]), pole_fn)), MeroVector((P([0]), P([1, 1]), P([0, 0, 1]))))
+    data = DataArray(3, 2, (col_a, col_b))
+    batch = _assert_batch_matches_points(data, [0.001j, 0.5, 0.03 + 0.01j, -1 + 0.5j, 1.2 - 0.7j, 0.0005])
+    assert batch.pole.tolist() == [False, True, False, False, False, False]
+    assert batch.ambiguous.tolist() == [False, False, True, False, False, False]
+    assert batch.ranks[[0, 3, 4, 5], 0].tolist() == [1, 2, 2, 1]
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2)
+    zs = list(np.random.default_rng(3).uniform(-1.4, 1.4, (16, 2)) @ [1, 1j])
+    assert not _assert_batch_matches_points(data, zs).ambiguous.all()
 
 
 def test_fullness_flag():

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from unitons import serialize
+from unitons import BadShape, serialize
 from unitons.cli import main
 from unitons.meromorphic import DataArray, MeroVector, RationalFn
 
@@ -168,6 +169,42 @@ def test_sample_grid(tmp_path):
     assert good
     m = serialize.matrix_from_json(good[0]["phi"])
     assert np.abs(m @ m.conj().T - np.eye(3)).max() <= 1e-9
+
+
+def test_sample_grid_nulls_only_the_pole_cell(tmp_path):
+    # 4 x 4 cell centres over [-2, 2]^2 are +-0.5, +-1.5; the pole sits on 0.5 + 0.5i
+    pole_fn = RationalFn((1,), (-(0.5 + 0.5j), 1))
+    data = DataArray(3, 1, ((MeroVector((pole_fn, P([0, 1]), P([1]))),),))
+    data_file = tmp_path / "pole.json"
+    serialize.write_json(serialize.data_to_json(data), data_file)
+    out = tmp_path / "grid.json"
+    assert run("sample", "--input", data_file, "--grid", 4, "--rect=-2,2,-2,2", "--output", out) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 16
+    for idx, rec in enumerate(records):
+        iy, ix = divmod(idx, 4)
+        assert rec["z"] == [-1.5 + ix, -1.5 + iy]
+        if (ix, iy) == (2, 2):
+            assert rec["phi"] is None
+            continue
+        m = serialize.matrix_from_json(rec["phi"])
+        assert np.abs(m @ m.conj().T - np.eye(3)).max() <= 1e-12
+
+
+def test_bad_coefficients_rejected_at_parse_time(tmp_path):
+    data_file = tmp_path / "d.json"
+    run("generate", "--n", 3, "--r", 2, "--mode", "echelon", "--rank-steps", "1,1",
+        "--seed", 2, "--output", data_file)
+    obj = json.loads(data_file.read_text())
+    for value in (float("nan"), float("inf"), -float("inf"), 1e308):
+        obj["columns"][0][0][0]["num"][0] = [1.0, value]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert run("verify", "--input", bad, "--samples", 1) == 2
+        with pytest.raises(BadShape):
+            serialize.data_from_json(json.loads(bad.read_text()))
+    with pytest.raises(BadShape):
+        serialize.decode_complex([float("nan"), 0.0])
 
 
 def test_matrix_and_chain_serialization_round_trip():
