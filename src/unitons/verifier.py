@@ -289,6 +289,7 @@ def verification_report(
     points = draw_sample_points(data, samples, seed=seed, stencil_h=scheme.h)
     worst: dict[str, float] = {name: 0.0 for name in tol}
     for z in points:
+        # runs first: it builds the nested stencil's chains, which every later check reads
         worst["harmonicity"] = max(worst["harmonicity"], harmonicity_residual(sampler.map_at, z, scheme))
         ec = extended_checks(sampler, z, lambdas, scheme)
         worst["extended_solution"] = max(worst["extended_solution"], ec["es_residual"])
