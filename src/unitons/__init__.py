@@ -7,7 +7,6 @@ factorizes algebraic loops through the finite Grassmannian model.
 
 from .builder import (
     HarmonicMapSampler,
-    UnitonFiber,
     alpha1_is_full,
     associated_and_gauss,
     build_fiber,
@@ -22,15 +21,12 @@ from .errors import (
     BadShape,
     DegeneratePoint,
     DegreeNoDrop,
-    NonProperUniton,
     NoTermination,
     NotLambdaInvariant,
     PoleError,
-    SingularLoop,
     UnitonsError,
 )
 from .grassmannian import (
-    ConstantLoop,
     LoopPoly,
     QInvolution,
     WSubspace,
@@ -68,7 +64,6 @@ from .projections import (
     spans_equal,
 )
 from .verifier import (
-    ConnectionFiber,
     FDScheme,
     connection_form,
     extended_checks,

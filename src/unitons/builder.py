@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ from . import kernels
 from .errors import BadShape, DegeneratePoint, PoleError
 from .meromorphic import (
     DISC_RADIUS,
+    MAX_COEFFICIENT,
     MAX_SAMPLE_TRIES,
     POLE_CLEARANCE,
     POLE_TOL,
@@ -49,12 +50,12 @@ class ChainData(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _tables(data: DataArray) -> _Tables:
-    r, n, J = data.r, data.n, data.ncols
+def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tables:
+    J = len(columns)
     # derivative chains: row m is differentiated up to order r-1-m
     fns: dict[tuple[int, int, int, int], object] = {}
     max_len = 1
-    for j, col in enumerate(data.columns):
+    for j, col in enumerate(columns):
         for m, vec in enumerate(col):
             for c, f in enumerate(vec.entries):
                 cur = f
@@ -72,8 +73,21 @@ def _tables(data: DataArray) -> _Tables:
         nums[k, m, j, c, : len(f.num)] = f.num
         dens[k, m, j, c, 0] = 0.0
         dens[k, m, j, c, : len(f.den)] = f.den
+    # each derivative squares its denominator; `not <=` also catches NaN
+    if not (np.abs(nums) <= MAX_COEFFICIENT).all() or not (np.abs(dens) <= MAX_COEFFICIENT).all():
+        raise BadShape(f"a derivative coefficient exceeds {MAX_COEFFICIENT:g} in magnitude")
     dnorms = np.linalg.norm(dens, axis=-1)
-    return _Tables(nums, dens, dnorms, tuple(data_poles(data)))
+    return _Tables(nums, dens, dnorms, tuple(data_poles(columns)))
+
+
+def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative table of r-row columns of C^n vectors at every point of zs (P,).
+
+    vals[p, k, m, j] (P, r, r, J, n) is the k'th derivative of row m of column
+    j at zs[p], held for k <= r-1-m and zero above; ok (P,) is False at a pole.
+    """
+    t = _tables(n, r, tuple(tuple(col) for col in columns))
+    return kernels.eval_table(t.nums, t.dens, t.dnorms, zs, POLE_TOL)
 
 
 class ChainBatch(NamedTuple):
@@ -108,8 +122,7 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
         return ChainBatch(zs, empty, empty, empty, none, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
-    t = _tables(data)
-    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, zs, POLE_TOL)
+    vals, ok = derivative_values(n, r, data.columns, zs)
     pis, perps, bases, ranks, gen_ranks, kvecs, status = kernels.build_chain(vals, RANK_TOL)
     return ChainBatch(zs, pis, perps, bases, ranks, gen_ranks, kvecs, ~ok, status != 0)
 
@@ -204,13 +217,10 @@ class HarmonicMapSampler:
     def extended_at(self, z: complex, lam: complex) -> np.ndarray:
         return evaluate_extended(self, z, lam)
 
-    def prefix_map_at(self, z: complex, ell: int, chain: Optional[ChainData] = None) -> np.ndarray:
+    def prefix_map_at(self, z: complex, ell: int) -> np.ndarray:
         """phi_ell = phi_0 (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp)."""
-        cd = chain if chain is not None else self.chain_at(z)
-        out = self.phi0.copy()
-        for i in range(ell):
-            out = out @ (cd.pis[i] - cd.perps[i])
-        return out
+        cd = self.chain_at(z)
+        return extended_product(cd.pis[:ell], cd.perps[:ell], -1, self.phi0)
 
     def extended_coeffs_at(self, z: complex, chain: Optional[ChainData] = None) -> np.ndarray:
         cd = chain if chain is not None else self.chain_at(z)
@@ -219,22 +229,18 @@ class HarmonicMapSampler:
 
 def evaluate_map(sampler: HarmonicMapSampler, z: complex) -> np.ndarray:
     cd = sampler.chain_at(z)
-    out = sampler.phi0.copy()
-    for i in range(sampler.r):
-        out = out @ (cd.pis[i] - cd.perps[i])
-    return out
+    return extended_product(cd.pis, cd.perps, -1, sampler.phi0)
 
 
 def evaluate_extended(sampler: HarmonicMapSampler, z: complex, lam: complex) -> np.ndarray:
     cd = sampler.chain_at(z)
-    return extended_product(cd.pis, cd.perps, lam, sampler.n)
+    return extended_product(cd.pis, cd.perps, lam, np.eye(sampler.n, dtype=np.complex128))
 
 
-def extended_product(pis: np.ndarray, perps: np.ndarray, lam: complex, n: int) -> np.ndarray:
-    out = np.eye(n, dtype=np.complex128)
-    for i in range(pis.shape[0]):
-        out = out @ (pis[i] + lam * perps[i])
-    return out
+def extended_product(pis: np.ndarray, perps: np.ndarray, lam: complex, left: np.ndarray) -> np.ndarray:
+    """left (pi_1 + lam pi_1_perp) ... (pi_r + lam pi_r_perp), a new array;
+    lam = -1 gives the map's Cartan factors pi_i - pi_i_perp."""
+    return reduce(np.matmul, pis + lam * perps, left.copy())
 
 
 def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndarray:
@@ -335,7 +341,7 @@ def draw_sample_points(
     if count < 0:
         raise BadShape("count must be >= 0")
     rng = np.random.default_rng(seed)
-    poles = _tables(data).poles if data.r > 0 else ()
+    poles = _tables(data.n, data.r, data.columns).poles if data.r > 0 else ()
     offsets = _stencil_offsets(stencil_h) if stencil_h is not None else []
     points: list[complex] = []
     misses = 0

@@ -8,7 +8,6 @@ JSON in, JSON out; exit codes are 0 (ok), 2 (parse/usage error),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -18,6 +17,7 @@ from .builder import (
     HarmonicMapSampler,
     alpha1_is_full,
     draw_sample_points,
+    extended_product,
     s1_invariant_data,
 )
 from .errors import DegeneratePoint, UnitonsError
@@ -30,7 +30,7 @@ from .grassmannian import (
     w_from_loop,
 )
 from .meromorphic import random_data
-from .projections import max_principal_angle, orthonormal_basis
+from .projections import orthonormal_basis, span_gap
 from .verifier import FDScheme, verification_report
 
 EXIT_OK = 0
@@ -69,17 +69,10 @@ def _parse_steps(text):
 
 
 def _emit(obj, output):
-    text = serialize.dumps(obj)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.write_json(obj, output)
     else:
-        sys.stdout.write(text)
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        sys.stdout.write(serialize.dumps(obj))
 
 
 def cmd_generate(args) -> int:
@@ -96,7 +89,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_positive(samples=args.samples)
-    data = serialize.data_from_json(_load_json(args.input))
+    data = serialize.data_from_json(serialize.read_json(args.input))
     scheme = FDScheme()
     report = verification_report(
         data, samples=args.samples, seed=args.seed, scheme=scheme, tolerances=_parse_tols(args.tol)
@@ -107,36 +100,27 @@ def cmd_verify(args) -> int:
 
 def _factorize_fiber(loop, n, builder_chain=None):
     """Both factorizations of one loop fiber plus their agreement."""
-    w = w_from_loop(loop)
-    iwa = iwasawa_factorize(w)
+    iwa = iwasawa_factorize(w_from_loop(loop))
     ker = kernel_factorize_fiber(loop)
-    agree = 0.0
-    for (p1, _), (p2, _) in zip(iwa.pairs, ker.pairs):
-        agree = max(agree, _projection_gap(p1, p2))
+    pis, perps, eye = iwa.pis, iwa.perps, np.eye(n, dtype=np.complex128)
+    agree = max(map(_projection_gap, pis, ker.pis), default=0.0)
     recon = 0.0
     for lam in np.exp(2j * np.pi * np.arange(8) / 8):
-        prod = np.eye(n, dtype=np.complex128)
-        for pi, perp in iwa.pairs:
-            prod = prod @ (pi + lam * perp)
+        prod = extended_product(pis, perps, lam, eye)
         recon = max(recon, float(np.abs(prod - loop.at(lam)).max()))
     builder_gap = 0.0
     if builder_chain is not None:
-        for (p1, _), p2 in zip(iwa.pairs, builder_chain.pis):
-            builder_gap = max(builder_gap, _projection_gap(p1, p2))
+        builder_gap = max(map(_projection_gap, pis, builder_chain.pis), default=0.0)
     return iwa, ker, {"chain_agreement": agree, "reconstruction": recon, "builder_agreement": builder_gap}
 
 
 def _projection_gap(p1, p2) -> float:
-    a = orthonormal_basis(p1)
-    b = orthonormal_basis(p2)
-    if a.dim != b.dim:
-        return float(np.pi / 2)
-    return max_principal_angle(a, b)
+    return span_gap(orthonormal_basis(p1), orthonormal_basis(p2))
 
 
 def cmd_factorize(args) -> int:
     _check_positive(samples=args.samples)
-    obj = _load_json(args.input)
+    obj = serialize.read_json(args.input)
     results = []
     worst = 0.0
     if "columns" in obj:
@@ -177,12 +161,12 @@ def cmd_factorize(args) -> int:
 
 def cmd_grassmann(args) -> int:
     _check_positive(samples=args.samples)
-    data = serialize.data_from_json(_load_json(args.input))
+    data = serialize.data_from_json(serialize.read_json(args.input))
     sampler = HarmonicMapSampler(data)
     points = draw_sample_points(data, args.samples, seed=args.seed)
     sampler.prefetch(points)
     if args.q_span:
-        vecs = [np.array([serialize.decode_complex(c) for c in v]) for v in _load_json(args.q_span)]
+        vecs = [np.array([serialize.decode_complex(c) for c in v]) for v in serialize.read_json(args.q_span)]
         q = QInvolution(orthonormal_basis(np.column_stack(vecs)))
     else:
         q = QInvolution.identity(data.n)
@@ -203,7 +187,7 @@ def cmd_grassmann(args) -> int:
 
 def cmd_sample(args) -> int:
     _check_positive(grid=args.grid)
-    data = serialize.data_from_json(_load_json(args.input))
+    data = serialize.data_from_json(serialize.read_json(args.input))
     sampler = HarmonicMapSampler(data)
     x0, x1, y0, y1 = _parse_rect(args.rect)
     m = args.grid
@@ -282,7 +266,7 @@ def main(argv=None) -> int:
     except DegeneratePoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (UnitonsError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (UnitonsError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -14,12 +14,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .builder import derivative_values, extended_coefficients
 from .errors import (
     BadShape,
     DegreeNoDrop,
     NonProperUniton,
     NoTermination,
     NotLambdaInvariant,
+    PoleError,
     SingularLoop,
 )
 from .meromorphic import MeroVector
@@ -29,6 +31,7 @@ from .projections import (
     Span,
     image_span,
     max_principal_angle,
+    numerical_rank,
     orthonormal_basis,
     projection_pair,
     s_rows,
@@ -37,6 +40,14 @@ from .projections import (
 LAMBDA_TOL = 1e-8     # allowed shift-invariance defect of a W subspace
 BOUNDARY_TOL = 1e-9   # boundary coefficients must vanish below this when dividing
 TRIM_TOL = 1e-9       # a loop coefficient below this is treated as zero
+
+
+def loop_at(coeffs: np.ndarray, lam: complex) -> np.ndarray:
+    """sum_t lam^t coeffs[t] for (T, n, n) coefficients."""
+    out = np.zeros(coeffs.shape[1:], np.complex128)
+    for t in range(coeffs.shape[0]):
+        out += lam**t * coeffs[t]
+    return out
 
 
 class LoopPoly:
@@ -57,10 +68,7 @@ class LoopPoly:
         return self.coeffs.shape[1]
 
     def at(self, lam: complex) -> np.ndarray:
-        out = np.zeros((self.n, self.n), np.complex128)
-        for i in range(self.coeffs.shape[0]):
-            out += lam**i * self.coeffs[i]
-        return out
+        return loop_at(self.coeffs, lam)
 
     def unitarity_defect(self, lambdas: Sequence[complex]) -> float:
         eye = np.eye(self.n)
@@ -82,22 +90,13 @@ class LoopPoly:
         return LoopPoly(out)
 
     @classmethod
-    def from_chain(cls, chain: ProjChain) -> "LoopPoly":
-        from .builder import extended_coefficients
-
-        return cls(extended_coefficients(chain.pis, chain.perps, chain.ambient_dim))
-
-    @classmethod
     def identity(cls, n: int) -> "LoopPoly":
         return cls(np.eye(n, dtype=np.complex128)[None, :, :])
 
 
 def shift_matrix(r: int, n: int) -> np.ndarray:
     """Multiplication by lambda on C^{rn}: (L_0..L_{r-1}) -> (0, L_0..L_{r-2})."""
-    Z = np.zeros((r * n, r * n), np.complex128)
-    for k in range(r - 1):
-        Z[(k + 1) * n : (k + 2) * n, k * n : (k + 1) * n] = np.eye(n)
-    return Z
+    return np.kron(np.eye(r, k=-1, dtype=np.complex128), np.eye(n))
 
 
 class WSubspace:
@@ -128,13 +127,10 @@ class WSubspace:
         if self.dim == 0:
             return 0.0
         shifted = shift_matrix(self.r, self.n) @ self.basis
-        proj = self.basis @ (self.basis.conj().T @ shifted)
-        out = 0.0
-        for c in range(shifted.shape[1]):
-            nv = np.linalg.norm(shifted[:, c])
-            if nv > 1e-12:
-                out = max(out, float(np.linalg.norm(shifted[:, c] - proj[:, c]) / nv))
-        return out
+        resid = shifted - self.basis @ (self.basis.conj().T @ shifted)
+        norms = np.linalg.norm(shifted, axis=0)
+        keep = norms > 1e-12
+        return float(np.max(np.linalg.norm(resid, axis=0)[keep] / norms[keep], initial=0.0))
 
     def block(self, s: int) -> np.ndarray:
         return self.basis[s * self.n : (s + 1) * self.n, :]
@@ -167,27 +163,26 @@ def w_from_x(
     z: complex,
     rank_tol: float = RANK_TOL,
 ) -> WSubspace:
-    """W = X + lambda X_(1) + ... + lambda^{r-1} X_(r-1) + lambda^r H_+ at z."""
+    """W = X + lambda X_(1) + ... + lambda^{r-1} X_(r-1) + lambda^r H_+ at z.
+
+    The derivative table holds block i of X^(m) for m <= r-1-i, exactly the
+    blocks that lambda^k X^(m) (m <= k) keeps below lambda^r.
+    """
     cols = [tuple(c) for c in x_columns]
     if not cols:
         raise BadShape("need at least one spanning section")
-    r = len(cols[0])
-    n = cols[0][0].n
+    r, n = len(cols[0]), cols[0][0].n
+    if any(len(col) != r for col in cols):
+        raise BadShape("all sections must have r blocks")
+    vals, ok = derivative_values(n, r, cols, np.array([z], np.complex128))
+    if not ok[0]:
+        raise PoleError(f"an X entry has a pole too close to z={complex(z)}")
     vecs = []
-    for col in cols:
-        if len(col) != r:
-            raise BadShape("all sections must have r blocks")
-        ders = [col]
-        for _ in range(r - 1):
-            ders.append(tuple(v.derivative() for v in ders[-1]))
+    for j in range(len(cols)):
         for k in range(r):
             for m in range(k + 1):
-                u = np.concatenate([v.eval(z) for v in ders[m]])
                 w = np.zeros(r * n, np.complex128)
-                if k == 0:
-                    w = u
-                else:
-                    w[k * n :] = u[: (r - k) * n]
+                w[k * n :] = vals[0, m, : r - k, j].ravel()
                 vecs.append(w)
     basis = orthonormal_basis(np.column_stack(vecs), rank_tol)
     return WSubspace(r, n, basis.basis)
@@ -198,15 +193,11 @@ def w_from_loop(loop: LoopPoly, rank_tol: float = RANK_TOL) -> WSubspace:
     r, n = loop.degree, loop.n
     if r == 0:
         raise BadShape("degree-0 loop: W is all of H_+, not representable here")
-    vecs = []
+    # column k n + j is Phi lambda^k e_j: block m holds column j of T_{m-k}
+    vecs = np.zeros((r * n, r * n), np.complex128)
     for k in range(r):
-        for j in range(n):
-            v = np.zeros(r * n, np.complex128)
-            for m in range(k, r):
-                if m - k <= loop.degree:
-                    v[m * n : (m + 1) * n] = loop.coeffs[m - k][:, j]
-            vecs.append(v)
-    basis = orthonormal_basis(np.column_stack(vecs), rank_tol)
+        vecs[k * n :, k * n : (k + 1) * n] = loop.coeffs[: r - k].reshape((r - k) * n, n)
+    basis = orthonormal_basis(vecs, rank_tol)
     try:
         return WSubspace(r, n, basis.basis)
     except NotLambdaInvariant as exc:
@@ -254,14 +245,11 @@ def kernel_factorize_fiber(
     eye = np.eye(n, dtype=np.complex128)
     for i in range(r, 0, -1):
         _, sv, vh = np.linalg.svd(T[i])
-        smax = sv[0] if sv.size else 0.0
-        rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
+        rank = int(numerical_rank(sv, rank_tol))
         ker_dim = n - rank
         if ker_dim == 0 or ker_dim == n:
             raise NonProperUniton(f"ker T_{i} has dimension {ker_dim}")
-        basis = vh[rank:].conj().T
-        pi = basis @ basis.conj().T
-        perp = eye - pi
+        pi, perp = projection_pair(Span(vh[rank:].conj().T, n, validate=False))
         lam_minus = np.abs(T[0] @ perp).max()
         lam_top = np.abs(T[i] @ pi).max()
         if max(lam_minus, lam_top) > boundary_tol:
@@ -305,17 +293,7 @@ class ConstantLoop:
         return len(self.factors) == 0
 
     def at(self, lam: complex) -> np.ndarray:
-        out = np.zeros_like(self.coeffs[0])
-        for t in range(self.coeffs.shape[0]):
-            out += lam ** (-t) * self.coeffs[t]
-        return out
-
-
-def _constant_image_span(
-    coeff_at: Callable[[complex], np.ndarray], points: Sequence[complex], rank_tol: float
-) -> Span:
-    cols = np.hstack([coeff_at(z) for z in points])
-    return orthonormal_basis(cols, rank_tol)
+        return loop_at(self.coeffs, 1 / lam)
 
 
 def normalize_type_one(
@@ -347,8 +325,11 @@ def normalize_type_one(
             loop = LoopPoly(new[: deg + 1])
         return loop
 
+    def constant_image() -> Span:
+        return orthonormal_basis(np.hstack([sample(z).coeffs[0] for z in points]), rank_tol)
+
     for _ in range(max(r0, 1)):
-        a_span = _constant_image_span(lambda z: sample(z).coeffs[0], points, rank_tol)
+        a_span = constant_image()
         if a_span.dim == n:
             break
         if a_span.dim == 0:
@@ -361,22 +342,12 @@ def normalize_type_one(
             deg = max(deg, sample(z).trimmed(trim_tol).degree)
         degrees[-1] = deg
     else:
-        a_span = _constant_image_span(lambda z: sample(z).coeffs[0], points, rank_tol)
-        if a_span.dim != n:
+        if constant_image().dim != n:
             raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")
 
-    coeffs = np.zeros((len(steps) + 1, n, n), np.complex128)
-    coeffs[0] = np.eye(n)
-    for span in steps:
-        pi, perp = projection_pair(span)
-        new = np.zeros_like(coeffs)
-        for t in range(coeffs.shape[0]):
-            new[t] = pi @ coeffs[t]
-            if t > 0:
-                new[t] += perp @ coeffs[t - 1]
-        coeffs = new
-    prefactor = ConstantLoop(tuple(steps), coeffs[: len(steps) + 1])
-    return prefactor, sample
+    # the last step multiplies leftmost: expand the product over the reversed steps
+    chain = ProjChain([projection_pair(span) for span in reversed(steps)], validate=False)
+    return ConstantLoop(tuple(steps), extended_coefficients(chain.pis, chain.perps, n)), sample
 
 
 class QInvolution:
@@ -392,11 +363,7 @@ class QInvolution:
         return cls(Span.full(n))
 
     def nu_matrix(self, r: int) -> np.ndarray:
-        n = self.a_span.ambient_dim
-        out = np.zeros((r * n, r * n), np.complex128)
-        for k in range(r):
-            out[k * n : (k + 1) * n, k * n : (k + 1) * n] = ((-1) ** k) * self.matrix
-        return out
+        return np.kron(np.diag((-1.0) ** np.arange(r)), self.matrix)
 
 
 @dataclass(frozen=True)

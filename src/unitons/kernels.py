@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .projections import numerical_rank, pascal_step
+
 BACKEND = "numpy"
 
 
@@ -38,11 +40,6 @@ def eval_table(nums, dens, dnorms, zs, pole_tol):
     return vals, ~hit.any(axis=tuple(range(1, hit.ndim)))
 
 
-def _ranks(sv, tol):
-    # numerical ranks: singular values (descending, last axis) above tol * largest
-    return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
-
-
 def build_chain(hvals, rank_tol):
     """Build the projection chain at every point from its derivative table.
 
@@ -70,7 +67,7 @@ def build_chain(hvals, rank_tol):
         # columns ordered k-major: column k * J + j is K^(k)_{i,j}
         cols = kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2)
         u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = _ranks(sv, rank_tol)
+        rank = numerical_rank(sv, rank_tol)
         thr = rank_tol * sv[:, :1]
         status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
         basis = u * (np.arange(sv.shape[1]) < rank[:, None])[:, None, :]
@@ -78,9 +75,7 @@ def build_chain(hvals, rank_tol):
         perps[:, i] = eye - pis[:, i]
         bases[:, i, :, : sv.shape[1]] = basis
         ranks[:, i] = rank
-        # Pascal update: C^{i+1}_s = perp @ C^i_{s-1} + C^i_s, all s at once
-        top = min(i + 1, r)
-        C[:, 1 : top + 1] += perps[:, i, None] @ C[:, :top]
+        pascal_step(C, perps[:, i], min(i + 1, r))
     # ranks of the k = 0 layers (the generating subspaces), all steps at once
-    gen_ranks = _ranks(np.linalg.svd(kvecs[:, :, 0].swapaxes(-1, -2), compute_uv=False), rank_tol)
+    gen_ranks = numerical_rank(np.linalg.svd(kvecs[:, :, 0].swapaxes(-1, -2), compute_uv=False), rank_tol)
     return pis, perps, bases, ranks, gen_ranks, kvecs, status

@@ -337,10 +337,10 @@ def random_data(
     return DataArray(n, r, tuple(columns))
 
 
-def data_poles(data: DataArray) -> list[complex]:
-    """Union of the poles of every entry of the array."""
+def data_poles(columns: Sequence[Column]) -> list[complex]:
+    """Union of the poles of every entry of the columns."""
     out: list[complex] = []
-    for col in data.columns:
+    for col in columns:
         for vec in col:
             for f in vec.entries:
                 for p in poles_of(f):

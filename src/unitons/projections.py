@@ -50,43 +50,42 @@ class Span:
         return np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(v))
 
 
-def orthonormal_basis(vectors, rank_tol: float = RANK_TOL) -> Span:
-    """Orthonormal basis of the span of the given vectors (SVD rank decision)."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        mat = np.asarray(vectors, dtype=np.complex128)
-    elif isinstance(vectors, np.ndarray) and vectors.ndim == 1:
-        mat = np.asarray(vectors, dtype=np.complex128)[:, None]
-    else:
-        vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-        if not vecs:
-            raise BadShape("cannot infer ambient dimension from no vectors")
-        mat = np.column_stack(vecs)
-    n = mat.shape[0]
-    if mat.shape[1] == 0:
-        return Span.zero(n)
-    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
-    return Span(u[:, :rank], n, validate=False)
+def numerical_rank(sv: np.ndarray, rank_tol: float, scale: float = 0.0) -> np.ndarray:
+    """Count singular values (descending, last axis) above
+    rank_tol * max(sigma_max, scale); broadcasts over leading axes."""
+    return np.count_nonzero(sv > rank_tol * np.maximum(sv[..., :1], scale), axis=-1)
 
 
-def image_span(matrix: np.ndarray, rank_tol: float = RANK_TOL, scale: float = 1.0) -> Span:
-    """Column span of a matrix whose natural scale is known.
-
-    Unlike orthonormal_basis, the cutoff is rank_tol * max(sigma_max, scale),
-    so a noise-only matrix (e.g. the complement of a full projection, entries
-    ~1e-16) collapses to the zero span instead of inflating to full rank.
-    """
-    mat = np.asarray(matrix, dtype=np.complex128)
+def _column_span(mat: np.ndarray, rank_tol: float, scale: float) -> Span:
     if mat.ndim == 1:
         mat = mat[:, None]
     n = mat.shape[0]
     if mat.shape[1] == 0:
         return Span.zero(n)
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    cut = rank_tol * max(float(sv[0]) if sv.size else 0.0, scale)
-    rank = int(np.sum(sv > cut))
-    return Span(u[:, :rank], n, validate=False)
+    return Span(u[:, : numerical_rank(sv, rank_tol, scale)], n, validate=False)
+
+
+def orthonormal_basis(vectors, rank_tol: float = RANK_TOL) -> Span:
+    """Orthonormal basis of the span of the given vectors (SVD rank decision)."""
+    if isinstance(vectors, np.ndarray):
+        mat = np.asarray(vectors, dtype=np.complex128)
+    else:
+        vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
+        if not vecs:
+            raise BadShape("cannot infer ambient dimension from no vectors")
+        mat = np.column_stack(vecs)
+    return _column_span(mat, rank_tol, 0.0)
+
+
+def image_span(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> Span:
+    """Column span of a matrix whose natural scale is 1 (a product of projections).
+
+    Unlike orthonormal_basis, the cutoff is rank_tol * max(sigma_max, 1), so a
+    noise-only matrix (e.g. the complement of a full projection, entries
+    ~1e-16) collapses to the zero span instead of inflating to full rank.
+    """
+    return _column_span(np.asarray(matrix, dtype=np.complex128), rank_tol, 1.0)
 
 
 def projection_pair(s: Span) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +146,12 @@ class ProjChain:
         return cls(list(zip(pis, perps)), validate=validate)
 
 
+def pascal_step(C: np.ndarray, perp: np.ndarray, top: int) -> None:
+    """In place, C^{i+1}_s = perp C^i_{s-1} + C^i_s for s = 1..top, all s at
+    once; the s axis of C is third from last, any leading axes broadcast."""
+    C[..., 1 : top + 1, :, :] += perp[..., None, :, :] @ C[..., :top, :, :]
+
+
 def c_rows(perps: Sequence[np.ndarray], n: int, smax: int) -> np.ndarray:
     """All C^i_s for the chain with the given perps, s = 0..smax (i = len(perps)).
 
@@ -155,8 +160,7 @@ def c_rows(perps: Sequence[np.ndarray], n: int, smax: int) -> np.ndarray:
     C = np.zeros((smax + 1, n, n), np.complex128)
     C[0] = np.eye(n)
     for ell, perp in enumerate(perps, start=1):
-        for s in range(min(smax, ell), 0, -1):
-            C[s] = perp @ C[s - 1] + C[s]
+        pascal_step(C, perp, min(smax, ell))
     return C
 
 
@@ -226,10 +230,11 @@ def max_principal_angle(a: Span, b: Span) -> float:
     return float(ang[-1]) if ang.size else 0.0
 
 
+def span_gap(a: Span, b: Span) -> float:
+    """Largest principal angle, or pi/2 when the dimensions differ."""
+    return max_principal_angle(a, b) if a.dim == b.dim else float(np.pi / 2)
+
+
 def spans_equal(a: Span, b: Span, tol: float = SPAN_EQ_TOL) -> bool:
     """Basis-independent equality: equal ranks and all angles below tol."""
-    if a.dim != b.dim:
-        return False
-    if a.dim == 0:
-        return True
-    return max_principal_angle(a, b) < tol
+    return span_gap(a, b) < tol

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadShape
-from .grassmannian import LoopPoly, WSubspace
+from .grassmannian import LoopPoly
 from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn
 from .projections import ProjChain
 
@@ -104,14 +104,6 @@ def chain_from_json(obj) -> ProjChain:
         pi = matrix_from_json(mat)
         pairs.append((pi, eye - pi))
     return ProjChain(pairs)
-
-
-def wsubspace_to_json(w: WSubspace) -> dict:
-    return {"n": w.n, "r": w.r, "ranks": [w.dim], "basis": matrix_to_json(w.basis)}
-
-
-def wsubspace_from_json(obj) -> WSubspace:
-    return WSubspace(int(obj["r"]), int(obj["n"]), matrix_from_json(obj["basis"]))
 
 
 def loop_fibers_to_json(n: int, r: int, fibers: Sequence[tuple[complex, LoopPoly]]) -> dict:

@@ -23,7 +23,7 @@ from .builder import (
 )
 from .errors import BadShape
 from .meromorphic import DataArray, random_polynomial_vector
-from .projections import Span, c_rows, image_span, max_principal_angle
+from .projections import Span, c_rows, image_span, span_gap
 
 DEFAULT_LAMBDAS = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
 
@@ -131,30 +131,25 @@ def extended_checks(
 ) -> dict:
     """Extended-solution equation residual, unitarity defect and Phi_1 defect."""
     lams = tuple(lambdas) if lambdas is not None else DEFAULT_LAMBDAS
-    n = sampler.n
+    eye = np.eye(sampler.n, dtype=np.complex128)
     sampler.prefetch([z] + _stencil(z, scheme))
-    chains = sampler.chain_at
 
-    def phi_minus_one(w):
-        cd = chains(w)
-        return extended_product(cd.pis, cd.perps, -1.0, n)
+    def ext(w, lam):
+        cd = sampler.chain_at(w)
+        return extended_product(cd.pis, cd.perps, lam, eye)
 
-    cf = connection_form(phi_minus_one, z, scheme)
+    cf = connection_form(lambda w: ext(w, -1.0), z, scheme)
     es = 0.0
     unit = 0.0
     for lam in lams:
-        def ext(w, _lam=lam):
-            cd = chains(w)
-            return extended_product(cd.pis, cd.perps, _lam, n)
-
-        dz, dzb = wirtinger(ext, z, scheme)
-        val = ext(z)
+        dz, dzb = wirtinger(lambda w: ext(w, lam), z, scheme)
+        val = ext(z, lam)
         es_lam = np.linalg.norm(dz - (1 - 1 / lam) * val @ cf.a_z) + np.linalg.norm(
             dzb - (1 - lam) * val @ cf.a_zbar
         )
         es = max(es, float(es_lam))
-        unit = max(unit, float(np.abs(val @ val.conj().T - np.eye(n)).max()))
-    phi1 = float(np.abs(extended_product(chains(z).pis, chains(z).perps, 1.0, n) - np.eye(n)).max())
+        unit = max(unit, float(np.abs(val @ val.conj().T - eye).max()))
+    phi1 = float(np.abs(ext(z, 1.0) - eye).max())
     return {"es_residual": es, "unitarity_defect": unit, "phi1_defect": phi1}
 
 
@@ -246,28 +241,22 @@ def _fiber_static_checks(sampler: HarmonicMapSampler, cd: ChainData) -> dict:
     spans = [Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(r)]
     for ell in range(2, r + 1):
         moved = image_span(cd.pis[ell - 2] @ spans[ell - 1].basis)
-        out["covering"] = max(out["covering"], _span_gap(moved, spans[ell - 2]))
+        out["covering"] = max(out["covering"], span_gap(moved, spans[ell - 2]))
     prod_perp = np.eye(n, dtype=np.complex128)
     for t in range(r):
         prod_perp = cd.perps[t] @ prod_perp  # pi_ell_perp ... pi_1_perp
         im = image_span(prod_perp)
         target = image_span(cd.perps[t])  # alpha_ell_perp
-        out["perp_surjectivity"] = max(out["perp_surjectivity"], _span_gap(im, target))
+        out["perp_surjectivity"] = max(out["perp_surjectivity"], span_gap(im, target))
     prod_pi = np.eye(n, dtype=np.complex128)
     for t in range(r):
         prod_pi = prod_pi @ cd.pis[t]  # pi_1 ... pi_ell
         im = image_span(prod_pi)
-        out["alpha1_image"] = max(out["alpha1_image"], _span_gap(im, spans[0]))
+        out["alpha1_image"] = max(out["alpha1_image"], span_gap(im, spans[0]))
     T = extended_coefficients(cd.pis, cd.perps, n)
     out["reality"] = reality_defect(T)
     out["top_coefficient"] = float(np.abs(T[r].conj().T - prod_perp).max())
     return out
-
-
-def _span_gap(a: Span, b: Span) -> float:
-    if a.dim != b.dim:
-        return float(np.pi / 2)
-    return max_principal_angle(a, b)
 
 
 def verification_report(

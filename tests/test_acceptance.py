@@ -41,7 +41,7 @@ from unitons import (
     x_columns_from_data,
 )
 from unitons.cli import main as cli_main
-from unitons.projections import c_rows, image_span, s_rows
+from unitons.projections import c_rows, image_span, s_rows, span_gap
 from unitons.verifier import reality_defect
 
 P = RationalFn.polynomial
@@ -85,13 +85,8 @@ def _record(num, label, ok, detail):
 
 
 def _chain_gap(pairs_a, pairs_b):
-    worst = 0.0
-    for (p1, _), (p2, _) in zip(pairs_a, pairs_b):
-        a, b = orthonormal_basis(p1), orthonormal_basis(p2)
-        if a.dim != b.dim:
-            return np.pi / 2
-        worst = max(worst, max_principal_angle(a, b))
-    return worst
+    return max((span_gap(orthonormal_basis(p1), orthonormal_basis(p2))
+                for (p1, _), (p2, _) in zip(pairs_a, pairs_b)), default=0.0)
 
 
 def test_criterion_01_operator_calculus():
@@ -187,28 +182,18 @@ def test_criterion_04_covering_and_surjectivity():
             n = data.n
             for ell in range(2, data.r + 1):
                 moved = image_span(pis[ell - 2] @ fib.alphas[ell - 1].basis)
-                if moved.dim != fib.alphas[ell - 2].dim:
-                    worst = np.pi / 2
-                else:
-                    worst = max(worst, max_principal_angle(moved, fib.alphas[ell - 2]))
+                worst = max(worst, span_gap(moved, fib.alphas[ell - 2]))
             prod = np.eye(n, dtype=complex)
             for t in range(data.r):
                 prod = perps[t] @ prod
-                worst = max(worst, _span_or_gap(prod, image_span(perps[t])))
+                worst = max(worst, span_gap(image_span(prod), image_span(perps[t])))
             prod = np.eye(n, dtype=complex)
             for t in range(data.r):
                 prod = prod @ pis[t]
-                worst = max(worst, _span_or_gap(prod, fib.alphas[0]))
+                worst = max(worst, span_gap(image_span(prod), fib.alphas[0]))
     _DURATIONS[4] = time.perf_counter() - t0
     ok = worst <= TOL_COVERING
     _record(4, "covering + surjectivity", ok, f"max angle {worst:.2e}")
-
-
-def _span_or_gap(matrix, target):
-    got = image_span(matrix)
-    if got.dim != target.dim:
-        return np.pi / 2
-    return max_principal_angle(got, target)
 
 
 def test_criterion_05_section_identities():
@@ -238,10 +223,7 @@ def test_criterion_06_grassmannian_model():
         for z in draw_sample_points(data, 20, seed=10):
             wx = w_from_x(xcols, z)
             wl = w_from_loop(LoopPoly(sampler.extended_coeffs_at(z)))
-            if wx.dim != wl.dim:
-                worst = np.pi / 2
-            else:
-                worst = max(worst, max_principal_angle(wx.span, wl.span))
+            worst = max(worst, span_gap(wx.span, wl.span))
     _DURATIONS[6] = time.perf_counter() - t0
     ok = worst <= TOL_MODEL
     _record(6, "grassmannian model", ok, f"max angle {worst:.2e}")

@@ -83,6 +83,21 @@ def test_evaluate_map_cartan_case():
     assert np.allclose(s.map_at(0.3 + 1j), np.diag([1.0, -1.0]))
 
 
+def test_map_left_factor_is_phi0_and_never_aliased():
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=4)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)) + 1j * np.eye(4))
+    s = HarmonicMapSampler(data, q)
+    cd = s.chain_at(Z)
+    expect = q
+    for pi, perp in zip(cd.pis, cd.perps):
+        expect = expect @ (pi - perp)
+    assert np.abs(s.map_at(Z) - expect).max() <= 1e-14
+    assert np.abs(s.prefix_map_at(Z, 3) - expect).max() <= 1e-14
+    out = s.prefix_map_at(Z, 0)
+    out[:] = 0.0
+    assert np.array_equal(s.phi0, q)
+
+
 def test_map_unitary_at_30_points():
     data = random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=2)
     s = HarmonicMapSampler(data)

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from unitons import BadShape, serialize
+from unitons import BadShape, random_data, serialize, w_from_x, x_columns_from_data
 from unitons.cli import main
 from unitons.meromorphic import DataArray, MeroVector, RationalFn
 
@@ -205,6 +206,20 @@ def test_bad_coefficients_rejected_at_parse_time(tmp_path):
             serialize.data_from_json(json.loads(bad.read_text()))
     with pytest.raises(BadShape):
         serialize.decode_complex([float("nan"), 0.0])
+
+
+def test_derivative_table_overflow_rejected(tmp_path):
+    # 1 + 1e100 z decodes, but the first derivative's squared denominator
+    # holds 1e200: the table rejects it before any overflow or warning
+    obj = serialize.data_to_json(random_data(4, 3, 2, sparsity_pattern=(1, 1, 1), seed=1))
+    obj["columns"][0][0][0]["den"] = [[1.0, 0.0], [1e100, 0.0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", "--input", bad, "--samples", 1) == 2
+        with pytest.raises(BadShape):
+            w_from_x(x_columns_from_data(serialize.data_from_json(obj)), 0.3)
 
 
 def test_matrix_and_chain_serialization_round_trip():

@@ -8,6 +8,7 @@ from unitons import (
     LoopPoly,
     MeroVector,
     NotLambdaInvariant,
+    PoleError,
     QInvolution,
     RationalFn,
     WSubspace,
@@ -28,7 +29,7 @@ from unitons import (
     x_columns_from_data,
 )
 from unitons.grassmannian import shift_matrix
-from unitons.projections import Span
+from unitons.projections import Span, span_gap
 
 P = RationalFn.polynomial
 
@@ -41,13 +42,8 @@ def loop_at(data, z, phi0=None):
 
 
 def chain_gap(a, b):
-    out = 0.0
-    for (p1, _), (p2, _) in zip(a.pairs, b.pairs):
-        sa, sb = orthonormal_basis(p1), orthonormal_basis(p2)
-        if sa.dim != sb.dim:
-            return np.pi / 2
-        out = max(out, max_principal_angle(sa, sb))
-    return out
+    return max((span_gap(orthonormal_basis(p1), orthonormal_basis(p2))
+                for (p1, _), (p2, _) in zip(a.pairs, b.pairs)), default=0.0)
 
 
 def test_binomial_transform_rows():
@@ -86,6 +82,13 @@ def test_w_from_x_constant_section():
     )
     assert w.dim == 2
     assert max_principal_angle(w.span, expect) <= 1e-12
+
+
+def test_w_from_x_raises_at_a_pole_of_x():
+    col = (MeroVector((RationalFn((1,), (-0.5, 1)), P([1]))), MeroVector((P([0, 1]), P([2]))))
+    with pytest.raises(PoleError):
+        w_from_x([col], 0.5)
+    assert w_from_x([col], Z).dim == 3  # X, lambda X and lambda X'
 
 
 def test_w_from_x_r1_is_fiber():

@@ -6,6 +6,7 @@ from unitons import (
     ProjChain,
     Span,
     c_operator,
+    image_span,
     max_principal_angle,
     orthonormal_basis,
     principal_angles,
@@ -13,7 +14,7 @@ from unitons import (
     s_operator,
     spans_equal,
 )
-from unitons.projections import c_rows, s_rows
+from unitons.projections import c_rows, numerical_rank, s_rows, span_gap
 
 from oracles import c_words, product_inverse_coeff, random_chain, s_words
 
@@ -137,6 +138,33 @@ def test_principal_angles_small_angle_resolution():
     c = orthonormal_basis(tilted)
     got = max_principal_angle(b, c)
     assert 1e-10 < got < 1e-9
+
+
+def test_rank_cutoffs_relative_and_unit_scale():
+    rng = np.random.default_rng(11)
+    noise = 1e-16 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    assert image_span(noise).dim == 0  # cutoff against the unit scale
+    assert orthonormal_basis(noise).dim == 4  # cutoff relative to sigma_max only
+
+
+def test_numerical_rank_broadcasts_over_a_batch():
+    rng = np.random.default_rng(12)
+    mats = rng.standard_normal((6, 5, 4)) @ rng.standard_normal((6, 4, 4))
+    mats[1] = 0.0
+    mats[2, :, 2:] = mats[2, :, :2]  # rank 2
+    mats[3] *= 1e-12
+    sv = np.linalg.svd(mats, compute_uv=False)
+    for scale in (0.0, 1.0):
+        batch = numerical_rank(sv, 1e-9, scale)
+        assert batch.tolist() == [numerical_rank(s, 1e-9, scale) for s in sv]
+    assert numerical_rank(sv, 1e-9).tolist() == [4, 0, 2, 4, 4, 4]
+    assert numerical_rank(sv, 1e-9, 1.0).tolist() == [4, 0, 2, 0, 4, 4]
+
+
+def test_span_gap_dimension_mismatch():
+    a = orthonormal_basis(np.eye(3)[:, :1])
+    assert span_gap(a, orthonormal_basis(np.eye(3)[:, :2])) == pytest.approx(np.pi / 2)
+    assert span_gap(a, a) <= 1e-15
 
 
 def test_spans_equal():
