@@ -257,6 +257,8 @@ class DataArray:
         if not 0 <= self.r <= self.n - 1:
             raise BadShape(f"need 0 <= r <= n-1, got r={self.r}, n={self.n}")
         cols = tuple(tuple(col) for col in self.columns)
+        if self.r >= 1 and not cols:
+            raise BadShape("need at least one column when r >= 1")
         for col in cols:
             if len(col) != self.r:
                 raise BadShape("every column must have r rows")

@@ -75,7 +75,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
         raise BadShape("only 2-d matrices serialize")
     return {
         "shape": [int(m.shape[0]), int(m.shape[1])],
-        "data": [encode_complex(c) for c in m.ravel(order="C")],
+        # each complex128 entry read as its (re, im) float64 pair, row-major
+        "data": np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

@@ -44,19 +44,18 @@ DEFAULT_TOLERANCES = {
     "top_coefficient": 1e-10,
 }
 
+LEMMA_MAX_ELL = 3  # the D_zbar lemma is checked for ell = 1..min(r, LEMMA_MAX_ELL)
+
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central-difference step and order for the Wirtinger operators."""
+    """Step of the 4th-order central differences behind the Wirtinger operators."""
 
     h: float = 1e-3
-    order: int = 4
 
     def __post_init__(self):
         if self.h <= 0:
             raise BadShape("step must be positive")
-        if self.order not in (2, 4):
-            raise BadShape("order must be 2 or 4")
 
 
 @dataclass(frozen=True)
@@ -75,26 +74,27 @@ class ConnectionFiber:
 def _stencil(z: complex, scheme: FDScheme) -> list:
     """The points wirtinger samples around z, in the order it combines them."""
     h = scheme.h
-    if scheme.order == 4:
-        return [z + 2 * h, z + h, z - h, z - 2 * h, z + 2j * h, z + 1j * h, z - 1j * h, z - 2j * h]
-    return [z + h, z - h, z + 1j * h, z - 1j * h]
+    return [z + 2 * h, z + h, z - h, z - 2 * h, z + 2j * h, z + 1j * h, z - 1j * h, z - 2j * h]
 
 
 def wirtinger(field_sampler: Callable, z: complex, scheme: FDScheme = FDScheme()):
-    """(d/dz f, d/dzbar f) of a scalar/vector/matrix field by central differences."""
+    """(d/dz f, d/dzbar f) of a field by central differences.
+
+    The combination is elementwise, so a field returning a stacked array is
+    differenced entry by entry exactly as each entry would be alone.
+    """
     h = scheme.h
     f = [field_sampler(w) for w in _stencil(z, scheme)]
-    if scheme.order == 4:
-        fx = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
-        fy = (-f[4] + 8 * f[5] - 8 * f[6] + f[7]) / (12 * h)
-    else:
-        fx = (f[0] - f[1]) / (2 * h)
-        fy = (f[2] - f[3]) / (2 * h)
+    fx = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
+    fy = (-f[4] + 8 * f[5] - 8 * f[6] + f[7]) / (12 * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 def connection_form(map_sampler: Callable, z: complex, scheme: FDScheme = FDScheme()) -> ConnectionFiber:
-    """A_z = (1/2) phi^{-1} d_z phi and A_zbar = (1/2) phi^{-1} d_zbar phi."""
+    """A_z = (1/2) phi^{-1} d_z phi and A_zbar = (1/2) phi^{-1} d_zbar phi.
+
+    A sampler returning a stack (..., n, n) of maps gives the stacked forms.
+    """
     dz, dzb = wirtinger(map_sampler, z, scheme)
     inv = np.linalg.inv(map_sampler(z))
     return ConnectionFiber(0.5 * inv @ dz, 0.5 * inv @ dzb)
@@ -132,24 +132,25 @@ def extended_checks(
     """Extended-solution equation residual, unitarity defect and Phi_1 defect."""
     lams = tuple(lambdas) if lambdas is not None else DEFAULT_LAMBDAS
     eye = np.eye(sampler.n, dtype=np.complex128)
-    sampler.prefetch([z] + _stencil(z, scheme))
-
-    def ext(w, lam):
+    points = [z] + _stencil(z, scheme)
+    sampler.prefetch(points)
+    # Phi_lambda for lambda = -1, 1, then each of lams, once per stencil point
+    ext = {}
+    for w in points:
         cd = sampler.chain_at(w)
-        return extended_product(cd.pis, cd.perps, lam, eye)
-
-    cf = connection_form(lambda w: ext(w, -1.0), z, scheme)
+        ext[w] = np.array([extended_product(cd.pis, cd.perps, lam, eye) for lam in (-1.0, 1.0) + lams])
+    cf = connection_form(lambda w: ext[w][0], z, scheme)
+    dz, dzb = wirtinger(ext.__getitem__, z, scheme)
     es = 0.0
     unit = 0.0
-    for lam in lams:
-        dz, dzb = wirtinger(lambda w: ext(w, lam), z, scheme)
-        val = ext(z, lam)
-        es_lam = np.linalg.norm(dz - (1 - 1 / lam) * val @ cf.a_z) + np.linalg.norm(
-            dzb - (1 - lam) * val @ cf.a_zbar
+    for q, lam in enumerate(lams, start=2):
+        val = ext[z][q]
+        es_lam = np.linalg.norm(dz[q] - (1 - 1 / lam) * val @ cf.a_z) + np.linalg.norm(
+            dzb[q] - (1 - lam) * val @ cf.a_zbar
         )
         es = max(es, float(es_lam))
         unit = max(unit, float(np.abs(val @ val.conj().T - eye).max()))
-    phi1 = float(np.abs(ext(z, 1.0) - eye).max())
+    phi1 = float(np.abs(ext[z][1] - eye).max())
     return {"es_residual": es, "unitarity_defect": unit, "phi1_defect": phi1}
 
 
@@ -164,71 +165,56 @@ def section_identities(
     z: complex,
     scheme: FDScheme = FDScheme(),
     seed: int = 0,
-    lemma_max_ell: int = 3,
 ) -> dict:
     """Residuals of the section identities at one fiber.
 
     ``data`` may be a HarmonicMapSampler, whose chain memo is then reused.
+    Each family is one stacked field, differenced in one wirtinger call.
 
     dbar_K:        D^{phi_i}_zbar K^(k)_{i,j} = 0      (holomorphic sections)
     Az_K:          A^{phi_i}_z K^(k)_{i,j} + K^(k+1)_{i,j} = 0  (K^(i+1) := 0)
     dzbar_lemma:   D^{phi_ell}_zbar(perp_ell C^{ell-1}_s H) + perp_ell d_zbar(C^{ell-1}_{s+1} H) = 0
+                   for ell <= LEMMA_MAX_ELL
+    antibasic:     pi_ell_perp A^{phi_{ell-1}}_z = 0
     """
     sampler = data if isinstance(data, HarmonicMapSampler) else HarmonicMapSampler(data)
     r, n, J = sampler.r, sampler.n, sampler.data.ncols
-    sampler.prefetch([z] + _stencil(z, scheme))
+    points = [z] + _stencil(z, scheme)
+    sampler.prefetch(points)
     chains = sampler.chain_at
+    center = chains(z)
+    # conn.a_z[ell], conn.a_zbar[ell]: the connection of the prefix map phi_ell, ell = 0..r
+    conn = connection_form(lambda w: np.array([sampler.prefix_map_at(w, ell) for ell in range(r + 1)]), z, scheme)
+    _, dzb_k = wirtinger(lambda w: chains(w).kvecs, z, scheme)
     dbar_k: list[float] = []
     az_k: list[float] = []
     lemma: list[float] = []
-    if r == 0:
-        return {"dbar_K": dbar_k, "Az_K": az_k, "dzbar_lemma": lemma,
-                "max_dbar_K": 0.0, "max_Az_K": 0.0, "max_dzbar_lemma": 0.0}
-
-    conn = {ell: connection_form(lambda w, _ell=ell: sampler.prefix_map_at(w, _ell), z, scheme)
-            for ell in range(r + 1)}
-    center = chains(z)
     for i in range(r):
         for k in range(i + 1):
             for j in range(J):
                 kv = center.kvecs[i, k, j]
-
-                def k_field(w, _i=i, _k=k, _j=j):
-                    return chains(w).kvecs[_i, _k, _j]
-
-                _, dzb = wirtinger(k_field, z, scheme)
-                dbar_k.append(float(np.linalg.norm(dzb + conn[i].a_zbar @ kv)))
+                dbar_k.append(float(np.linalg.norm(dzb_k[i, k, j] + conn.a_zbar[i] @ kv)))
                 nxt = center.kvecs[i, k + 1, j] if k + 1 <= i else np.zeros(n)
-                az_k.append(float(np.linalg.norm(conn[i].a_z @ kv + nxt)))
+                az_k.append(float(np.linalg.norm(conn.a_z[i] @ kv + nxt)))
+    antibasic = [float(np.linalg.norm(center.perps[i] @ conn.a_z[i])) for i in range(r)]
     # Lemma residuals for a fresh random polynomial vector H
     rng = np.random.default_rng(seed)
     H = random_polynomial_vector(rng, n, 3)
-    for ell in range(1, min(r, lemma_max_ell) + 1):
-        c_here = c_rows(center.perps[: ell - 1], n, ell)
+    h_at = {w: H.eval(w) for w in points}
+    for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
+        def field(w):
+            # rows s = 0..ell-1: perp_ell C_s H, then rows ell + s: C_{s+1} H
+            cd = chains(w)
+            ch = [c @ h_at[w] for c in c_rows(cd.perps[: ell - 1], n, ell)]
+            return np.array([cd.perps[ell - 1] @ v for v in ch[:-1]] + ch[1:])
+
+        _, dzb = wirtinger(field, z, scheme)
+        fval = field(z)
         for s in range(ell):
-            def f_field(w, _ell=ell, _s=s):
-                cd = chains(w)
-                c = c_rows(cd.perps[: _ell - 1], n, _ell)
-                return cd.perps[_ell - 1] @ (c[_s] @ H.eval(w))
-
-            def g_field(w, _ell=ell, _s=s):
-                cd = chains(w)
-                c = c_rows(cd.perps[: _ell - 1], n, _ell)
-                return c[_s + 1] @ H.eval(w)
-
-            _, dzb_f = wirtinger(f_field, z, scheme)
-            _, dzb_g = wirtinger(g_field, z, scheme)
-            fval = center.perps[ell - 1] @ (c_here[s] @ H.eval(z))
-            resid = dzb_f + conn[ell].a_zbar @ fval + center.perps[ell - 1] @ dzb_g
+            resid = dzb[s] + conn.a_zbar[ell] @ fval[s] + center.perps[ell - 1] @ dzb[ell + s]
             lemma.append(float(np.linalg.norm(resid)))
-    return {
-        "dbar_K": dbar_k,
-        "Az_K": az_k,
-        "dzbar_lemma": lemma,
-        "max_dbar_K": max(dbar_k, default=0.0),
-        "max_Az_K": max(az_k, default=0.0),
-        "max_dzbar_lemma": max(lemma, default=0.0),
-    }
+    out = {"dbar_K": dbar_k, "Az_K": az_k, "dzbar_lemma": lemma, "antibasic": antibasic}
+    return {**out, **{f"max_{name}": max(vals, default=0.0) for name, vals in out.items()}}
 
 
 def _fiber_static_checks(sampler: HarmonicMapSampler, cd: ChainData) -> dict:
@@ -296,11 +282,7 @@ def verification_report(
         worst["section_holomorphic"] = max(worst["section_holomorphic"], sec["max_dbar_K"])
         worst["section_ladder"] = max(worst["section_ladder"], sec["max_Az_K"])
         worst["dzbar_lemma"] = max(worst["dzbar_lemma"], sec["max_dzbar_lemma"])
-        for ell in range(1, data.r + 1):
-            a_prev = connection_form(lambda w, _ell=ell: sampler.prefix_map_at(w, _ell - 1), z, scheme)
-            worst["antibasic"] = max(
-                worst["antibasic"], float(np.linalg.norm(cd.perps[ell - 1] @ a_prev.a_z))
-            )
+        worst["antibasic"] = max(worst["antibasic"], sec["max_antibasic"])
     checks = []
     for name in tol:
         checks.append(

@@ -48,6 +48,15 @@ def test_verify_r0_passes(tmp_path):
     assert harm["max_residual"] <= 1e-12
 
 
+def test_verify_rejects_zero_columns(tmp_path):
+    # with no column every uniton is the zero subspace and each residual vanishes
+    data_file = tmp_path / "empty.json"
+    data_file.write_text(json.dumps({"n": 3, "r": 2, "columns": []}))
+    assert run("verify", "--input", data_file, "--samples", 2) == 2
+    with pytest.raises(BadShape):
+        serialize.data_from_json({"n": 3, "r": 2, "columns": []})
+
+
 def test_verify_end_to_end(tmp_path):
     data_file = tmp_path / "d.json"
     run("generate", "--n", 4, "--r", 3, "--mode", "echelon", "--rank-steps", "1,1,1",

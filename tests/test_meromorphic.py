@@ -181,6 +181,9 @@ def test_data_array_validation():
         DataArray(2, 2, ((v, v),))  # r > n-1
     with pytest.raises(BadShape):
         DataArray(3, 1, ((v,),))  # vector length 2 in C^3
+    with pytest.raises(BadShape):
+        DataArray(2, 1, ())  # r >= 1 with no column: every uniton would be zero
+    assert DataArray(2, 0, ()).ncols == 0  # r = 0 needs none
 
 
 def test_json_round_trip_exact():

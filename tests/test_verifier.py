@@ -16,13 +16,14 @@ from unitons import (
     verification_report,
     wirtinger,
 )
+from unitons.meromorphic import random_polynomial_vector
+from unitons.projections import c_rows
+from unitons.verifier import LEMMA_MAX_ELL
 
 
 def test_scheme_validation():
     with pytest.raises(BadShape):
         FDScheme(h=0.0)
-    with pytest.raises(BadShape):
-        FDScheme(order=3)
 
 
 def test_wirtinger_holomorphic_monomial():
@@ -43,12 +44,6 @@ def test_wirtinger_mixed():
     assert abs(dz - np.conj(z0)) <= 1e-9
 
 
-def test_wirtinger_second_order_scheme():
-    dz, dzb = wirtinger(lambda z: z**3, 0.5, FDScheme(h=1e-4, order=2))
-    assert abs(dz - 3 * 0.25) <= 1e-6
-    assert abs(dzb) <= 1e-6
-
-
 def test_residual_convergence_order():
     # 4th-order scheme: halving h shrinks the error by >= 8 until the noise floor
     z0 = 0.4 + 0.3j
@@ -61,7 +56,7 @@ def test_residual_convergence_order():
 
     errs = []
     for h in (4e-2, 2e-2, 1e-2):
-        _, dzb = wirtinger(f, z0, FDScheme(h=h, order=4))
+        _, dzb = wirtinger(f, z0, FDScheme(h=h))
         errs.append(abs(dzb - exact_dzb(z0)))
     for a, b in zip(errs, errs[1:]):
         if a > 1e-6:
@@ -169,3 +164,60 @@ def test_verification_report_structure_and_overrides():
     assert not strict["passed"]
     with pytest.raises(BadShape):
         verification_report(data, samples=1, tolerances={"nonsense": 1.0})
+
+
+def _per_entry_sections(sampler, z, seed=0):
+    """Reference: one wirtinger per section entry and lemma field, one
+    connection form per prefix map, as the identities read entry by entry."""
+    r, n, J = sampler.r, sampler.n, sampler.data.ncols
+    conn = [connection_form(lambda w, _e=ell: sampler.prefix_map_at(w, _e), z) for ell in range(r + 1)]
+    center = sampler.chain_at(z)
+    dbar_k, az_k, lemma = [], [], []
+    for i in range(r):
+        for k in range(i + 1):
+            for j in range(J):
+                kv = center.kvecs[i, k, j]
+                _, dzb = wirtinger(lambda w, _i=i, _k=k, _j=j: sampler.chain_at(w).kvecs[_i, _k, _j], z)
+                dbar_k.append(float(np.linalg.norm(dzb + conn[i].a_zbar @ kv)))
+                nxt = center.kvecs[i, k + 1, j] if k + 1 <= i else np.zeros(n)
+                az_k.append(float(np.linalg.norm(conn[i].a_z @ kv + nxt)))
+    H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
+    for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
+        for s in range(ell):
+            def f_field(w, _ell=ell, _s=s):
+                cd = sampler.chain_at(w)
+                return cd.perps[_ell - 1] @ (c_rows(cd.perps[: _ell - 1], n, _ell)[_s] @ H.eval(w))
+
+            def g_field(w, _ell=ell, _s=s):
+                cd = sampler.chain_at(w)
+                return c_rows(cd.perps[: _ell - 1], n, _ell)[_s + 1] @ H.eval(w)
+
+            _, dzb_f = wirtinger(f_field, z)
+            _, dzb_g = wirtinger(g_field, z)
+            resid = dzb_f + conn[ell].a_zbar @ f_field(z) + center.perps[ell - 1] @ dzb_g
+            lemma.append(float(np.linalg.norm(resid)))
+    antibasic = [float(np.linalg.norm(center.perps[ell] @ conn[ell].a_z)) for ell in range(r)]
+    return dbar_k, az_k, lemma, antibasic
+
+
+@pytest.mark.parametrize("data", [
+    random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=5),  # J = 4 columns
+    random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2),  # r = 4 > LEMMA_MAX_ELL
+], ids=["J>1", "r=4"])
+def test_stacked_sections_equal_per_entry_reference(data):
+    s = HarmonicMapSampler(data)
+    for z in draw_sample_points(data, 2, seed=17, stencil_h=1e-3):
+        sec = section_identities(s, z, seed=4)
+        dbar_k, az_k, lemma, antibasic = _per_entry_sections(s, z, seed=4)
+        assert sec["dbar_K"] == dbar_k and sec["max_dbar_K"] == max(dbar_k)
+        assert sec["Az_K"] == az_k and sec["max_Az_K"] == max(az_k)
+        assert sec["dzbar_lemma"] == lemma and len(lemma) == sum(range(min(data.r, LEMMA_MAX_ELL) + 1))
+        assert sec["antibasic"] == antibasic and sec["max_antibasic"] == max(antibasic)
+        assert sec["max_antibasic"] <= 1e-5
+
+
+def test_sections_r0_are_empty():
+    data = random_data(3, 0, 2, seed=0)
+    sec = section_identities(data, 0.3 + 0.2j)
+    assert sec["dbar_K"] == sec["Az_K"] == sec["dzbar_lemma"] == sec["antibasic"] == []
+    assert sec["max_dbar_K"] == sec["max_antibasic"] == 0.0
