@@ -12,7 +12,6 @@ from .builder import (
     build_fiber,
     cartan_embed,
     draw_sample_points,
-    evaluate_extended,
     evaluate_map,
     extended_coefficients,
     s1_invariant_data,

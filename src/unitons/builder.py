@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -112,6 +112,10 @@ class ChainBatch(NamedTuple):
         return ChainData(self.pis[p], self.perps[p], self.bases[p], tuple(self.ranks[p].tolist()),
                          tuple(self.gen_ranks[p].tolist()), self.kvecs[p])
 
+    def take(self, index: np.ndarray) -> "ChainBatch":
+        """The batch laid out on an index array's axes, in place of the point axis."""
+        return ChainBatch(*(field[index] for field in self))
+
 
 def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     """Evaluate the data at every point of zs and build the chains (hot path)."""
@@ -181,8 +185,6 @@ class HarmonicMapSampler:
         if np.abs(phi0 @ phi0.conj().T - np.eye(n)).max() > 1e-12:
             raise BadShape("phi0 must be unitary")
         self.phi0 = phi0
-        self._batch: Optional[ChainBatch] = None
-        self._memo: dict[complex, int] = {}  # point -> its index in _batch
 
     @property
     def n(self) -> int:
@@ -192,30 +194,13 @@ class HarmonicMapSampler:
     def r(self) -> int:
         return self.data.r
 
-    def prefetch(self, zs: Sequence[complex]) -> None:
-        """Build the chains at all of zs in one kernel call; they replace the
-        memo that chain_at reads.  Nothing is built when all are memoized."""
-        if all(z in self._memo for z in zs):
-            return
-        self._batch = chain_arrays(self.data, zs)
-        self._memo = {z: p for p, z in enumerate(zs)}
-
     def chain_at(self, z: complex) -> ChainData:
-        p = self._memo.get(z)
-        if p is None:
-            return chain_arrays(self.data, [z]).at(0)
-        return self._batch.at(p)
-
-    def fiber_at(self, z: complex) -> UnitonFiber:
-        return build_fiber(self.data, z)
+        return chain_arrays(self.data, [z]).at(0)
 
     def map_at(self, z: complex) -> np.ndarray:
         return evaluate_map(self, z)
 
     __call__ = map_at
-
-    def extended_at(self, z: complex, lam: complex) -> np.ndarray:
-        return evaluate_extended(self, z, lam)
 
     def prefix_map_at(self, z: complex, ell: int) -> np.ndarray:
         """phi_ell = phi_0 (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp)."""
@@ -232,15 +217,16 @@ def evaluate_map(sampler: HarmonicMapSampler, z: complex) -> np.ndarray:
     return extended_product(cd.pis, cd.perps, -1, sampler.phi0)
 
 
-def evaluate_extended(sampler: HarmonicMapSampler, z: complex, lam: complex) -> np.ndarray:
-    cd = sampler.chain_at(z)
-    return extended_product(cd.pis, cd.perps, lam, np.eye(sampler.n, dtype=np.complex128))
-
-
-def extended_product(pis: np.ndarray, perps: np.ndarray, lam: complex, left: np.ndarray) -> np.ndarray:
+def extended_product(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> np.ndarray:
     """left (pi_1 + lam pi_1_perp) ... (pi_r + lam pi_r_perp), a new array;
-    lam = -1 gives the map's Cartan factors pi_i - pi_i_perp."""
-    return reduce(np.matmul, pis + lam * perps, left.copy())
+    lam = -1 gives the map's Cartan factors pi_i - pi_i_perp.  The steps run
+    along axis -3; leading axes and an array lam broadcast, each product
+    bit-identical to its single-point call."""
+    factors = pis + lam * perps
+    out = left
+    for i in range(factors.shape[-3]):
+        out = out @ factors[..., i, :, :]
+    return out if factors.shape[-3] else np.broadcast_to(left, factors.shape[:-3] + left.shape).copy()
 
 
 def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndarray:

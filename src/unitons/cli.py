@@ -14,13 +14,14 @@ import numpy as np
 
 from . import serialize
 from .builder import (
-    HarmonicMapSampler,
     alpha1_is_full,
+    chain_arrays,
     draw_sample_points,
+    extended_coefficients,
     extended_product,
     s1_invariant_data,
 )
-from .errors import DegeneratePoint, UnitonsError
+from .errors import DegeneratePoint, DegreeNoDrop, NonProperUniton, UnitonsError
 from .grassmannian import (
     LoopPoly,
     QInvolution,
@@ -125,20 +126,24 @@ def cmd_factorize(args) -> int:
     worst = 0.0
     if "columns" in obj:
         data = serialize.data_from_json(obj)
-        sampler = HarmonicMapSampler(data)
         points = draw_sample_points(data, args.samples, seed=args.seed)
-        sampler.prefetch(points)
+        batch = chain_arrays(data, points)
         fibers = []
-        for z in points:
-            cd = sampler.chain_at(z)
-            fibers.append((z, LoopPoly(sampler.extended_coeffs_at(z, cd)), cd))
+        for p, z in enumerate(points):
+            cd = batch.at(p)
+            fibers.append((z, LoopPoly(extended_coefficients(cd.pis, cd.perps, data.n)), cd))
         full = alpha1_is_full(data, seed=args.seed)
     else:
         fibers = [(z, loop, None) for z, loop in serialize.loop_fibers_from_json(obj)]
         full = None
     n = fibers[0][1].n if fibers else 0
     for z, loop, cd in fibers:
-        iwa, ker, gaps = _factorize_fiber(loop, n, builder_chain=cd)
+        try:
+            iwa, ker, gaps = _factorize_fiber(loop, n, builder_chain=cd)
+        except (NonProperUniton, DegreeNoDrop) as exc:
+            # well-formed input whose chain is improper at this fiber: a failed check
+            print(f"error: kernel factorization of the fiber at z={complex(z)} failed: {exc}", file=sys.stderr)
+            return EXIT_FAILED
         worst = max(worst, gaps["chain_agreement"], gaps["reconstruction"], gaps["builder_agreement"])
         results.append(
             {
@@ -162,17 +167,17 @@ def cmd_factorize(args) -> int:
 def cmd_grassmann(args) -> int:
     _check_positive(samples=args.samples)
     data = serialize.data_from_json(serialize.read_json(args.input))
-    sampler = HarmonicMapSampler(data)
     points = draw_sample_points(data, args.samples, seed=args.seed)
-    sampler.prefetch(points)
+    batch = chain_arrays(data, points)
     if args.q_span:
         vecs = [np.array([serialize.decode_complex(c) for c in v]) for v in serialize.read_json(args.q_span)]
         q = QInvolution(orthonormal_basis(np.column_stack(vecs)))
     else:
         q = QInvolution.identity(data.n)
     defects = []
-    for z in points:
-        loop = LoopPoly(sampler.extended_coeffs_at(z))
+    for p, z in enumerate(points):
+        cd = batch.at(p)
+        loop = LoopPoly(extended_coefficients(cd.pis, cd.perps, data.n))
         res = q_adapted_check(w_from_loop(loop), q)
         defects.append({"z": serialize.encode_complex(z), "defect": res.defect, "adapted": res.adapted})
     report = {
@@ -188,22 +193,19 @@ def cmd_grassmann(args) -> int:
 def cmd_sample(args) -> int:
     _check_positive(grid=args.grid)
     data = serialize.data_from_json(serialize.read_json(args.input))
-    sampler = HarmonicMapSampler(data)
     x0, x1, y0, y1 = _parse_rect(args.rect)
     m = args.grid
+    eye = np.eye(data.n, dtype=np.complex128)
     records = []
     for iy in range(m):
-        # one kernel call per grid row keeps memory linear in the grid width
+        # one kernel call and one map product per grid row keep memory linear
+        # in the grid width; a pole or degenerate point gets phi: null
         y = y0 + (y1 - y0) * (iy + 0.5) / m
         row = [complex(x0 + (x1 - x0) * (ix + 0.5) / m, y) for ix in range(m)]
-        sampler.prefetch(row)
-        for z in row:
-            rec = {"z": serialize.encode_complex(z)}
-            try:
-                rec["phi"] = serialize.matrix_to_json(sampler.map_at(z))
-            except UnitonsError:
-                rec["phi"] = None
-            records.append(rec)
+        batch = chain_arrays(data, row)
+        maps = extended_product(batch.pis, batch.perps, -1, eye)
+        for z, phi, bad in zip(row, maps, (batch.pole | batch.ambiguous).tolist()):
+            records.append({"z": serialize.encode_complex(z), "phi": None if bad else serialize.matrix_to_json(phi)})
     _emit({"n": data.n, "r": data.r, "grid": m, "rect": [x0, x1, y0, y1], "records": records}, args.output)
     return EXIT_OK
 

@@ -89,10 +89,6 @@ class LoopPoly:
         out[: self.degree + 1] = self.coeffs
         return LoopPoly(out)
 
-    @classmethod
-    def identity(cls, n: int) -> "LoopPoly":
-        return cls(np.eye(n, dtype=np.complex128)[None, :, :])
-
 
 def shift_matrix(r: int, n: int) -> np.ndarray:
     """Multiplication by lambda on C^{rn}: (L_0..L_{r-1}) -> (0, L_0..L_{r-2})."""
@@ -287,10 +283,6 @@ class ConstantLoop:
 
     factors: tuple[Span, ...]
     coeffs: np.ndarray
-
-    @property
-    def is_identity(self) -> bool:
-        return len(self.factors) == 0
 
     def at(self, lam: complex) -> np.ndarray:
         return loop_at(self.coeffs, 1 / lam)

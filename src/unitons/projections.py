@@ -153,14 +153,18 @@ def pascal_step(C: np.ndarray, perp: np.ndarray, top: int) -> None:
 
 
 def c_rows(perps: Sequence[np.ndarray], n: int, smax: int) -> np.ndarray:
-    """All C^i_s for the chain with the given perps, s = 0..smax (i = len(perps)).
+    """All C^i_s for the chain with the given perps, s = 0..smax on axis -3.
+    The steps run along axis -3 of perps; leading axes (a stack of chains) broadcast.
 
     Pascal recursion: C^i_s = perp_i C^{i-1}_{s-1} + C^{i-1}_s.
     """
-    C = np.zeros((smax + 1, n, n), np.complex128)
-    C[0] = np.eye(n)
-    for ell, perp in enumerate(perps, start=1):
-        pascal_step(C, perp, min(smax, ell))
+    perps = np.asarray(perps, np.complex128)
+    if perps.ndim < 3:  # an empty sequence
+        perps = perps.reshape(0, n, n)
+    C = np.zeros(perps.shape[:-3] + (smax + 1, n, n), np.complex128)
+    C[..., 0, :, :] = np.eye(n)
+    for ell in range(1, perps.shape[-3] + 1):
+        pascal_step(C, perps[..., ell - 1, :, :], min(smax, ell))
     return C
 
 

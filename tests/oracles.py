@@ -1,6 +1,7 @@
 """Independent test oracles: exponential word enumeration, DFT coefficient
 extraction and finite differences.  Nothing here shares code with the
-recursions under test."""
+recursions under test; the per-point verification oracle takes its chains
+from single-point builds and its static checks from the verifier."""
 
 from itertools import combinations
 
@@ -71,3 +72,108 @@ def product_inverse_coeff(pis, perps, s):
 def fd_derivative(f, z, h=1e-5):
     """Central-difference derivative of a rational function along the real axis."""
     return (eval_rational(f, z + h) - eval_rational(f, z - h)) / (2 * h)
+
+
+def _stencil_fd(f, z, h):
+    """4th-order central (d/dz, d/dzbar) of f at z, one call of f per point."""
+    v = [f(w) for w in (z + 2 * h, z + h, z - h, z - 2 * h, z + 2j * h, z + 1j * h, z - 1j * h, z - 2j * h)]
+    fx = (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * h)
+    fy = (-v[4] + 8 * v[5] - 8 * v[6] + v[7]) / (12 * h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def _connection(phi, z, h):
+    dz, dzb = _stencil_fd(phi, z, h)
+    inv = np.linalg.inv(phi(z))
+    return 0.5 * inv @ dz, 0.5 * inv @ dzb
+
+
+def _product(pis, perps, lam, n):
+    """(pi_1 + lam pi_1_perp) ... (pi_k + lam pi_k_perp), one factor at a time."""
+    m = np.eye(n, dtype=complex)
+    for pi, perp in zip(pis, perps):
+        m = m @ (pi + lam * perp)
+    return m
+
+
+def _pascal_rows(perps, n, smax):
+    """C_0..C_smax by the Pascal rule C_s <- C_s + perp C_{s-1}, one perp at a time."""
+    rows = [np.eye(n, dtype=complex)] + [np.zeros((n, n), complex)] * smax
+    for perp in perps:
+        rows = rows[:1] + [rows[s] + perp @ rows[s - 1] for s in range(1, smax + 1)]
+    return rows
+
+
+def verification_residuals(data, samples, seed, h=1e-3):
+    """The worst residual of every verify check, evaluated point by point as
+    the identities read: one closure per field and entry, differenced on its
+    own; each sample point's nested-stencil maps are held in a dict (41
+    maps).  Chains come from single-point builds; the pointwise static checks
+    are the verifier's own."""
+    from unitons import HarmonicMapSampler, draw_sample_points
+    from unitons.meromorphic import random_polynomial_vector
+    from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL, _fiber_static_checks
+
+    sampler = HarmonicMapSampler(data)
+    n, r, J = data.n, data.r, data.ncols
+    eye = np.eye(n, dtype=complex)
+    chains = {}
+
+    def chain(w):
+        if w not in chains:
+            chains[w] = sampler.chain_at(w)
+        return chains[w]
+
+    worst = {}
+
+    def note(name, value):
+        worst[name] = max(worst.get(name, 0.0), float(value))
+
+    H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
+    for z in draw_sample_points(data, samples, seed=seed, stencil_h=h):
+        maps = {}
+
+        def phi(w):
+            if w not in maps:
+                maps[w] = _product(chain(w).pis, chain(w).perps, -1, n)
+            return maps[w]
+
+        _, dzb_az = _stencil_fd(lambda w: _connection(phi, w, h)[0], z, h)
+        a_z, a_zbar = _connection(phi, z, h)
+        note("harmonicity", np.linalg.norm(dzb_az + a_zbar @ a_z - a_z @ a_zbar))
+        assert len(maps) <= 41
+        for lam in DEFAULT_LAMBDAS:
+            dz, dzb = _stencil_fd(lambda w: _product(chain(w).pis, chain(w).perps, lam, n), z, h)
+            val = _product(chain(z).pis, chain(z).perps, lam, n)
+            note("extended_solution", np.linalg.norm(dz - (1 - 1 / lam) * val @ a_z)
+                 + np.linalg.norm(dzb - (1 - lam) * val @ a_zbar))
+            note("extended_unitarity", np.abs(val @ val.conj().T - eye).max())
+        note("phi_one", np.abs(_product(chain(z).pis, chain(z).perps, 1.0, n) - eye).max())
+        note("map_unitarity", np.abs(phi(z) @ phi(z).conj().T - eye).max())
+        for name, value in _fiber_static_checks(sampler, chain(z)).items():
+            note(name, value)
+        center = chain(z)
+        conn = [_connection(lambda w, e=ell: _product(chain(w).pis[:e], chain(w).perps[:e], -1, n), z, h)
+                for ell in range(r + 1)]
+        for i in range(r):
+            for k in range(i + 1):
+                for j in range(J):
+                    kv = center.kvecs[i, k, j]
+                    _, dzb = _stencil_fd(lambda w: chain(w).kvecs[i, k, j], z, h)
+                    note("section_holomorphic", np.linalg.norm(dzb + conn[i][1] @ kv))
+                    nxt = center.kvecs[i, k + 1, j] if k + 1 <= i else np.zeros(n)
+                    note("section_ladder", np.linalg.norm(conn[i][0] @ kv + nxt))
+            note("antibasic", np.linalg.norm(center.perps[i] @ conn[i][0]))
+        for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
+            for s in range(ell):
+                def f(w):
+                    perps = chain(w).perps
+                    return perps[ell - 1] @ (_pascal_rows(perps[: ell - 1], n, ell)[s] @ H.eval(w))
+
+                def g(w):
+                    return _pascal_rows(chain(w).perps[: ell - 1], n, ell)[s + 1] @ H.eval(w)
+
+                _, dzb_f = _stencil_fd(f, z, h)
+                _, dzb_g = _stencil_fd(g, z, h)
+                note("dzbar_lemma", np.linalg.norm(dzb_f + conn[ell][1] @ f(z) + center.perps[ell - 1] @ dzb_g))
+    return worst

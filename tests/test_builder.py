@@ -16,7 +16,6 @@ from unitons import (
     build_fiber,
     cartan_embed,
     draw_sample_points,
-    evaluate_extended,
     evaluate_map,
     max_principal_angle,
     orthonormal_basis,
@@ -25,7 +24,7 @@ from unitons import (
     s1_invariant_data,
     spans_equal,
 )
-from unitons.builder import chain_arrays
+from unitons.builder import chain_arrays, extended_product
 from unitons.meromorphic import shifted_column
 
 P = RationalFn.polynomial
@@ -106,18 +105,24 @@ def test_map_unitary_at_30_points():
         assert np.abs(phi @ phi.conj().T - np.eye(3)).max() <= 1e-10
 
 
+def _extended(sampler, z, lam):
+    """Phi_lambda at z: the Cartan product of the chain with left factor I."""
+    cd = sampler.chain_at(z)
+    return extended_product(cd.pis, cd.perps, lam, np.eye(sampler.n, dtype=np.complex128))
+
+
 def test_extended_at_lambda_one_and_minus_one():
     data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=4)
     s = HarmonicMapSampler(data)
-    assert np.abs(evaluate_extended(s, Z, 1.0) - np.eye(4)).max() <= 1e-12
-    assert np.abs(evaluate_extended(s, Z, -1.0) - evaluate_map(s, Z)).max() <= 1e-12
+    assert np.abs(_extended(s, Z, 1.0) - np.eye(4)).max() <= 1e-12
+    assert np.abs(_extended(s, Z, -1.0) - evaluate_map(s, Z)).max() <= 1e-12
 
 
 def test_extended_diag_example():
     col = (MeroVector((P([1]), P([0]))),)
     data = DataArray(2, 1, (col,))
     s = HarmonicMapSampler(data)
-    assert np.allclose(evaluate_extended(s, 0.5, 1j), np.diag([1.0, 1j]))
+    assert np.allclose(_extended(s, 0.5, 1j), np.diag([1.0, 1j]))
 
 
 def test_extended_multiplicativity():
@@ -126,9 +131,9 @@ def test_extended_multiplicativity():
     lam = np.exp(0.7j)
     cd = s.chain_at(Z)
     for i in range(data.r):
-        left = HarmonicMapSampler(data.restrict_rows(i)).extended_at(Z, lam)
+        left = _extended(HarmonicMapSampler(data.restrict_rows(i)), Z, lam)
         step = cd.pis[i] + lam * cd.perps[i]
-        right = HarmonicMapSampler(data.restrict_rows(i + 1)).extended_at(Z, lam)
+        right = _extended(HarmonicMapSampler(data.restrict_rows(i + 1)), Z, lam)
         assert np.abs(left @ step - right).max() <= 1e-11
 
 
@@ -343,3 +348,17 @@ def test_phi0_validation():
         HarmonicMapSampler(data, np.ones((3, 3)))
     with pytest.raises(BadShape):
         HarmonicMapSampler(data, np.eye(2))
+
+
+def test_extended_product_broadcasts_bit_for_bit():
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2)
+    batch = chain_arrays(data, draw_sample_points(data, 4, seed=3))
+    lams = np.exp(2j * np.pi * np.arange(3) / 3)
+    eye = np.eye(5, dtype=np.complex128)
+    got = extended_product(batch.pis[:, None], batch.perps[:, None], lams[:, None, None, None], eye)
+    assert got.shape == (4, 3, 5, 5)
+    for p in range(4):
+        for q, lam in enumerate(lams):
+            assert np.array_equal(got[p, q], extended_product(batch.pis[p], batch.perps[p], lam, eye))
+    r0 = chain_arrays(random_data(3, 0, 2, seed=0), [0.1, 0.2])
+    assert np.array_equal(extended_product(r0.pis, r0.perps, -1, np.eye(3)), np.broadcast_to(np.eye(3), (2, 3, 3)))

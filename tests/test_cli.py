@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unitons import BadShape, random_data, serialize, w_from_x, x_columns_from_data
+from unitons import BadShape, random_data, s1_invariant_data, serialize, w_from_x, x_columns_from_data
 from unitons.cli import main
 from unitons.meromorphic import DataArray, MeroVector, RationalFn
 
@@ -73,6 +73,21 @@ def test_verify_failure_exit_code(tmp_path):
     assert run("verify", "--input", data_file, "--samples", 1, "--tol", "harmonicity=1e-30") == 4
 
 
+@pytest.mark.parametrize("data, ranks, proper, constant", [
+    (DataArray(3, 2, ((MeroVector.zero(3), MeroVector.zero(3)),)), [0, 0], False, True),
+    (random_data(5, 3, 3, sparsity_pattern=(1, 2, 2), seed=1), [1, 3, 5], False, False),
+    (random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=3), [1, 2, 3], True, False),
+], ids=["zero-columns", "alpha3-full", "echelon"])
+def test_verify_labels_the_rank_profile(tmp_path, data, ranks, proper, constant):
+    # verdicts are unchanged; the report says which chains are improper or constant
+    data_file, report_file = tmp_path / "d.json", tmp_path / "rep.json"
+    serialize.write_json(serialize.data_to_json(data), data_file)
+    assert run("verify", "--input", data_file, "--samples", 2, "--output", report_file) == 0
+    rep = json.loads(report_file.read_text())
+    assert rep["ranks"] == [ranks, ranks]
+    assert rep["proper"] is proper and rep["constant"] is constant
+
+
 def test_parse_error_exit_codes(tmp_path):
     assert run("verify", "--input", tmp_path / "missing.json") == 2
     bad = tmp_path / "bad.json"
@@ -107,6 +122,19 @@ def test_factorize_from_data(tmp_path):
     assert rep["max_gap"] <= 1e-7
     fib = rep["fibers"][0]
     assert fib["iwasawa"]["ranks"] == fib["kernel"]["ranks"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("data", [
+    random_data(3, 1, 3, seed=6),  # alpha_1 = C^3
+    s1_invariant_data(4, (1, 2, 2), 3, seed=1),  # alpha_3 = C^4
+], ids=["alpha1-full", "alpha3-full"])
+def test_factorize_improper_chain_is_a_failed_check(tmp_path, capsys, data):
+    data_file = tmp_path / "d.json"
+    serialize.write_json(serialize.data_to_json(data), data_file)
+    assert run("factorize", "--input", data_file, "--samples", 2) == 4
+    err = capsys.readouterr().err
+    assert "kernel factorization of the fiber at z=(" in err
+    assert "non-zero constant and top coefficients" in err
 
 
 def test_factorize_from_loop_fibers(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unitons import (
     BadShape,
@@ -191,3 +193,25 @@ def test_span_validation():
     s = Span(np.array([[1.0], [0.0]]))
     assert s.contains(np.array([2.0, 0.0]))
     assert not s.contains(np.array([0.0, 1.0]))
+
+
+chains = st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+@given(chains)
+def test_pascal_rows_equal_word_sums(spec):
+    n, length, seed = spec
+    pis, perps = random_chain(np.random.default_rng(seed), n, length)
+    C, S = c_rows(perps, n, length), s_rows(pis, perps, n)
+    for s in range(length + 1):
+        assert np.abs(C[s] - c_words(perps, n, s)).max() <= 1e-12
+        assert np.abs(S[s] - s_words(pis, perps, n, s)).max() <= 1e-12
+
+
+@given(chains)
+def test_c_rows_of_a_stack_equal_each_chain(spec):
+    n, length, seed = spec
+    rng = np.random.default_rng(seed)
+    perps = np.array([random_chain(rng, n, length)[1] for _ in range(3)])
+    stacked = c_rows(perps, n, length)
+    assert all(np.array_equal(stacked[p], c_rows(perps[p], n, length)) for p in range(3))

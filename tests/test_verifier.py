@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from unitons import (
     BadShape,
     FDScheme,
     HarmonicMapSampler,
+    build_fiber,
     connection_form,
     draw_sample_points,
     extended_checks,
@@ -12,13 +15,17 @@ from unitons import (
     orthonormal_basis,
     projection_pair,
     random_data,
+    s1_invariant_data,
     section_identities,
     verification_report,
     wirtinger,
 )
+from unitons import builder, kernels, verifier
 from unitons.meromorphic import random_polynomial_vector
 from unitons.projections import c_rows
-from unitons.verifier import LEMMA_MAX_ELL
+from unitons.verifier import DEFAULT_TOLERANCES, LEMMA_MAX_ELL
+
+from oracles import verification_residuals
 
 
 def test_scheme_validation():
@@ -74,7 +81,8 @@ def test_connection_skew_adjointness():
     s = HarmonicMapSampler(data)
     for z in draw_sample_points(data, 5, seed=2, stencil_h=1e-3):
         cf = connection_form(s.map_at, z)
-        assert cf.skew_defect <= 1e-7
+        # the two parts are minus adjoints of each other, up to FD error
+        assert np.abs(cf.a_zbar + cf.a_z.conj().T).max() <= 1e-7
 
 
 def test_basic_uniton_property_r1():
@@ -83,7 +91,7 @@ def test_basic_uniton_property_r1():
     s = HarmonicMapSampler(data)
     for z in draw_sample_points(data, 5, seed=4, stencil_h=1e-3):
         cf = connection_form(s.map_at, z)
-        fib = s.fiber_at(z)
+        fib = build_fiber(data, z)
         perp_basis = orthonormal_basis(fib.chain.perps[0]).basis
         assert np.linalg.norm(cf.a_z @ perp_basis) <= 1e-6
 
@@ -221,3 +229,59 @@ def test_sections_r0_are_empty():
     sec = section_identities(data, 0.3 + 0.2j)
     assert sec["dbar_K"] == sec["Az_K"] == sec["dzbar_lemma"] == sec["antibasic"] == []
     assert sec["max_dbar_K"] == sec["max_antibasic"] == 0.0
+
+
+_ORACLE_DATA = [
+    *((f"c2-{n}-{r}-{'-'.join(map(str, pattern))}-s{seed}", (n, r, pattern, seed))
+      for seed in (0, 1, 2, 3)
+      for n, r, pattern in ((3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)),
+                            (4, 2, (1, 2)), (5, 3, (1, 2, 2)))),
+    ("s1", "s1"), ("r0", (3, 0, None, 0)), ("dense", (4, 3, None, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in _ORACLE_DATA], ids=[name for name, _ in _ORACLE_DATA])
+def test_report_matches_per_point_oracle(spec):
+    # the criterion-2 datasets, an S^1-invariant one, r = 0 and dense random data
+    data = s1_invariant_data(4, (1, 2, 3), 3, seed=2) if spec == "s1" else random_data(
+        spec[0], spec[1], 3 if spec[1] else 2, sparsity_pattern=spec[2], seed=spec[3])
+    rep = verification_report(data, samples=2, seed=5)
+    expected = verification_residuals(data, 2, 5)
+    assert [c["name"] for c in rep["checks"]] == list(DEFAULT_TOLERANCES)
+    for check in rep["checks"]:
+        assert abs(check["max_residual"] - expected.get(check["name"], 0.0)) <= 1e-12, check["name"]
+
+
+def test_verify_builds_the_nested_stencils_in_one_call(monkeypatch):
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    samples = 3
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def drawing(*args, **kwargs):
+        before = calls["build_chain"]
+        out = draw(*args, **kwargs)
+        calls["draw_build_chain"] += calls["build_chain"] - before
+        return out
+
+    draw = verifier.draw_sample_points
+    monkeypatch.setattr(verifier, "draw_sample_points", drawing)
+    monkeypatch.setattr(kernels, "build_chain", counted("build_chain", kernels.build_chain))
+    product = counted("extended_product", builder.extended_product)
+    monkeypatch.setattr(builder, "extended_product", product)
+    monkeypatch.setattr(verifier, "extended_product", product)
+    monkeypatch.setattr(builder.ChainBatch, "at", counted("at", builder.ChainBatch.at))
+    for stage in ("harmonicity_residual", "extended_checks", "section_identities"):
+        monkeypatch.setattr(verifier, stage, counted(stage, getattr(verifier, stage)))
+    assert verifier.verification_report(data, samples=samples, seed=5)["passed"]
+    assert calls["draw_build_chain"] >= 1
+    assert calls["build_chain"] - calls["draw_build_chain"] == 1
+    # r + 3 Cartan products and one chain read per point, however large the stencil
+    assert calls["extended_product"] <= 3 * samples
+    assert calls["at"] <= samples
+    assert calls["harmonicity_residual"] == calls["extended_checks"] == calls["section_identities"] == 1
