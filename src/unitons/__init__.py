@@ -31,7 +31,6 @@ from .grassmannian import (
     WSubspace,
     binomial_transform,
     iwasawa_factorize,
-    kernel_factorize,
     kernel_factorize_fiber,
     normalize_type_one,
     q_adapted_check,
@@ -51,15 +50,12 @@ from .meromorphic import (
     random_data,
 )
 from .projections import (
-    ProjChain,
     Span,
-    c_operator,
     image_span,
     max_principal_angle,
     orthonormal_basis,
     principal_angles,
     projection_pair,
-    s_operator,
     spans_equal,
 )
 from .verifier import (

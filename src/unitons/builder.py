@@ -28,7 +28,7 @@ from .meromorphic import (
     differentiate,
     random_polynomial_vector,
 )
-from .projections import RANK_TOL, ProjChain, Span, orthonormal_basis, projection_pair
+from .projections import RANK_TOL, Span, orthonormal_basis, projection_pair
 
 
 class _Tables(NamedTuple):
@@ -36,17 +36,6 @@ class _Tables(NamedTuple):
     dens: np.ndarray
     dnorms: np.ndarray
     poles: tuple[complex, ...]
-
-
-class ChainData(NamedTuple):
-    """Raw kernel output for one fiber."""
-
-    pis: np.ndarray        # (r, n, n)
-    perps: np.ndarray      # (r, n, n)
-    bases: np.ndarray      # (r, n, n), column-padded orthonormal bases
-    ranks: tuple[int, ...]
-    gen_ranks: tuple[int, ...]
-    kvecs: np.ndarray      # (r, r, J, n); kvecs[i, k, j] = K^(k)_{i,j}
 
 
 @lru_cache(maxsize=64)
@@ -91,7 +80,11 @@ def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarr
 
 
 class ChainBatch(NamedTuple):
-    """Kernel output for a batch of P fibers, with per-point flags."""
+    """Kernel output for a batch of P fibers, with per-point flags.
+
+    The leading point axis is optional: ``at(p)`` and ``take(p)`` give one
+    point's chain with every field's P axis dropped.
+    """
 
     zs: np.ndarray         # (P,)
     pis: np.ndarray        # (P, r, n, n)
@@ -103,14 +96,13 @@ class ChainBatch(NamedTuple):
     pole: np.ndarray       # (P,) bool: a pole of the data is too close
     ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
 
-    def at(self, p: int) -> ChainData:
-        """Point p's chain, raising as a single-point build does."""
+    def at(self, p: int) -> "ChainBatch":
+        """Point p's chain (no point axis), raising as a single-point build does."""
         if self.pole[p]:
             raise PoleError(f"data array has a pole too close to z={complex(self.zs[p])}")
         if self.ambiguous[p]:
             raise DegeneratePoint(f"ambiguous rank decision at z={complex(self.zs[p])}")
-        return ChainData(self.pis[p], self.perps[p], self.bases[p], tuple(self.ranks[p].tolist()),
-                         tuple(self.gen_ranks[p].tolist()), self.kvecs[p])
+        return self.take(p)
 
     def take(self, index: np.ndarray) -> "ChainBatch":
         """The batch laid out on an index array's axes, in place of the point axis."""
@@ -133,41 +125,36 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
 
 @dataclass(frozen=True)
 class UnitonFiber:
-    """The chain at one sample point, with the generating vectors."""
+    """The chain at one sample point and its subspaces alpha_1..alpha_r."""
 
     z: complex
-    chain: ProjChain
+    chain: ChainBatch  # the point's view: no point axis
     alphas: tuple[Span, ...]
-    k_vectors: np.ndarray          # k_vectors[i, k, j] = K^(k)_{i,j}, zero when k > i
-    generating_ranks: tuple[int, ...]
-    ranks: tuple[int, ...]
 
     @property
     def proper(self) -> bool:
-        n = self.alphas[0].ambient_dim if self.alphas else 0
-        return all(0 < d < n for d in self.ranks)
+        ranks, n = self.chain.ranks, self.chain.pis.shape[-1]
+        return bool(((0 < ranks) & (ranks < n)).all())
 
 
-def build_fiber(data: DataArray, z: complex, validate: bool = True) -> UnitonFiber:
+def build_fiber(data: DataArray, z: complex) -> UnitonFiber:
     """Build alpha_1..alpha_r at z per the K-vector construction."""
     cd = chain_arrays(data, [z]).at(0)
     n = data.n
     alphas = tuple(
         Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(data.r)
     )
-    chain = ProjChain.from_arrays(cd.pis, cd.perps, validate=False)
-    if validate:
-        for i in range(data.r):
-            perp = cd.perps[i]
-            for k in range(i + 1):
-                for j in range(data.ncols):
-                    v = cd.kvecs[i, k, j]
-                    nv = np.linalg.norm(v)
-                    if np.linalg.norm(perp @ v) > 1e-9 * nv + 1e-12:
-                        raise DegeneratePoint(
-                            f"K^({k})_{i},{j} escapes alpha_{i + 1} at z={z}"
-                        )
-    return UnitonFiber(complex(z), chain, alphas, cd.kvecs, cd.gen_ranks, cd.ranks)
+    for i in range(data.r):
+        perp = cd.perps[i]
+        for k in range(i + 1):
+            for j in range(data.ncols):
+                v = cd.kvecs[i, k, j]
+                nv = np.linalg.norm(v)
+                if np.linalg.norm(perp @ v) > 1e-9 * nv + 1e-12:
+                    raise DegeneratePoint(
+                        f"K^({k})_{i},{j} escapes alpha_{i + 1} at z={z}"
+                    )
+    return UnitonFiber(complex(z), cd, alphas)
 
 
 class HarmonicMapSampler:
@@ -194,7 +181,7 @@ class HarmonicMapSampler:
     def r(self) -> int:
         return self.data.r
 
-    def chain_at(self, z: complex) -> ChainData:
+    def chain_at(self, z: complex) -> ChainBatch:
         return chain_arrays(self.data, [z]).at(0)
 
     def map_at(self, z: complex) -> np.ndarray:
@@ -207,8 +194,8 @@ class HarmonicMapSampler:
         cd = self.chain_at(z)
         return extended_product(cd.pis[:ell], cd.perps[:ell], -1, self.phi0)
 
-    def extended_coeffs_at(self, z: complex, chain: Optional[ChainData] = None) -> np.ndarray:
-        cd = chain if chain is not None else self.chain_at(z)
+    def extended_coeffs_at(self, z: complex) -> np.ndarray:
+        cd = self.chain_at(z)
         return extended_coefficients(cd.pis, cd.perps, self.n)
 
 

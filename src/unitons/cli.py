@@ -100,11 +100,11 @@ def cmd_verify(args) -> int:
 
 
 def _factorize_fiber(loop, n, builder_chain=None):
-    """Both factorizations of one loop fiber plus their agreement."""
-    iwa = iwasawa_factorize(w_from_loop(loop))
-    ker = kernel_factorize_fiber(loop)
-    pis, perps, eye = iwa.pis, iwa.perps, np.eye(n, dtype=np.complex128)
-    agree = max(map(_projection_gap, pis, ker.pis), default=0.0)
+    """The projections of both factorizations of one loop fiber plus their agreement."""
+    pis, perps = iwasawa_factorize(w_from_loop(loop))
+    ker, _ = kernel_factorize_fiber(loop)
+    eye = np.eye(n, dtype=np.complex128)
+    agree = max(map(_projection_gap, pis, ker), default=0.0)
     recon = 0.0
     for lam in np.exp(2j * np.pi * np.arange(8) / 8):
         prod = extended_product(pis, perps, lam, eye)
@@ -112,7 +112,7 @@ def _factorize_fiber(loop, n, builder_chain=None):
     builder_gap = 0.0
     if builder_chain is not None:
         builder_gap = max(map(_projection_gap, pis, builder_chain.pis), default=0.0)
-    return iwa, ker, {"chain_agreement": agree, "reconstruction": recon, "builder_agreement": builder_gap}
+    return pis, ker, {"chain_agreement": agree, "reconstruction": recon, "builder_agreement": builder_gap}
 
 
 def _projection_gap(p1, p2) -> float:
@@ -124,7 +124,7 @@ def cmd_factorize(args) -> int:
     obj = serialize.read_json(args.input)
     results = []
     worst = 0.0
-    if "columns" in obj:
+    if isinstance(obj, dict) and "columns" in obj:
         data = serialize.data_from_json(obj)
         points = draw_sample_points(data, args.samples, seed=args.seed)
         batch = chain_arrays(data, points)
@@ -148,8 +148,8 @@ def cmd_factorize(args) -> int:
         results.append(
             {
                 "z": serialize.encode_complex(z),
-                "iwasawa": serialize.chain_to_json(iwa, n, len(iwa)),
-                "kernel": serialize.chain_to_json(ker, n, len(ker)),
+                "iwasawa": serialize.chain_to_json(iwa),
+                "kernel": serialize.chain_to_json(ker),
                 "agreement": gaps,
             }
         )

@@ -27,7 +27,6 @@ from .errors import (
 from .meromorphic import MeroVector
 from .projections import (
     RANK_TOL,
-    ProjChain,
     Span,
     image_span,
     max_principal_angle,
@@ -200,28 +199,25 @@ def w_from_loop(loop: LoopPoly, rank_tol: float = RANK_TOL) -> WSubspace:
         raise SingularLoop(str(exc)) from exc
 
 
-def iwasawa_factorize(w: WSubspace, rank_tol: float = RANK_TOL) -> ProjChain:
+def iwasawa_factorize(w: WSubspace, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Left-to-right geometric Iwasawa factorization: alpha_i = (sum_s S^{i-1}_s P_s) W.
 
-    Non-proper steps (alpha_i zero or full) yield +-I factors and are reported
-    through the chain's ranks rather than raised.
+    Returns the chain (pis, perps), each (r, n, n).  Non-proper steps (alpha_i
+    zero or full) yield +-I factors and show in the ranks rather than raise.
     """
     if w.lambda_defect() > LAMBDA_TOL:
         raise NotLambdaInvariant("W is not closed under the lambda shift")
     r, n = w.r, w.n
-    pis: list[np.ndarray] = []
-    perps: list[np.ndarray] = []
+    pis = np.zeros((r, n, n), np.complex128)
+    perps = np.zeros_like(pis)
     for i in range(1, r + 1):
-        S = s_rows(pis, perps, n)  # S^{i-1}_s for s = 0..i-1
+        S = s_rows(pis[: i - 1], perps[: i - 1], n)  # S^{i-1}_s for s = 0..i-1
         M = np.zeros((n, w.dim), np.complex128)
         for s in range(i):
             M += S[s] @ w.block(s)
         # rank against the unit operator scale: degenerate steps collapse to 0 or C^n
-        alpha = image_span(M, rank_tol)
-        pi, perp = projection_pair(alpha)
-        pis.append(pi)
-        perps.append(perp)
-    return ProjChain(list(zip(pis, perps)), validate=False)
+        pis[i - 1], perps[i - 1] = projection_pair(image_span(M, rank_tol))
+    return pis, perps
 
 
 def kernel_factorize_fiber(
@@ -229,15 +225,17 @@ def kernel_factorize_fiber(
     rank_tol: float = RANK_TOL,
     boundary_tol: float = BOUNDARY_TOL,
     reality_tol: float = 1e-10,
-) -> ProjChain:
-    """Top-down factorization alpha_i = ker T_i^{Phi_i}, dividing out one factor at a time."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-down factorization alpha_i = ker T_i^{Phi_i}, dividing out one factor
+    at a time; returns the chain (pis, perps), each (r, n, n)."""
     r, n = loop.degree, loop.n
     T = [loop.coeffs[i].copy() for i in range(r + 1)]
     if np.abs(T[0]).max() <= TRIM_TOL or np.abs(T[r]).max() <= TRIM_TOL:
         raise DegreeNoDrop("loop must have non-zero constant and top coefficients")
     if max(np.abs(T[0] @ T[r].conj().T).max(), np.abs(T[r].conj().T @ T[0]).max()) > reality_tol:
         raise DegreeNoDrop("reality condition T_0 T_r^* = 0 fails; not an extended-solution fiber")
-    pairs_rev: list[tuple[np.ndarray, np.ndarray]] = []
+    pis = np.zeros((r, n, n), np.complex128)
+    perps = np.zeros_like(pis)
     eye = np.eye(n, dtype=np.complex128)
     for i in range(r, 0, -1):
         _, sv, vh = np.linalg.svd(T[i])
@@ -254,27 +252,10 @@ def kernel_factorize_fiber(
                 f"({lam_minus:.2e}, {lam_top:.2e})"
             )
         T = [T[ell] @ pi + T[ell + 1] @ perp for ell in range(i)]
-        pairs_rev.append((pi, perp))
+        pis[i - 1], perps[i - 1] = pi, perp
     if np.abs(T[0] - eye).max() > 1e-8:
         raise DegreeNoDrop("residual constant term is not the identity")
-    return ProjChain(list(reversed(pairs_rev)), validate=False)
-
-
-def kernel_factorize(
-    loop_sampler: Callable[[complex], LoopPoly],
-    sample_points: Sequence[complex],
-    rank_tol: float = RANK_TOL,
-) -> Callable[[complex], ProjChain]:
-    """Pointwise kernel factorization, validated eagerly at the given points."""
-    cache = {complex(z): kernel_factorize_fiber(loop_sampler(z), rank_tol) for z in sample_points}
-
-    def chain_sampler(z: complex) -> ProjChain:
-        z = complex(z)
-        if z not in cache:
-            cache[z] = kernel_factorize_fiber(loop_sampler(z), rank_tol)
-        return cache[z]
-
-    return chain_sampler
+    return pis, perps
 
 
 @dataclass(frozen=True)
@@ -338,8 +319,8 @@ def normalize_type_one(
             raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")
 
     # the last step multiplies leftmost: expand the product over the reversed steps
-    chain = ProjChain([projection_pair(span) for span in reversed(steps)], validate=False)
-    return ConstantLoop(tuple(steps), extended_coefficients(chain.pis, chain.perps, n)), sample
+    pairs = np.array([projection_pair(span) for span in reversed(steps)]).reshape(-1, 2, n, n)
+    return ConstantLoop(tuple(steps), extended_coefficients(pairs[:, 0], pairs[:, 1], n)), sample
 
 
 class QInvolution:

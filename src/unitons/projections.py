@@ -94,58 +94,6 @@ def projection_pair(s: Span) -> tuple[np.ndarray, np.ndarray]:
     return pi, np.eye(s.ambient_dim, dtype=np.complex128) - pi
 
 
-class ProjChain:
-    """Ordered projection pairs (pi_1, pi_1_perp), ..., (pi_i, pi_i_perp)."""
-
-    def __init__(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]], validate: bool = True):
-        pairs = [(np.asarray(p, np.complex128), np.asarray(q, np.complex128)) for p, q in pairs]
-        if pairs:
-            n = pairs[0][0].shape[0]
-            eye = np.eye(n)
-            for pi, perp in pairs:
-                if pi.shape != (n, n) or perp.shape != (n, n):
-                    raise BadShape("projections must be square of equal size")
-                if validate:
-                    for m in (pi, perp):
-                        if np.abs(m @ m - m).max() > 1e-11 or np.abs(m - m.conj().T).max() > 1e-11:
-                            raise BadShape("not a Hermitian idempotent")
-                    if np.abs(pi + perp - eye).max() > 1e-11:
-                        raise BadShape("pair does not sum to the identity")
-        self._pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._pairs[i]
-
-    @property
-    def pairs(self):
-        return list(self._pairs)
-
-    @property
-    def ambient_dim(self) -> int:
-        if not self._pairs:
-            raise BadShape("empty chain has no ambient dimension")
-        return self._pairs[0][0].shape[0]
-
-    @property
-    def pis(self) -> np.ndarray:
-        return np.array([p for p, _ in self._pairs])
-
-    @property
-    def perps(self) -> np.ndarray:
-        return np.array([q for _, q in self._pairs])
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(int(round(np.trace(p).real)) for p, _ in self._pairs)
-
-    @classmethod
-    def from_arrays(cls, pis: np.ndarray, perps: np.ndarray, validate: bool = False) -> "ProjChain":
-        return cls(list(zip(pis, perps)), validate=validate)
-
-
 def pascal_step(C: np.ndarray, perp: np.ndarray, top: int) -> None:
     """In place, C^{i+1}_s = perp C^i_{s-1} + C^i_s for s = 1..top, all s at
     once; the s axis of C is third from last, any leading axes broadcast."""
@@ -179,29 +127,6 @@ def s_rows(pis: Sequence[np.ndarray], perps: Sequence[np.ndarray], n: int) -> np
             S[s] = perp @ S[s - 1] + pi @ S[s]
         S[0] = pi @ S[0]
     return S
-
-
-def c_operator(chain: ProjChain, s: int) -> np.ndarray:
-    """The s'th elementary function of the chain's perp projections."""
-    n = chain.ambient_dim if len(chain) else None
-    if n is None:
-        raise BadShape("c_operator needs a non-empty chain (identity is trivial)")
-    if s == 0:
-        return np.eye(n, dtype=np.complex128)
-    if s < 0 or s > len(chain):
-        return np.zeros((n, n), np.complex128)
-    return c_rows([q for _, q in chain.pairs], n, s)[s]
-
-
-def s_operator(chain: ProjChain, s: int) -> np.ndarray:
-    """Sum of all words Pi_i ... Pi_1 with exactly s perp factors."""
-    i = len(chain)
-    if s < 0 or s > i:
-        raise IndexError(f"s_operator needs 0 <= s <= {i}, got {s}")
-    if i == 0:
-        raise BadShape("empty chain: S^0_0 is the identity of unknown size")
-    n = chain.ambient_dim
-    return s_rows([p for p, _ in chain.pairs], [q for _, q in chain.pairs], n)[s]
 
 
 def principal_angles(a: Span, b: Span) -> np.ndarray:

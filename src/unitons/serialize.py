@@ -7,6 +7,7 @@ byte-exactly through the canonical writer.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Sequence
@@ -16,7 +17,21 @@ import numpy as np
 from .errors import BadShape
 from .grassmannian import LoopPoly
 from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn
-from .projections import ProjChain
+
+
+def _decoder(decode):
+    """JSON of the wrong type (null, a number, an array where an object
+    belongs) fails inside a decoder as a TypeError, ValueError or
+    OverflowError; it is malformed input, so raise BadShape."""
+
+    @functools.wraps(decode)
+    def checked(obj):
+        try:
+            return decode(obj)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadShape(f"malformed JSON: {exc}") from exc
+
+    return checked
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -24,6 +39,7 @@ def encode_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+@_decoder
 def decode_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise BadShape("complex values must be [re, im] pairs")
@@ -37,6 +53,7 @@ def rational_to_json(f: RationalFn) -> dict:
     return {"num": [encode_complex(c) for c in f.num], "den": [encode_complex(c) for c in f.den]}
 
 
+@_decoder
 def rational_from_json(obj) -> RationalFn:
     num = tuple(decode_complex(c) for c in obj["num"])
     den = tuple(decode_complex(c) for c in obj["den"])
@@ -49,6 +66,7 @@ def vector_to_json(v: MeroVector) -> list:
     return [rational_to_json(f) for f in v.entries]
 
 
+@_decoder
 def vector_from_json(obj) -> MeroVector:
     return MeroVector(tuple(rational_from_json(f) for f in obj))
 
@@ -61,6 +79,7 @@ def data_to_json(data: DataArray) -> dict:
     }
 
 
+@_decoder
 def data_from_json(obj) -> DataArray:
     return DataArray(
         int(obj["n"]),
@@ -80,31 +99,51 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _matrices_from_json(objs) -> np.ndarray:
+    """Matrix objects of one shape decoded at once into a (len(objs), rows, cols) array."""
+    shapes = {tuple(int(x) for x in m["shape"]) for m in objs}
+    if len(shapes) != 1:
+        raise BadShape("a stack needs matrices of one shape")
+    (rows, cols), = shapes
+    pairs = np.array([m["data"] for m in objs], np.float64)
+    if pairs.shape == (len(objs), 0):  # every matrix is empty
+        pairs = pairs.reshape(len(objs), 0, 2)
+    if pairs.shape != (len(objs), rows * cols, 2):
+        raise BadShape("matrix data must be one [re, im] pair per entry of its shape")
+    if not np.isfinite(pairs).all():
+        raise BadShape("complex values must be finite")
+    # each (re, im) float64 pair read as one complex128 entry, row-major
+    return pairs.view(np.complex128).reshape(len(objs), rows, cols)
+
+
+@_decoder
 def matrix_from_json(obj) -> np.ndarray:
-    rows, cols = (int(x) for x in obj["shape"])
-    flat = np.array([decode_complex(c) for c in obj["data"]], dtype=np.complex128)
-    if flat.size != rows * cols:
-        raise BadShape("matrix data does not match shape")
-    return flat.reshape(rows, cols)
+    return _matrices_from_json([obj])[0]
 
 
-def chain_to_json(chain: ProjChain, n: int, r: int) -> dict:
+def chain_to_json(pis: np.ndarray) -> dict:
+    """The chain's projections pi_1..pi_r, (r, n, n), with their ranks."""
     return {
-        "n": n,
-        "r": r,
-        "ranks": list(chain.ranks),
-        "projections": [matrix_to_json(p) for p, _ in chain.pairs],
+        "n": pis.shape[-1],
+        "r": len(pis),
+        "ranks": [int(round(np.trace(p).real)) for p in pis],
+        "projections": [matrix_to_json(p) for p in pis],
     }
 
 
-def chain_from_json(obj) -> ProjChain:
+@_decoder
+def chain_from_json(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The chain (pis, perps), each (r, n, n), with perp = I - pi."""
     n = int(obj["n"])
-    eye = np.eye(n, dtype=np.complex128)
-    pairs = []
-    for mat in obj["projections"]:
-        pi = matrix_from_json(mat)
-        pairs.append((pi, eye - pi))
-    return ProjChain(pairs)
+    mats = obj["projections"]
+    pis = _matrices_from_json(mats) if mats else np.zeros((0, n, n), np.complex128)
+    if pis.shape[1:] != (n, n):
+        raise BadShape("projections must be n x n")
+    # a Hermitian idempotent pi makes I - pi one too, and the pair sums to I
+    idem = np.abs(pis @ pis - pis).max(initial=0.0)
+    if max(idem, np.abs(pis - pis.conj().swapaxes(-1, -2)).max(initial=0.0)) > 1e-11:
+        raise BadShape("not a Hermitian idempotent")
+    return pis, np.eye(n, dtype=np.complex128) - pis
 
 
 def loop_fibers_to_json(n: int, r: int, fibers: Sequence[tuple[complex, LoopPoly]]) -> dict:
@@ -118,11 +157,11 @@ def loop_fibers_to_json(n: int, r: int, fibers: Sequence[tuple[complex, LoopPoly
     }
 
 
+@_decoder
 def loop_fibers_from_json(obj) -> list[tuple[complex, LoopPoly]]:
     out = []
     for fib in obj["fibers"]:
-        coeffs = np.array([matrix_from_json(t) for t in fib["coeffs"]])
-        out.append((decode_complex(fib["z"]), LoopPoly(coeffs)))
+        out.append((decode_complex(fib["z"]), LoopPoly(_matrices_from_json(fib["coeffs"]))))
     return out
 
 

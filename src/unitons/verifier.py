@@ -20,7 +20,6 @@ import numpy as np
 
 from .builder import (
     ChainBatch,
-    ChainData,
     HarmonicMapSampler,
     chain_arrays,
     draw_sample_points,
@@ -98,15 +97,15 @@ def _chains(data: DataArray, points: np.ndarray) -> tuple[ChainBatch, np.ndarray
     return batch, inverse.reshape(points.shape)
 
 
-def _on_stencil(source, z, h: float) -> tuple[ChainBatch, np.ndarray]:
-    """The chains on ``_stencil(z, h)`` and the map's left factor phi_0: built
+def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
+    """The chains on a stencil array and the map's left factor phi_0: built
     in one kernel call from a DataArray or HarmonicMapSampler, or a ChainBatch
     already laid out there (phi_0 = I)."""
     if isinstance(source, ChainBatch):
         return source, np.eye(source.pis.shape[-1], dtype=np.complex128)
     if isinstance(source, DataArray):
         source = HarmonicMapSampler(source)
-    batch, index = _chains(source.data, _stencil(z, h))
+    batch, index = _chains(source.data, points)
     return batch.take(index), source.phi0
 
 
@@ -151,16 +150,20 @@ def connection_form(map_sampler: Callable, z: complex, scheme: FDScheme = FDSche
     return _connection(_evaluate(map_sampler, _stencil(z, scheme.h)), scheme.h)
 
 
-def harmonicity_residual(map_sampler, z, scheme: FDScheme = FDScheme()):
+def harmonicity_residual(source, z, scheme: FDScheme = FDScheme()):
     """Frobenius norm of d_zbar A_z + [A_zbar, A_z] (zero iff harmonic).
 
-    ``map_sampler`` is called once per distinct point of the nested stencil
-    of z, or is its values there, (9, 9) + z.shape + (n, n).  z is a point or
-    an array of points; the residual has z's shape.
+    ``source`` is a DataArray or HarmonicMapSampler, whose chains on the
+    nested stencil of z come from one kernel call; a map callable, called
+    once per distinct point there; or the maps there, (9, 9) + z.shape +
+    (n, n).  z is a point or an array of points; the residual has z's shape.
     """
-    maps = map_sampler
-    if callable(maps):
-        maps = _evaluate(maps, _stencil(_stencil(z, scheme.h), scheme.h))
+    nested = _stencil(_stencil(z, scheme.h), scheme.h)
+    if isinstance(source, (DataArray, HarmonicMapSampler)):
+        chains, phi0 = _on_stencil(source, nested)
+        maps = extended_product(chains.pis, chains.perps, -1, phi0)
+    else:
+        maps = _evaluate(source, nested) if callable(source) else source
     cf = _connection(maps, scheme.h)  # at each of the 9 centres
     _, dzb_az = _wirtinger(cf.a_z[1:], scheme.h)
     a_z, a_zbar = cf.a_z[0], cf.a_zbar[0]
@@ -173,7 +176,7 @@ def extended_checks(sampler, z, lambdas: Optional[Iterable] = None, scheme: FDSc
     ``sampler`` is a HarmonicMapSampler or its chains on ``_stencil(z, h)``
     (a ChainBatch); each value has the shape of z, a point or an array.
     """
-    chains, _ = _on_stencil(sampler, z, scheme.h)
+    chains, _ = _on_stencil(sampler, _stencil(z, scheme.h))
     lams = np.array((-1, 1, *(DEFAULT_LAMBDAS if lambdas is None else lambdas)), np.complex128)[:, None, None, None]
     eye = np.eye(chains.pis.shape[-1], dtype=np.complex128)
     # Phi_lambda for lambda = -1, 1, then each of lambdas, at every stencil point
@@ -210,7 +213,7 @@ def section_identities(data, z, scheme: FDScheme = FDScheme(), seed: int = 0) ->
     antibasic:     pi_ell_perp A^{phi_{ell-1}}_z = 0
     """
     h = scheme.h
-    chains, phi0 = _on_stencil(data, z, h)
+    chains, phi0 = _on_stencil(data, _stencil(z, h))
     r, J, n = chains.kvecs.shape[-3:]
     kv, perp = chains.kvecs[0][..., None], chains.perps[0]
     # the connections of the prefix maps phi_ell, ell = 0..r, on axis -3
@@ -244,7 +247,7 @@ def section_identities(data, z, scheme: FDScheme = FDScheme(), seed: int = 0) ->
     return {**out, **maxima}
 
 
-def _fiber_static_checks(sampler: HarmonicMapSampler, cd: ChainData) -> dict:
+def _fiber_static_checks(sampler: HarmonicMapSampler, cd: ChainBatch) -> dict:
     """Pointwise (non-differential) identities: covering, surjectivity, reality."""
     n, r = sampler.n, sampler.r
     out = dict.fromkeys(("covering", "perp_surjectivity", "alpha1_image", "reality", "top_coefficient"), 0.0)

@@ -25,6 +25,7 @@ from unitons import (
     cartan_embed,
     draw_sample_points,
     extended_checks,
+    extended_coefficients,
     harmonicity_residual,
     iwasawa_factorize,
     kernel_factorize_fiber,
@@ -124,7 +125,7 @@ def test_criterion_02_harmonicity():
     for data in _harmonic_datasets():
         sampler = HarmonicMapSampler(data)
         for z in draw_sample_points(data, 30, seed=5, stencil_h=1e-3):
-            worst = max(worst, harmonicity_residual(sampler.map_at, z))
+            worst = max(worst, harmonicity_residual(sampler, z))
     # negative control: replace the second factor by a non-uniton projection
     data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=0)
     sampler = HarmonicMapSampler(data)
@@ -259,15 +260,15 @@ def test_criterion_07_factorization_round_trip():
         sampler = HarmonicMapSampler(data)
         for z in pts:
             cd = sampler.chain_at(z)
-            loop = LoopPoly(sampler.extended_coeffs_at(z, cd))
+            loop = LoopPoly(extended_coefficients(cd.pis, cd.perps, n))
             built = list(zip(cd.pis, cd.perps))
             iwa = iwasawa_factorize(w_from_loop(loop))
             ker = kernel_factorize_fiber(loop)
-            worst_chain = max(worst_chain, _chain_gap(iwa.pairs, built))
-            worst_chain = max(worst_chain, _chain_gap(ker.pairs, built))
+            worst_chain = max(worst_chain, _chain_gap(zip(*iwa), built))
+            worst_chain = max(worst_chain, _chain_gap(zip(*ker), built))
             for lam in lams:
                 prod = np.eye(n, dtype=complex)
-                for pi, perp in iwa.pairs:
+                for pi, perp in zip(*iwa):
                     prod = prod @ (pi + lam * perp)
                 worst_recon = max(worst_recon, np.abs(prod - loop.at(lam)).max())
     _DURATIONS[7] = time.perf_counter() - t0

@@ -245,6 +245,43 @@ def test_bad_coefficients_rejected_at_parse_time(tmp_path):
         serialize.decode_complex([float("nan"), 0.0])
 
 
+def _set(path, value):
+    def mutate(obj):
+        owner = obj
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        return obj
+    return mutate
+
+
+@pytest.mark.parametrize("command, mutate", [
+    ("verify", _set(("columns", 0, 0, 0, "num"), [[None, 0]])),
+    ("verify", _set(("columns",), 5)),
+    ("verify", _set(("columns",), [5])),
+    ("verify", _set(("columns", 0, 0, 0), [[1.0, 0.0]])),
+    ("verify", _set(("n",), None)),
+    ("verify", lambda obj: [obj]),
+    ("factorize", _set(("fibers", 0, "coeffs", 0, "data", 0, 0), None)),
+    ("factorize", lambda obj: 5),
+], ids=["null-coefficient", "columns-number", "column-number", "entry-list", "n-null", "top-level-array",
+        "loop-null-entry", "loop-top-level-number"])
+def test_malformed_json_exits_2(tmp_path, capsys, command, mutate):
+    # wrong JSON types are parse errors: exit 2 with one message, no traceback
+    data = random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=2)
+    obj = serialize.data_to_json(data)
+    if command == "factorize":
+        from unitons import HarmonicMapSampler, LoopPoly, draw_sample_points
+
+        s = HarmonicMapSampler(data)
+        obj = serialize.loop_fibers_to_json(3, 2, [(z, LoopPoly(s.extended_coeffs_at(z)))
+                                                   for z in draw_sample_points(data, 2, seed=9)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(obj)))
+    assert run(command, "--input", bad, "--samples", 1) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_derivative_table_overflow_rejected(tmp_path):
     # 1 + 1e100 z decodes, but the first derivative's squared denominator
     # holds 1e200: the table rejects it before any overflow or warning
@@ -264,12 +301,10 @@ def test_matrix_and_chain_serialization_round_trip():
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     again = serialize.matrix_from_json(serialize.matrix_to_json(m))
     assert np.array_equal(again, m)
-    from unitons import ProjChain
 
     q, _ = np.linalg.qr(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
     pi = q @ q.conj().T
-    chain = ProjChain([(pi, np.eye(3) - pi)])
-    obj = serialize.chain_to_json(chain, 3, 1)
-    back = serialize.chain_from_json(obj)
-    assert np.abs(back.pis[0] - pi).max() <= 1e-15
+    obj = serialize.chain_to_json(pi[None])
+    back_pis, _ = serialize.chain_from_json(obj)
+    assert np.abs(back_pis[0] - pi).max() <= 1e-15
     assert obj["ranks"] == [1]

@@ -19,7 +19,6 @@ from unitons import (
     draw_sample_points,
     extended_coefficients,
     iwasawa_factorize,
-    kernel_factorize,
     kernel_factorize_fiber,
     max_principal_angle,
     normalize_type_one,
@@ -27,6 +26,7 @@ from unitons import (
     q_adapted_check,
     random_data,
     s1_invariant_data,
+    serialize,
     w_from_loop,
     w_from_x,
     x_columns_from_data,
@@ -47,9 +47,13 @@ def loop_at(data, z, phi0=None):
     return LoopPoly(s.extended_coeffs_at(z))
 
 
-def chain_gap(a, b):
+def chain_gap(pis_a, pis_b):
     return max((span_gap(orthonormal_basis(p1), orthonormal_basis(p2))
-                for (p1, _), (p2, _) in zip(a.pairs, b.pairs)), default=0.0)
+                for p1, p2 in zip(pis_a, pis_b)), default=0.0)
+
+
+def ranks(pis):
+    return serialize.chain_to_json(pis)["ranks"]
 
 
 def test_binomial_transform_rows():
@@ -154,21 +158,21 @@ def test_lemma_42_sum_identities():
                     if j > k:
                         assert np.linalg.norm(lhs) <= 1e-7
                     else:
-                        assert np.linalg.norm(lhs - fib.k_vectors[i, k, ci]) <= 1e-7
+                        assert np.linalg.norm(lhs - fib.chain.kvecs[i, k, ci]) <= 1e-7
 
 
 def test_iwasawa_trivial_cases():
     w = WSubspace(1, 2, np.array([[1.0], [0.0]], dtype=complex))
-    chain = iwasawa_factorize(w)
-    assert chain.ranks == (1,)
-    assert np.allclose(chain.pis[0], np.diag([1.0, 0.0]))
+    pis, perps = iwasawa_factorize(w)
+    assert ranks(pis) == [1]
+    assert np.allclose(pis[0], np.diag([1.0, 0.0]))
     # reconstructed loop diag(1, lambda) maps H_+ onto W
-    again = w_from_loop(LoopPoly(np.array([chain.pis[0], chain.perps[0]])))
+    again = w_from_loop(LoopPoly(np.array([pis[0], perps[0]])))
     assert max_principal_angle(again.span, w.span) <= 1e-7
 
     full = WSubspace(1, 2, np.eye(2, dtype=complex))
-    chain = iwasawa_factorize(full)
-    assert chain.ranks == (2,)  # non-proper, emitted as a +I factor
+    pis, _ = iwasawa_factorize(full)
+    assert ranks(pis) == [2]  # non-proper, emitted as a +I factor
 
 
 def test_iwasawa_rejects_non_invariant():
@@ -186,9 +190,9 @@ def test_kernel_factorize_single_uniton():
     q, _ = np.linalg.qr(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
     pi = q @ q.conj().T
     perp = np.eye(3) - pi
-    chain = kernel_factorize_fiber(LoopPoly(np.array([pi, perp])))
-    assert chain.ranks == (1,)
-    assert np.abs(chain.pis[0] - pi).max() <= 1e-9
+    pis, _ = kernel_factorize_fiber(LoopPoly(np.array([pi, perp])))
+    assert ranks(pis) == [1]
+    assert np.abs(pis[0] - pi).max() <= 1e-9
 
 
 def test_kernel_factorize_roundtrip_and_agreement():
@@ -196,19 +200,18 @@ def test_kernel_factorize_roundtrip_and_agreement():
     for z in draw_sample_points(data, 3, seed=30):
         fib = build_fiber(data, z)
         loop = loop_at(data, z)
-        ker = kernel_factorize_fiber(loop)
-        iwa = iwasawa_factorize(w_from_loop(loop))
-        assert chain_gap(ker, fib.chain) <= 1e-7
-        assert chain_gap(iwa, fib.chain) <= 1e-7
+        ker, _ = kernel_factorize_fiber(loop)
+        iwa, _ = iwasawa_factorize(w_from_loop(loop))
+        assert chain_gap(ker, fib.chain.pis) <= 1e-7
+        assert chain_gap(iwa, fib.chain.pis) <= 1e-7
         assert chain_gap(iwa, ker) <= 1e-7
 
 
-def test_kernel_factorize_sampler_wrapper():
+def test_kernel_factorize_fiber_matches_built_chain():
     data = random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=31)
-    pts = draw_sample_points(data, 2, seed=32)
-    sampler = kernel_factorize(lambda z: loop_at(data, z), pts)
-    for z in pts:
-        assert chain_gap(sampler(z), build_fiber(data, z).chain) <= 1e-7
+    for z in draw_sample_points(data, 2, seed=32):
+        ker, _ = kernel_factorize_fiber(loop_at(data, z))
+        assert chain_gap(ker, build_fiber(data, z).chain.pis) <= 1e-7
 
 
 def test_kernel_factorize_rejects_bad_loops():
@@ -357,6 +360,6 @@ def test_factorizations_reconstruct_random_chain_loops(spec):
     pis, perps = random_chain(np.random.default_rng(seed), n, length)
     loop = LoopPoly(extended_coefficients(np.array(pis), np.array(perps), n))
     eye = np.eye(n, dtype=np.complex128)
-    for chain in (iwasawa_factorize(w_from_loop(loop)), kernel_factorize_fiber(loop)):
+    for pis, perps in (iwasawa_factorize(w_from_loop(loop)), kernel_factorize_fiber(loop)):
         for lam in np.exp(2j * np.pi * np.arange(8) / 8):
-            assert np.abs(extended_product(chain.pis, chain.perps, lam, eye) - loop.at(lam)).max() <= 1e-10
+            assert np.abs(extended_product(pis, perps, lam, eye) - loop.at(lam)).max() <= 1e-10

@@ -5,24 +5,17 @@ from hypothesis import strategies as st
 
 from unitons import (
     BadShape,
-    ProjChain,
     Span,
-    c_operator,
     image_span,
     max_principal_angle,
     orthonormal_basis,
     principal_angles,
     projection_pair,
-    s_operator,
     spans_equal,
 )
 from unitons.projections import c_rows, numerical_rank, s_rows, span_gap
 
 from oracles import c_words, product_inverse_coeff, random_chain, s_words
-
-
-def chain_of(pis, perps):
-    return ProjChain(list(zip(pis, perps)), validate=False)
 
 
 def test_orthonormal_basis_examples():
@@ -64,39 +57,33 @@ def test_projection_pair_orthogonality():
 def test_c_operator_paper_examples():
     rng = np.random.default_rng(1)
     pis, perps = random_chain(rng, 4, 3)
-    ch2 = chain_of(pis[:2], perps[:2])
-    assert np.abs(c_operator(ch2, 1) - (perps[0] + perps[1])).max() <= 1e-12
-    ch3 = chain_of(pis, perps)
+    C2 = c_rows(perps[:2], 4, 2)
+    assert np.abs(C2[1] - (perps[0] + perps[1])).max() <= 1e-12
+    C3 = c_rows(perps, 4, 3)
     expect = perps[1] @ perps[0] + perps[2] @ perps[0] + perps[2] @ perps[1]
-    assert np.abs(c_operator(ch3, 2) - expect).max() <= 1e-12
-    for ch in (ch2, ch3):
-        assert np.allclose(c_operator(ch, 0), np.eye(4))
-        assert np.allclose(c_operator(ch, -1), 0)
-        assert np.allclose(c_operator(ch, len(ch) + 1), 0)
+    assert np.abs(C3[2] - expect).max() <= 1e-12
+    for C in (C2, C3):
+        assert np.allclose(C[0], np.eye(4))
 
 
 def test_s_operator_definition_cases():
     rng = np.random.default_rng(2)
     pis, perps = random_chain(rng, 4, 2)
-    ch1 = chain_of(pis[:1], perps[:1])
-    assert np.allclose(s_operator(ch1, 0), pis[0])
-    assert np.allclose(s_operator(ch1, 1), perps[0])
-    ch2 = chain_of(pis, perps)
+    S1 = s_rows(pis[:1], perps[:1], 4)
+    assert np.allclose(S1[0], pis[0])
+    assert np.allclose(S1[1], perps[0])
+    S2 = s_rows(pis, perps, 4)
     expect = perps[1] @ pis[0] + pis[1] @ perps[0]
-    assert np.abs(s_operator(ch2, 1) - expect).max() <= 1e-12
-    with pytest.raises(IndexError):
-        s_operator(ch2, 3)
-    with pytest.raises(IndexError):
-        s_operator(ch2, -1)
+    assert np.abs(S2[1] - expect).max() <= 1e-12
 
 
 def test_lemma_41_instance():
     # S^2_1 + 2 S^2_2 = C^2_1 for random projections
     rng = np.random.default_rng(3)
     pis, perps = random_chain(rng, 5, 2)
-    ch = chain_of(pis, perps)
-    lhs = s_operator(ch, 1) + 2 * s_operator(ch, 2)
-    assert np.abs(lhs - c_operator(ch, 1)).max() <= 1e-11
+    S = s_rows(pis, perps, 5)
+    lhs = S[1] + 2 * S[2]
+    assert np.abs(lhs - c_rows(perps, 5, 1)[1]).max() <= 1e-11
 
 
 def test_pascal_recursion_vs_word_enumeration():
@@ -177,14 +164,6 @@ def test_spans_equal():
     assert spans_equal(a, b)
     assert not spans_equal(a, orthonormal_basis(rng.standard_normal((4, 2))))
     assert not spans_equal(a, orthonormal_basis(m[:, :1]))
-
-
-def test_projchain_validation():
-    bad = np.array([[0.5, 0.5], [0.0, 0.5]])
-    with pytest.raises(BadShape):
-        ProjChain([(bad, np.eye(2) - bad)])
-    pi = np.diag([1.0, 0.0])
-    ProjChain([(pi, np.eye(2) - pi)])  # fine
 
 
 def test_span_validation():

@@ -1,11 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unitons import serialize
+from unitons import BadShape, serialize
+
+from oracles import random_chain
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -35,3 +38,49 @@ def test_matrix_json_round_trip_is_byte_exact(m):
     text = serialize.dumps(serialize.matrix_to_json(m))
     back = serialize.matrix_from_json(json.loads(text))
     assert serialize.dumps(serialize.matrix_to_json(back)) == text
+
+
+@pytest.mark.parametrize("data", [
+    [[float("nan"), 0.0], [0.0, 0.0]],
+    [[0.0, float("inf")], [0.0, 0.0]],
+    [[-float("inf"), 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0]],          # ragged
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # not pairs
+    [0.0, 0.0, 0.0, 0.0],         # flat numbers
+    [[0.0, 0.0]],                 # fewer entries than the shape
+    [[0.0, 0.0]] * 3,             # more entries than the shape
+    [[None, 0.0], [0.0, 0.0]],
+    [[{}, 0.0], [0.0, 0.0]],
+    [[10**400, 0.0], [0.0, 0.0]],
+], ids=["nan", "inf", "-inf", "ragged", "triples", "flat", "short", "long", "null", "object", "huge-int"])
+def test_matrix_from_json_rejects_malformed_data(data):
+    with pytest.raises(BadShape):
+        serialize.matrix_from_json({"shape": [1, 2], "data": data})
+
+
+@given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_chain_json_round_trip_is_bit_exact(n, r, seed):
+    pis, perps = random_chain(np.random.default_rng(seed), n, r)
+    pis = np.array(pis, np.complex128).reshape(r, n, n)
+    obj = json.loads(serialize.dumps(serialize.chain_to_json(pis)))
+    assert obj["n"] == n and obj["r"] == r
+    assert obj["ranks"] == [int(round(np.trace(p).real)) for p in pis]
+    back_pis, back_perps = serialize.chain_from_json(obj)
+    assert back_pis.shape == back_perps.shape == (r, n, n)
+    assert np.array_equal(back_pis, pis)
+    assert np.array_equal(back_perps, np.eye(n) - pis)
+
+
+def test_chain_from_json_rejects_bad_projections():
+    pi = np.diag([1.0, 0.0])
+    good = serialize.chain_to_json(pi[None])
+    assert serialize.chain_from_json(good)[0].shape == (1, 2, 2)
+    for bad in (
+        np.array([[0.5, 0.5], [0.0, 0.5]]),  # neither Hermitian nor idempotent
+        np.array([[1.0, 1.0], [0.0, 0.0]]),  # idempotent, not Hermitian
+        2 * pi,                              # Hermitian, not idempotent
+    ):
+        with pytest.raises(BadShape):
+            serialize.chain_from_json(serialize.chain_to_json(bad[None]))
+    with pytest.raises(BadShape):  # projections of another size than n
+        serialize.chain_from_json({**good, "n": 3})

@@ -1,13 +1,18 @@
-"""Every function the benchmark tracer wraps must exist, so that a rename in
-the package shows up here instead of as a silently missing span."""
+"""Every function the benchmark tracer wraps, and every package name and result
+attribute its workloads read, must exist, so that a rename in the package
+shows up here instead of as a silently missing span or a failed benchmark."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import unitons  # noqa: F401  (imports every module the targets name)
+import unitons
+import unitons.cli  # noqa: F401  (the workloads read unitons.serialize and drive unitons.cli)
+import unitons.serialize  # noqa: F401
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,3 +31,37 @@ def test_trace_target_resolves(target):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner), name
+
+
+WORKLOADS = TRACING.with_name("workloads.py")
+
+
+def _benchmark_names():
+    # every U.<name> the benchmark's workloads read from the package
+    return sorted(set(re.findall(r"\bU\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", WORKLOADS.read_text())))
+
+
+def test_benchmark_reads_names_from_the_package():
+    assert len(_benchmark_names()) >= 20  # the pattern still finds the workloads' uses
+
+
+@pytest.mark.parametrize("path", _benchmark_names())
+def test_benchmark_name_resolves(path):
+    owner = unitons
+    for part in path.split("."):
+        owner = getattr(owner, part)
+
+
+def test_benchmark_result_attributes():
+    # the attributes the workloads read from results, on a small dataset
+    data = unitons.random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=0)
+    z = unitons.draw_sample_points(data, 1, seed=11)[0]
+    fib = unitons.build_fiber(data, z)
+    assert fib.proper and fib.z == z
+    assert fib.chain.pis.shape == fib.chain.perps.shape == (2, 3, 3)
+    sampler = unitons.HarmonicMapSampler(data)
+    chain = sampler.chain_at(z)
+    assert np.array_equal(chain.pis, fib.chain.pis) and np.array_equal(chain.perps, fib.chain.perps)
+    assert np.array_equal(sampler.map_at(z), (chain.pis[0] - chain.perps[0]) @ (chain.pis[1] - chain.perps[1]))
+    coeffs = sampler.extended_coeffs_at(z)
+    assert np.array_equal(coeffs, unitons.extended_coefficients(fib.chain.pis, fib.chain.perps, 3))

@@ -119,6 +119,26 @@ def test_harmonicity_built_map_and_negative_control():
     assert harmonicity_residual(corrupted, pts[0]) >= 1e-2
 
 
+@pytest.mark.parametrize("data", [
+    random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0),
+    random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=5),
+    random_data(3, 0, 2, seed=0),
+], ids=["echelon-5-4", "echelon-4-2", "r0"])
+def test_harmonicity_input_forms_agree_bit_for_bit(data):
+    # a sampler or DataArray builds the nested stencil in one kernel call, a
+    # callable is evaluated point by point; the residuals are the same
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((data.n, data.n)) + 1j * np.eye(data.n))
+    pts = np.array(draw_sample_points(data, 4, seed=10, stencil_h=1e-3))
+    s, twisted = HarmonicMapSampler(data), HarmonicMapSampler(data, q)
+    for z in pts:
+        by_point = harmonicity_residual(s.map_at, z)
+        assert harmonicity_residual(s, z) == harmonicity_residual(data, z) == by_point
+        assert harmonicity_residual(twisted, z) == harmonicity_residual(twisted.map_at, z)
+    stacked = harmonicity_residual(s, pts)
+    assert stacked.shape == pts.shape
+    assert np.array_equal(stacked, [harmonicity_residual(s.map_at, z) for z in pts])
+
+
 def test_extended_checks_built_map():
     data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 2), seed=7)
     s = HarmonicMapSampler(data)
