@@ -43,7 +43,6 @@ from .meromorphic import (
     DataArray,
     MeroVector,
     RationalFn,
-    cancel_common_roots,
     differentiate,
     eval_rational,
     poles_of,
@@ -59,7 +58,6 @@ from .projections import (
     spans_equal,
 )
 from .verifier import (
-    FDScheme,
     connection_form,
     extended_checks,
     harmonicity_residual,

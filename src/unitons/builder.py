@@ -21,14 +21,13 @@ from .meromorphic import (
     MAX_COEFFICIENT,
     MAX_SAMPLE_TRIES,
     POLE_CLEARANCE,
-    POLE_TOL,
     DataArray,
     MeroVector,
     data_poles,
     differentiate,
     random_polynomial_vector,
 )
-from .projections import RANK_TOL, Span, orthonormal_basis, projection_pair
+from .projections import Span, orthonormal_basis, projection_pair
 
 
 class _Tables(NamedTuple):
@@ -76,7 +75,7 @@ def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarr
     j at zs[p], held for k <= r-1-m and zero above; ok (P,) is False at a pole.
     """
     t = _tables(n, r, tuple(tuple(col) for col in columns))
-    return kernels.eval_table(t.nums, t.dens, t.dnorms, zs, POLE_TOL)
+    return kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
 
 
 class ChainBatch(NamedTuple):
@@ -91,7 +90,6 @@ class ChainBatch(NamedTuple):
     perps: np.ndarray      # (P, r, n, n)
     bases: np.ndarray      # (P, r, n, n)
     ranks: np.ndarray      # (P, r)
-    gen_ranks: np.ndarray  # (P, r)
     kvecs: np.ndarray      # (P, r, r, J, n)
     pole: np.ndarray       # (P,) bool: a pole of the data is too close
     ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
@@ -117,10 +115,10 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     if r == 0:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
-        return ChainBatch(zs, empty, empty, empty, none, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
+        return ChainBatch(zs, empty, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
     vals, ok = derivative_values(n, r, data.columns, zs)
-    pis, perps, bases, ranks, gen_ranks, kvecs, status = kernels.build_chain(vals, RANK_TOL)
-    return ChainBatch(zs, pis, perps, bases, ranks, gen_ranks, kvecs, ~ok, status != 0)
+    pis, perps, bases, ranks, kvecs, status = kernels.build_chain(vals)
+    return ChainBatch(zs, pis, perps, bases, ranks, kvecs, ~ok, status != 0)
 
 
 @dataclass(frozen=True)
@@ -237,9 +235,7 @@ def cartan_embed(s: Span) -> np.ndarray:
     return pi - perp
 
 
-def associated_and_gauss(
-    h_column: Sequence[MeroVector], i: int, z: complex, rank_tol: float = RANK_TOL
-) -> tuple[Span, Span]:
+def associated_and_gauss(h_column: Sequence[MeroVector], i: int, z: complex) -> tuple[Span, Span]:
     """The i'th associated curve h_(i) and Gauss bundle fiber G^(i)(h) at z."""
     if i < 0:
         raise BadShape("i must be >= 0")
@@ -258,12 +254,12 @@ def associated_and_gauss(
                 lower.append(v)
             if m < i:
                 cur = cur.derivative()
-    h_i = orthonormal_basis(np.column_stack(upper) if upper else np.zeros((n, 0)), rank_tol)
+    h_i = orthonormal_basis(np.column_stack(upper) if upper else np.zeros((n, 0)))
     if i == 0:
         return h_i, h_i
-    h_im1 = orthonormal_basis(np.column_stack(lower), rank_tol)
+    h_im1 = orthonormal_basis(np.column_stack(lower))
     _, perp = projection_pair(h_im1)
-    gauss = orthonormal_basis(perp @ h_i.basis, rank_tol)
+    gauss = orthonormal_basis(perp @ h_i.basis)
     return h_i, gauss
 
 

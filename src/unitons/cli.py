@@ -32,7 +32,7 @@ from .grassmannian import (
 )
 from .meromorphic import random_data
 from .projections import orthonormal_basis, span_gap
-from .verifier import FDScheme, verification_report
+from .verifier import verification_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -91,10 +91,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     _check_positive(samples=args.samples)
     data = serialize.data_from_json(serialize.read_json(args.input))
-    scheme = FDScheme()
-    report = verification_report(
-        data, samples=args.samples, seed=args.seed, scheme=scheme, tolerances=_parse_tols(args.tol)
-    )
+    report = verification_report(data, samples=args.samples, seed=args.seed, tolerances=_parse_tols(args.tol))
     _emit(report, args.output)
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
@@ -167,13 +164,12 @@ def cmd_factorize(args) -> int:
 def cmd_grassmann(args) -> int:
     _check_positive(samples=args.samples)
     data = serialize.data_from_json(serialize.read_json(args.input))
-    points = draw_sample_points(data, args.samples, seed=args.seed)
-    batch = chain_arrays(data, points)
     if args.q_span:
-        vecs = [np.array([serialize.decode_complex(c) for c in v]) for v in serialize.read_json(args.q_span)]
-        q = QInvolution(orthonormal_basis(np.column_stack(vecs)))
+        q = QInvolution(orthonormal_basis(serialize.vectors_from_json(serialize.read_json(args.q_span), data.n)))
     else:
         q = QInvolution.identity(data.n)
+    points = draw_sample_points(data, args.samples, seed=args.seed)
+    batch = chain_arrays(data, points)
     defects = []
     for p, z in enumerate(points):
         cd = batch.at(p)

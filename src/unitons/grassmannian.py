@@ -26,7 +26,6 @@ from .errors import (
 )
 from .meromorphic import MeroVector
 from .projections import (
-    RANK_TOL,
     Span,
     image_span,
     max_principal_angle,
@@ -39,6 +38,8 @@ from .projections import (
 LAMBDA_TOL = 1e-8     # allowed shift-invariance defect of a W subspace
 BOUNDARY_TOL = 1e-9   # boundary coefficients must vanish below this when dividing
 TRIM_TOL = 1e-9       # a loop coefficient below this is treated as zero
+REALITY_TOL = 1e-10   # a loop fiber must have T_0 T_r^* and T_r^* T_0 below this
+Q_ADAPTED_TOL = 1e-7  # W is nu_Q-invariant when its largest angle to nu_Q W is below this
 
 
 def loop_at(coeffs: np.ndarray, lam: complex) -> np.ndarray:
@@ -47,6 +48,12 @@ def loop_at(coeffs: np.ndarray, lam: complex) -> np.ndarray:
     for t in range(coeffs.shape[0]):
         out += lam**t * coeffs[t]
     return out
+
+
+def reality_defect(coeffs: np.ndarray) -> float:
+    """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop)."""
+    t0, tr = coeffs[0], coeffs[-1]
+    return float(max(np.abs(t0 @ tr.conj().T).max(), np.abs(tr.conj().T @ t0).max()))
 
 
 class LoopPoly:
@@ -69,15 +76,9 @@ class LoopPoly:
     def at(self, lam: complex) -> np.ndarray:
         return loop_at(self.coeffs, lam)
 
-    def unitarity_defect(self, lambdas: Sequence[complex]) -> float:
-        eye = np.eye(self.n)
-        return float(
-            max(np.abs(self.at(lam) @ self.at(lam).conj().T - eye).max() for lam in lambdas)
-        )
-
-    def trimmed(self, tol: float = TRIM_TOL) -> "LoopPoly":
+    def trimmed(self) -> "LoopPoly":
         deg = self.degree
-        while deg > 0 and np.abs(self.coeffs[deg]).max() <= tol:
+        while deg > 0 and np.abs(self.coeffs[deg]).max() <= TRIM_TOL:
             deg -= 1
         return LoopPoly(self.coeffs[: deg + 1])
 
@@ -131,19 +132,14 @@ class WSubspace:
         return self.basis[s * self.n : (s + 1) * self.n, :]
 
 
-def binomial_transform(column: Sequence[MeroVector], inverse: bool = False) -> list[MeroVector]:
-    """L_i = sum_l C(i,l) H_l, or its alternating-sign inverse (exact)."""
+def binomial_transform(column: Sequence[MeroVector]) -> list[MeroVector]:
+    """L_i = sum_l C(i,l) H_l (exact)."""
     col = list(column)
     out = []
     for i in range(len(col)):
-        if inverse:
-            acc = col[i].scale((-1) ** 0 * math.comb(i, i))
-            for ell in range(i):
-                acc = acc + col[ell].scale((-1) ** (i - ell) * math.comb(i, ell))
-        else:
-            acc = col[0].scale(math.comb(i, 0))
-            for ell in range(1, i + 1):
-                acc = acc + col[ell].scale(math.comb(i, ell))
+        acc = col[0].scale(math.comb(i, 0))
+        for ell in range(1, i + 1):
+            acc = acc + col[ell].scale(math.comb(i, ell))
         out.append(acc)
     return out
 
@@ -153,11 +149,7 @@ def x_columns_from_data(data) -> list[list[MeroVector]]:
     return [binomial_transform(col) for col in data.columns]
 
 
-def w_from_x(
-    x_columns: Sequence[Sequence[MeroVector]],
-    z: complex,
-    rank_tol: float = RANK_TOL,
-) -> WSubspace:
+def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace:
     """W = X + lambda X_(1) + ... + lambda^{r-1} X_(r-1) + lambda^r H_+ at z.
 
     The derivative table holds block i of X^(m) for m <= r-1-i, exactly the
@@ -179,11 +171,11 @@ def w_from_x(
                 w = np.zeros(r * n, np.complex128)
                 w[k * n :] = vals[0, m, : r - k, j].ravel()
                 vecs.append(w)
-    basis = orthonormal_basis(np.column_stack(vecs), rank_tol)
+    basis = orthonormal_basis(np.column_stack(vecs))
     return WSubspace(r, n, basis.basis)
 
 
-def w_from_loop(loop: LoopPoly, rank_tol: float = RANK_TOL) -> WSubspace:
+def w_from_loop(loop: LoopPoly) -> WSubspace:
     """W = Phi(H_+) mod lambda^r H_+, from the coefficient vectors of Phi lambda^k e_j."""
     r, n = loop.degree, loop.n
     if r == 0:
@@ -192,14 +184,14 @@ def w_from_loop(loop: LoopPoly, rank_tol: float = RANK_TOL) -> WSubspace:
     vecs = np.zeros((r * n, r * n), np.complex128)
     for k in range(r):
         vecs[k * n :, k * n : (k + 1) * n] = loop.coeffs[: r - k].reshape((r - k) * n, n)
-    basis = orthonormal_basis(vecs, rank_tol)
+    basis = orthonormal_basis(vecs)
     try:
         return WSubspace(r, n, basis.basis)
     except NotLambdaInvariant as exc:
         raise SingularLoop(str(exc)) from exc
 
 
-def iwasawa_factorize(w: WSubspace, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def iwasawa_factorize(w: WSubspace) -> tuple[np.ndarray, np.ndarray]:
     """Left-to-right geometric Iwasawa factorization: alpha_i = (sum_s S^{i-1}_s P_s) W.
 
     Returns the chain (pis, perps), each (r, n, n).  Non-proper steps (alpha_i
@@ -216,37 +208,32 @@ def iwasawa_factorize(w: WSubspace, rank_tol: float = RANK_TOL) -> tuple[np.ndar
         for s in range(i):
             M += S[s] @ w.block(s)
         # rank against the unit operator scale: degenerate steps collapse to 0 or C^n
-        pis[i - 1], perps[i - 1] = projection_pair(image_span(M, rank_tol))
+        pis[i - 1], perps[i - 1] = projection_pair(image_span(M))
     return pis, perps
 
 
-def kernel_factorize_fiber(
-    loop: LoopPoly,
-    rank_tol: float = RANK_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
-    reality_tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
+def kernel_factorize_fiber(loop: LoopPoly) -> tuple[np.ndarray, np.ndarray]:
     """Top-down factorization alpha_i = ker T_i^{Phi_i}, dividing out one factor
     at a time; returns the chain (pis, perps), each (r, n, n)."""
     r, n = loop.degree, loop.n
     T = [loop.coeffs[i].copy() for i in range(r + 1)]
     if np.abs(T[0]).max() <= TRIM_TOL or np.abs(T[r]).max() <= TRIM_TOL:
         raise DegreeNoDrop("loop must have non-zero constant and top coefficients")
-    if max(np.abs(T[0] @ T[r].conj().T).max(), np.abs(T[r].conj().T @ T[0]).max()) > reality_tol:
+    if reality_defect(loop.coeffs) > REALITY_TOL:
         raise DegreeNoDrop("reality condition T_0 T_r^* = 0 fails; not an extended-solution fiber")
     pis = np.zeros((r, n, n), np.complex128)
     perps = np.zeros_like(pis)
     eye = np.eye(n, dtype=np.complex128)
     for i in range(r, 0, -1):
         _, sv, vh = np.linalg.svd(T[i])
-        rank = int(numerical_rank(sv, rank_tol))
+        rank = int(numerical_rank(sv))
         ker_dim = n - rank
         if ker_dim == 0 or ker_dim == n:
             raise NonProperUniton(f"ker T_{i} has dimension {ker_dim}")
         pi, perp = projection_pair(Span(vh[rank:].conj().T, n, validate=False))
         lam_minus = np.abs(T[0] @ perp).max()
         lam_top = np.abs(T[i] @ pi).max()
-        if max(lam_minus, lam_top) > boundary_tol:
+        if max(lam_minus, lam_top) > BOUNDARY_TOL:
             raise DegreeNoDrop(
                 f"boundary coefficients at step {i} do not vanish "
                 f"({lam_minus:.2e}, {lam_top:.2e})"
@@ -272,8 +259,6 @@ class ConstantLoop:
 def normalize_type_one(
     loop_sampler: Callable[[complex], LoopPoly],
     sample_points: Sequence[complex],
-    rank_tol: float = RANK_TOL,
-    trim_tol: float = TRIM_TOL,
 ) -> tuple[ConstantLoop, Callable[[complex], LoopPoly]]:
     """Left-multiply by constant loops until im T_0 is full (type one).
 
@@ -299,7 +284,7 @@ def normalize_type_one(
         return loop
 
     def constant_image() -> Span:
-        return orthonormal_basis(np.hstack([sample(z).coeffs[0] for z in points]), rank_tol)
+        return orthonormal_basis(np.hstack([sample(z).coeffs[0] for z in points]))
 
     for _ in range(max(r0, 1)):
         a_span = constant_image()
@@ -312,7 +297,7 @@ def normalize_type_one(
         degrees.append(prev_degree)  # provisional: trim below once sampled
         deg = 0
         for z in points:
-            deg = max(deg, sample(z).trimmed(trim_tol).degree)
+            deg = max(deg, sample(z).trimmed().degree)
         degrees[-1] = deg
     else:
         if constant_image().dim != n:
@@ -356,12 +341,12 @@ class QAdaptedResult:
         return self.plus is not None
 
 
-def q_adapted_check(w: WSubspace, q: QInvolution, tol: float = 1e-7) -> QAdaptedResult:
+def q_adapted_check(w: WSubspace, q: QInvolution) -> QAdaptedResult:
     """Defect of nu_Q-invariance of W; on success, a Q-adapted spanning basis."""
     nu = q.nu_matrix(w.r)
     moved = nu @ w.basis
     defect = max_principal_angle(w.span, Span(moved, w.r * w.n, validate=False))
-    if defect > tol:
+    if defect > Q_ADAPTED_TOL:
         return QAdaptedResult(float(defect), None, None)
     plus_vecs = w.basis + moved
     minus_vecs = w.basis - moved

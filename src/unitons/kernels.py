@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projections import numerical_rank, pascal_step
+from .meromorphic import POLE_TOL
+from .projections import RANK_TOL, numerical_rank, pascal_step
 
 BACKEND = "numpy"
 
@@ -24,23 +25,23 @@ def _horner(coeffs, zs):
     return out
 
 
-def eval_table(nums, dens, dnorms, zs, pole_tol):
+def eval_table(nums, dens, dnorms, zs):
     """Evaluate the padded rational table at every point of zs (P,).
 
     nums/dens: (K, M, J, N, L) coefficient tables, degree-ascending.  Returns
     the evaluated tables (P, K, M, J, N) and ``ok`` (P,), False at a point
-    where any entry's denominator falls below ``pole_tol * max(dnorm, 1)``
+    where any entry's denominator falls below ``POLE_TOL * max(dnorm, 1)``
     (a pole hit; that entry is 0).
     """
     nv = _horner(nums, zs)
     dv = _horner(dens, zs)
-    hit = np.abs(dv) < pole_tol * np.maximum(dnorms, 1.0)
+    hit = np.abs(dv) < POLE_TOL * np.maximum(dnorms, 1.0)
     vals = np.zeros_like(nv)
     np.divide(nv, dv, out=vals, where=~hit)
     return vals, ~hit.any(axis=tuple(range(1, hit.ndim)))
 
 
-def build_chain(hvals, rank_tol):
+def build_chain(hvals):
     """Build the projection chain at every point from its derivative table.
 
     hvals: (P, r, r, J, n); hvals[p, k, m, j] = k'th derivative of the row-m
@@ -67,8 +68,8 @@ def build_chain(hvals, rank_tol):
         # columns ordered k-major: column k * J + j is K^(k)_{i,j}
         cols = kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2)
         u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = numerical_rank(sv, rank_tol)
-        thr = rank_tol * sv[:, :1]
+        rank = numerical_rank(sv)
+        thr = RANK_TOL * sv[:, :1]
         status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
         basis = u * (np.arange(sv.shape[1]) < rank[:, None])[:, None, :]
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
@@ -76,6 +77,4 @@ def build_chain(hvals, rank_tol):
         bases[:, i, :, : sv.shape[1]] = basis
         ranks[:, i] = rank
         pascal_step(C, perps[:, i], min(i + 1, r))
-    # ranks of the k = 0 layers (the generating subspaces), all steps at once
-    gen_ranks = numerical_rank(np.linalg.svd(kvecs[:, :, 0].swapaxes(-1, -2), compute_uv=False), rank_tol)
-    return pis, perps, bases, ranks, gen_ranks, kvecs, status
+    return pis, perps, bases, ranks, kvecs, status

@@ -18,8 +18,6 @@ from .errors import BadShape, PoleError
 
 # |den(z)| below POLE_TOL * max(1, ||den||) counts as a pole.
 POLE_TOL = 1e-10
-# Root matching tolerance for the optional common-root cleanup pass.
-CLEANUP_TOL = 1e-9
 # Sample points are drawn from the disc |z| <= DISC_RADIUS ...
 DISC_RADIUS = 2.0
 # ... and must keep this distance from every pole of the data.
@@ -97,10 +95,6 @@ class RationalFn:
     def polynomial(cls, coeffs: Iterable[complex]) -> "RationalFn":
         return cls(_as_coeffs(coeffs))
 
-    @classmethod
-    def constant(cls, value: complex) -> "RationalFn":
-        return cls((complex(value),))
-
     @property
     def is_polynomial(self) -> bool:
         return self.den == (1 + 0j,)
@@ -175,32 +169,6 @@ def poles_of(f: RationalFn) -> list[complex]:
         if not any(abs(r - p) <= 1e-5 * max(1.0, abs(r)) for p in out):
             out.append(r)
     return out
-
-
-def cancel_common_roots(f: RationalFn, tol: float = CLEANUP_TOL) -> RationalFn:
-    """Optional cleanup: cancel numerator/denominator roots matching within tol."""
-    if f.is_polynomial or f.is_zero:
-        return f
-    nroots = list(np.roots(list(reversed(f.num)))) if len(f.num) > 1 else []
-    droots = list(np.roots(list(reversed(f.den))))
-    kept_d = []
-    for d in droots:
-        hit = None
-        for i, nr in enumerate(nroots):
-            if abs(nr - d) <= tol * max(1.0, abs(d)):
-                hit = i
-                break
-        if hit is None:
-            kept_d.append(d)
-        else:
-            nroots.pop(hit)
-    if len(kept_d) == len(droots):
-        return f
-    lead_n = f.num[-1]
-    lead_d = f.den[-1]
-    num = _as_coeffs(reversed(np.poly(nroots) * lead_n)) if nroots else (lead_n,)
-    den = _as_coeffs(reversed(np.poly(kept_d) * lead_d)) if kept_d else (lead_d,)
-    return RationalFn(num, den)
 
 
 @dataclass(frozen=True)

@@ -44,29 +44,30 @@ class Span:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, vec: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, vec: np.ndarray) -> bool:
+        # v is in the span when appending it would not raise the numerical rank
         v = np.asarray(vec, dtype=np.complex128)
         resid = v - self.basis @ (self.basis.conj().T @ v)
-        return np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(v))
+        return np.linalg.norm(resid) <= RANK_TOL * max(1.0, np.linalg.norm(v))
 
 
-def numerical_rank(sv: np.ndarray, rank_tol: float, scale: float = 0.0) -> np.ndarray:
+def numerical_rank(sv: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Count singular values (descending, last axis) above
-    rank_tol * max(sigma_max, scale); broadcasts over leading axes."""
-    return np.count_nonzero(sv > rank_tol * np.maximum(sv[..., :1], scale), axis=-1)
+    RANK_TOL * max(sigma_max, scale); broadcasts over leading axes."""
+    return np.count_nonzero(sv > RANK_TOL * np.maximum(sv[..., :1], scale), axis=-1)
 
 
-def _column_span(mat: np.ndarray, rank_tol: float, scale: float) -> Span:
+def _column_span(mat: np.ndarray, scale: float) -> Span:
     if mat.ndim == 1:
         mat = mat[:, None]
     n = mat.shape[0]
     if mat.shape[1] == 0:
         return Span.zero(n)
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    return Span(u[:, : numerical_rank(sv, rank_tol, scale)], n, validate=False)
+    return Span(u[:, : numerical_rank(sv, scale)], n, validate=False)
 
 
-def orthonormal_basis(vectors, rank_tol: float = RANK_TOL) -> Span:
+def orthonormal_basis(vectors) -> Span:
     """Orthonormal basis of the span of the given vectors (SVD rank decision)."""
     if isinstance(vectors, np.ndarray):
         mat = np.asarray(vectors, dtype=np.complex128)
@@ -75,17 +76,17 @@ def orthonormal_basis(vectors, rank_tol: float = RANK_TOL) -> Span:
         if not vecs:
             raise BadShape("cannot infer ambient dimension from no vectors")
         mat = np.column_stack(vecs)
-    return _column_span(mat, rank_tol, 0.0)
+    return _column_span(mat, 0.0)
 
 
-def image_span(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> Span:
+def image_span(matrix: np.ndarray) -> Span:
     """Column span of a matrix whose natural scale is 1 (a product of projections).
 
-    Unlike orthonormal_basis, the cutoff is rank_tol * max(sigma_max, 1), so a
+    Unlike orthonormal_basis, the cutoff is RANK_TOL * max(sigma_max, 1), so a
     noise-only matrix (e.g. the complement of a full projection, entries
     ~1e-16) collapses to the zero span instead of inflating to full rank.
     """
-    return _column_span(np.asarray(matrix, dtype=np.complex128), rank_tol, 1.0)
+    return _column_span(np.asarray(matrix, dtype=np.complex128), 1.0)
 
 
 def projection_pair(s: Span) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +165,6 @@ def span_gap(a: Span, b: Span) -> float:
     return max_principal_angle(a, b) if a.dim == b.dim else float(np.pi / 2)
 
 
-def spans_equal(a: Span, b: Span, tol: float = SPAN_EQ_TOL) -> bool:
-    """Basis-independent equality: equal ranks and all angles below tol."""
-    return span_gap(a, b) < tol
+def spans_equal(a: Span, b: Span) -> bool:
+    """Basis-independent equality: equal ranks and all angles below SPAN_EQ_TOL."""
+    return span_gap(a, b) < SPAN_EQ_TOL

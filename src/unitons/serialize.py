@@ -25,9 +25,9 @@ def _decoder(decode):
     OverflowError; it is malformed input, so raise BadShape."""
 
     @functools.wraps(decode)
-    def checked(obj):
+    def checked(*args):
         try:
-            return decode(obj)
+            return decode(*args)
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadShape(f"malformed JSON: {exc}") from exc
 
@@ -99,6 +99,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _complex_from_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Each finite (re, im) float64 pair on the last axis read as one complex128 entry."""
+    if not np.isfinite(pairs).all():
+        raise BadShape("complex values must be finite")
+    return pairs.view(np.complex128)[..., 0]
+
+
 def _matrices_from_json(objs) -> np.ndarray:
     """Matrix objects of one shape decoded at once into a (len(objs), rows, cols) array."""
     shapes = {tuple(int(x) for x in m["shape"]) for m in objs}
@@ -110,15 +117,24 @@ def _matrices_from_json(objs) -> np.ndarray:
         pairs = pairs.reshape(len(objs), 0, 2)
     if pairs.shape != (len(objs), rows * cols, 2):
         raise BadShape("matrix data must be one [re, im] pair per entry of its shape")
-    if not np.isfinite(pairs).all():
-        raise BadShape("complex values must be finite")
-    # each (re, im) float64 pair read as one complex128 entry, row-major
-    return pairs.view(np.complex128).reshape(len(objs), rows, cols)
+    return _complex_from_pairs(pairs).reshape(len(objs), rows, cols)  # row-major
 
 
 @_decoder
 def matrix_from_json(obj) -> np.ndarray:
     return _matrices_from_json([obj])[0]
+
+
+@_decoder
+def vectors_from_json(obj, n: int) -> np.ndarray:
+    """A non-empty list of C^n vectors, each n [re, im] pairs, decoded at once
+    into the columns of an (n, k) matrix."""
+    if not isinstance(obj, list) or not obj:
+        raise BadShape("expected a non-empty list of vectors")
+    pairs = np.array(obj, np.float64)
+    if pairs.shape != (len(obj), n, 2):
+        raise BadShape(f"each vector must be {n} [re, im] pairs")
+    return _complex_from_pairs(pairs).T
 
 
 def chain_to_json(pis: np.ndarray) -> dict:

@@ -14,7 +14,7 @@ every sample point at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,9 +27,11 @@ from .builder import (
     extended_product,
 )
 from .errors import BadShape
+from .grassmannian import reality_defect
 from .meromorphic import DataArray, random_polynomial_vector
 from .projections import Span, c_rows, image_span, span_gap
 
+FD_STEP = 1e-3  # step h of the 4th-order central differences behind the Wirtinger operators
 DEFAULT_LAMBDAS = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
 
 DEFAULT_TOLERANCES = {
@@ -50,17 +52,6 @@ DEFAULT_TOLERANCES = {
 }
 
 LEMMA_MAX_ELL = 3  # the D_zbar lemma is checked for ell = 1..min(r, LEMMA_MAX_ELL)
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Step of the 4th-order central differences behind the Wirtinger operators."""
-
-    h: float = 1e-3
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise BadShape("step must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,24 +124,24 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def wirtinger(field_sampler: Callable, z: complex, scheme: FDScheme = FDScheme()):
+def wirtinger(field_sampler: Callable, z: complex):
     """(d/dz f, d/dzbar f) of a field by central differences.
 
     The combination is elementwise, so a field returning a stacked array is
     differenced entry by entry exactly as each entry would be alone.
     """
-    return _wirtinger(_evaluate(field_sampler, _stencil(z, scheme.h)[1:]), scheme.h)
+    return _wirtinger(_evaluate(field_sampler, _stencil(z, FD_STEP)[1:]), FD_STEP)
 
 
-def connection_form(map_sampler: Callable, z: complex, scheme: FDScheme = FDScheme()) -> ConnectionFiber:
+def connection_form(map_sampler: Callable, z: complex) -> ConnectionFiber:
     """A_z = (1/2) phi^{-1} d_z phi and A_zbar = (1/2) phi^{-1} d_zbar phi.
 
     A sampler returning a stack (..., n, n) of maps gives the stacked forms.
     """
-    return _connection(_evaluate(map_sampler, _stencil(z, scheme.h)), scheme.h)
+    return _connection(_evaluate(map_sampler, _stencil(z, FD_STEP)), FD_STEP)
 
 
-def harmonicity_residual(source, z, scheme: FDScheme = FDScheme()):
+def harmonicity_residual(source, z):
     """Frobenius norm of d_zbar A_z + [A_zbar, A_z] (zero iff harmonic).
 
     ``source`` is a DataArray or HarmonicMapSampler, whose chains on the
@@ -158,31 +149,31 @@ def harmonicity_residual(source, z, scheme: FDScheme = FDScheme()):
     once per distinct point there; or the maps there, (9, 9) + z.shape +
     (n, n).  z is a point or an array of points; the residual has z's shape.
     """
-    nested = _stencil(_stencil(z, scheme.h), scheme.h)
+    nested = _stencil(_stencil(z, FD_STEP), FD_STEP)
     if isinstance(source, (DataArray, HarmonicMapSampler)):
         chains, phi0 = _on_stencil(source, nested)
         maps = extended_product(chains.pis, chains.perps, -1, phi0)
     else:
         maps = _evaluate(source, nested) if callable(source) else source
-    cf = _connection(maps, scheme.h)  # at each of the 9 centres
-    _, dzb_az = _wirtinger(cf.a_z[1:], scheme.h)
+    cf = _connection(maps, FD_STEP)  # at each of the 9 centres
+    _, dzb_az = _wirtinger(cf.a_z[1:], FD_STEP)
     a_z, a_zbar = cf.a_z[0], cf.a_zbar[0]
     return _scalar(_norms(dzb_az + a_zbar @ a_z - a_z @ a_zbar))
 
 
-def extended_checks(sampler, z, lambdas: Optional[Iterable] = None, scheme: FDScheme = FDScheme()) -> dict:
+def extended_checks(sampler, z) -> dict:
     """Extended-solution equation residual, unitarity defect and Phi_1 defect.
 
-    ``sampler`` is a HarmonicMapSampler or its chains on ``_stencil(z, h)``
+    ``sampler`` is a HarmonicMapSampler or its chains on ``_stencil(z, FD_STEP)``
     (a ChainBatch); each value has the shape of z, a point or an array.
     """
-    chains, _ = _on_stencil(sampler, _stencil(z, scheme.h))
-    lams = np.array((-1, 1, *(DEFAULT_LAMBDAS if lambdas is None else lambdas)), np.complex128)[:, None, None, None]
+    chains, _ = _on_stencil(sampler, _stencil(z, FD_STEP))
+    lams = np.array((-1, 1, *DEFAULT_LAMBDAS), np.complex128)[:, None, None, None]
     eye = np.eye(chains.pis.shape[-1], dtype=np.complex128)
-    # Phi_lambda for lambda = -1, 1, then each of lambdas, at every stencil point
+    # Phi_lambda for lambda = -1, 1, then each of DEFAULT_LAMBDAS, at every stencil point
     ext = extended_product(np.expand_dims(chains.pis, -4), np.expand_dims(chains.perps, -4), lams, eye)
-    cf = _connection(ext[..., 0, :, :], scheme.h)
-    dz, dzb = _wirtinger(ext[1:, ..., 2:, :, :], scheme.h)
+    cf = _connection(ext[..., 0, :, :], FD_STEP)
+    dz, dzb = _wirtinger(ext[1:, ..., 2:, :, :], FD_STEP)
     val, lam = ext[0, ..., 2:, :, :], lams[2:, 0]
     es = (_norms(dz - (1 - 1 / lam) * val @ cf.a_z[..., None, :, :])
           + _norms(dzb - (1 - lam) * val @ cf.a_zbar[..., None, :, :]))
@@ -192,17 +183,11 @@ def extended_checks(sampler, z, lambdas: Optional[Iterable] = None, scheme: FDSc
             "phi1_defect": _scalar(np.abs(ext[0, ..., 1, :, :] - eye).max(axis=(-2, -1)))}
 
 
-def reality_defect(coeffs: np.ndarray) -> float:
-    """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop)."""
-    t0, tr = coeffs[0], coeffs[-1]
-    return float(max(np.abs(t0 @ tr.conj().T).max(), np.abs(tr.conj().T @ t0).max()))
-
-
-def section_identities(data, z, scheme: FDScheme = FDScheme(), seed: int = 0) -> dict:
+def section_identities(data, z, seed: int = 0) -> dict:
     """Residuals of the section identities at the fibers of z.
 
     ``data`` is a DataArray, a HarmonicMapSampler or their chains on
-    ``_stencil(z, h)`` (a ChainBatch, read with phi_0 = I).  Each family is
+    ``_stencil(z, FD_STEP)`` (a ChainBatch, read with phi_0 = I).  Each family is
     one stacked field, differenced once: a list for a point z, an array with
     the residual index last for an array of points.
 
@@ -212,16 +197,15 @@ def section_identities(data, z, scheme: FDScheme = FDScheme(), seed: int = 0) ->
                    for ell <= LEMMA_MAX_ELL
     antibasic:     pi_ell_perp A^{phi_{ell-1}}_z = 0
     """
-    h = scheme.h
-    chains, phi0 = _on_stencil(data, _stencil(z, h))
+    chains, phi0 = _on_stencil(data, _stencil(z, FD_STEP))
     r, J, n = chains.kvecs.shape[-3:]
     kv, perp = chains.kvecs[0][..., None], chains.perps[0]
     # the connections of the prefix maps phi_ell, ell = 0..r, on axis -3
     prefix = [extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1, phi0)
               for ell in range(r + 1)]
-    conn = _connection(np.stack(prefix, axis=-3), h)
+    conn = _connection(np.stack(prefix, axis=-3), FD_STEP)
     a_z, a_zbar = conn.a_z[..., :r, None, None, :, :], conn.a_zbar[..., :r, None, None, :, :]
-    _, dzb_k = _wirtinger(chains.kvecs[1:, ..., None], h)
+    _, dzb_k = _wirtinger(chains.kvecs[1:, ..., None], FD_STEP)
     # K^(k+1)_{i,j}; the table holds zeros above k = i, so this is 0 at k = i
     nxt = np.concatenate([kv[..., 1:, :, :, :], np.zeros_like(kv[..., :1, :, :, :])], axis=-4)
     lower = np.broadcast_to(np.tri(r, dtype=bool)[:, :, None], (r, r, J))  # k <= i, in (i, k, j) order
@@ -236,7 +220,7 @@ def section_identities(data, z, scheme: FDScheme = FDScheme(), seed: int = 0) ->
         # rows s = 0..ell-1: perp_ell C_s H, then rows ell + s: C_{s+1} H
         ch = c_rows(chains.perps[..., : ell - 1, :, :], n, ell) @ h_vals
         field = np.concatenate([chains.perps[..., [ell - 1], :, :] @ ch[..., :-1, :, :], ch[..., 1:, :, :]], axis=-3)
-        _, dzb = _wirtinger(field[1:], h)
+        _, dzb = _wirtinger(field[1:], FD_STEP)
         resid = (dzb[..., :ell, :, :] + conn.a_zbar[..., ell, None, :, :] @ field[0, ..., :ell, :, :]
                  + perp[..., ell - 1, None, :, :] @ dzb[..., ell:, :, :])
         lemma.append(_norms(resid))
@@ -270,8 +254,7 @@ def _fiber_static_checks(sampler: HarmonicMapSampler, cd: ChainBatch) -> dict:
     return out
 
 
-def verification_report(data: DataArray, samples: int = 10, seed: int = 7, scheme: FDScheme = FDScheme(),
-                        tolerances: Optional[dict] = None, lambdas: Optional[Sequence[complex]] = None) -> dict:
+def verification_report(data: DataArray, samples: int = 10, seed: int = 7, tolerances: Optional[dict] = None) -> dict:
     """Run every identity check over generic sample points and report residuals.
 
     The nested stencils of all sample points form one point array, whose
@@ -287,14 +270,14 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, schem
             raise BadShape(f"unknown tolerance names: {sorted(unknown)}")
         tol.update(tolerances)
     sampler = HarmonicMapSampler(data)
-    points = np.array(draw_sample_points(data, samples, seed=seed, stencil_h=scheme.h), np.complex128)
-    batch, index = _chains(data, _stencil(_stencil(points, scheme.h), scheme.h))
+    points = np.array(draw_sample_points(data, samples, seed=seed, stencil_h=FD_STEP), np.complex128)
+    batch, index = _chains(data, _stencil(_stencil(points, FD_STEP), FD_STEP))
     maps, centres = extended_product(batch.pis, batch.perps, -1, sampler.phi0), index[0, 0]
-    ec = extended_checks(batch.take(index[:, 0]), points, lambdas, scheme)
-    sec = section_identities(batch.take(index[:, 0]), points, scheme, seed=seed)
+    ec = extended_checks(batch.take(index[:, 0]), points)
+    sec = section_identities(batch.take(index[:, 0]), points, seed=seed)
     phi = maps[centres]
     residuals = {
-        "harmonicity": harmonicity_residual(maps[index], points, scheme),
+        "harmonicity": harmonicity_residual(maps[index], points),
         "extended_solution": ec["es_residual"],
         "extended_unitarity": ec["unitarity_defect"],
         "phi_one": ec["phi1_defect"],

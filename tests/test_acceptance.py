@@ -42,8 +42,8 @@ from unitons import (
     x_columns_from_data,
 )
 from unitons.cli import main as cli_main
+from unitons.grassmannian import reality_defect
 from unitons.projections import c_rows, image_span, s_rows, span_gap
-from unitons.verifier import reality_defect
 
 P = RationalFn.polynomial
 

@@ -282,6 +282,26 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, mutate):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("q_span", [
+    None,
+    5,
+    [[[1, 0], [0, 0]]],
+    [],
+    [[[1, 0], [0, 0], [0, 0]], [[1, 0]]],
+    [[[float("nan"), 0], [0, 0], [0, 0]]],
+    [[[1, 0], [float("inf"), 0], [0, 0]]],
+], ids=["null", "number", "short-vector", "empty", "ragged", "nan", "inf"])
+def test_malformed_q_span_exits_2(tmp_path, capsys, q_span):
+    # the q-span file is parsed before any sample point: exit 2 with one message
+    data_file, q_file = tmp_path / "d.json", tmp_path / "q.json"
+    serialize.write_json(serialize.data_to_json(random_data(3, 1, 3, sparsity_pattern=(1,), seed=2)), data_file)
+    q_file.write_text(json.dumps(q_span))
+    assert run("grassmann", "--input", data_file, "--samples", 1, "--q-span", q_file) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(BadShape):
+        serialize.vectors_from_json(q_span, 3)
+
+
 def test_derivative_table_overflow_rejected(tmp_path):
     # 1 + 1e100 z decodes, but the first derivative's squared denominator
     # holds 1e200: the table rejects it before any overflow or warning

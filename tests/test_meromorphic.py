@@ -7,7 +7,6 @@ from unitons import (
     MeroVector,
     PoleError,
     RationalFn,
-    cancel_common_roots,
     differentiate,
     eval_rational,
     poles_of,
@@ -126,14 +125,6 @@ def test_poles_multiplicity_collapsed():
     ps = poles_of(f)
     assert len(ps) == 1
     assert abs(ps[0] - 1) < 1e-6
-
-
-def test_cancel_common_roots():
-    # (z-1)(z+2) / (z-1)(z-3) -> (z+2)/(z-3)
-    num = np.convolve([-1, 1], [2, 1])
-    den = np.convolve([-1, 1], [-3, 1])
-    f = cancel_common_roots(RationalFn(tuple(num), tuple(den)))
-    assert rationals_close(f, RationalFn((2, 1), (-3, 1)), tol=1e-9)
 
 
 def test_random_data_r0():

@@ -144,10 +144,10 @@ def test_numerical_rank_broadcasts_over_a_batch():
     mats[3] *= 1e-12
     sv = np.linalg.svd(mats, compute_uv=False)
     for scale in (0.0, 1.0):
-        batch = numerical_rank(sv, 1e-9, scale)
-        assert batch.tolist() == [numerical_rank(s, 1e-9, scale) for s in sv]
-    assert numerical_rank(sv, 1e-9).tolist() == [4, 0, 2, 4, 4, 4]
-    assert numerical_rank(sv, 1e-9, 1.0).tolist() == [4, 0, 2, 0, 4, 4]
+        batch = numerical_rank(sv, scale)
+        assert batch.tolist() == [numerical_rank(s, scale) for s in sv]
+    assert numerical_rank(sv).tolist() == [4, 0, 2, 4, 4, 4]
+    assert numerical_rank(sv, 1.0).tolist() == [4, 0, 2, 0, 4, 4]
 
 
 def test_span_gap_dimension_mismatch():

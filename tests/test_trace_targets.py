@@ -1,9 +1,13 @@
 """Every function the benchmark tracer wraps, and every package name and result
 attribute its workloads read, must exist, so that a rename in the package
-shows up here instead of as a silently missing span or a failed benchmark."""
+shows up here instead of as a silently missing span or a failed benchmark.
+Every call the workloads make into the package must also bind to the current
+signature, so that a removed or renamed parameter shows up here too."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -65,3 +69,38 @@ def test_benchmark_result_attributes():
     assert np.array_equal(sampler.map_at(z), (chain.pis[0] - chain.perps[0]) @ (chain.pis[1] - chain.perps[1]))
     coeffs = sampler.extended_coeffs_at(z)
     assert np.array_equal(coeffs, unitons.extended_coefficients(fib.chain.pis, fib.chain.perps, 3))
+
+
+def _benchmark_calls():
+    # every U.<name>(...) call in the workloads: (line, name, positional count, keyword names)
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        return ".".join(reversed(parts)) if isinstance(node, ast.Name) and node.id == "U" else None
+
+    calls = {}
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Call) and dotted(node.func):
+            assert not any(isinstance(a, ast.Starred) for a in node.args), node.lineno
+            assert all(k.arg is not None for k in node.keywords), node.lineno
+            key = (dotted(node.func), len(node.args), tuple(k.arg for k in node.keywords))
+            calls.setdefault(key, node.lineno)
+    return sorted((line, *key) for key, line in calls.items())
+
+
+def test_benchmark_makes_calls_into_the_package():
+    calls = _benchmark_calls()
+    assert len(calls) >= 20  # the walk still finds the workloads' calls
+    assert any("stencil_h" in keywords for _, _, _, keywords in calls)
+
+
+@pytest.mark.parametrize("call", _benchmark_calls(), ids=lambda c: f"{c[1]}@{c[0]}")
+def test_benchmark_call_binds_to_signature(call):
+    line, path, npos, keywords = call
+    owner = unitons
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    # placeholder values: only the arity and the keyword names are checked
+    inspect.signature(owner).bind(*[None] * npos, **dict.fromkeys(keywords))
