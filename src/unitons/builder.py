@@ -27,7 +27,9 @@ from .meromorphic import (
     differentiate,
     random_polynomial_vector,
 )
-from .projections import Span, orthonormal_basis, projection_pair
+from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis, projection_pair
+
+ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |perp v| > RTOL |v| + ATOL
 
 
 class _Tables(NamedTuple):
@@ -138,20 +140,14 @@ class UnitonFiber:
 def build_fiber(data: DataArray, z: complex) -> UnitonFiber:
     """Build alpha_1..alpha_r at z per the K-vector construction."""
     cd = chain_arrays(data, [z]).at(0)
-    n = data.n
-    alphas = tuple(
-        Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(data.r)
-    )
-    for i in range(data.r):
-        perp = cd.perps[i]
-        for k in range(i + 1):
-            for j in range(data.ncols):
-                v = cd.kvecs[i, k, j]
-                nv = np.linalg.norm(v)
-                if np.linalg.norm(perp @ v) > 1e-9 * nv + 1e-12:
-                    raise DegeneratePoint(
-                        f"K^({k})_{i},{j} escapes alpha_{i + 1} at z={z}"
-                    )
+    alphas = tuple(Span(cd.bases[i][:, : cd.ranks[i]], data.n, validate=False) for i in range(data.r))
+    # |perp_i K^(k)_{i,j}| against |K^(k)_{i,j}| for every (i, k, j) at once; the
+    # table holds zeros above k = i, which never escape
+    escaped = (np.linalg.norm(np.einsum("iab,ikjb->ikja", cd.perps, cd.kvecs), axis=-1)
+               > ESCAPE_RTOL * np.linalg.norm(cd.kvecs, axis=-1) + ESCAPE_ATOL)
+    if escaped.any():
+        i, k, j = np.argwhere(escaped)[0]
+        raise DegeneratePoint(f"K^({k})_{i},{j} escapes alpha_{i + 1} at z={z}")
     return UnitonFiber(complex(z), cd, alphas)
 
 
@@ -167,7 +163,7 @@ class HarmonicMapSampler:
         phi0 = np.asarray(phi0, dtype=np.complex128)
         if phi0.shape != (n, n):
             raise BadShape("phi0 must be n x n")
-        if np.abs(phi0 @ phi0.conj().T - np.eye(n)).max() > 1e-12:
+        if np.abs(phi0 @ phi0.conj().T - np.eye(n)).max() > ORTHONORMAL_TOL:
             raise BadShape("phi0 must be unitary")
         self.phi0 = phi0
 
@@ -215,17 +211,17 @@ def extended_product(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) 
 
 
 def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients T_0..T_r of (pi_1 + lambda pi_1_perp) ... as an (r+1, n, n) array."""
-    r = pis.shape[0]
-    T = np.zeros((r + 1, n, n), np.complex128)
-    T[0] = np.eye(n)
+    """Coefficients T_0..T_r of (pi_1 + lambda pi_1_perp) ... as an (r+1, n, n)
+    array.  The steps run along axis -3; leading axes broadcast, each chain's
+    coefficients bit-identical to its own call."""
+    r = pis.shape[-3]
+    T = np.zeros(pis.shape[:-3] + (r + 1, n, n), np.complex128)
+    T[..., 0, :, :] = np.eye(n)
     for i in range(r):
-        new = np.zeros_like(T)
-        for ell in range(i + 2):
-            new[ell] = T[ell] @ pis[i]
-            if ell > 0:
-                new[ell] += T[ell - 1] @ perps[i]
-        T = new
+        # T_ell <- T_ell pi_i + T_{ell-1} perp_i, all ell at once (T_{i+1} is still 0)
+        pi, perp = pis[..., i, None, :, :], perps[..., i, None, :, :]
+        T[..., 1 : i + 2, :, :] = T[..., 1 : i + 2, :, :] @ pi + T[..., : i + 1, :, :] @ perp
+        T[..., 0, :, :] = T[..., 0, :, :] @ pis[..., i, :, :]
     return T
 
 

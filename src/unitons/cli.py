@@ -31,7 +31,7 @@ from .grassmannian import (
     w_from_loop,
 )
 from .meromorphic import random_data
-from .projections import orthonormal_basis, span_gap
+from .projections import orthonormal_basis, projector_gap
 from .verifier import verification_report
 
 EXIT_OK = 0
@@ -96,24 +96,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
-def _factorize_fiber(loop, n, builder_chain=None):
+def _factorize_fiber(loop, builder_pis=None):
     """The projections of both factorizations of one loop fiber plus their agreement."""
     pis, perps = iwasawa_factorize(w_from_loop(loop))
     ker, _ = kernel_factorize_fiber(loop)
-    eye = np.eye(n, dtype=np.complex128)
-    agree = max(map(_projection_gap, pis, ker), default=0.0)
-    recon = 0.0
-    for lam in np.exp(2j * np.pi * np.arange(8) / 8):
-        prod = extended_product(pis, perps, lam, eye)
-        recon = max(recon, float(np.abs(prod - loop.at(lam)).max()))
-    builder_gap = 0.0
-    if builder_chain is not None:
-        builder_gap = max(map(_projection_gap, pis, builder_chain.pis), default=0.0)
-    return pis, ker, {"chain_agreement": agree, "reconstruction": recon, "builder_agreement": builder_gap}
+    # the loop and its Iwasawa product at the 8th roots of unity, all at once
+    lams = np.exp(2j * np.pi * np.arange(8) / 8)[:, None, None]
+    prod = extended_product(pis, perps, lams[..., None], np.eye(loop.n, dtype=np.complex128))
+    return pis, ker, {
+        "chain_agreement": float(projector_gap(pis, ker).max(initial=0.0)),
+        "reconstruction": float(np.abs(prod - loop.at(lams)).max()),
+        "builder_agreement": 0.0 if builder_pis is None else float(projector_gap(pis, builder_pis).max(initial=0.0)),
+    }
 
 
-def _projection_gap(p1, p2) -> float:
-    return span_gap(orthonormal_basis(p1), orthonormal_basis(p2))
+def _loop_fibers(data, samples, seed):
+    """(z, loop, builder pis) at each drawn sample point, all loops from one coefficient call."""
+    points = draw_sample_points(data, samples, seed=seed)
+    batch = chain_arrays(data, points)
+    coeffs = extended_coefficients(batch.pis, batch.perps, data.n)
+    return [(z, LoopPoly(coeffs[p]), batch.at(p).pis) for p, z in enumerate(points)]
 
 
 def cmd_factorize(args) -> int:
@@ -123,20 +125,14 @@ def cmd_factorize(args) -> int:
     worst = 0.0
     if isinstance(obj, dict) and "columns" in obj:
         data = serialize.data_from_json(obj)
-        points = draw_sample_points(data, args.samples, seed=args.seed)
-        batch = chain_arrays(data, points)
-        fibers = []
-        for p, z in enumerate(points):
-            cd = batch.at(p)
-            fibers.append((z, LoopPoly(extended_coefficients(cd.pis, cd.perps, data.n)), cd))
+        fibers = _loop_fibers(data, args.samples, args.seed)
         full = alpha1_is_full(data, seed=args.seed)
     else:
         fibers = [(z, loop, None) for z, loop in serialize.loop_fibers_from_json(obj)]
         full = None
-    n = fibers[0][1].n if fibers else 0
-    for z, loop, cd in fibers:
+    for z, loop, builder_pis in fibers:
         try:
-            iwa, ker, gaps = _factorize_fiber(loop, n, builder_chain=cd)
+            iwa, ker, gaps = _factorize_fiber(loop, builder_pis)
         except (NonProperUniton, DegreeNoDrop) as exc:
             # well-formed input whose chain is improper at this fiber: a failed check
             print(f"error: kernel factorization of the fiber at z={complex(z)} failed: {exc}", file=sys.stderr)
@@ -168,12 +164,8 @@ def cmd_grassmann(args) -> int:
         q = QInvolution(orthonormal_basis(serialize.vectors_from_json(serialize.read_json(args.q_span), data.n)))
     else:
         q = QInvolution.identity(data.n)
-    points = draw_sample_points(data, args.samples, seed=args.seed)
-    batch = chain_arrays(data, points)
     defects = []
-    for p, z in enumerate(points):
-        cd = batch.at(p)
-        loop = LoopPoly(extended_coefficients(cd.pis, cd.perps, data.n))
+    for z, loop, _ in _loop_fibers(data, args.samples, args.seed):
         res = q_adapted_check(w_from_loop(loop), q)
         defects.append({"z": serialize.encode_complex(z), "defect": res.defect, "adapted": res.adapted})
     report = {

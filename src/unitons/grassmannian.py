@@ -40,20 +40,25 @@ BOUNDARY_TOL = 1e-9   # boundary coefficients must vanish below this when dividi
 TRIM_TOL = 1e-9       # a loop coefficient below this is treated as zero
 REALITY_TOL = 1e-10   # a loop fiber must have T_0 T_r^* and T_r^* T_0 below this
 Q_ADAPTED_TOL = 1e-7  # W is nu_Q-invariant when its largest angle to nu_Q W is below this
+IDENTITY_TOL = 1e-8   # the kernel descent's residual constant term must be within this of I
+NORM_FLOOR = 1e-12    # a shifted W column below this norm counts as zero in the shift defect
 
 
-def loop_at(coeffs: np.ndarray, lam: complex) -> np.ndarray:
-    """sum_t lam^t coeffs[t] for (T, n, n) coefficients."""
-    out = np.zeros(coeffs.shape[1:], np.complex128)
+def loop_at(coeffs: np.ndarray, lam) -> np.ndarray:
+    """sum_t lam^t coeffs[t] for (T, n, n) coefficients; an array lam
+    (..., 1, 1) gives the loop at each of its values."""
+    out = np.zeros(np.shape(lam)[:-2] + coeffs.shape[1:], np.complex128)
     for t in range(coeffs.shape[0]):
         out += lam**t * coeffs[t]
     return out
 
 
-def reality_defect(coeffs: np.ndarray) -> float:
-    """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop)."""
-    t0, tr = coeffs[0], coeffs[-1]
-    return float(max(np.abs(t0 @ tr.conj().T).max(), np.abs(tr.conj().T @ t0).max()))
+def reality_defect(coeffs: np.ndarray):
+    """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop) of coefficients
+    (..., r+1, n, n); leading axes broadcast, bit-identical to each loop's own call."""
+    t0, tr_h = coeffs[..., 0, :, :], coeffs[..., -1, :, :].conj().swapaxes(-1, -2)
+    defect = np.maximum(np.abs(t0 @ tr_h).max(axis=(-2, -1)), np.abs(tr_h @ t0).max(axis=(-2, -1)))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 class LoopPoly:
@@ -82,13 +87,6 @@ class LoopPoly:
             deg -= 1
         return LoopPoly(self.coeffs[: deg + 1])
 
-    def padded(self, degree: int) -> "LoopPoly":
-        if degree < self.degree:
-            raise BadShape("cannot pad below current degree")
-        out = np.zeros((degree + 1, self.n, self.n), np.complex128)
-        out[: self.degree + 1] = self.coeffs
-        return LoopPoly(out)
-
 
 def shift_matrix(r: int, n: int) -> np.ndarray:
     """Multiplication by lambda on C^{rn}: (L_0..L_{r-1}) -> (0, L_0..L_{r-2})."""
@@ -96,16 +94,17 @@ def shift_matrix(r: int, n: int) -> np.ndarray:
 
 
 class WSubspace:
-    """Subspace of H_+/lambda^r H_+ ~ C^{rn}, closed under the lambda shift."""
+    """Subspace of H_+/lambda^r H_+ ~ C^{rn}, closed under the lambda shift:
+    construction raises NotLambdaInvariant otherwise."""
 
-    def __init__(self, r: int, n: int, basis: np.ndarray, validate: bool = True):
+    def __init__(self, r: int, n: int, basis: np.ndarray):
         basis = np.asarray(basis, dtype=np.complex128)
         if basis.shape[0] != r * n:
             raise BadShape("basis rows must equal r*n")
         self.r = r
         self.n = n
         self.basis = basis
-        if validate and self.lambda_defect() > LAMBDA_TOL:
+        if self.lambda_defect() > LAMBDA_TOL:
             raise NotLambdaInvariant(
                 f"shift-invariance defect {self.lambda_defect():.2e} exceeds {LAMBDA_TOL:.0e}"
             )
@@ -125,7 +124,7 @@ class WSubspace:
         shifted = shift_matrix(self.r, self.n) @ self.basis
         resid = shifted - self.basis @ (self.basis.conj().T @ shifted)
         norms = np.linalg.norm(shifted, axis=0)
-        keep = norms > 1e-12
+        keep = norms > NORM_FLOOR
         return float(np.max(np.linalg.norm(resid, axis=0)[keep] / norms[keep], initial=0.0))
 
     def block(self, s: int) -> np.ndarray:
@@ -176,10 +175,9 @@ def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace
 
 
 def w_from_loop(loop: LoopPoly) -> WSubspace:
-    """W = Phi(H_+) mod lambda^r H_+, from the coefficient vectors of Phi lambda^k e_j."""
+    """W = Phi(H_+) mod lambda^r H_+, from the coefficient vectors of Phi lambda^k e_j;
+    a degree-0 loop gives W = H_+, the zero subspace of C^0."""
     r, n = loop.degree, loop.n
-    if r == 0:
-        raise BadShape("degree-0 loop: W is all of H_+, not representable here")
     # column k n + j is Phi lambda^k e_j: block m holds column j of T_{m-k}
     vecs = np.zeros((r * n, r * n), np.complex128)
     for k in range(r):
@@ -197,8 +195,6 @@ def iwasawa_factorize(w: WSubspace) -> tuple[np.ndarray, np.ndarray]:
     Returns the chain (pis, perps), each (r, n, n).  Non-proper steps (alpha_i
     zero or full) yield +-I factors and show in the ranks rather than raise.
     """
-    if w.lambda_defect() > LAMBDA_TOL:
-        raise NotLambdaInvariant("W is not closed under the lambda shift")
     r, n = w.r, w.n
     pis = np.zeros((r, n, n), np.complex128)
     perps = np.zeros_like(pis)
@@ -219,7 +215,7 @@ def kernel_factorize_fiber(loop: LoopPoly) -> tuple[np.ndarray, np.ndarray]:
     T = [loop.coeffs[i].copy() for i in range(r + 1)]
     if np.abs(T[0]).max() <= TRIM_TOL or np.abs(T[r]).max() <= TRIM_TOL:
         raise DegreeNoDrop("loop must have non-zero constant and top coefficients")
-    if reality_defect(loop.coeffs) > REALITY_TOL:
+    if r > 0 and reality_defect(loop.coeffs) > REALITY_TOL:
         raise DegreeNoDrop("reality condition T_0 T_r^* = 0 fails; not an extended-solution fiber")
     pis = np.zeros((r, n, n), np.complex128)
     perps = np.zeros_like(pis)
@@ -240,7 +236,7 @@ def kernel_factorize_fiber(loop: LoopPoly) -> tuple[np.ndarray, np.ndarray]:
             )
         T = [T[ell] @ pi + T[ell + 1] @ perp for ell in range(i)]
         pis[i - 1], perps[i - 1] = pi, perp
-    if np.abs(T[0] - eye).max() > 1e-8:
+    if np.abs(T[0] - eye).max() > IDENTITY_TOL:
         raise DegreeNoDrop("residual constant term is not the identity")
     return pis, perps
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .meromorphic import POLE_TOL
-from .projections import RANK_TOL, numerical_rank, pascal_step
+from .projections import RANK_TOL, masked_basis, pascal_step
 
 BACKEND = "numpy"
 
@@ -67,11 +67,9 @@ def build_chain(hvals):
             kvecs[:, i, k] = np.einsum("psab,psjb->pja", C[:, k : i + 1], hvals[:, k, : i + 1 - k])
         # columns ordered k-major: column k * J + j is K^(k)_{i,j}
         cols = kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2)
-        u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = numerical_rank(sv)
+        basis, sv, rank = masked_basis(cols)
         thr = RANK_TOL * sv[:, :1]
         status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
-        basis = u * (np.arange(sv.shape[1]) < rank[:, None])[:, None, :]
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
         perps[:, i] = eye - pis[:, i]
         bases[:, i, :, : sv.shape[1]] = basis

@@ -27,6 +27,11 @@ MAX_SAMPLE_TRIES = 100
 # Decoded coefficients above this magnitude are rejected: their values on the
 # sample disc, and the squared norms the SVD forms from them, would overflow.
 MAX_COEFFICIENT = 1e150
+# Denominator roots within ROOT_MERGE_TOL * max(1, |root|) are one pole (an
+# m-fold root splits by ~eps^(1/m), so this collapses up to triple roots) ...
+ROOT_MERGE_TOL = 1e-5
+# ... and poles of different entries within POLE_MERGE_TOL are one pole of the data.
+POLE_MERGE_TOL = 1e-8
 
 _COEFF_RANGE = 4  # random coefficients are Gaussian integers in [-4, 4]^2
 
@@ -164,9 +169,7 @@ def poles_of(f: RationalFn) -> list[complex]:
     out: list[complex] = []
     for root in roots:
         r = complex(root)
-        # multiple roots split by ~eps^(1/m) under the companion method;
-        # 1e-5 collapses up to triple roots at desk scale
-        if not any(abs(r - p) <= 1e-5 * max(1.0, abs(r)) for p in out):
+        if not any(abs(r - p) <= ROOT_MERGE_TOL * max(1.0, abs(r)) for p in out):
             out.append(r)
     return out
 
@@ -314,6 +317,6 @@ def data_poles(columns: Sequence[Column]) -> list[complex]:
         for vec in col:
             for f in vec.entries:
                 for p in poles_of(f):
-                    if not any(abs(p - q) <= 1e-8 for q in out):
+                    if not any(abs(p - q) <= POLE_MERGE_TOL for q in out):
                         out.append(p)
     return out

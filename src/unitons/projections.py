@@ -1,5 +1,6 @@
 """Pointwise subspace linear algebra: spans, projection pairs, the C and S
-operator calculus, and principal-angle comparison."""
+operator calculus, and subspace comparison by projector gaps and principal
+angles."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from .errors import BadShape
 
 RANK_TOL = 1e-9     # relative singular-value cutoff for numerical rank
 SPAN_EQ_TOL = 1e-8  # spans are equal when ranks match and all angles are below this
+ORTHONORMAL_TOL = 1e-12  # largest entry of B* B - I for orthonormal columns (and U U* - I for unitary U)
 
 
 class Span:
@@ -27,7 +29,7 @@ class Span:
             raise BadShape("basis rows must match ambient dimension")
         if validate and basis.shape[1] > 0:
             gram = basis.conj().T @ basis
-            if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-12:
+            if np.abs(gram - np.eye(basis.shape[1])).max() > ORTHONORMAL_TOL:
                 raise BadShape("basis columns are not orthonormal")
         self.ambient_dim = n
         self.basis = basis
@@ -57,14 +59,20 @@ def numerical_rank(sv: np.ndarray, scale: float = 0.0) -> np.ndarray:
     return np.count_nonzero(sv > RANK_TOL * np.maximum(sv[..., :1], scale), axis=-1)
 
 
+def masked_basis(mat: np.ndarray, scale: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, sv, rank) of the SVD of each matrix of a stack (..., n, m), with the
+    columns of u past the numerical rank zeroed, so u u* is the projector onto
+    the column span even where the ranks within the stack differ."""
+    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
+    rank = numerical_rank(sv, scale)
+    return u * (np.arange(sv.shape[-1]) < rank[..., None])[..., None, :], sv, rank
+
+
 def _column_span(mat: np.ndarray, scale: float) -> Span:
     if mat.ndim == 1:
         mat = mat[:, None]
-    n = mat.shape[0]
-    if mat.shape[1] == 0:
-        return Span.zero(n)
-    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    return Span(u[:, : numerical_rank(sv, scale)], n, validate=False)
+    u, _, rank = masked_basis(mat, scale)
+    return Span(u[:, :rank], mat.shape[0], validate=False)
 
 
 def orthonormal_basis(vectors) -> Span:
@@ -146,13 +154,7 @@ def principal_angles(a: Span, b: Span) -> np.ndarray:
     resid = b.basis - a.basis @ cross
     sinv = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
     sinv = sinv[-m:][::-1]  # ascending, aligned with ascending angles
-    angles = np.empty(m)
-    for k in range(m):
-        if cosv[k] ** 2 <= 0.5:
-            angles[k] = np.arccos(cosv[k])
-        else:
-            angles[k] = np.arcsin(sinv[k])
-    return angles
+    return np.array([np.arccos(c) if c**2 <= 0.5 else np.arcsin(s) for c, s in zip(cosv, sinv)])
 
 
 def max_principal_angle(a: Span, b: Span) -> float:
@@ -160,9 +162,18 @@ def max_principal_angle(a: Span, b: Span) -> float:
     return float(ang[-1]) if ang.size else 0.0
 
 
+def projector_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Largest principal angle between the images of orthogonal projectors p
+    and q (..., n, n): arcsin ||p - q||_2 where their rounded traces (ranks)
+    agree, pi/2 where they do not.  Leading axes broadcast."""
+    sin = np.minimum(1.0, np.linalg.svd(p - q, compute_uv=False).max(axis=-1, initial=0.0))
+    ranks = [np.rint(np.trace(m, axis1=-2, axis2=-1).real) for m in (p, q)]
+    return np.where(ranks[0] == ranks[1], np.arcsin(sin), np.pi / 2)
+
+
 def span_gap(a: Span, b: Span) -> float:
     """Largest principal angle, or pi/2 when the dimensions differ."""
-    return max_principal_angle(a, b) if a.dim == b.dim else float(np.pi / 2)
+    return float(projector_gap(*(s.basis @ s.basis.conj().T for s in (a, b))))
 
 
 def spans_equal(a: Span, b: Span) -> bool:

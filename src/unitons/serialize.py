@@ -18,6 +18,8 @@ from .errors import BadShape
 from .grassmannian import LoopPoly
 from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn
 
+PROJECTOR_TOL = 1e-11  # a decoded projection must be Hermitian and idempotent to this
+
 
 def _decoder(decode):
     """JSON of the wrong type (null, a number, an array where an object
@@ -157,7 +159,7 @@ def chain_from_json(obj) -> tuple[np.ndarray, np.ndarray]:
         raise BadShape("projections must be n x n")
     # a Hermitian idempotent pi makes I - pi one too, and the pair sums to I
     idem = np.abs(pis @ pis - pis).max(initial=0.0)
-    if max(idem, np.abs(pis - pis.conj().swapaxes(-1, -2)).max(initial=0.0)) > 1e-11:
+    if max(idem, np.abs(pis - pis.conj().swapaxes(-1, -2)).max(initial=0.0)) > PROJECTOR_TOL:
         raise BadShape("not a Hermitian idempotent")
     return pis, np.eye(n, dtype=np.complex128) - pis
 

@@ -29,7 +29,7 @@ from .builder import (
 from .errors import BadShape
 from .grassmannian import reality_defect
 from .meromorphic import DataArray, random_polynomial_vector
-from .projections import Span, c_rows, image_span, span_gap
+from .projections import c_rows, masked_basis, projector_gap
 
 FD_STEP = 1e-3  # step h of the 4th-order central differences behind the Wirtinger operators
 DEFAULT_LAMBDAS = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
@@ -231,35 +231,38 @@ def section_identities(data, z, seed: int = 0) -> dict:
     return {**out, **maxima}
 
 
-def _fiber_static_checks(sampler: HarmonicMapSampler, cd: ChainBatch) -> dict:
-    """Pointwise (non-differential) identities: covering, surjectivity, reality."""
-    n, r = sampler.n, sampler.r
-    out = dict.fromkeys(("covering", "perp_surjectivity", "alpha1_image", "reality", "top_coefficient"), 0.0)
+def _static_checks(chains: ChainBatch) -> dict:
+    """The pointwise identities at every point of a chain stack (S, r, n, n),
+    as products of its projectors: pi_{ell-1} maps alpha_ell onto alpha_{ell-1}
+    (covering), pi_ell_perp ... pi_1_perp is onto alpha_ell_perp, pi_1 ... pi_ell
+    has image alpha_1, T_0 T_r^* = 0 and T_r^* = pi_r_perp ... pi_1_perp."""
+    pis, perps = chains.pis, chains.perps
+    (S, r), n = pis.shape[:2], pis.shape[-1]
     if r == 0:
-        return out
-    spans = [Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(r)]
-    for ell in range(2, r + 1):
-        moved = image_span(cd.pis[ell - 2] @ spans[ell - 1].basis)
-        out["covering"] = max(out["covering"], span_gap(moved, spans[ell - 2]))
-    prod_perp = prod_pi = np.eye(n, dtype=np.complex128)
+        return dict.fromkeys(("covering", "perp_surjectivity", "alpha1_image", "reality", "top_coefficient"), np.zeros(S))
+    prod_perp, prod_pi = [np.eye(n, dtype=np.complex128)], [np.eye(n, dtype=np.complex128)]
     for t in range(r):
-        prod_perp = cd.perps[t] @ prod_perp  # pi_ell_perp ... pi_1_perp, onto alpha_ell_perp
-        surjectivity = span_gap(image_span(prod_perp), image_span(cd.perps[t]))
-        out["perp_surjectivity"] = max(out["perp_surjectivity"], surjectivity)
-        prod_pi = prod_pi @ cd.pis[t]  # pi_1 ... pi_ell, onto alpha_1
-        out["alpha1_image"] = max(out["alpha1_image"], span_gap(image_span(prod_pi), spans[0]))
-    T = extended_coefficients(cd.pis, cd.perps, n)
-    out["reality"] = reality_defect(T)
-    out["top_coefficient"] = float(np.abs(T[r].conj().T - prod_perp).max())
-    return out
+        prod_perp.append(perps[:, t] @ prod_perp[-1])
+        prod_pi.append(prod_pi[-1] @ pis[:, t])
+    # the image projectors of all products from one SVD, at the unit scale of a projector product
+    u, _, _ = masked_basis(np.concatenate([pis[:, :-1] @ pis[:, 1:], np.stack(prod_perp[1:], 1),
+                                           np.stack(prod_pi[1:], 1)], axis=1), 1.0)
+    targets = np.concatenate([pis[:, :-1], perps, np.broadcast_to(pis[:, :1], pis.shape)], axis=1)
+    gaps = projector_gap(u @ u.conj().swapaxes(-1, -2), targets)
+    T = extended_coefficients(pis, perps, n)
+    return {"covering": gaps[:, : r - 1].max(axis=1, initial=0.0),
+            "perp_surjectivity": gaps[:, r - 1 : 2 * r - 1].max(axis=1),
+            "alpha1_image": gaps[:, 2 * r - 1 :].max(axis=1),
+            "reality": reality_defect(T),
+            "top_coefficient": np.abs(T[:, r].conj().swapaxes(-1, -2) - prod_perp[-1]).max(axis=(-2, -1))}
 
 
 def verification_report(data: DataArray, samples: int = 10, seed: int = 7, tolerances: Optional[dict] = None) -> dict:
     """Run every identity check over generic sample points and report residuals.
 
     The nested stencils of all sample points form one point array, whose
-    distinct points' chains come from one kernel call; every check then
-    evaluates all sample points at once.
+    distinct points' chains come from one kernel call; every check, the
+    pointwise ones included, then evaluates all sample points at once.
     """
     if samples < 1:
         raise BadShape("samples must be >= 1: no sample point is no evidence")
@@ -269,10 +272,9 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         if unknown:
             raise BadShape(f"unknown tolerance names: {sorted(unknown)}")
         tol.update(tolerances)
-    sampler = HarmonicMapSampler(data)
     points = np.array(draw_sample_points(data, samples, seed=seed, stencil_h=FD_STEP), np.complex128)
     batch, index = _chains(data, _stencil(_stencil(points, FD_STEP), FD_STEP))
-    maps, centres = extended_product(batch.pis, batch.perps, -1, sampler.phi0), index[0, 0]
+    maps, centres = extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128)), index[0, 0]
     ec = extended_checks(batch.take(index[:, 0]), points)
     sec = section_identities(batch.take(index[:, 0]), points, seed=seed)
     phi = maps[centres]
@@ -287,8 +289,7 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         "dzbar_lemma": sec["max_dzbar_lemma"],
         "antibasic": sec["max_antibasic"],
     }
-    static = [_fiber_static_checks(sampler, batch.at(p)) for p in centres.tolist()]
-    residuals.update({name: [stat[name] for stat in static] for name in static[0]})
+    residuals.update(_static_checks(batch.take(centres)))
     worst = {name: float(np.max(residuals[name])) for name in tol}
     checks = [{"name": k, "max_residual": v, "tolerance": tol[k], "pass": bool(v <= tol[k])} for k, v in worst.items()]
     ranks = batch.ranks[centres]

@@ -1,8 +1,10 @@
 """Independent test oracles: exponential word enumeration, DFT coefficient
 extraction and finite differences.  Nothing here shares code with the
 recursions under test; the per-point verification oracle takes its chains
-from single-point builds and its static checks from the verifier."""
+from single-point builds and checks the pointwise identities with spans and
+principal angles, not with the verifier's projector products."""
 
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -104,15 +106,47 @@ def _pascal_rows(perps, n, smax):
     return rows
 
 
+def static_residuals(chain, n):
+    """The pointwise identities at one chain, as they read on subspaces: the
+    image spans of pi_{ell-1} alpha_ell, of pi_ell_perp ... pi_1_perp and of
+    pi_1 ... pi_ell, compared by principal angles with alpha_{ell-1},
+    alpha_ell_perp and alpha_1 (pi/2 on a dimension mismatch); reality and
+    the top coefficient from the end coefficients pi_1 ... pi_r and
+    pi_1_perp ... pi_r_perp of the extended solution."""
+    from unitons import Span, image_span, max_principal_angle
+
+    def gap(a, b):
+        return max_principal_angle(a, b) if a.dim == b.dim else np.pi / 2
+
+    r = len(chain.pis)
+    out = dict.fromkeys(("covering", "perp_surjectivity", "alpha1_image", "reality", "top_coefficient"), 0.0)
+    if r == 0:
+        return out
+    spans = [Span(chain.bases[i][:, : chain.ranks[i]], n, validate=False) for i in range(r)]
+    for ell in range(2, r + 1):
+        moved = image_span(chain.pis[ell - 2] @ spans[ell - 1].basis)
+        out["covering"] = max(out["covering"], gap(moved, spans[ell - 2]))
+    prod_perp = prod_pi = np.eye(n, dtype=complex)
+    for t in range(r):
+        prod_perp = chain.perps[t] @ prod_perp
+        out["perp_surjectivity"] = max(out["perp_surjectivity"], gap(image_span(prod_perp), image_span(chain.perps[t])))
+        prod_pi = prod_pi @ chain.pis[t]
+        out["alpha1_image"] = max(out["alpha1_image"], gap(image_span(prod_pi), spans[0]))
+    t0, tr_h = prod_pi, reduce(np.matmul, chain.perps, np.eye(n, dtype=complex)).conj().T
+    out["reality"] = max(np.abs(t0 @ tr_h).max(), np.abs(tr_h @ t0).max())
+    out["top_coefficient"] = np.abs(tr_h - prod_perp).max()
+    return out
+
+
 def verification_residuals(data, samples, seed, h=1e-3):
     """The worst residual of every verify check, evaluated point by point as
     the identities read: one closure per field and entry, differenced on its
     own; each sample point's nested-stencil maps are held in a dict (41
     maps).  Chains come from single-point builds; the pointwise static checks
-    are the verifier's own."""
+    are ``static_residuals``."""
     from unitons import HarmonicMapSampler, draw_sample_points
     from unitons.meromorphic import random_polynomial_vector
-    from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL, _fiber_static_checks
+    from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL
 
     sampler = HarmonicMapSampler(data)
     n, r, J = data.n, data.r, data.ncols
@@ -150,7 +184,7 @@ def verification_residuals(data, samples, seed, h=1e-3):
             note("extended_unitarity", np.abs(val @ val.conj().T - eye).max())
         note("phi_one", np.abs(_product(chain(z).pis, chain(z).perps, 1.0, n) - eye).max())
         note("map_unitarity", np.abs(phi(z) @ phi(z).conj().T - eye).max())
-        for name, value in _fiber_static_checks(sampler, chain(z)).items():
+        for name, value in static_residuals(chain(z), n).items():
             note(name, value)
         center = chain(z)
         conn = [_connection(lambda w, e=ell: _product(chain(w).pis[:e], chain(w).perps[:e], -1, n), z, h)

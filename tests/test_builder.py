@@ -24,7 +24,8 @@ from unitons import (
     s1_invariant_data,
     spans_equal,
 )
-from unitons.builder import chain_arrays, extended_product
+from unitons.builder import chain_arrays, extended_coefficients, extended_product
+from unitons.grassmannian import reality_defect
 from unitons.meromorphic import shifted_column
 
 P = RationalFn.polynomial
@@ -362,3 +363,31 @@ def test_extended_product_broadcasts_bit_for_bit():
             assert np.array_equal(got[p, q], extended_product(batch.pis[p], batch.perps[p], lam, eye))
     r0 = chain_arrays(random_data(3, 0, 2, seed=0), [0.1, 0.2])
     assert np.array_equal(extended_product(r0.pis, r0.perps, -1, np.eye(3)), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+def test_extended_coefficients_and_reality_broadcast_bit_for_bit():
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2)
+    batch = chain_arrays(data, draw_sample_points(data, 4, seed=3))
+    stacked = extended_coefficients(batch.pis, batch.perps, 5)
+    assert stacked.shape == (4, 5, 5, 5)
+    real = reality_defect(stacked)
+    for p in range(4):
+        single = extended_coefficients(batch.pis[p], batch.perps[p], 5)
+        assert stacked[p].tobytes() == single.tobytes()
+        assert real[p].tobytes() == np.float64(reality_defect(single)).tobytes()
+    # a stack of stacks, and r = 0
+    twice = extended_coefficients(np.stack([batch.pis] * 2), np.stack([batch.perps] * 2), 5)
+    assert twice.tobytes() == np.stack([stacked] * 2).tobytes()
+    r0 = chain_arrays(random_data(3, 0, 2, seed=0), [0.1, 0.2])
+    assert np.array_equal(extended_coefficients(r0.pis, r0.perps, 3), np.broadcast_to(np.eye(3), (2, 1, 3, 3)))
+
+
+def test_build_fiber_names_the_first_escaping_k_vector(monkeypatch):
+    from unitons import builder
+
+    data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=5)
+    z = draw_sample_points(data, 1, seed=6)[0]
+    assert build_fiber(data, z).chain.ranks.tolist() == [1, 3]
+    monkeypatch.setattr(builder, "ESCAPE_ATOL", -1.0)  # every K-vector escapes
+    with pytest.raises(DegeneratePoint, match=r"K\^\(0\)_0,0 escapes alpha_1"):
+        build_fiber(data, z)

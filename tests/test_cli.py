@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unitons import BadShape, random_data, s1_invariant_data, serialize, w_from_x, x_columns_from_data
+from unitons import BadShape, LoopPoly, random_data, s1_invariant_data, serialize, w_from_x, x_columns_from_data
 from unitons.cli import main
 from unitons.meromorphic import DataArray, MeroVector, RationalFn
 
@@ -46,6 +46,29 @@ def test_verify_r0_passes(tmp_path):
     assert rep["passed"]
     harm = next(c for c in rep["checks"] if c["name"] == "harmonicity")
     assert harm["max_residual"] <= 1e-12
+
+
+def test_factorize_and_grassmann_r0(tmp_path):
+    # the trivial loop: W = H_+ is the zero subspace of C^0 and both chains are empty
+    data_file, out = tmp_path / "r0.json", tmp_path / "out.json"
+    run("generate", "--n", 3, "--r", 0, "--seed", 11, "--output", data_file)
+    assert run("factorize", "--input", data_file, "--samples", 2, "--output", out) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] and rep["max_gap"] == 0.0 and len(rep["fibers"]) == 2
+    for fib in rep["fibers"]:
+        assert fib["iwasawa"] == fib["kernel"] == {"n": 3, "r": 0, "ranks": [], "projections": []}
+    assert run("grassmann", "--input", data_file, "--samples", 2, "--output", out) == 0
+    rep = json.loads(out.read_text())
+    assert rep["adapted"] and rep["max_defect"] == 0.0
+
+
+def test_factorize_rejects_a_non_identity_constant_loop(tmp_path, capsys):
+    # degree 0 skips the reality condition, but T_0 must still be I
+    loops = tmp_path / "loops.json"
+    constant = np.diag([1.0, 1j])[None]
+    serialize.write_json(serialize.loop_fibers_to_json(2, 0, [(0.1, LoopPoly(constant))]), loops)
+    assert run("factorize", "--input", loops) == 4
+    assert "not the identity" in capsys.readouterr().err
 
 
 def test_verify_rejects_zero_columns(tmp_path):

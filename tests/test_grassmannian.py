@@ -101,7 +101,9 @@ def test_w_from_x_r1_is_fiber():
 
 
 def test_w_from_loop_identity_padded():
-    w = w_from_loop(LoopPoly(np.eye(2, dtype=np.complex128)[None, :, :]).padded(2))
+    coeffs = np.zeros((3, 2, 2), np.complex128)
+    coeffs[0] = np.eye(2)  # the identity as a degree-2 loop
+    w = w_from_loop(LoopPoly(coeffs))
     assert w.dim == 4  # all of H_+ / lambda^2 H_+
 
 
@@ -168,13 +170,11 @@ def test_iwasawa_trivial_cases():
 
 
 def test_iwasawa_rejects_non_invariant():
-    basis = np.zeros((4, 1), dtype=complex)
-    basis[2, 0] = 1.0  # span{(0, e1)}: shift-invariant? shift -> 0, fine...
-    # a genuinely non-invariant one: span{(e1, e2-ish mix)}
+    # span{(e1, e2)} / sqrt 2 is not closed under the shift: no WSubspace holds
+    # it, so it never reaches the factorization
     basis = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex) / np.sqrt(2)
-    w = WSubspace(2, 2, basis, validate=False)
     with pytest.raises(NotLambdaInvariant):
-        iwasawa_factorize(w)
+        iwasawa_factorize(WSubspace(2, 2, basis))
 
 
 def test_kernel_factorize_single_uniton():

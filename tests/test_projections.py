@@ -13,7 +13,7 @@ from unitons import (
     projection_pair,
     spans_equal,
 )
-from unitons.projections import c_rows, numerical_rank, s_rows, span_gap
+from unitons.projections import c_rows, masked_basis, numerical_rank, projector_gap, s_rows, span_gap
 
 from oracles import c_words, product_inverse_coeff, random_chain, s_words
 
@@ -154,6 +154,19 @@ def test_span_gap_dimension_mismatch():
     a = orthonormal_basis(np.eye(3)[:, :1])
     assert span_gap(a, orthonormal_basis(np.eye(3)[:, :2])) == pytest.approx(np.pi / 2)
     assert span_gap(a, a) <= 1e-15
+    assert span_gap(Span.zero(0), Span.zero(0)) == 0.0  # W = H_+ of a degree-0 loop lives in C^0
+
+
+def test_masked_basis_projects_onto_each_column_span():
+    rng = np.random.default_rng(13)
+    mats = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+    mats[1] = 0.0
+    mats[2, :, 2] = mats[2, :, 0]  # rank 2
+    u, sv, rank = masked_basis(mats)
+    assert rank.tolist() == [3, 0, 2, 3, 3] and sv.shape == (5, 3)
+    for p in range(5):
+        span = orthonormal_basis(mats[p])
+        assert np.array_equal(u[p, :, : rank[p]], span.basis) and not u[p, :, rank[p] :].any()
 
 
 def test_spans_equal():
@@ -172,6 +185,38 @@ def test_span_validation():
     s = Span(np.array([[1.0], [0.0]]))
     assert s.contains(np.array([2.0, 0.0]))
     assert not s.contains(np.array([0.0, 1.0]))
+
+
+def _random_span(rng, n, k):
+    return orthonormal_basis(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+
+
+def _projector(span):
+    return span.basis @ span.basis.conj().T
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_projector_gap_is_the_largest_principal_angle(n, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n))
+    a, b = _random_span(rng, n, k), _random_span(rng, n, k)
+    # and a nearby subspace, to probe small angles
+    near = orthonormal_basis(a.basis + 10.0 ** -rng.integers(3, 12) * rng.standard_normal((n, k)))
+    for other in (b, near):
+        gap = projector_gap(_projector(a), _projector(other))
+        assert abs(np.sin(gap) - np.sin(max_principal_angle(a, other))) <= 1e-12
+        assert span_gap(a, other) == gap
+    assert projector_gap(_projector(a), _projector(_random_span(rng, n, k + 1))) == np.pi / 2
+
+
+def test_projector_gap_broadcasts_over_a_stack():
+    rng = np.random.default_rng(14)
+    pis = np.array([random_chain(rng, 4, 3)[0] for _ in range(5)])  # (5, 3, 4, 4)
+    stacked = projector_gap(pis[:, :-1], pis[:, 1:])
+    assert stacked.shape == (5, 2)
+    pairs = [[projector_gap(pis[p, i], pis[p, i + 1]) for i in range(2)] for p in range(5)]
+    assert np.abs(stacked - pairs).max() <= 1e-15
+    assert np.abs(projector_gap(pis, pis[0, 0]) - [[projector_gap(q, pis[0, 0]) for q in c] for c in pis]).max() <= 1e-15
 
 
 chains = st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -21,10 +21,10 @@ from unitons import (
 )
 from unitons import builder, kernels, verifier
 from unitons.meromorphic import random_polynomial_vector
-from unitons.projections import c_rows
+from unitons.projections import c_rows, masked_basis
 from unitons.verifier import DEFAULT_TOLERANCES, LEMMA_MAX_ELL
 
-from oracles import verification_residuals
+from oracles import random_chain, static_residuals, verification_residuals
 
 
 def test_wirtinger_holomorphic_monomial():
@@ -286,7 +286,56 @@ def test_verify_builds_the_nested_stencils_in_one_call(monkeypatch):
     assert verifier.verification_report(data, samples=samples, seed=5)["passed"]
     assert calls["draw_build_chain"] >= 1
     assert calls["build_chain"] - calls["draw_build_chain"] == 1
-    # r + 3 Cartan products and one chain read per point, however large the stencil
+    # r + 3 Cartan products however large the stencil, and no per-point chain read
     assert calls["extended_product"] <= 3 * samples
-    assert calls["at"] <= samples
+    assert calls["at"] == 0
     assert calls["harmonicity_residual"] == calls["extended_checks"] == calls["section_identities"] == 1
+
+
+def test_static_stage_svd_count_is_independent_of_samples(monkeypatch):
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    svds, static = Counter(), verifier._static_checks
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svds["all"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_static(chains):
+        before = svds["all"]
+        out = static(chains)
+        svds[len(chains.zs)] += svds["all"] - before
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(verifier, "_static_checks", counted_static)
+    for samples in (1, 5):
+        verification_report(data, samples=samples, seed=5)
+    assert svds[1] == svds[5] >= 1
+
+
+def _chain_stack(chains):
+    """A ChainBatch of the given (pis, perps) chains, their alphas from masked SVD bases."""
+    pis = np.array([c[0] for c in chains], np.complex128)
+    perps = np.array([c[1] for c in chains], np.complex128)
+    bases, _, ranks = masked_basis(pis)
+    S, r, n = pis.shape[:3]
+    flags = np.zeros(S, bool)
+    return builder.ChainBatch(np.zeros(S, complex), pis, perps, bases, ranks, np.zeros((S, r, r, 0, n)), flags, flags)
+
+
+def test_static_checks_flag_broken_chains_as_the_per_point_reference_does():
+    # random projections are no uniton chain: their steps are not nested
+    rng = np.random.default_rng(21)
+    batch = _chain_stack([random_chain(rng, 5, 3) for _ in range(8)])
+    stacked = verifier._static_checks(batch)
+    for p in range(8):
+        reference = static_residuals(batch.take(p), 5)
+        for name, value in reference.items():
+            assert abs(stacked[name][p] - value) <= 1e-12, name
+    for name in ("covering", "perp_surjectivity", "alpha1_image"):
+        assert stacked[name].max() > DEFAULT_TOLERANCES[name], name
+    # T_0 T_r^* = 0 and T_r^* = pi_r_perp ... pi_1_perp hold for any projections
+    for name in ("reality", "top_coefficient"):
+        assert stacked[name].max() <= DEFAULT_TOLERANCES[name], name
+
