@@ -140,7 +140,10 @@ class UnitonFiber:
 def build_fiber(data: DataArray, z: complex) -> UnitonFiber:
     """Build alpha_1..alpha_r at z per the K-vector construction."""
     cd = chain_arrays(data, [z]).at(0)
-    alphas = tuple(Span(cd.bases[i][:, : cd.ranks[i]], data.n, validate=False) for i in range(data.r))
+    n = data.n
+    alphas = tuple(
+        Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(data.r)
+    )
     # |perp_i K^(k)_{i,j}| against |K^(k)_{i,j}| for every (i, k, j) at once; the
     # table holds zeros above k = i, which never escape
     escaped = (np.linalg.norm(np.einsum("iab,ikjb->ikja", cd.perps, cd.kvecs), axis=-1)

@@ -53,12 +53,11 @@ def loop_at(coeffs: np.ndarray, lam) -> np.ndarray:
     return out
 
 
-def reality_defect(coeffs: np.ndarray):
+def reality_defect(coeffs: np.ndarray) -> np.ndarray:
     """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop) of coefficients
     (..., r+1, n, n); leading axes broadcast, bit-identical to each loop's own call."""
     t0, tr_h = coeffs[..., 0, :, :], coeffs[..., -1, :, :].conj().swapaxes(-1, -2)
-    defect = np.maximum(np.abs(t0 @ tr_h).max(axis=(-2, -1)), np.abs(tr_h @ t0).max(axis=(-2, -1)))
-    return float(defect) if defect.ndim == 0 else defect
+    return np.maximum(np.abs(t0 @ tr_h).max(axis=(-2, -1)), np.abs(tr_h @ t0).max(axis=(-2, -1)))
 
 
 class LoopPoly:

@@ -117,9 +117,6 @@ class RationalFn:
             return RationalFn((0j,))
         return RationalFn(tuple(c * a for a in self.num), self.den)
 
-    def __neg__(self) -> "RationalFn":
-        return self.scale(-1)
-
     def __add__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):
             return NotImplemented
@@ -128,16 +125,6 @@ class RationalFn:
             return RationalFn(_padded_add(self.num, other.num), self.den)
         num = _padded_add(_conv(self.num, other.den), _conv(other.num, self.den))
         return RationalFn(num, _conv(self.den, other.den))
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFn":
-        if isinstance(other, RationalFn):
-            return RationalFn(_conv(self.num, other.num), _conv(self.den, other.den))
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
 
 def eval_rational(f: RationalFn, z: complex) -> complex:
@@ -206,9 +193,6 @@ class MeroVector:
         if self.n != other.n:
             raise BadShape("vector length mismatch")
         return MeroVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "MeroVector") -> "MeroVector":
-        return self + other.scale(-1)
 
 
 Column = tuple[MeroVector, ...]

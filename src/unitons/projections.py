@@ -154,7 +154,13 @@ def principal_angles(a: Span, b: Span) -> np.ndarray:
     resid = b.basis - a.basis @ cross
     sinv = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
     sinv = sinv[-m:][::-1]  # ascending, aligned with ascending angles
-    return np.array([np.arccos(c) if c**2 <= 0.5 else np.arcsin(s) for c, s in zip(cosv, sinv)])
+    angles = np.empty(m)
+    for k in range(m):
+        if cosv[k] ** 2 <= 0.5:
+            angles[k] = np.arccos(cosv[k])
+        else:
+            angles[k] = np.arcsin(sinv[k])
+    return angles
 
 
 def max_principal_angle(a: Span, b: Span) -> float:
