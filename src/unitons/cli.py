@@ -21,7 +21,7 @@ from .builder import (
     extended_product,
     s1_invariant_data,
 )
-from .errors import DegeneratePoint, DegreeNoDrop, NonProperUniton, UnitonsError
+from .errors import DegeneratePoint, UnitonsError
 from .grassmannian import (
     LoopPoly,
     QInvolution,
@@ -96,56 +96,52 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
-def _factorize_fiber(loop, builder_pis=None):
-    """The projections of both factorizations of one loop fiber plus their agreement."""
-    pis, perps = iwasawa_factorize(w_from_loop(loop))
-    ker, _ = kernel_factorize_fiber(loop)
-    # the loop and its Iwasawa product at the 8th roots of unity, all at once
-    lams = np.exp(2j * np.pi * np.arange(8) / 8)[:, None, None]
-    prod = extended_product(pis, perps, lams[..., None], np.eye(loop.n, dtype=np.complex128))
-    return pis, ker, {
-        "chain_agreement": float(projector_gap(pis, ker).max(initial=0.0)),
-        "reconstruction": float(np.abs(prod - loop.at(lams)).max()),
-        "builder_agreement": 0.0 if builder_pis is None else float(projector_gap(pis, builder_pis).max(initial=0.0)),
-    }
-
-
 def _loop_fibers(data, samples, seed):
-    """(z, loop, builder pis) at each drawn sample point, all loops from one coefficient call."""
+    """The drawn sample points, their loops as one stack and the builder's pis, all from one call each."""
     points = draw_sample_points(data, samples, seed=seed)
     batch = chain_arrays(data, points)
-    coeffs = extended_coefficients(batch.pis, batch.perps, data.n)
-    return [(z, LoopPoly(coeffs[p]), batch.at(p).pis) for p, z in enumerate(points)]
+    return points, LoopPoly(extended_coefficients(batch.pis, batch.perps, data.n)), batch.pis
 
 
 def cmd_factorize(args) -> int:
     _check_positive(samples=args.samples)
     obj = serialize.read_json(args.input)
-    results = []
-    worst = 0.0
     if isinstance(obj, dict) and "columns" in obj:
         data = serialize.data_from_json(obj)
-        fibers = _loop_fibers(data, args.samples, args.seed)
+        zs, loops, builder_pis = _loop_fibers(data, args.samples, args.seed)
         full = alpha1_is_full(data, seed=args.seed)
     else:
-        fibers = [(z, loop, None) for z, loop in serialize.loop_fibers_from_json(obj)]
-        full = None
-    for z, loop, builder_pis in fibers:
-        try:
-            iwa, ker, gaps = _factorize_fiber(loop, builder_pis)
-        except (NonProperUniton, DegreeNoDrop) as exc:
+        (zs, loops), builder_pis, full = serialize.loop_fibers_from_json(obj), None, None
+    # both factorizations of every fiber at once; the first failing fiber in file order decides
+    w = w_from_loop(loops)
+    iwa, perps = iwasawa_factorize(w)
+    ker, _, errors = kernel_factorize_fiber(loops)
+    for z, singular, error in zip(zs, w.errors, errors):
+        if singular:
+            raise singular
+        if error:
             # well-formed input whose chain is improper at this fiber: a failed check
-            print(f"error: kernel factorization of the fiber at z={complex(z)} failed: {exc}", file=sys.stderr)
+            print(f"error: kernel factorization of the fiber at z={complex(z)} failed: {error}", file=sys.stderr)
             return EXIT_FAILED
-        worst = max(worst, gaps["chain_agreement"], gaps["reconstruction"], gaps["builder_agreement"])
-        results.append(
-            {
-                "z": serialize.encode_complex(z),
-                "iwasawa": serialize.chain_to_json(iwa),
-                "kernel": serialize.chain_to_json(ker),
-                "agreement": gaps,
-            }
-        )
+    # each loop and its Iwasawa product at the 8th roots of unity, all at once
+    lams = np.exp(2j * np.pi * np.arange(8) / 8)[:, None, None, None]
+    prod = extended_product(iwa, perps, lams[..., None], np.eye(loops.n, dtype=np.complex128))
+    gaps = {
+        "chain_agreement": projector_gap(iwa, ker).max(axis=-1, initial=0.0),
+        "reconstruction": np.abs(prod - loops.at(lams)).max(axis=(0, 2, 3)),
+        "builder_agreement": np.zeros(len(zs)) if builder_pis is None else
+        projector_gap(iwa, builder_pis).max(axis=-1, initial=0.0),
+    }
+    results = [
+        {
+            "z": serialize.encode_complex(z),
+            "iwasawa": serialize.chain_to_json(iwa[p]),
+            "kernel": serialize.chain_to_json(ker[p]),
+            "agreement": {name: float(gap[p]) for name, gap in gaps.items()},
+        }
+        for p, z in enumerate(zs)
+    ]
+    worst = max((max(fib["agreement"].values()) for fib in results), default=0.0)
     report = {
         "fibers": results,
         "alpha1_full": full,
@@ -164,9 +160,11 @@ def cmd_grassmann(args) -> int:
         q = QInvolution(orthonormal_basis(serialize.vectors_from_json(serialize.read_json(args.q_span), data.n)))
     else:
         q = QInvolution.identity(data.n)
+    zs, loops, _ = _loop_fibers(data, args.samples, args.seed)
+    w = w_from_loop(loops)
     defects = []
-    for z, loop, _ in _loop_fibers(data, args.samples, args.seed):
-        res = q_adapted_check(w_from_loop(loop), q)
+    for p, z in enumerate(zs):
+        res = q_adapted_check(w.at(p), q)
         defects.append({"z": serialize.encode_complex(z), "defect": res.defect, "adapted": res.adapted})
     report = {
         "q_rank": q.a_span.dim,

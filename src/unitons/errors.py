@@ -21,10 +21,6 @@ class NotLambdaInvariant(UnitonsError):
     """Subspace is not closed under the lambda shift."""
 
 
-class SingularLoop(UnitonsError):
-    """Loop fiber does not define a shift-invariant subspace."""
-
-
 class DegreeNoDrop(UnitonsError):
     """A boundary coefficient failed to vanish while dividing out a factor."""
 

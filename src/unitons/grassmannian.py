@@ -22,12 +22,11 @@ from .errors import (
     NoTermination,
     NotLambdaInvariant,
     PoleError,
-    SingularLoop,
 )
 from .meromorphic import MeroVector
 from .projections import (
     Span,
-    image_span,
+    masked_basis,
     max_principal_angle,
     numerical_rank,
     orthonormal_basis,
@@ -45,11 +44,11 @@ NORM_FLOOR = 1e-12    # a shifted W column below this norm counts as zero in the
 
 
 def loop_at(coeffs: np.ndarray, lam) -> np.ndarray:
-    """sum_t lam^t coeffs[t] for (T, n, n) coefficients; an array lam
-    (..., 1, 1) gives the loop at each of its values."""
-    out = np.zeros(np.shape(lam)[:-2] + coeffs.shape[1:], np.complex128)
-    for t in range(coeffs.shape[0]):
-        out += lam**t * coeffs[t]
+    """sum_t lam^t coeffs[..., t, :, :] for coefficients (..., T, n, n); an array
+    lam broadcasts against the leading axes, giving the loop at each of its values."""
+    out = np.zeros(np.broadcast_shapes(np.shape(lam), coeffs.shape[:-3] + coeffs.shape[-2:]), np.complex128)
+    for t in range(coeffs.shape[-3]):
+        out += lam**t * coeffs[..., t, :, :]
     return out
 
 
@@ -61,73 +60,75 @@ def reality_defect(coeffs: np.ndarray) -> np.ndarray:
 
 
 class LoopPoly:
-    """Polynomial loop T_0 + lambda T_1 + ... + lambda^r T_r at one fiber."""
+    """Polynomial loop T_0 + lambda T_1 + ... + lambda^r T_r at one fiber, or at
+    a stack of fibers of one degree: coeffs (r+1, n, n) or (P, r+1, n, n)."""
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
-            raise BadShape("coeffs must be (r+1, n, n)")
+        if coeffs.ndim not in (3, 4) or coeffs.shape[-2] != coeffs.shape[-1]:
+            raise BadShape("coeffs must be (r+1, n, n) or (P, r+1, n, n)")
         self.coeffs = coeffs
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-3] - 1
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
-    def at(self, lam: complex) -> np.ndarray:
+    def at(self, lam) -> np.ndarray:
         return loop_at(self.coeffs, lam)
 
     def trimmed(self) -> "LoopPoly":
         deg = self.degree
-        while deg > 0 and np.abs(self.coeffs[deg]).max() <= TRIM_TOL:
+        while deg > 0 and np.abs(self.coeffs[..., deg, :, :]).max() <= TRIM_TOL:
             deg -= 1
-        return LoopPoly(self.coeffs[: deg + 1])
-
-
-def shift_matrix(r: int, n: int) -> np.ndarray:
-    """Multiplication by lambda on C^{rn}: (L_0..L_{r-1}) -> (0, L_0..L_{r-2})."""
-    return np.kron(np.eye(r, k=-1, dtype=np.complex128), np.eye(n))
+        return LoopPoly(self.coeffs[..., : deg + 1, :, :])
 
 
 class WSubspace:
-    """Subspace of H_+/lambda^r H_+ ~ C^{rn}, closed under the lambda shift:
-    construction raises NotLambdaInvariant otherwise."""
+    """Subspace of H_+/lambda^r H_+ ~ C^{rn} closed under the lambda shift, basis (rn, k), or a
+    stack of them, (P, rn, k) with each fiber's columns past its dimension zeroed.  One subspace
+    that is not shift-invariant raises NotLambdaInvariant; a stack records each fiber's in ``errors``."""
 
     def __init__(self, r: int, n: int, basis: np.ndarray):
         basis = np.asarray(basis, dtype=np.complex128)
-        if basis.shape[0] != r * n:
+        if basis.shape[-2] != r * n:
             raise BadShape("basis rows must equal r*n")
         self.r = r
         self.n = n
         self.basis = basis
-        if self.lambda_defect() > LAMBDA_TOL:
-            raise NotLambdaInvariant(
-                f"shift-invariance defect {self.lambda_defect():.2e} exceeds {LAMBDA_TOL:.0e}"
-            )
+        self.errors = [
+            NotLambdaInvariant(f"shift-invariance defect {d:.2e} exceeds {LAMBDA_TOL:.0e}") if d > LAMBDA_TOL else None
+            for d in np.ravel(self.lambda_defect())
+        ]
+        if basis.ndim == 2 and self.errors[0]:
+            raise self.errors[0]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     @property
     def span(self) -> Span:
         return Span(self.basis, self.r * self.n, validate=False)
 
-    def lambda_defect(self) -> float:
-        """max over shifted basis columns of the relative distance to the span."""
-        if self.dim == 0:
-            return 0.0
-        shifted = shift_matrix(self.r, self.n) @ self.basis
-        resid = shifted - self.basis @ (self.basis.conj().T @ shifted)
-        norms = np.linalg.norm(shifted, axis=0)
-        keep = norms > NORM_FLOOR
-        return float(np.max(np.linalg.norm(resid, axis=0)[keep] / norms[keep], initial=0.0))
+    def lambda_defect(self) -> np.ndarray:
+        """max over shifted basis columns of the relative distance to the span,
+        per fiber of a stack; a zero column (and its shift) is skipped."""
+        b = self.basis
+        shifted = np.zeros_like(b)  # multiplication by lambda: block k moves to block k + 1
+        shifted[..., self.n :, :] = b[..., : b.shape[-2] - self.n, :]
+        resid = shifted - b @ (b.conj().swapaxes(-1, -2) @ shifted)
+        norms = np.linalg.norm(shifted, axis=-2)
+        ratio = np.divide(np.linalg.norm(resid, axis=-2), norms, out=np.zeros_like(norms), where=norms > NORM_FLOOR)
+        return ratio.max(axis=-1, initial=0.0)
 
-    def block(self, s: int) -> np.ndarray:
-        return self.basis[s * self.n : (s + 1) * self.n, :]
+    def at(self, p: int) -> "WSubspace":
+        """Fiber p of a stack, without its zeroed columns."""
+        b = self.basis[p]
+        return WSubspace(self.r, self.n, b[:, b.any(axis=0)])
 
 
 def binomial_transform(column: Sequence[MeroVector]) -> list[MeroVector]:
@@ -174,70 +175,76 @@ def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace
 
 
 def w_from_loop(loop: LoopPoly) -> WSubspace:
-    """W = Phi(H_+) mod lambda^r H_+, from the coefficient vectors of Phi lambda^k e_j;
-    a degree-0 loop gives W = H_+, the zero subspace of C^0."""
-    r, n = loop.degree, loop.n
+    """W = Phi(H_+) mod lambda^r H_+ of one loop or of a stack (one SVD), from the coefficient
+    vectors of Phi lambda^k e_j; a degree-0 loop gives W = H_+, the zero subspace of C^0."""
+    r, n, lead = loop.degree, loop.n, loop.coeffs.shape[:-3]
     # column k n + j is Phi lambda^k e_j: block m holds column j of T_{m-k}
-    vecs = np.zeros((r * n, r * n), np.complex128)
+    vecs = np.zeros(lead + (r * n, r * n), np.complex128)
     for k in range(r):
-        vecs[k * n :, k * n : (k + 1) * n] = loop.coeffs[: r - k].reshape((r - k) * n, n)
-    basis = orthonormal_basis(vecs)
-    try:
-        return WSubspace(r, n, basis.basis)
-    except NotLambdaInvariant as exc:
-        raise SingularLoop(str(exc)) from exc
+        vecs[..., k * n :, k * n : (k + 1) * n] = loop.coeffs[..., : r - k, :, :].reshape(lead + ((r - k) * n, n))
+    basis, _, rank = masked_basis(vecs)
+    return WSubspace(r, n, basis[..., : rank.max(initial=0)])
 
 
 def iwasawa_factorize(w: WSubspace) -> tuple[np.ndarray, np.ndarray]:
     """Left-to-right geometric Iwasawa factorization: alpha_i = (sum_s S^{i-1}_s P_s) W.
 
-    Returns the chain (pis, perps), each (r, n, n).  Non-proper steps (alpha_i
-    zero or full) yield +-I factors and show in the ranks rather than raise.
+    Returns the chain (pis, perps), each (..., r, n, n) for W or a stack of W,
+    one SVD per step for every fiber.  Non-proper steps (alpha_i zero or full)
+    yield +-I factors and show in the ranks rather than raise.
     """
-    r, n = w.r, w.n
-    pis = np.zeros((r, n, n), np.complex128)
-    perps = np.zeros_like(pis)
+    r, n, lead = w.r, w.n, w.basis.shape[:-2]
+    blocks = w.basis.reshape(lead + (r, n, w.dim))  # P_s W for s = 0..r-1 on axis -3
+    pis = np.zeros(lead + (r, n, n), np.complex128)
     for i in range(1, r + 1):
-        S = s_rows(pis[: i - 1], perps[: i - 1], n)  # S^{i-1}_s for s = 0..i-1
-        M = np.zeros((n, w.dim), np.complex128)
-        for s in range(i):
-            M += S[s] @ w.block(s)
+        S = s_rows(pis[..., : i - 1, :, :], np.eye(n) - pis[..., : i - 1, :, :], n)  # S^{i-1}_s, s = 0..i-1
+        M = (S @ blocks[..., :i, :, :]).sum(axis=-3)
         # rank against the unit operator scale: degenerate steps collapse to 0 or C^n
-        pis[i - 1], perps[i - 1] = projection_pair(image_span(M))
-    return pis, perps
+        basis, _, _ = masked_basis(M, 1.0)
+        pis[..., i - 1, :, :] = basis @ basis.conj().swapaxes(-1, -2)
+    return pis, np.eye(n) - pis
 
 
-def kernel_factorize_fiber(loop: LoopPoly) -> tuple[np.ndarray, np.ndarray]:
-    """Top-down factorization alpha_i = ker T_i^{Phi_i}, dividing out one factor
-    at a time; returns the chain (pis, perps), each (r, n, n)."""
+def kernel_factorize_fiber(loop: LoopPoly):
+    """Top-down factorization alpha_i = ker T_i^{Phi_i}, dividing out one factor at a
+    time, one SVD per step for all fibers; returns the chain (pis, perps), each (..., r, n, n).
+    One loop raises its error; a stack also returns, per fiber, the error its own call
+    raises (None where it factorizes), and a failing fiber leaves every other one unchanged."""
     r, n = loop.degree, loop.n
-    T = [loop.coeffs[i].copy() for i in range(r + 1)]
-    if np.abs(T[0]).max() <= TRIM_TOL or np.abs(T[r]).max() <= TRIM_TOL:
-        raise DegreeNoDrop("loop must have non-zero constant and top coefficients")
-    if r > 0 and reality_defect(loop.coeffs) > REALITY_TOL:
-        raise DegreeNoDrop("reality condition T_0 T_r^* = 0 fails; not an extended-solution fiber")
-    pis = np.zeros((r, n, n), np.complex128)
-    perps = np.zeros_like(pis)
-    eye = np.eye(n, dtype=np.complex128)
+    T = loop.coeffs.reshape((-1,) + loop.coeffs.shape[-3:]).copy()
+    errors = [None] * len(T)
+
+    def fail(bad, error):
+        for p in np.flatnonzero(bad):
+            errors[p] = errors[p] or error(p)
+
+    fail((np.abs(T[:, [0, r]]).max(axis=(-2, -1)) <= TRIM_TOL).any(axis=-1),
+         lambda p: DegreeNoDrop("loop must have non-zero constant and top coefficients"))
+    if r > 0:
+        fail(reality_defect(T) > REALITY_TOL,
+             lambda p: DegreeNoDrop("reality condition T_0 T_r^* = 0 fails; not an extended-solution fiber"))
+    pis = np.zeros((len(T), r, n, n), np.complex128)
     for i in range(r, 0, -1):
-        _, sv, vh = np.linalg.svd(T[i])
-        rank = int(numerical_rank(sv))
-        ker_dim = n - rank
-        if ker_dim == 0 or ker_dim == n:
-            raise NonProperUniton(f"ker T_{i} has dimension {ker_dim}")
-        pi, perp = projection_pair(Span(vh[rank:].conj().T, n, validate=False))
-        lam_minus = np.abs(T[0] @ perp).max()
-        lam_top = np.abs(T[i] @ pi).max()
-        if max(lam_minus, lam_top) > BOUNDARY_TOL:
-            raise DegreeNoDrop(
-                f"boundary coefficients at step {i} do not vanish "
-                f"({lam_minus:.2e}, {lam_top:.2e})"
-            )
-        T = [T[ell] @ pi + T[ell + 1] @ perp for ell in range(i)]
-        pis[i - 1], perps[i - 1] = pi, perp
-    if np.abs(T[0] - eye).max() > IDENTITY_TOL:
-        raise DegreeNoDrop("residual constant term is not the identity")
-    return pis, perps
+        _, sv, vh = np.linalg.svd(T[:, i])
+        rank = numerical_rank(sv)
+        fail((rank == 0) | (rank == n), lambda p: NonProperUniton(f"ker T_{i} has dimension {n - rank[p]}"))
+        # each fiber's right singular vectors past its rank span ker T_i
+        ker = vh.conj().swapaxes(-1, -2) * (np.arange(n) >= rank[:, None])[:, None, :]
+        pi = ker @ ker.conj().swapaxes(-1, -2)
+        perp = np.eye(n) - pi
+        lam_minus = np.abs(T[:, 0] @ perp).max(axis=(-2, -1))
+        lam_top = np.abs(T[:, i] @ pi).max(axis=(-2, -1))
+        fail(np.maximum(lam_minus, lam_top) > BOUNDARY_TOL, lambda p: DegreeNoDrop(
+            f"boundary coefficients at step {i} do not vanish ({lam_minus[p]:.2e}, {lam_top[p]:.2e})"))
+        T[:, :i] = T[:, :i] @ pi[:, None] + T[:, 1 : i + 1] @ perp[:, None]
+        pis[:, i - 1] = pi
+    fail(np.abs(T[:, 0] - np.eye(n)).max(axis=(-2, -1)) > IDENTITY_TOL,
+         lambda p: DegreeNoDrop("residual constant term is not the identity"))
+    if loop.coeffs.ndim == 4:
+        return pis, np.eye(n) - pis, errors
+    if errors[0]:
+        raise errors[0]
+    return pis[0], np.eye(n) - pis[0]
 
 
 @dataclass(frozen=True)
@@ -272,10 +279,8 @@ def normalize_type_one(
         loop = loop_sampler(z)
         for span, deg in zip(steps, degrees):
             pi, perp = projection_pair(span)
-            c = loop.coeffs
-            padded = np.concatenate([c, np.zeros((1, n, n), np.complex128)])
-            new = np.array([pi @ padded[t] + perp @ padded[t + 1] for t in range(len(c))])
-            loop = LoopPoly(new[: deg + 1])
+            c = loop.coeffs  # T_t <- pi T_t + perp T_{t+1}
+            loop = LoopPoly((pi @ c + perp @ np.concatenate([c[1:], np.zeros((1, n, n), np.complex128)]))[: deg + 1])
         return loop
 
     def constant_image() -> Span:
@@ -290,10 +295,7 @@ def normalize_type_one(
         prev_degree = degrees[-1] if degrees else r0
         steps.append(a_span)
         degrees.append(prev_degree)  # provisional: trim below once sampled
-        deg = 0
-        for z in points:
-            deg = max(deg, sample(z).trimmed().degree)
-        degrees[-1] = deg
+        degrees[-1] = LoopPoly(np.array([sample(z).coeffs for z in points])).trimmed().degree
     else:
         if constant_image().dim != n:
             raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")

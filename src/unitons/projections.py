@@ -126,15 +126,16 @@ def c_rows(perps: Sequence[np.ndarray], n: int, smax: int) -> np.ndarray:
 
 
 def s_rows(pis: Sequence[np.ndarray], perps: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """All S^i_s for s = 0..i, via S^i_s = perp_i S^{i-1}_{s-1} + pi_i S^{i-1}_s."""
-    i = len(pis)
-    S = np.zeros((i + 1, n, n), np.complex128)
-    S[0] = np.eye(n)
-    for ell in range(1, i + 1):
-        pi, perp = pis[ell - 1], perps[ell - 1]
-        for s in range(ell, 0, -1):
-            S[s] = perp @ S[s - 1] + pi @ S[s]
-        S[0] = pi @ S[0]
+    """All S^i_s for s = 0..i on axis -3, via S^i_s = perp_i S^{i-1}_{s-1} + pi_i S^{i-1}_s.
+    The steps run along axis -3 of pis and perps; leading axes broadcast, as in c_rows."""
+    pis, perps = (np.asarray(a, np.complex128) for a in (pis, perps))
+    pis, perps = (a if a.ndim >= 3 else a.reshape(0, n, n) for a in (pis, perps))  # an empty sequence
+    S = np.zeros(pis.shape[:-3] + (pis.shape[-3] + 1, n, n), np.complex128)
+    S[..., 0, :, :] = np.eye(n)
+    for ell in range(1, pis.shape[-3] + 1):
+        pi, perp = pis[..., ell - 1, None, :, :], perps[..., ell - 1, None, :, :]
+        S[..., 1 : ell + 1, :, :] = perp @ S[..., :ell, :, :] + pi @ S[..., 1 : ell + 1, :, :]
+        S[..., 0, :, :] = pis[..., ell - 1, :, :] @ S[..., 0, :, :]
     return S
 
 

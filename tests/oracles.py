@@ -2,7 +2,9 @@
 extraction and finite differences.  Nothing here shares code with the
 recursions under test; the per-point verification oracle takes its chains
 from single-point builds and checks the pointwise identities with spans and
-principal angles, not with the verifier's projector products."""
+principal angles, not with the verifier's projector products.  The loop
+factorizations are referenced one fiber at a time, the Iwasawa step's S
+operators by word enumeration and the kernel descent by the SVD of T_i."""
 
 from functools import reduce
 from itertools import combinations
@@ -211,3 +213,59 @@ def verification_residuals(data, samples, seed, h=1e-3):
                 _, dzb_g = _stencil_fd(g, z, h)
                 note("dzbar_lemma", np.linalg.norm(dzb_f + conn[ell][1] @ f(z) + center.perps[ell - 1] @ dzb_g))
     return worst
+
+
+def w_basis_per_fiber(coeffs):
+    """Orthonormal basis of W = Phi(H_+) mod lambda^r H_+ of one loop (r+1, n, n):
+    column k n + j is Phi lambda^k e_j, whose block m holds column j of T_{m-k}."""
+    from unitons import orthonormal_basis
+
+    r, n = coeffs.shape[0] - 1, coeffs.shape[1]
+    vecs = np.zeros((r * n, r * n), complex)
+    for k in range(r):
+        vecs[k * n:, k * n:(k + 1) * n] = coeffs[: r - k].reshape((r - k) * n, n)
+    return orthonormal_basis(vecs).basis
+
+
+def iwasawa_per_fiber(basis, r, n):
+    """alpha_i = (sum_s S^{i-1}_s P_s) W one step at a time, the S operators from
+    word enumeration; returns the chain (pis, perps), each (r, n, n)."""
+    from unitons import image_span, projection_pair
+
+    pis, perps = [], []
+    for i in range(1, r + 1):
+        m = sum(s_words(pis, perps, n, s) @ basis[s * n:(s + 1) * n] for s in range(i))
+        pi, perp = projection_pair(image_span(m))
+        pis.append(pi)
+        perps.append(perp)
+    return np.array(pis).reshape(r, n, n), np.array(perps).reshape(r, n, n)
+
+
+def kernel_descent_per_fiber(coeffs):
+    """alpha_i = ker T_i^{Phi_i}, top down, one fiber (r+1, n, n) at a time from the
+    SVD of T_i itself; raises the package's errors with its messages."""
+    from unitons.errors import DegreeNoDrop, NonProperUniton
+    from unitons.grassmannian import BOUNDARY_TOL, IDENTITY_TOL, REALITY_TOL, TRIM_TOL
+    from unitons.projections import Span, numerical_rank, projection_pair
+
+    r, n = coeffs.shape[0] - 1, coeffs.shape[1]
+    T = [coeffs[i].copy() for i in range(r + 1)]
+    if np.abs(T[0]).max() <= TRIM_TOL or np.abs(T[r]).max() <= TRIM_TOL:
+        raise DegreeNoDrop("loop must have non-zero constant and top coefficients")
+    if r > 0 and max(np.abs(T[0] @ T[r].conj().T).max(), np.abs(T[r].conj().T @ T[0]).max()) > REALITY_TOL:
+        raise DegreeNoDrop("reality condition T_0 T_r^* = 0 fails; not an extended-solution fiber")
+    pis, perps = np.zeros((r, n, n), complex), np.zeros((r, n, n), complex)
+    for i in range(r, 0, -1):
+        _, sv, vh = np.linalg.svd(T[i])
+        rank = int(numerical_rank(sv))
+        if rank in (0, n):
+            raise NonProperUniton(f"ker T_{i} has dimension {n - rank}")
+        pi, perp = projection_pair(Span(vh[rank:].conj().T, n, validate=False))
+        lam_minus, lam_top = np.abs(T[0] @ perp).max(), np.abs(T[i] @ pi).max()
+        if max(lam_minus, lam_top) > BOUNDARY_TOL:
+            raise DegreeNoDrop(f"boundary coefficients at step {i} do not vanish ({lam_minus:.2e}, {lam_top:.2e})")
+        T = [T[ell] @ pi + T[ell + 1] @ perp for ell in range(i)]
+        pis[i - 1], perps[i - 1] = pi, perp
+    if np.abs(T[0] - np.eye(n)).max() > IDENTITY_TOL:
+        raise DegreeNoDrop("residual constant term is not the identity")
+    return pis, perps

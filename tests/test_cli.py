@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unitons import BadShape, LoopPoly, random_data, s1_invariant_data, serialize, w_from_x, x_columns_from_data
+from unitons import BadShape, DegreeNoDrop, LoopPoly, random_data, s1_invariant_data, serialize, w_from_x, x_columns_from_data
 from unitons.cli import main
 from unitons.meromorphic import DataArray, MeroVector, RationalFn
 
@@ -173,6 +173,94 @@ def test_factorize_from_loop_fibers(tmp_path):
     assert run("factorize", "--input", loop_file, "--output", out) == 0
     rep = json.loads(out.read_text())
     assert rep["passed"] and rep["alpha1_full"] is None
+
+
+def _loop_file(path, n, r, count, seed=9):
+    """Loop fibers of a proper (n, r) echelon dataset at `count` sample points."""
+    from unitons import HarmonicMapSampler, draw_sample_points
+
+    data = random_data(n, r, 3, sparsity_pattern=(1,) * r, seed=8)
+    s = HarmonicMapSampler(data)
+    fibers = [(z, LoopPoly(s.extended_coeffs_at(z))) for z in draw_sample_points(data, count, seed=seed)]
+    serialize.write_json(serialize.loop_fibers_to_json(n, r, fibers), path)
+    return fibers
+
+
+def test_factorize_reports_the_first_failing_fiber_in_file_order(tmp_path, capsys):
+    # fiber 2 is improper (alpha_2 = C^3, so T_0 vanishes), fiber 3 is not real:
+    # the whole file is factorized in one stacked pass, yet fiber 2 decides, as
+    # it does when the fibers run one at a time
+    from oracles import kernel_descent_per_fiber
+
+    fibers = _loop_file(tmp_path / "good.json", 3, 2, 4)
+    pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    fibers[1] = (fibers[1][0], LoopPoly(np.array([np.zeros((3, 3)), pi, np.eye(3) - pi])))
+    non_real = fibers[2][1].coeffs.copy()
+    non_real[0] += 0.1 * np.eye(3)
+    fibers[2] = (fibers[2][0], LoopPoly(non_real))
+    path = tmp_path / "loops.json"
+    serialize.write_json(serialize.loop_fibers_to_json(3, 2, fibers), path)
+    with pytest.raises(DegreeNoDrop) as first:
+        kernel_descent_per_fiber(fibers[1][1].coeffs)
+    assert run("factorize", "--input", path) == 4
+    assert capsys.readouterr().err == (
+        f"error: kernel factorization of the fiber at z={complex(fibers[1][0])} failed: {first.value}\n")
+    assert "non-zero constant and top coefficients" in str(first.value)
+    # with the two bad fibers swapped, the non-real one comes first and decides
+    fibers[1], fibers[2] = fibers[2], fibers[1]
+    serialize.write_json(serialize.loop_fibers_to_json(3, 2, fibers), path)
+    assert run("factorize", "--input", path) == 4
+    assert f"fiber at z={complex(fibers[1][0])} failed: reality condition" in capsys.readouterr().err
+
+
+def test_factorize_runs_each_factorization_once_per_file(tmp_path, monkeypatch):
+    # the SVD count of a factorize call depends on r, not on the number of fibers
+    from collections import Counter
+
+    from unitons import cli
+
+    calls, svd = Counter(), np.linalg.svd
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    for name in ("w_from_loop", "iwasawa_factorize", "kernel_factorize_fiber"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    svds = {}
+    for count in (12, 3):
+        _loop_file(tmp_path / f"loops{count}.json", 4, 3, count)
+        calls.clear()
+        assert run("factorize", "--input", tmp_path / f"loops{count}.json", "--output", tmp_path / "out.json") == 0
+        assert calls["w_from_loop"] == calls["iwasawa_factorize"] == calls["kernel_factorize_fiber"] == 1
+        assert len(json.loads((tmp_path / "out.json").read_text())["fibers"]) == count
+        svds[count] = calls["svd"]
+    assert svds[12] == svds[3] >= 1
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda obj: dict(obj, r=obj["r"] + 1),
+    lambda obj: dict(obj, n=obj["n"] + 1),
+    lambda obj: dict(obj, fibers=[obj["fibers"][0], dict(obj["fibers"][1], coeffs=obj["fibers"][1]["coeffs"][:-1])]),
+], ids=["header-r", "header-n", "short-fiber"])
+def test_loop_fibers_must_match_the_file_shape(tmp_path, capsys, mutate):
+    # the fibers are one (P, r+1, n, n) stack: a fiber of another shape is malformed input
+    path = tmp_path / "loops.json"
+    _loop_file(path, 3, 2, 2)
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    assert run("factorize", "--input", path) == 2
+    assert capsys.readouterr().err.startswith("error: every loop fiber must hold r + 1 = ")
+
+
+def test_factorize_an_empty_loop_file(tmp_path):
+    path, out = tmp_path / "loops.json", tmp_path / "out.json"
+    serialize.write_json(serialize.loop_fibers_to_json(3, 2, []), path)
+    assert run("factorize", "--input", path, "--output", out) == 0
+    assert json.loads(out.read_text()) == {"alpha1_full": None, "fibers": [], "max_gap": 0.0, "passed": True,
+                                           "tolerance": 1e-07}
 
 
 def test_grassmann_s1_versus_generic(tmp_path):

@@ -32,10 +32,10 @@ from unitons import (
     x_columns_from_data,
 )
 from unitons.builder import extended_product
-from unitons.grassmannian import shift_matrix
-from unitons.projections import Span, span_gap
+from unitons.errors import BadShape, NonProperUniton
+from unitons.projections import Span, s_rows, span_gap
 
-from oracles import random_chain
+from oracles import iwasawa_per_fiber, kernel_descent_per_fiber, random_chain, w_basis_per_fiber
 
 P = RationalFn.polynomial
 
@@ -339,10 +339,16 @@ def test_wsubspace_validation():
     bad = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex) / np.sqrt(2)
     with pytest.raises(NotLambdaInvariant):
         WSubspace(2, 2, bad)
-    # shift matrix sanity
-    Z2 = shift_matrix(2, 2)
-    v = np.array([1.0, 2.0, 0.0, 0.0], dtype=complex)
-    assert np.allclose(Z2 @ v, [0, 0, 1, 2])
+    # the shift moves (1, 2 | 0, 0) to (0, 0 | 1, 2): the span of both is invariant,
+    # the first alone is not (its shift is orthogonal to it, relative defect 1)
+    v = np.array([1.0, 2.0, 0.0, 0.0], dtype=complex) / np.sqrt(5)
+    invariant = WSubspace(2, 2, np.column_stack([v, np.roll(v, 2)]))
+    assert invariant.lambda_defect() <= 1e-15
+    assert invariant.errors == [None]
+    with pytest.raises(NotLambdaInvariant, match="defect 1.00e"):
+        WSubspace(2, 2, v[:, None])
+    # a column in the last block shifts out to zero and is skipped
+    assert WSubspace(2, 2, np.roll(v, 2)[:, None]).lambda_defect() == 0.0
 
 
 @given(st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1)))
@@ -355,3 +361,100 @@ def test_factorizations_reconstruct_random_chain_loops(spec):
     for pis, perps in (iwasawa_factorize(w_from_loop(loop)), kernel_factorize_fiber(loop)):
         for lam in np.exp(2j * np.pi * np.arange(8) / 8):
             assert np.abs(extended_product(pis, perps, lam, eye) - loop.at(lam)).max() <= 1e-10
+
+
+def _projectors(basis):
+    return basis @ basis.conj().swapaxes(-1, -2)
+
+
+def _check_stack_against_reference(coeffs):
+    """Stacked W, Iwasawa and kernel factorizations of loops (P, r+1, n, n)
+    against the per-fiber reference: ranks exactly, projections to 1e-13, the
+    kernel descent's error (type and message) per fiber."""
+    P, r, n = coeffs.shape[0], coeffs.shape[1] - 1, coeffs.shape[2]
+    w = w_from_loop(LoopPoly(coeffs))
+    iwa, iwa_perps = iwasawa_factorize(w)
+    ker, ker_perps, errors = kernel_factorize_fiber(LoopPoly(coeffs))
+    assert iwa.shape == ker.shape == (P, r, n, n) and len(errors) == P and w.errors == [None] * P
+    for p in range(P):
+        basis = w_basis_per_fiber(coeffs[p])
+        assert w.at(p).dim == basis.shape[1]
+        assert np.abs(_projectors(w.basis[p]) - _projectors(basis)).max() <= 1e-13
+        ref = iwasawa_per_fiber(basis, r, n)
+        assert ranks(iwa[p]) == ranks(ref[0])
+        assert max(np.abs(iwa[p] - ref[0]).max(initial=0), np.abs(iwa_perps[p] - ref[1]).max(initial=0)) <= 1e-13
+        try:
+            ref = kernel_descent_per_fiber(coeffs[p])
+        except (DegreeNoDrop, NonProperUniton) as exc:
+            assert type(errors[p]) is type(exc) and str(errors[p]) == str(exc)
+            continue
+        assert errors[p] is None and ranks(ker[p]) == ranks(ref[0])
+        assert max(np.abs(ker[p] - ref[0]).max(initial=0), np.abs(ker_perps[p] - ref[1]).max(initial=0)) <= 1e-13
+
+
+@given(st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1)))
+def test_stacked_factorizations_match_the_per_fiber_reference(spec):
+    # random chains draw every step's rank on their own, so ranks and dim W differ between fibers
+    n, length, P, seed = spec
+    rng = np.random.default_rng(seed)
+    chains = [random_chain(rng, n, length) for _ in range(P)]
+    coeffs = extended_coefficients(np.array([c[0] for c in chains]), np.array([c[1] for c in chains]), n)
+    _check_stack_against_reference(coeffs)
+    # one loop without a fiber axis runs the same code and matches too
+    pis, perps = iwasawa_factorize(w_from_loop(LoopPoly(coeffs[0])))
+    ref = iwasawa_per_fiber(w_basis_per_fiber(coeffs[0]), length, n)
+    assert pis.shape == (length, n, n) and ranks(pis) == ranks(ref[0])
+    assert np.abs(pis - ref[0]).max() <= 1e-13 and np.abs(perps - ref[1]).max() <= 1e-13
+    ker, ker_perps = kernel_factorize_fiber(LoopPoly(coeffs[0]))
+    ref = kernel_descent_per_fiber(coeffs[0])
+    assert ranks(ker) == ranks(ref[0]) and np.abs(ker - ref[0]).max() <= 1e-13
+
+
+def test_a_failing_fiber_leaves_the_others_unchanged():
+    rng = np.random.default_rng(42)
+    good = [extended_coefficients(*map(np.array, random_chain(rng, 3, 2)), 3) for _ in range(2)]
+    pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    improper = np.array([np.zeros((3, 3)), pi, np.eye(3) - pi])  # alpha_2 = C^3: T_0 vanishes
+    non_real = good[1].copy()
+    non_real[0] += 0.1 * np.eye(3)
+    # diag(1, 0) + lambda diag(1, 0) + lambda^2 diag(0, 1): after step 2, T_1 = I has no kernel
+    e1, e2 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])
+    no_kernel = np.array([e1, e1, e2]).astype(complex)
+    coeffs = np.array([good[0], improper, non_real, no_kernel, good[1]])
+    _check_stack_against_reference(coeffs)
+    pis, perps, errors = kernel_factorize_fiber(LoopPoly(coeffs))
+    assert [type(e).__name__ for e in errors] == ["NoneType", "DegreeNoDrop", "DegreeNoDrop", "NonProperUniton", "NoneType"]
+    assert str(errors[3]) == "ker T_1 has dimension 0"
+    for p in (0, 4):  # the stack's good fibers are their single-fiber results bit for bit
+        single = kernel_factorize_fiber(LoopPoly(coeffs[p]))
+        assert single[0].tobytes() == pis[p].tobytes() and single[1].tobytes() == perps[p].tobytes()
+    with pytest.raises(NonProperUniton, match="ker T_1 has dimension 0"):
+        kernel_factorize_fiber(LoopPoly(no_kernel))
+
+
+def test_a_stack_of_w_records_each_fibers_shift_defect():
+    v = np.array([1.0, 2.0, 0.0, 0.0], dtype=complex) / np.sqrt(5)
+    invariant = np.column_stack([v, np.roll(v, 2)])
+    stack = np.array([invariant, np.column_stack([v, np.zeros(4)])])  # fiber 1: dim 1, not invariant
+    w = WSubspace(2, 2, stack)
+    assert w.errors[0] is None and isinstance(w.errors[1], NotLambdaInvariant)
+    assert np.allclose(w.lambda_defect(), [0.0, 1.0])
+    assert w.at(0).dim == 2
+    with pytest.raises(NotLambdaInvariant):
+        w.at(1)
+
+
+def test_loop_poly_stack_and_s_rows_broadcast():
+    rng = np.random.default_rng(7)
+    chains = [random_chain(rng, 4, 3) for _ in range(3)]
+    pis, perps = np.array([c[0] for c in chains]), np.array([c[1] for c in chains])
+    loops = LoopPoly(extended_coefficients(pis, perps, 4))
+    assert loops.degree == 3 and loops.n == 4
+    lams = np.exp(2j * np.pi * np.arange(5) / 5)[:, None, None, None]
+    values = loops.at(lams)
+    assert values.shape == (5, 3, 4, 4)
+    for p in range(3):
+        assert np.abs(values[:, p] - LoopPoly(loops.coeffs[p]).at(lams[..., 0])).max() == 0.0
+        assert np.abs(s_rows(pis, perps, 4)[p] - s_rows(pis[p], perps[p], 4)).max() <= 1e-15
+    with pytest.raises(BadShape):
+        LoopPoly(np.zeros((2, 3, 4, 4, 4)))
