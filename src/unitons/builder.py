@@ -30,6 +30,7 @@ from .meromorphic import (
 from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis, projection_pair
 
 ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |perp v| > RTOL |v| + ATOL
+STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in steps: the centre, then x and y
 
 
 class _Tables(NamedTuple):
@@ -287,48 +288,45 @@ def s1_invariant_data(
     return DataArray(n, r, tuple(columns))
 
 
-def _stencil_offsets(h: float) -> list[complex]:
-    # extreme points reached by one nested 4th-order Wirtinger stencil
-    return [4 * h, -4 * h, 4j * h, -4j * h, (2 + 2j) * h, (2 - 2j) * h, (-2 + 2j) * h, (-2 - 2j) * h]
-
-
-def draw_sample_points(
-    data: DataArray,
-    count: int,
-    seed: int = 0,
-    stencil_h: Optional[float] = None,
-) -> list[complex]:
+def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Optional[float] = None) -> list[complex]:
     """Generic points in |z| <= 2: away from poles, with unambiguous ranks.
 
-    When stencil_h is given, the rank profile must also be constant over the
-    extreme finite-difference stencil offsets, so nested differencing stays on
-    one smooth branch.  Candidates are drawn in blocks and built with their
-    offsets in one kernel call; the first ``count`` accepted in stream order
-    are returned.
+    When stencil_h is given, all 9 points of each candidate's stencil
+    (``STENCIL_OFFSETS`` times stencil_h) must be so too, with the candidate's
+    rank profile, so differencing stays on one smooth branch.  Candidates are
+    drawn in blocks and built with their stencils in one kernel call; the
+    first ``count`` accepted in stream order are returned.
     """
+    return _draw(data, count, seed, stencil_h)[0]
+
+
+def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) -> tuple[list[complex], ChainBatch]:
+    """draw_sample_points' points, and the chains its kernel calls built on
+    their stencils: (9, count), or (1, count) without stencil_h; row 0 holds the points."""
     if count < 0:
         raise BadShape("count must be >= 0")
     rng = np.random.default_rng(seed)
     poles = _tables(data.n, data.r, data.columns).poles if data.r > 0 else ()
-    offsets = _stencil_offsets(stencil_h) if stencil_h is not None else []
+    offsets = STENCIL_OFFSETS * stencil_h if stencil_h is not None else STENCIL_OFFSETS[:1]
     points: list[complex] = []
+    accepted: list[ChainBatch] = []
     misses = 0
-    while len(points) < count:
+    while True:
         cands = []
         for u, v in rng.random((count - len(points), 2)).tolist():
             zr = DISC_RADIUS * math.sqrt(u)
             th = 2.0 * math.pi * v
             z = complex(zr * math.cos(th), zr * math.sin(th))
             cands.append(None if any(abs(z - p) < POLE_CLEARANCE for p in poles) else z)
-        clear = [z for z in cands if z is not None]
-        batch = chain_arrays(data, [w for z in clear for w in [z] + [z + off for off in offsets]])
-        shape = (len(clear), 1 + len(offsets))
-        ranks = batch.ranks.reshape(shape + (data.r,))
-        good = iter(~(batch.pole | batch.ambiguous).reshape(shape).any(axis=1)
-                    & (ranks == ranks[:, :1]).all(axis=(1, 2)))
-        for z in cands:
-            if z is not None and next(good):
+        clear = np.array([z for z in cands if z is not None], np.complex128)
+        batch = chain_arrays(data, (offsets[:, None] + clear).ravel())
+        batch = batch.take(np.arange(batch.zs.size).reshape(len(offsets), -1))  # (offsets, candidates)
+        good = ~(batch.pole | batch.ambiguous).any(axis=0) & (batch.ranks == batch.ranks[:1]).all(axis=(0, 2))
+        taken = []
+        for z, col in zip(cands, np.cumsum([z is not None for z in cands]) - 1):
+            if z is not None and good[col]:
                 points.append(z)
+                taken.append(col)
                 misses = 0
                 if len(points) == count:
                     break
@@ -338,13 +336,15 @@ def draw_sample_points(
                     raise DegeneratePoint(
                         f"could not find a generic sample point in {MAX_SAMPLE_TRIES} tries"
                     )
-    return points
+        accepted.append(batch.take((slice(None), taken)))
+        if len(points) == count:
+            return points, ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
 
 
 def alpha1_is_full(data: DataArray, seed: int = 1234) -> bool:
     """Fullness of alpha_1, tested by spanning fibers over 2n generic points."""
     if data.r == 0:
         return False
-    batch = chain_arrays(data, draw_sample_points(data, 2 * data.n, seed=seed))
+    batch = _draw(data, 2 * data.n, seed, None)[1].take(0)
     span = orthonormal_basis(np.hstack([b[0, :, :k] for b, k in zip(batch.bases, batch.ranks[:, 0])]))
     return span.dim == data.n

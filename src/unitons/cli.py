@@ -14,9 +14,9 @@ import numpy as np
 
 from . import serialize
 from .builder import (
+    _draw,
     alpha1_is_full,
     chain_arrays,
-    draw_sample_points,
     extended_coefficients,
     extended_product,
     s1_invariant_data,
@@ -97,10 +97,9 @@ def cmd_verify(args) -> int:
 
 
 def _loop_fibers(data, samples, seed):
-    """The drawn sample points, their loops as one stack and the builder's pis, all from one call each."""
-    points = draw_sample_points(data, samples, seed=seed)
-    batch = chain_arrays(data, points)
-    return points, LoopPoly(extended_coefficients(batch.pis, batch.perps, data.n)), batch.pis
+    """The drawn sample points, their loops as one stack and the builder's pis, from the draw's kernel call."""
+    points, batch = _draw(data, samples, seed, None)
+    return points, LoopPoly(extended_coefficients(batch.pis[0], batch.perps[0], data.n)), batch.pis[0]
 
 
 def cmd_factorize(args) -> int:

@@ -1,7 +1,8 @@
 """Finite-difference verification of the differential identities.
 
-All checks are residual-based: Wirtinger derivatives d/dz, d/dzbar are taken
-with central differences in x and y, and every identity of the construction
+All checks are residual-based: Wirtinger derivatives d/dz, d/dzbar and the
+Laplacian are taken with central differences in x and y on one 9-point
+stencil per sample point, and every identity of the construction
 (harmonicity, the extended-solution equations, section holomorphicity, the
 ladder K^(k) -> K^(k+1), the mixed D_zbar lemma) is evaluated at generic
 sample points.  This is evidence, not proof.
@@ -19,10 +20,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .builder import (
+    STENCIL_OFFSETS,
     ChainBatch,
     HarmonicMapSampler,
+    _draw,
     chain_arrays,
-    draw_sample_points,
     extended_coefficients,
     extended_product,
 )
@@ -64,11 +66,9 @@ class ConnectionFiber:
 
 def _stencil(z, h: float) -> np.ndarray:
     """Each point of z, then the 8 points wirtinger combines around it in its
-    order, on a new leading axis: (9,) + z.shape.  Applied twice it gives the
-    nested stencil, (9, 9) + z.shape, whose axis 1 runs over the centres."""
+    order, on a new leading axis: (9,) + z.shape."""
     z = np.asarray(z, np.complex128)
-    off = np.array([0, 2 * h, h, -h, -2 * h, 2j * h, 1j * h, -1j * h, -2j * h])
-    return off.reshape((9,) + (1,) * z.ndim) + z
+    return (STENCIL_OFFSETS * h).reshape((9,) + (1,) * z.ndim) + z
 
 
 def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
@@ -77,27 +77,20 @@ def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
     return np.array([f(w) for w in uniq.tolist()])[inverse.reshape(points.shape)]
 
 
-def _chains(data: DataArray, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
-    """The chains at the distinct points of an array from one kernel call, and
-    each point's index into them; raises as ChainBatch.at does at a pole or an
-    ambiguous point."""
-    uniq, inverse = np.unique(points, return_inverse=True)
-    batch = chain_arrays(data, uniq)
-    if (batch.pole | batch.ambiguous).any():
-        batch.at(int((batch.pole | batch.ambiguous).argmax()))
-    return batch, inverse.reshape(points.shape)
-
-
 def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
     """The chains on a stencil array and the map's left factor phi_0: built
-    in one kernel call from a DataArray or HarmonicMapSampler, or a ChainBatch
+    in one kernel call from a DataArray or HarmonicMapSampler, raising as
+    ChainBatch.at does at a pole or an ambiguous point, or a ChainBatch
     already laid out there (phi_0 = I)."""
     if isinstance(source, ChainBatch):
         return source, np.eye(source.pis.shape[-1], dtype=np.complex128)
     if isinstance(source, DataArray):
         source = HarmonicMapSampler(source)
-    batch, index = _chains(source.data, points)
-    return batch.take(index), source.phi0
+    uniq, inverse = np.unique(points, return_inverse=True)
+    batch = chain_arrays(source.data, uniq)
+    if (batch.pole | batch.ambiguous).any():
+        batch.at(int((batch.pole | batch.ambiguous).argmax()))
+    return batch.take(inverse.reshape(points.shape)), source.phi0
 
 
 def _wirtinger(f: np.ndarray, h: float):
@@ -105,6 +98,13 @@ def _wirtinger(f: np.ndarray, h: float):
     fx = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
     fy = (-f[4] + 8 * f[5] - 8 * f[6] + f[7]) / (12 * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def _laplacian(f: np.ndarray, h: float) -> np.ndarray:
+    # the 4th-order f_xx + f_yy at the centre from the 9 stencil values on f's
+    # first axis, read as differences from the centre: exactly 0 on a constant
+    d = f[1:] - f[0]
+    return (16 * (d[1] + d[2] + d[5] + d[6]) - (d[0] + d[3] + d[4] + d[7])) / (12 * h * h)
 
 
 def _connection(maps: np.ndarray, h: float) -> ConnectionFiber:
@@ -144,21 +144,23 @@ def connection_form(map_sampler: Callable, z: complex) -> ConnectionFiber:
 def harmonicity_residual(source, z):
     """Frobenius norm of d_zbar A_z + [A_zbar, A_z] (zero iff harmonic).
 
-    ``source`` is a DataArray or HarmonicMapSampler, whose chains on the
-    nested stencil of z come from one kernel call; a map callable, called
-    once per distinct point there; or the maps there, (9, 9) + z.shape +
-    (n, n).  z is a point or an array of points; the residual has z's shape.
+    It equals (1/2) phi^{-1} phi_zzbar - (1/4)(B_zbar B_z + B_z B_zbar) with
+    B = phi^{-1} d phi and phi_zzbar = Laplacian(phi) / 4: 4th-order first and
+    second differences of the maps on the 9-point stencil of z.  ``source`` is
+    a DataArray or HarmonicMapSampler, whose chains there come from one kernel
+    call; a map callable, called once per distinct stencil point; or the maps
+    there, (9,) + z.shape + (n, n).  z is a point or an array of points; the
+    residual has z's shape.
     """
-    nested = _stencil(_stencil(z, FD_STEP), FD_STEP)
+    points = _stencil(z, FD_STEP)
     if isinstance(source, (DataArray, HarmonicMapSampler)):
-        chains, phi0 = _on_stencil(source, nested)
+        chains, phi0 = _on_stencil(source, points)
         maps = extended_product(chains.pis, chains.perps, -1, phi0)
     else:
-        maps = _evaluate(source, nested) if callable(source) else source
-    cf = _connection(maps, FD_STEP)  # at each of the 9 centres
-    _, dzb_az = _wirtinger(cf.a_z[1:], FD_STEP)
-    a_z, a_zbar = cf.a_z[0], cf.a_zbar[0]
-    return _scalar(_norms(dzb_az + a_zbar @ a_z - a_z @ a_zbar))
+        maps = _evaluate(source, points) if callable(source) else source
+    inv = np.linalg.inv(maps[0])
+    b_z, b_zbar = (inv @ d for d in _wirtinger(maps[1:], FD_STEP))
+    return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (b_zbar @ b_z + b_z @ b_zbar) / 4))
 
 
 def extended_checks(sampler, z) -> dict:
@@ -260,8 +262,9 @@ def _static_checks(chains: ChainBatch) -> dict:
 def verification_report(data: DataArray, samples: int = 10, seed: int = 7, tolerances: Optional[dict] = None) -> dict:
     """Run every identity check over generic sample points and report residuals.
 
-    The nested stencils of all sample points form one point array, whose
-    distinct points' chains come from one kernel call; every check, the
+    Every check reads the chains on the 9-point stencils of the sample points,
+    which the draw built when it checked their ranks there, laid out (9, S):
+    one kernel call unless a candidate was rejected.  Every check, the
     pointwise ones included, then evaluates all sample points at once.
     """
     if samples < 1:
@@ -272,27 +275,25 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         if unknown:
             raise BadShape(f"unknown tolerance names: {sorted(unknown)}")
         tol.update(tolerances)
-    points = np.array(draw_sample_points(data, samples, seed=seed, stencil_h=FD_STEP), np.complex128)
-    batch, index = _chains(data, _stencil(_stencil(points, FD_STEP), FD_STEP))
-    maps, centres = extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128)), index[0, 0]
-    ec = extended_checks(batch.take(index[:, 0]), points)
-    sec = section_identities(batch.take(index[:, 0]), points, seed=seed)
-    phi = maps[centres]
+    batch = _draw(data, samples, seed, FD_STEP)[1]  # (9, samples), the sample points in row 0
+    maps = extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128))
+    ec = extended_checks(batch, batch.zs[0])
+    sec = section_identities(batch, batch.zs[0], seed=seed)
     residuals = {
-        "harmonicity": harmonicity_residual(maps[index], points),
+        "harmonicity": harmonicity_residual(maps, batch.zs[0]),
         "extended_solution": ec["es_residual"],
         "extended_unitarity": ec["unitarity_defect"],
         "phi_one": ec["phi1_defect"],
-        "map_unitarity": np.abs(phi @ phi.conj().swapaxes(-1, -2) - np.eye(data.n)).max(axis=(-2, -1)),
+        "map_unitarity": np.abs(maps[0] @ maps[0].conj().swapaxes(-1, -2) - np.eye(data.n)).max(axis=(-2, -1)),
         "section_holomorphic": sec["max_dbar_K"],
         "section_ladder": sec["max_Az_K"],
         "dzbar_lemma": sec["max_dzbar_lemma"],
         "antibasic": sec["max_antibasic"],
     }
-    residuals.update(_static_checks(batch.take(centres)))
+    residuals.update(_static_checks(batch.take(0)))
     worst = {name: float(np.max(residuals[name])) for name in tol}
     checks = [{"name": k, "max_residual": v, "tolerance": tol[k], "pass": bool(v <= tol[k])} for k, v in worst.items()]
-    ranks = batch.ranks[centres]
+    ranks = batch.ranks[0]
     return {
         "n": data.n,
         "r": data.r,

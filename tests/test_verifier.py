@@ -24,7 +24,7 @@ from unitons.meromorphic import random_polynomial_vector
 from unitons.projections import c_rows, masked_basis
 from unitons.verifier import DEFAULT_TOLERANCES, LEMMA_MAX_ELL
 
-from oracles import random_chain, static_residuals, verification_residuals
+from oracles import nested_harmonicity, random_chain, static_residuals, verification_residuals
 
 
 def test_wirtinger_holomorphic_monomial():
@@ -62,6 +62,22 @@ def test_residual_convergence_order():
     for a, b in zip(errs, errs[1:]):
         if a > 1e-6:
             assert a / b >= 8.0
+
+
+def test_laplacian_convergence_order():
+    # the 5-point second differences along x and y are 4th order as well
+    z0 = 0.4 + 0.3j
+
+    def f(z):
+        return np.exp(2 * z) * np.conj(z) ** 3
+
+    exact = 24 * np.exp(2 * z0) * np.conj(z0) ** 2  # 4 f_zzbar
+    errs = [abs(verifier._laplacian(f(verifier._stencil(z0, h)), h) - exact) for h in (4e-2, 2e-2, 1e-2)]
+    for a, b in zip(errs, errs[1:]):
+        if a > 1e-6:
+            assert a / b >= 8.0
+    assert errs[-1] <= 1e-5
+    assert verifier._laplacian(np.full(9, 0.3 - 0.7j), 1e-3) == 0
 
 
 def test_connection_form_constant_map():
@@ -119,7 +135,7 @@ def test_harmonicity_built_map_and_negative_control():
     random_data(3, 0, 2, seed=0),
 ], ids=["echelon-5-4", "echelon-4-2", "r0"])
 def test_harmonicity_input_forms_agree_bit_for_bit(data):
-    # a sampler or DataArray builds the nested stencil in one kernel call, a
+    # a sampler or DataArray builds the stencil in one kernel call, a
     # callable is evaluated point by point; the residuals are the same
     q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((data.n, data.n)) + 1j * np.eye(data.n))
     pts = np.array(draw_sample_points(data, 4, seed=10, stencil_h=1e-3))
@@ -257,10 +273,11 @@ def test_report_matches_per_point_oracle(spec):
         assert abs(check["max_residual"] - expected.get(check["name"], 0.0)) <= 1e-12, check["name"]
 
 
-def test_verify_builds_the_nested_stencils_in_one_call(monkeypatch):
+def test_verify_builds_once_on_the_points_the_draw_checked(monkeypatch):
     data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
     samples = 3
-    calls = Counter()
+    points = draw_sample_points(data, samples, seed=5, stencil_h=verifier.FD_STEP)
+    calls, built = Counter(), []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -268,14 +285,13 @@ def test_verify_builds_the_nested_stencils_in_one_call(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def drawing(*args, **kwargs):
-        before = calls["build_chain"]
-        out = draw(*args, **kwargs)
-        calls["draw_build_chain"] += calls["build_chain"] - before
-        return out
+    def recorded(data, zs):
+        built.append(np.asarray(zs))
+        return arrays(data, zs)
 
-    draw = verifier.draw_sample_points
-    monkeypatch.setattr(verifier, "draw_sample_points", drawing)
+    arrays = builder.chain_arrays
+    monkeypatch.setattr(builder, "chain_arrays", recorded)
+    monkeypatch.setattr(verifier, "chain_arrays", recorded)
     monkeypatch.setattr(kernels, "build_chain", counted("build_chain", kernels.build_chain))
     product = counted("extended_product", builder.extended_product)
     monkeypatch.setattr(builder, "extended_product", product)
@@ -284,12 +300,79 @@ def test_verify_builds_the_nested_stencils_in_one_call(monkeypatch):
     for stage in ("harmonicity_residual", "extended_checks", "section_identities"):
         monkeypatch.setattr(verifier, stage, counted(stage, getattr(verifier, stage)))
     assert verifier.verification_report(data, samples=samples, seed=5)["passed"]
-    assert calls["draw_build_chain"] >= 1
-    assert calls["build_chain"] - calls["draw_build_chain"] == 1
-    # r + 3 Cartan products however large the stencil, and no per-point chain read
+    # every first candidate is accepted: the draw's one kernel call serves every check
+    assert calls["build_chain"] == len(built) == 1
+    assert built[0].size == 9 * samples
+    assert set(built[0].tolist()) == set(verifier._stencil(points, verifier.FD_STEP).ravel().tolist())
+    # r + 3 Cartan products, and no per-point chain read
     assert calls["extended_product"] <= 3 * samples
     assert calls["at"] == 0
     assert calls["harmonicity_residual"] == calls["extended_checks"] == calls["section_identities"] == 1
+
+
+def test_draw_checks_every_stencil_point_and_keeps_its_chains(monkeypatch):
+    # in the first block, candidate 0 is ambiguous at its last stencil point and
+    # candidate 1 changes rank at its first: both are rejected, a second block is
+    # built, and the chains the draw returns are still those of its points' stencils
+    data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=5)
+    arrays, blocks = builder.chain_arrays, []
+
+    def flagged(data, zs):
+        batch = arrays(data, zs)
+        blocks.append(len(zs))
+        if len(blocks) == 1:  # the points are laid out (9, candidates)
+            P, ranks = len(zs) // 9, batch.ranks.copy()
+            ranks[1 * P + 1, 0] += 1
+            batch = batch._replace(ambiguous=batch.ambiguous | (np.arange(len(zs)) == 8 * P), ranks=ranks)
+        return batch
+
+    monkeypatch.setattr(builder, "chain_arrays", flagged)
+    points, chains = builder._draw(data, 3, 5, verifier.FD_STEP)
+    assert blocks == [27, 18]
+    assert points == draw_sample_points(data, 5, seed=5, stencil_h=verifier.FD_STEP)[2:]
+    stencil = verifier._stencil(points, verifier.FD_STEP)
+    fresh = arrays(data, stencil.ravel())
+    assert np.array_equal(chains.zs, stencil)
+    for got, want in zip(chains, fresh):
+        assert np.array_equal(got, want.reshape(stencil.shape + want.shape[1:]))
+
+
+def _twisted_map(data, eps, seed):
+    """phi exp(i eps chi X) with chi = 1 / (1 + |z|^2) and a fixed Hermitian X:
+    a smooth unitary map that is not harmonic."""
+    sampler = HarmonicMapSampler(data)
+    m = np.random.default_rng(seed).standard_normal((2, data.n, data.n))
+    w, v = np.linalg.eigh(m[0] + m[0].T + 1j * (m[1] - m[1].T))
+
+    def phi(z):
+        return sampler.map_at(z) @ (v * np.exp(1j * eps * w / (1 + abs(z) ** 2))) @ v.conj().T
+    return phi
+
+
+def test_stencil_harmonicity_matches_the_nested_residual_off_harmonic_maps():
+    # the 9-point residual and the nested one difference the same identity: on
+    # maps that are not harmonic both read the same defect, here the criterion-2
+    # maps twisted at their first criterion-2 sample point, and the control
+    cases = []
+    for n, r, pattern in ((3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2))):
+        for seed in range(4):
+            data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+            cases.append((_twisted_map(data, 0.1, seed), draw_sample_points(data, 1, seed=5, stencil_h=1e-3)[0]))
+    data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=0)
+    s = HarmonicMapSampler(data)
+
+    def corrupted(z):  # criterion 2's negative control
+        cd = s.chain_at(z)
+        pi, perp = projection_pair(orthonormal_basis(np.array([1.0, np.conj(z), 0.0, 0.0])))
+        return (cd.pis[0] - cd.perps[0]) @ (pi - perp)
+
+    cases.append((corrupted, draw_sample_points(data, 1, seed=6, stencil_h=1e-3)[0]))
+    for phi, z in cases:
+        new, nested = harmonicity_residual(phi, z), nested_harmonicity(phi, z)
+        assert min(new, nested) >= 1e-3
+        assert abs(new - nested) <= 1e-6 * nested
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)) + 1j * np.eye(4))
+    assert harmonicity_residual(lambda z: q, 0.3 - 0.2j) <= 1e-12
 
 
 def test_static_stage_svd_count_is_independent_of_samples(monkeypatch):
