@@ -38,26 +38,43 @@ class _Tables(NamedTuple):
     dens: np.ndarray
     dnorms: np.ndarray
     poles: tuple[complex, ...]
+    live: tuple[int, ...]  # the columns holding an entry other than the zero polynomial
+    ncols: int
+
+
+def _zero_polynomial(f) -> bool:
+    # 0/1 only: an entry 0/q stays live, its denominator still flags poles
+    return f.is_zero and f.is_polynomial
 
 
 @lru_cache(maxsize=64)
 def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tables:
-    J = len(columns)
+    """Coefficient tables of the derivative chains of the live columns.
+
+    A column is dead when every entry is the zero polynomial 0/1: it gets no
+    slot (one padding slot when no column is live), and zero-polynomial
+    entries of live columns are never differentiated, their slots keeping the
+    0/1 padding, so every value of a live column is the one a full table gives.
+    """
+    live = tuple(j for j, col in enumerate(columns)
+                 if not all(_zero_polynomial(f) for vec in col for f in vec.entries))
     # derivative chains: row m is differentiated up to order r-1-m
     fns: dict[tuple[int, int, int, int], object] = {}
     max_len = 1
-    for j, col in enumerate(columns):
-        for m, vec in enumerate(col):
+    for slot, j in enumerate(live):
+        for m, vec in enumerate(columns[j]):
             for c, f in enumerate(vec.entries):
+                if _zero_polynomial(f):
+                    continue
                 cur = f
-                fns[(0, m, j, c)] = cur
+                fns[(0, m, slot, c)] = cur
                 max_len = max(max_len, len(cur.num), len(cur.den))
                 for k in range(1, r - m):
                     cur = differentiate(cur)
-                    fns[(k, m, j, c)] = cur
+                    fns[(k, m, slot, c)] = cur
                     max_len = max(max_len, len(cur.num), len(cur.den))
     K = max(r, 1)
-    nums = np.zeros((K, K, max(J, 1), n, max_len), np.complex128)
+    nums = np.zeros((K, K, max(len(live), 1), n, max_len), np.complex128)
     dens = np.zeros_like(nums)
     dens[..., 0] = 1.0  # padding entries evaluate to 0/1
     for (k, m, j, c), f in fns.items():
@@ -68,7 +85,17 @@ def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tab
     if not (np.abs(nums) <= MAX_COEFFICIENT).all() or not (np.abs(dens) <= MAX_COEFFICIENT).all():
         raise BadShape(f"a derivative coefficient exceeds {MAX_COEFFICIENT:g} in magnitude")
     dnorms = np.linalg.norm(dens, axis=-1)
-    return _Tables(nums, dens, dnorms, tuple(data_poles(columns)))
+    return _Tables(nums, dens, dnorms, tuple(data_poles(columns)), live, len(columns))
+
+
+def _all_columns(t: _Tables, arr: np.ndarray) -> np.ndarray:
+    """arr (..., J_live, n) on the table's live slots laid out on all J columns
+    (at least one), zero in the dead ones."""
+    if len(t.live) == t.ncols:
+        return arr
+    out = np.zeros(arr.shape[:-2] + (t.ncols, arr.shape[-1]), arr.dtype)
+    out[..., list(t.live), :] = arr[..., : len(t.live), :]
+    return out
 
 
 def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,9 +103,11 @@ def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarr
 
     vals[p, k, m, j] (P, r, r, J, n) is the k'th derivative of row m of column
     j at zs[p], held for k <= r-1-m and zero above; ok (P,) is False at a pole.
+    Only the live columns are evaluated; a dead column's values are exact zeros.
     """
     t = _tables(n, r, tuple(tuple(col) for col in columns))
-    return kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
+    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
+    return _all_columns(t, vals), ok
 
 
 class ChainBatch(NamedTuple):
@@ -93,7 +122,7 @@ class ChainBatch(NamedTuple):
     perps: np.ndarray      # (P, r, n, n)
     bases: np.ndarray      # (P, r, n, n)
     ranks: np.ndarray      # (P, r)
-    kvecs: np.ndarray      # (P, r, r, J, n)
+    kvecs: np.ndarray      # (P, r, r, J, n): K^(k)_{i,j}, exactly 0 in a dead column
     pole: np.ndarray       # (P,) bool: a pole of the data is too close
     ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
 
@@ -111,7 +140,11 @@ class ChainBatch(NamedTuple):
 
 
 def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
-    """Evaluate the data at every point of zs and build the chains (hot path)."""
+    """Evaluate the data at every point of zs and build the chains (hot path).
+
+    Evaluation and the kernel run on the data's live columns only (see
+    ``_tables``); a dead column spans nothing, and its K-vectors are zero.
+    """
     n, r, P = data.n, data.r, len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)
     flags = np.zeros(P, bool)
@@ -119,9 +152,10 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
         return ChainBatch(zs, empty, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
-    vals, ok = derivative_values(n, r, data.columns, zs)
+    t = _tables(n, r, data.columns)
+    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
     pis, perps, bases, ranks, kvecs, status = kernels.build_chain(vals)
-    return ChainBatch(zs, pis, perps, bases, ranks, kvecs, ~ok, status != 0)
+    return ChainBatch(zs, pis, perps, bases, ranks, _all_columns(t, kvecs), ~ok, status != 0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ JSON in, JSON out; exit codes are 0 (ok), 2 (parse/usage error),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -195,7 +196,9 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="unitons",
         description="Construct, verify and factorize finite-uniton-number harmonic maps into U(n).",

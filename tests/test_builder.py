@@ -336,6 +336,77 @@ def test_chain_batch_matches_single_points():
     assert not _assert_batch_matches_points(data, zs).ambiguous.all()
 
 
+def _full_column_chain(data, zs):
+    # the reference: the kernel on every column's derivative table, dead ones included
+    from unitons import kernels
+    from unitons.builder import derivative_values
+
+    vals, ok = derivative_values(data.n, data.r, data.columns, np.asarray(zs, np.complex128))
+    assert vals.shape[3] == data.ncols
+    return kernels.build_chain(vals), ok
+
+
+def _with_zero_columns(data, at):
+    cols = list(data.columns)
+    for j in sorted(at):
+        cols.insert(j, tuple(MeroVector.zero(data.n) for _ in range(data.r)))
+    return DataArray(data.n, data.r, tuple(cols))
+
+
+def test_dead_columns_leave_the_kernel_input_and_change_no_chain():
+    zs = list(np.random.default_rng(4).uniform(-1.4, 1.4, (12, 2)) @ [1, 1j])
+    base = random_data(5, 3, 3, sparsity_pattern=(1, 2, 3), seed=1)
+    data = _with_zero_columns(base, (0, 2))  # dead columns 0, 2, 5 and 6 of 7
+    live = [1, 3, 4]
+    batch = chain_arrays(data, zs)
+    (pis, _, _, ranks, kvecs, status), ok = _full_column_chain(data, zs)
+    assert np.array_equal(batch.ranks, ranks) and np.array_equal(batch.pole, ~ok)
+    assert np.array_equal(batch.ambiguous, status != 0)
+    assert np.abs(batch.pis - pis).max() <= 1e-13
+    assert np.abs(batch.kvecs[:, :, :, live] - kvecs[:, :, :, live]).max() <= 1e-12
+    assert batch.kvecs.shape == kvecs.shape
+    assert not batch.kvecs[:, :, :, [0, 2, 5, 6]].any()
+    # a dead column leaves the kernel's input, so inserting one changes no bit
+    plain = chain_arrays(base, zs)
+    assert batch.pis.tobytes() == plain.pis.tobytes()
+    assert batch.kvecs[:, :, :, live].tobytes() == plain.kvecs[:, :, :, :3].tobytes()
+
+
+def test_all_dead_columns_give_rank_zero_without_an_empty_svd(monkeypatch):
+    svd = np.linalg.svd
+
+    def nonempty_svd(mat, *args, **kwargs):
+        assert mat.size
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", nonempty_svd)
+    data = DataArray(4, 2, tuple((MeroVector.zero(4), MeroVector.zero(4)) for _ in range(3)))
+    batch = chain_arrays(data, [0.3, -1j])
+    assert batch.ranks.tolist() == [[0, 0], [0, 0]]
+    assert batch.kvecs.shape == (2, 2, 2, 3, 4) and not batch.kvecs.any()
+    assert not (batch.pole | batch.ambiguous).any()
+
+
+def test_zero_entries_over_a_denominator_keep_their_pole():
+    # 0/(z - 1) is not the zero polynomial: its column stays live and z = 1 is a pole
+    zero_over = MeroVector((RationalFn((0,), (-1, 1)),) * 3)
+    col = (MeroVector((P([1]), P([0, 1]), P([2, 0, 1]))), MeroVector((P([0, 1]), P([1]), P([0]))))
+    data = DataArray(3, 2, (col, (zero_over, zero_over), (MeroVector.zero(3),) * 2))
+    batch = chain_arrays(data, [1.0, 0.4 + 0.2j])
+    assert batch.pole.tolist() == [True, False]
+    assert not batch.kvecs[:, :, :, 1:].any()
+
+
+def test_dense_chains_are_the_full_column_kernel_bit_for_bit():
+    data = random_data(4, 3, 2, seed=3)
+    zs = list(np.random.default_rng(5).uniform(-1.4, 1.4, (8, 2)) @ [1, 1j])
+    batch = chain_arrays(data, zs)
+    full, ok = _full_column_chain(data, zs)
+    for got, want in zip((batch.pis, batch.perps, batch.bases, batch.ranks, batch.kvecs), full):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(batch.pole, ~ok)
+
+
 def test_fullness_flag():
     full_col = (MeroVector((P([1]), P([0, 1]), P([0, 0, 1]))),)
     assert alpha1_is_full(DataArray(3, 1, (full_col,)))

@@ -96,6 +96,28 @@ def test_verify_failure_exit_code(tmp_path):
     assert run("verify", "--input", data_file, "--samples", 1, "--tol", "harmonicity=1e-30") == 4
 
 
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
+    # the parser is built once per process; a call must not see an earlier call's options
+    from unitons import cli
+    from unitons.verifier import verification_report
+
+    data_file, a, b, c = (tmp_path / name for name in ("d.json", "a.json", "b.json", "c.json"))
+    run("generate", "--n", 3, "--r", 1, "--seed", 1, "--output", data_file)
+    assert run("verify", "--input", data_file, "--samples", 1, "--tol", "harmonicity=1e-30", "--output", a) == 4
+    assert json.loads(a.read_text())["checks"][0]["tolerance"] == 1e-30
+    assert run("verify", "--input", data_file, "--output", b) == 0
+    data = serialize.data_from_json(json.loads(data_file.read_text()))
+    assert json.loads(b.read_text()) == json.loads(serialize.dumps(verification_report(data, samples=10, seed=7)))
+    assert run("sample", "--input", data_file, "--grid", 2, "--output", c) == 0
+    assert len(json.loads(c.read_text())["records"]) == 4
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    args = vars(parser.parse_args(["sample", "--input", "x"]))
+    assert args == {"command": "sample", "input": "x", "grid": 16, "rect": "-2,2,-2,2", "output": None,
+                    "func": cli.cmd_sample}
+    assert parser.parse_args(["verify", "--input", "x"]).tol is None
+
+
 @pytest.mark.parametrize("data, ranks, proper, constant", [
     (DataArray(3, 2, ((MeroVector.zero(3), MeroVector.zero(3)),)), [0, 0], False, True),
     (random_data(5, 3, 3, sparsity_pattern=(1, 2, 2), seed=1), [1, 3, 5], False, False),
@@ -239,6 +261,34 @@ def test_factorize_runs_each_factorization_once_per_file(tmp_path, monkeypatch):
         assert len(json.loads((tmp_path / "out.json").read_text())["fibers"]) == count
         svds[count] = calls["svd"]
     assert svds[12] == svds[3] >= 1
+
+
+def test_verify_builds_one_table_and_chains_on_the_live_columns(tmp_path, monkeypatch):
+    # echelon (5, 4, (1, 1, 1, 1)) data has one live column of five
+    from collections import Counter
+
+    from unitons import builder, kernels
+
+    calls, widths, svd, build_chain = Counter(), [], np.linalg.svd, kernels.build_chain
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def recorded_build(hvals):
+        widths.append(hvals.shape[3])
+        return build_chain(hvals)
+
+    data_file = tmp_path / "d.json"
+    run("generate", "--n", 5, "--r", 4, "--mode", "echelon", "--rank-steps", "1,1,1,1", "--seed", 0,
+        "--output", data_file)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(kernels, "build_chain", recorded_build)
+    builder._tables.cache_clear()
+    assert run("verify", "--input", data_file, "--samples", 2, "--output", tmp_path / "rep.json") == 0
+    assert builder._tables.cache_info().misses == 1
+    assert widths == [1]
+    assert calls["svd"] == 6  # one per chain step and two in the static checks, as with all five columns
 
 
 @pytest.mark.parametrize("mutate", [
