@@ -98,6 +98,15 @@ def _all_columns(t: _Tables, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _live_values(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...],
+                 zs: np.ndarray) -> tuple[_Tables, np.ndarray, np.ndarray]:
+    """The cached table of r-row columns, and its slots' derivative values and
+    ok flags at every point of zs (P,): vals (P, r, r, J_slots, n), slot s
+    holding live column ``t.live[s]``."""
+    t = _tables(n, r, columns)
+    return (t,) + kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
+
+
 def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The derivative table of r-row columns of C^n vectors at every point of zs (P,).
 
@@ -105,8 +114,7 @@ def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarr
     j at zs[p], held for k <= r-1-m and zero above; ok (P,) is False at a pole.
     Only the live columns are evaluated; a dead column's values are exact zeros.
     """
-    t = _tables(n, r, tuple(tuple(col) for col in columns))
-    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
+    t, vals, ok = _live_values(n, r, tuple(tuple(col) for col in columns), zs)
     return _all_columns(t, vals), ok
 
 
@@ -152,8 +160,7 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
         return ChainBatch(zs, empty, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
-    t = _tables(n, r, data.columns)
-    vals, ok = kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
+    t, vals, ok = _live_values(n, r, data.columns, zs)
     pis, perps, bases, ranks, kvecs, status = kernels.build_chain(vals)
     return ChainBatch(zs, pis, perps, bases, ranks, _all_columns(t, kvecs), ~ok, status != 0)
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .builder import derivative_values, extended_coefficients
+from .builder import _live_values, extended_coefficients
 from .errors import (
     BadShape,
     DegreeNoDrop,
@@ -154,24 +155,32 @@ def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace
     The derivative table holds block i of X^(m) for m <= r-1-i, exactly the
     blocks that lambda^k X^(m) (m <= k) keeps below lambda^r.
     """
-    cols = [tuple(c) for c in x_columns]
+    cols = tuple(tuple(c) for c in x_columns)
     if not cols:
         raise BadShape("need at least one spanning section")
     r, n = len(cols[0]), cols[0][0].n
     if any(len(col) != r for col in cols):
         raise BadShape("all sections must have r blocks")
-    vals, ok = derivative_values(n, r, cols, np.array([z], np.complex128))
+    t, vals, ok = _live_values(n, r, cols, np.array([z], np.complex128))
     if not ok[0]:
         raise PoleError(f"an X entry has a pole too close to z={complex(z)}")
-    vecs = []
-    for j in range(len(cols)):
-        for k in range(r):
-            for m in range(k + 1):
-                w = np.zeros(r * n, np.complex128)
-                w[k * n :] = vals[0, m, : r - k, j].ravel()
-                vecs.append(w)
-    basis = orthonormal_basis(np.column_stack(vecs))
+    # the table's rows, then one zero row; a dead column spans nothing and gets no vector
+    rows = np.concatenate([vals[0].reshape(-1, n), np.zeros((1, n), np.complex128)])
+    blocks = rows[_w_gather(r, vals.shape[3], len(t.live))]  # (r, vectors, n)
+    basis = orthonormal_basis(blocks.transpose(0, 2, 1).reshape(r * n, -1))
     return WSubspace(r, n, basis.basis)
+
+
+@lru_cache(maxsize=16)
+def _w_gather(r: int, slots: int, live: int) -> np.ndarray:
+    """Row indices (r, live * r(r+1)/2) into a table (r, r, slots, n) flattened to
+    rows, with the zero row r * r * slots appended: entry [b, v] is block b of
+    vector v = lambda^k X_j^(m), ordered by j, then k, then m <= k, which is row
+    b - k of X_j^(m) for b >= k and zero below."""
+    b, j, k, m = np.indices((r, live, r, r))
+    idx = np.where(b >= k, (m * r + b - k) * slots + j, r * r * slots)
+    tri_k, tri_m = np.tril_indices(r)
+    return idx[:, :, tri_k, tri_m].reshape(r, -1)
 
 
 def w_from_loop(loop: LoopPoly) -> WSubspace:

@@ -60,8 +60,8 @@ def build_chain(hvals):
     ranks = np.zeros((P, r), np.int64)
     status = np.zeros(P, np.int64)
     eye = np.eye(n, dtype=np.complex128)
-    C = np.zeros((P, r + 1, n, n), np.complex128)
-    C[:, 0] = eye
+    C = np.zeros((P, r, n, n), np.complex128)  # C^i_s for s < r: the last step's C is never read
+    C[:, :1] = eye
     for i in range(r):
         for k in range(i + 1):
             kvecs[:, i, k] = np.einsum("psab,psjb->pja", C[:, k : i + 1], hvals[:, k, : i + 1 - k])
@@ -74,5 +74,6 @@ def build_chain(hvals):
         perps[:, i] = eye - pis[:, i]
         bases[:, i, :, : sv.shape[1]] = basis
         ranks[:, i] = rank
-        pascal_step(C, perps[:, i], min(i + 1, r))
+        if i + 1 < r:
+            pascal_step(C, perps[:, i], i + 1)
     return pis, perps, bases, ranks, kvecs, status

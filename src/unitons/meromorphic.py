@@ -95,6 +95,11 @@ class RationalFn:
             raise BadShape("denominator is identically zero")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        # frozen: hash once, not at every lookup of a table cache keyed on the data
+        object.__setattr__(self, "_hash", hash((num, den)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def polynomial(cls, coeffs: Iterable[complex]) -> "RationalFn":
@@ -171,6 +176,10 @@ class MeroVector:
         if len(self.entries) < 1:
             raise BadShape("MeroVector needs at least one entry")
         object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def zero(cls, n: int) -> "MeroVector":

@@ -90,15 +90,22 @@ def data_from_json(obj) -> DataArray:
     )
 
 
+def matrices_to_json(ms: np.ndarray) -> list[dict]:
+    """A stack (P, rows, cols) as P matrix objects, every entry read by one tolist()."""
+    ms = np.asarray(ms, dtype=np.complex128)
+    if ms.ndim != 3:
+        raise BadShape("a stack of matrices must be 3-d")
+    count, rows, cols = ms.shape
+    # each complex128 entry read as its (re, im) float64 pair, row-major
+    data = np.ascontiguousarray(ms).view(np.float64).reshape(count, rows * cols, 2).tolist()
+    return [{"shape": [rows, cols], "data": entries} for entries in data]
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise BadShape("only 2-d matrices serialize")
-    return {
-        "shape": [int(m.shape[0]), int(m.shape[1])],
-        # each complex128 entry read as its (re, im) float64 pair, row-major
-        "data": np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist(),
-    }
+    return matrices_to_json(m[None])[0]
 
 
 def _complex_from_pairs(pairs: np.ndarray) -> np.ndarray:
@@ -144,8 +151,8 @@ def chain_to_json(pis: np.ndarray) -> dict:
     return {
         "n": pis.shape[-1],
         "r": len(pis),
-        "ranks": [int(round(np.trace(p).real)) for p in pis],
-        "projections": [matrix_to_json(p) for p in pis],
+        "ranks": np.rint(np.trace(pis, axis1=-2, axis2=-1).real).astype(int).tolist(),
+        "projections": matrices_to_json(pis),
     }
 
 
@@ -169,7 +176,7 @@ def loop_fibers_to_json(n: int, r: int, fibers: Sequence[tuple[complex, LoopPoly
         "n": n,
         "r": r,
         "fibers": [
-            {"z": encode_complex(z), "coeffs": [matrix_to_json(t) for t in loop.coeffs]}
+            {"z": encode_complex(z), "coeffs": matrices_to_json(loop.coeffs)}
             for z, loop in fibers
         ],
     }
@@ -188,7 +195,9 @@ def loop_fibers_from_json(obj) -> tuple[list[complex], LoopPoly]:
 
 def dumps(obj) -> str:
     """Canonical JSON text: sorted keys, tight separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # the objects written are built here and never cyclic; the per-container cycle
+    # check would only cost time (every [re, im] pair is a container)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def write_json(obj, path) -> None:

@@ -246,6 +246,25 @@ def w_basis_per_fiber(coeffs):
     return orthonormal_basis(vecs).basis
 
 
+def w_from_x_per_vector(x_columns, z):
+    """Orthonormal basis of W = X + lambda X_(1) + ... at z, one zero-padded vector
+    lambda^k X_j^(m) (m <= k) at a time over every column, dead ones included."""
+    from unitons import orthonormal_basis
+    from unitons.builder import derivative_values
+
+    cols = [tuple(c) for c in x_columns]
+    r, n = len(cols[0]), cols[0][0].n
+    vals, _ = derivative_values(n, r, cols, np.array([z], complex))
+    vecs = []
+    for j in range(len(cols)):
+        for k in range(r):
+            for m in range(k + 1):
+                w = np.zeros(r * n, complex)
+                w[k * n:] = vals[0, m, : r - k, j].ravel()
+                vecs.append(w)
+    return orthonormal_basis(np.column_stack(vecs)).basis
+
+
 def iwasawa_per_fiber(basis, r, n):
     """alpha_i = (sum_s S^{i-1}_s P_s) W one step at a time, the S operators from
     word enumeration; returns the chain (pis, perps), each (r, n, n)."""

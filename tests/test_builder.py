@@ -319,6 +319,21 @@ def _assert_batch_matches_points(data, zs):
     return batch
 
 
+def test_equal_data_built_apart_hits_the_table_cache():
+    from unitons.builder import _tables
+    from unitons.serialize import data_from_json, data_to_json
+
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=8)
+    again = data_from_json(data_to_json(data))
+    assert again == data and again.columns is not data.columns
+    _tables.cache_clear()
+    first = chain_arrays(data, [0.3 + 0.1j])
+    second = chain_arrays(again, [0.3 + 0.1j])
+    info = _tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(first.pis, second.pis)
+
+
 def test_chain_batch_matches_single_points():
     # a pole at 0.5 (as in the pole test) and two columns that are nearly
     # dependent near z = 0.03 (as in the degenerate-point test); ranks of

@@ -390,6 +390,56 @@ def test_sample_grid_nulls_only_the_pole_cell(tmp_path):
         assert np.abs(m @ m.conj().T - np.eye(3)).max() <= 1e-12
 
 
+def _pole_data():
+    # echelon data plus a column with a pole at 1 + 1i, the centre of cell (3, 3) of a 5 x 5 grid on [-2.5, 2.5]^2
+    pole_col = (MeroVector((RationalFn((1,), (-(1 + 1j), 1)), P([0, 1]), P([1]), P([2j]))), MeroVector.zero(4))
+    return random_data(4, 2, 2, sparsity_pattern=(1, 1), seed=4).with_extra_column(pole_col)
+
+
+def test_sample_blocks_match_per_point_chains(tmp_path, monkeypatch):
+    from unitons import cli
+    from unitons.builder import chain_arrays, extended_product
+
+    data = _pole_data()
+    data_file, out = tmp_path / "d.json", tmp_path / "grid.json"
+    serialize.write_json(serialize.data_to_json(data), data_file)
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", 10)  # 2 rows per call: blocks of 10, 10 and 5 points
+    assert run("sample", "--input", data_file, "--grid", 5, "--rect=-2.5,2.5,-2.5,2.5", "--output", out) == 0
+    expected = []
+    for iy in range(5):
+        for ix in range(5):
+            z = complex(-2.5 + 5.0 * (ix + 0.5) / 5, -2.5 + 5.0 * (iy + 0.5) / 5)
+            b = chain_arrays(data, [z])
+            phi = extended_product(b.pis[0], b.perps[0], -1, np.eye(4, dtype=np.complex128))
+            bad = bool(b.pole[0] or b.ambiguous[0])
+            expected.append({"z": serialize.encode_complex(z), "phi": None if bad else serialize.matrix_to_json(phi)})
+    records = json.loads(out.read_text())["records"]
+    assert [idx for idx, rec in enumerate(records) if rec["phi"] is None] == [18]
+    assert serialize.dumps(records) == serialize.dumps(expected)
+
+
+def test_sample_makes_one_kernel_call_per_block_of_rows(tmp_path, monkeypatch):
+    from unitons import cli, kernels
+
+    assert [cli._rows_per_block(m) for m in (1, 7, 16, 40, 128, 256, 257, 1000)] == [256, 36, 16, 6, 2, 1, 1, 1]
+    data_file = tmp_path / "d.json"
+    serialize.write_json(serialize.data_to_json(_pole_data()), data_file)
+    sizes = []
+    build_chain = kernels.build_chain
+    monkeypatch.setattr(kernels, "build_chain", lambda hvals: sizes.append(len(hvals)) or build_chain(hvals))
+
+    def calls(grid):
+        sizes.clear()
+        assert run("sample", "--input", data_file, "--grid", grid, "--output", tmp_path / "g.json") == 0
+        assert sum(sizes) == grid * grid
+        return sizes[:]
+
+    assert calls(16) == [256]  # the default grid is one call
+    assert calls(40) == [240] * 6 + [160]  # ceil(40 / 6) calls of whole rows
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", 4)  # a grid wider than the block keeps one row per call
+    assert calls(5) == [5] * 5
+
+
 def test_bad_coefficients_rejected_at_parse_time(tmp_path):
     data_file = tmp_path / "d.json"
     run("generate", "--n", 3, "--r", 2, "--mode", "echelon", "--rank-steps", "1,1",

@@ -35,7 +35,7 @@ from unitons.builder import extended_product
 from unitons.errors import BadShape, NonProperUniton
 from unitons.projections import Span, s_rows, span_gap
 
-from oracles import iwasawa_per_fiber, kernel_descent_per_fiber, random_chain, w_basis_per_fiber
+from oracles import iwasawa_per_fiber, kernel_descent_per_fiber, random_chain, w_basis_per_fiber, w_from_x_per_vector
 
 P = RationalFn.polynomial
 
@@ -98,6 +98,35 @@ def test_w_from_x_r1_is_fiber():
     w = w_from_x([col], Z)
     assert w.r == 1 and w.dim == 1
     assert max_principal_angle(w.span, orthonormal_basis(col[0].eval(Z))) <= 1e-12
+
+
+def test_w_from_x_gathers_the_per_vector_construction():
+    # no dead column: the gathered spanning matrix is the per-vector one, bit for bit
+    data = random_data(4, 3, 3, seed=22)
+    xcols = x_columns_from_data(data)
+    for z in draw_sample_points(data, 4, seed=3):
+        assert np.array_equal(w_from_x(xcols, z).basis, w_from_x_per_vector(xcols, z))
+
+
+def test_w_from_x_skips_dead_columns():
+    from unitons.builder import _tables
+
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    xcols = x_columns_from_data(data)
+    live = _tables(data.n, data.r, tuple(tuple(c) for c in xcols)).live
+    assert 0 < len(live) < len(xcols)  # echelon data leaves most X columns zero
+    for z in draw_sample_points(data, 6, seed=3):
+        w = w_from_x(xcols, z)
+        assert w.basis.shape == w_from_x_per_vector(xcols, z).shape
+        assert span_gap(w.span, orthonormal_basis(w_from_x_per_vector(xcols, z))) <= 1e-12
+        wl = w_from_loop(loop_at(data, z))
+        assert w.dim == wl.dim and span_gap(w.span, wl.span) <= 1e-10
+
+
+def test_w_from_x_of_only_dead_columns_is_zero():
+    zero = tuple(MeroVector.zero(3) for _ in range(2))
+    w = w_from_x([zero, zero], Z)
+    assert w.dim == 0 and w.basis.shape == (6, 0)
 
 
 def test_w_from_loop_identity_padded():

@@ -181,3 +181,15 @@ def test_json_round_trip_exact():
     data = random_data(4, 3, 3, seed=7)
     again = data_from_json(data_to_json(data))
     assert again == data
+
+
+def test_equal_objects_built_apart_hash_equal():
+    f = RationalFn((1, 2j, 0), (1,))
+    g = RationalFn([1 + 0j, 2j], [1 + 0j, 0j])  # the same function after trimming
+    assert f == g and f is not g and hash(f) == hash(g)
+    assert hash(f) == hash((f.num, f.den))  # the dataclass's own field hash, computed once
+    u, v = MeroVector((f, P([3]))), MeroVector([g, P([3 + 0j])])
+    assert u == v and hash(u) == hash(v)
+    data = random_data(4, 3, 3, seed=7)
+    again = data_from_json(data_to_json(data))
+    assert again.columns is not data.columns and hash(again.columns) == hash(data.columns)

@@ -71,6 +71,29 @@ def test_chain_json_round_trip_is_bit_exact(n, r, seed):
     assert np.array_equal(back_perps, np.eye(n) - pis)
 
 
+@pytest.mark.parametrize("n, r", [(3, 0), (2, 1), (5, 4)])
+def test_chain_to_json_matches_the_per_matrix_encoding(n, r):
+    pis, _ = random_chain(np.random.default_rng(n + r), n, r)
+    stack = np.array(pis, np.complex128).reshape(r, n, n)
+    stack[:, 0, -1] = -0.0  # a signed zero must keep its sign
+    for view in (stack, np.stack([stack, stack], axis=1)[:, 0]):  # contiguous, then a strided view
+        expected = {
+            "n": n,
+            "r": r,
+            "ranks": [int(round(np.trace(p).real)) for p in view],
+            "projections": [serialize.matrix_to_json(p) for p in view],
+        }
+        assert serialize.dumps(serialize.chain_to_json(view)) == serialize.dumps(expected)
+
+
+@given(st.integers(0, 3), matrices)
+def test_matrices_to_json_is_each_matrix_encoded(count, m):
+    stack = np.array([m, m.conj(), -m][:count], np.complex128).reshape((count,) + m.shape)
+    assert serialize.matrices_to_json(stack) == [serialize.matrix_to_json(mat) for mat in stack]
+    with pytest.raises(BadShape):
+        serialize.matrices_to_json(m)
+
+
 def test_chain_from_json_rejects_bad_projections():
     pi = np.diag([1.0, 0.0])
     good = serialize.chain_to_json(pi[None])
