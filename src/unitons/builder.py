@@ -58,32 +58,31 @@ def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tab
     """
     live = tuple(j for j, col in enumerate(columns)
                  if not all(_zero_polynomial(f) for vec in col for f in vec.entries))
-    # derivative chains: row m is differentiated up to order r-1-m
-    fns: dict[tuple[int, int, int, int], object] = {}
-    max_len = 1
+    K, J = max(r, 1), max(len(live), 1)
+    # derivative chains: row m is differentiated up to order r-1-m, and entry
+    # (k, m, slot, c) is coefficient row ((k K + m) J + slot) n + c of a table
+    rows, fns = [], []
     for slot, j in enumerate(live):
         for m, vec in enumerate(columns[j]):
             for c, f in enumerate(vec.entries):
                 if _zero_polynomial(f):
                     continue
-                cur = f
-                fns[(0, m, slot, c)] = cur
-                max_len = max(max_len, len(cur.num), len(cur.den))
-                for k in range(1, r - m):
-                    cur = differentiate(cur)
-                    fns[(k, m, slot, c)] = cur
-                    max_len = max(max_len, len(cur.num), len(cur.den))
-    K = max(r, 1)
-    nums = np.zeros((K, K, max(len(live), 1), n, max_len), np.complex128)
-    dens = np.zeros_like(nums)
-    dens[..., 0] = 1.0  # padding entries evaluate to 0/1
-    for (k, m, j, c), f in fns.items():
-        nums[k, m, j, c, : len(f.num)] = f.num
-        dens[k, m, j, c, 0] = 0.0
-        dens[k, m, j, c, : len(f.den)] = f.den
+                for k in range(r - m):
+                    f = differentiate(f) if k else f
+                    rows.append(((k * K + m) * J + slot) * n + c)
+                    fns.append(f)
+    max_len = max((len(p) for f in fns for p in (f.num, f.den)), default=1)
+    tables = np.zeros((2, K * K * J * n, max_len), np.complex128)  # nums, then dens
+    tables[1, :, 0] = 1.0  # padding entries evaluate to 0/1
+    if fns:
+        # every entry's zero-padded numerator and denominator by one indexed assignment
+        pad = (0j,) * max_len
+        coeffs = np.array([a for f in fns for p in (f.num, f.den) for a in (p + pad)[:max_len]], np.complex128)
+        tables[:, rows] = coeffs.reshape(-1, 2, max_len).swapaxes(0, 1)
     # each derivative squares its denominator; `not <=` also catches NaN
-    if not (np.abs(nums) <= MAX_COEFFICIENT).all() or not (np.abs(dens) <= MAX_COEFFICIENT).all():
+    if not (np.abs(tables) <= MAX_COEFFICIENT).all():
         raise BadShape(f"a derivative coefficient exceeds {MAX_COEFFICIENT:g} in magnitude")
+    nums, dens = tables.reshape(2, K, K, J, n, max_len)
     dnorms = np.linalg.norm(dens, axis=-1)
     return _Tables(nums, dens, dnorms, tuple(data_poles(columns)), live, len(columns))
 
@@ -116,6 +115,14 @@ def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarr
     """
     t, vals, ok = _live_values(n, r, tuple(tuple(col) for col in columns), zs)
     return _all_columns(t, vals), ok
+
+
+def _vector_values(vec: MeroVector, zs: np.ndarray) -> np.ndarray:
+    """A vector's values zs.shape + (n,) by one table evaluation, 0 at a pole.
+    Its table is built outside the cache, which holds the data's tables."""
+    t = _tables.__wrapped__(vec.n, 1, ((vec,),))
+    vals, _ = kernels.eval_table(t.nums, t.dens, t.dnorms, zs.ravel())
+    return vals[:, 0, 0, 0].reshape(zs.shape + (vec.n,))
 
 
 class ChainBatch(NamedTuple):

@@ -153,14 +153,17 @@ def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace
     """W = X + lambda X_(1) + ... + lambda^{r-1} X_(r-1) + lambda^r H_+ at z.
 
     The derivative table holds block i of X^(m) for m <= r-1-i, exactly the
-    blocks that lambda^k X^(m) (m <= k) keeps below lambda^r.
+    blocks that lambda^k X^(m) (m <= k) keeps below lambda^r.  Sections of no
+    block (r = 0, or no section) give W = H_+, the zero subspace of C^0, as
+    ``w_from_loop`` does; they hold no vector to read n from, so its n is 0.
     """
     cols = tuple(tuple(c) for c in x_columns)
-    if not cols:
-        raise BadShape("need at least one spanning section")
-    r, n = len(cols[0]), cols[0][0].n
+    r = len(cols[0]) if cols else 0
     if any(len(col) != r for col in cols):
         raise BadShape("all sections must have r blocks")
+    if r == 0:
+        return WSubspace(0, 0, np.zeros((0, 0), np.complex128))
+    n = cols[0][0].n
     t, vals, ok = _live_values(n, r, cols, np.array([z], np.complex128))
     if not ok[0]:
         raise PoleError(f"an X entry has a pole too close to z={complex(z)}")

@@ -37,7 +37,7 @@ _COEFF_RANGE = 4  # random coefficients are Gaussian integers in [-4, 4]^2
 
 
 def _as_coeffs(coeffs) -> tuple[complex, ...]:
-    out = tuple(complex(c) for c in coeffs)
+    out = tuple(map(complex, coeffs))
     return out if out else (0j,)
 
 

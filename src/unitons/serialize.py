@@ -8,6 +8,7 @@ byte-exactly through the canonical writer.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import Sequence
@@ -55,22 +56,8 @@ def rational_to_json(f: RationalFn) -> dict:
     return {"num": [encode_complex(c) for c in f.num], "den": [encode_complex(c) for c in f.den]}
 
 
-@_decoder
-def rational_from_json(obj) -> RationalFn:
-    num = tuple(decode_complex(c) for c in obj["num"])
-    den = tuple(decode_complex(c) for c in obj["den"])
-    if any(abs(c) > MAX_COEFFICIENT for c in num + den):
-        raise BadShape(f"coefficient magnitude above {MAX_COEFFICIENT:g}")
-    return RationalFn(num, den)
-
-
 def vector_to_json(v: MeroVector) -> list:
     return [rational_to_json(f) for f in v.entries]
-
-
-@_decoder
-def vector_from_json(obj) -> MeroVector:
-    return MeroVector(tuple(rational_from_json(f) for f in obj))
 
 
 def data_to_json(data: DataArray) -> dict:
@@ -83,11 +70,23 @@ def data_to_json(data: DataArray) -> dict:
 
 @_decoder
 def data_from_json(obj) -> DataArray:
-    return DataArray(
-        int(obj["n"]),
-        int(obj["r"]),
-        tuple(tuple(vector_from_json(v) for v in col) for col in obj["columns"]),
-    )
+    """Every [re, im] pair of the file decoded by one numpy conversion and
+    checked once, then sliced back into each entry's numerator and denominator."""
+    columns = obj["columns"]
+    coeffs = [part for col in columns for vec in col for f in vec for part in (f["num"], f["den"])]
+    flat = [pair for part in coeffs for pair in part]
+    pairs = np.array(flat or np.zeros((0, 2)), np.float64)
+    if pairs.shape != (len(flat), 2):
+        raise BadShape("complex values must be [re, im] pairs")
+    values = _complex_from_pairs(pairs)
+    if (np.abs(values) > MAX_COEFFICIENT).any():
+        raise BadShape(f"coefficient magnitude above {MAX_COEFFICIENT:g}")
+    values, bounds = values.tolist(), [0, *itertools.accumulate(map(len, coeffs))]
+    parts = iter([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
+    # the parts come in file order, each entry's numerator before its denominator
+    return DataArray(int(obj["n"]), int(obj["r"]), tuple(
+        tuple(MeroVector(tuple(RationalFn(next(parts), next(parts)) for _ in vec)) for vec in col)
+        for col in columns))
 
 
 def matrices_to_json(ms: np.ndarray) -> list[dict]:

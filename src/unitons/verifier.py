@@ -24,6 +24,7 @@ from .builder import (
     ChainBatch,
     HarmonicMapSampler,
     _draw,
+    _vector_values,
     chain_arrays,
     extended_coefficients,
     extended_product,
@@ -163,6 +164,16 @@ def harmonicity_residual(source, z):
     return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (b_zbar @ b_z + b_z @ b_zbar) / 4))
 
 
+def _extended_values(chains: ChainBatch, lams: np.ndarray) -> np.ndarray:
+    """Phi_lambda = T_0 + lambda T_1 + ... + lambda^r T_r at each of lams (L,),
+    on axis -3 of every chain: one contraction of the powers of lambda with the
+    r + 1 coefficients, not r factors per lambda."""
+    T = extended_coefficients(chains.pis, chains.perps, chains.pis.shape[-1])
+    lead, (terms, n) = T.shape[:-3], T.shape[-3:-1]
+    flat = np.vander(lams, terms, increasing=True) @ T.reshape(lead + (terms, n * n))
+    return flat.reshape(lead + (len(lams), n, n))
+
+
 def extended_checks(sampler, z) -> dict:
     """Extended-solution equation residual, unitarity defect and Phi_1 defect.
 
@@ -170,19 +181,31 @@ def extended_checks(sampler, z) -> dict:
     (a ChainBatch); each value has the shape of z, a point or an array.
     """
     chains, _ = _on_stencil(sampler, _stencil(z, FD_STEP))
-    lams = np.array((-1, 1, *DEFAULT_LAMBDAS), np.complex128)[:, None, None, None]
+    lams = np.array((-1, 1, *DEFAULT_LAMBDAS), np.complex128)
     eye = np.eye(chains.pis.shape[-1], dtype=np.complex128)
     # Phi_lambda for lambda = -1, 1, then each of DEFAULT_LAMBDAS, at every stencil point
-    ext = extended_product(np.expand_dims(chains.pis, -4), np.expand_dims(chains.perps, -4), lams, eye)
+    ext = _extended_values(chains, lams)
     cf = _connection(ext[..., 0, :, :], FD_STEP)
     dz, dzb = _wirtinger(ext[1:, ..., 2:, :, :], FD_STEP)
-    val, lam = ext[0, ..., 2:, :, :], lams[2:, 0]
+    val, lam = ext[0, ..., 2:, :, :], lams[2:, None, None]
     es = (_norms(dz - (1 - 1 / lam) * val @ cf.a_z[..., None, :, :])
           + _norms(dzb - (1 - lam) * val @ cf.a_zbar[..., None, :, :]))
     unit = np.abs(val @ val.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
     return {"es_residual": _scalar(es.max(axis=-1, initial=0.0)),
             "unitarity_defect": _scalar(unit.max(axis=-1, initial=0.0)),
             "phi1_defect": _scalar(np.abs(ext[0, ..., 1, :, :] - eye).max(axis=(-2, -1)))}
+
+
+def _prefix_maps(chains: ChainBatch, phi0: np.ndarray) -> np.ndarray:
+    """phi_0 .. phi_r on axis -3, phi_ell = phi_{ell-1} (pi_ell - pi_ell_perp): the
+    steps of one ``extended_product`` call, so phi_ell is bit for bit its call on
+    the first ell steps."""
+    factors = chains.pis + -1 * chains.perps  # extended_product's factors at lambda = -1
+    out, prefix = phi0, [np.broadcast_to(phi0, factors.shape[:-3] + phi0.shape)]
+    for ell in range(factors.shape[-3]):
+        out = out @ factors[..., ell, :, :]
+        prefix.append(out)
+    return np.stack(prefix, axis=-3)
 
 
 def section_identities(data, z, seed: int = 0) -> dict:
@@ -203,9 +226,7 @@ def section_identities(data, z, seed: int = 0) -> dict:
     r, J, n = chains.kvecs.shape[-3:]
     kv, perp = chains.kvecs[0][..., None], chains.perps[0]
     # the connections of the prefix maps phi_ell, ell = 0..r, on axis -3
-    prefix = [extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1, phi0)
-              for ell in range(r + 1)]
-    conn = _connection(np.stack(prefix, axis=-3), FD_STEP)
+    conn = _connection(_prefix_maps(chains, phi0), FD_STEP)
     a_z, a_zbar = conn.a_z[..., :r, None, None, :, :], conn.a_zbar[..., :r, None, None, :, :]
     _, dzb_k = _wirtinger(chains.kvecs[1:, ..., None], FD_STEP)
     # K^(k+1)_{i,j}; the table holds zeros above k = i, so this is 0 at k = i
@@ -216,7 +237,7 @@ def section_identities(data, z, seed: int = 0) -> dict:
     antibasic = _norms(perp @ conn.a_z[..., :r, :, :])
     # Lemma residuals for a fresh random polynomial vector H
     H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
-    h_vals = _evaluate(H.eval, chains.zs)[..., None, :, None]
+    h_vals = _vector_values(H, chains.zs)[..., None, :, None]
     lemma = [np.zeros(antibasic.shape[:-1] + (0,))]
     for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
         # rows s = 0..ell-1: perp_ell C_s H, then rows ell + s: C_{s+1} H

@@ -167,6 +167,7 @@ def verification_residuals(data, samples, seed, h=1e-3):
     own; each sample point's stencil maps are held in a dict (9 maps).  Chains come from single-point builds; the pointwise static checks
     are ``static_residuals``."""
     from unitons import HarmonicMapSampler, draw_sample_points
+    from unitons.builder import derivative_values
     from unitons.meromorphic import random_polynomial_vector
     from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL
 
@@ -186,6 +187,10 @@ def verification_residuals(data, samples, seed, h=1e-3):
         worst[name] = max(worst.get(name, 0.0), float(value))
 
     H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
+
+    def h_at(w):  # H at one point, by a one-point table evaluation as verify reads it
+        return derivative_values(n, 1, ((H,),), np.array([w]))[0][0, 0, 0, 0]
+
     for z in draw_sample_points(data, samples, seed=seed, stencil_h=h):
         maps = {}
 
@@ -223,15 +228,35 @@ def verification_residuals(data, samples, seed, h=1e-3):
             for s in range(ell):
                 def f(w):
                     perps = chain(w).perps
-                    return perps[ell - 1] @ (_pascal_rows(perps[: ell - 1], n, ell)[s] @ H.eval(w))
+                    return perps[ell - 1] @ (_pascal_rows(perps[: ell - 1], n, ell)[s] @ h_at(w))
 
                 def g(w):
-                    return _pascal_rows(chain(w).perps[: ell - 1], n, ell)[s + 1] @ H.eval(w)
+                    return _pascal_rows(chain(w).perps[: ell - 1], n, ell)[s + 1] @ h_at(w)
 
                 _, dzb_f = _stencil_fd(f, z, h)
                 _, dzb_g = _stencil_fd(g, z, h)
                 note("dzbar_lemma", np.linalg.norm(dzb_f + conn[ell][1] @ f(z) + center.perps[ell - 1] @ dzb_g))
     return worst
+
+
+def data_from_json_per_entry(obj):
+    """A data file decoded one [re, im] pair at a time, each entry's coefficients
+    held to the magnitude bound on their own; JSON of a wrong type raises BadShape."""
+    from unitons import BadShape, DataArray, MeroVector, RationalFn
+    from unitons.meromorphic import MAX_COEFFICIENT
+    from unitons.serialize import decode_complex
+
+    def rational(f):
+        num, den = (tuple(decode_complex(c) for c in f[part]) for part in ("num", "den"))
+        if any(abs(c) > MAX_COEFFICIENT for c in num + den):
+            raise BadShape(f"coefficient magnitude above {MAX_COEFFICIENT:g}")
+        return RationalFn(num, den)
+
+    try:
+        return DataArray(int(obj["n"]), int(obj["r"]), tuple(
+            tuple(MeroVector(tuple(rational(f) for f in vec)) for vec in col) for col in obj["columns"]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadShape(f"malformed JSON: {exc}") from exc
 
 
 def w_basis_per_fiber(coeffs):

@@ -93,6 +93,16 @@ def test_w_from_x_raises_at_a_pole_of_x():
     assert w_from_x([col], Z).dim == 3  # X, lambda X and lambda X'
 
 
+@pytest.mark.parametrize("data", [DataArray(3, 0, ((),)), random_data(3, 0, 2)], ids=["one-column", "no-column"])
+def test_w_from_x_r0_is_the_zero_subspace(data):
+    # r = 0: W = H_+, the zero subspace of C^0, as w_from_loop gives for a degree-0 loop
+    w, from_loop = w_from_x(x_columns_from_data(data), Z), w_from_loop(LoopPoly(np.eye(3)[None]))
+    assert w.r == from_loop.r == 0 and w.dim == from_loop.dim == 0
+    assert w.basis.shape == from_loop.basis.shape == (0, 0)
+    pis, perps = iwasawa_factorize(w)
+    assert pis.size == perps.size == 0
+
+
 def test_w_from_x_r1_is_fiber():
     col = (MeroVector((P([1]), P([0, 1]), P([3]))),)
     w = w_from_x([col], Z)

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unitons import BadShape, serialize
+from unitons import BadShape, DataArray, MeroVector, RationalFn, random_data, s1_invariant_data, serialize
 
-from oracles import random_chain
+from oracles import data_from_json_per_entry, random_chain
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -107,3 +107,55 @@ def test_chain_from_json_rejects_bad_projections():
             serialize.chain_from_json(serialize.chain_to_json(bad[None]))
     with pytest.raises(BadShape):  # projections of another size than n
         serialize.chain_from_json({**good, "n": 3})
+
+
+def _rational_denominators():
+    # the echelon (4, 3, (1, 1, 2)) data with rational entries, signed zeros and
+    # non-integer coefficients in its live columns
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 2), seed=4)
+    columns = [list(col) for col in data.columns]
+    v = columns[0][1]
+    columns[0][1] = MeroVector((RationalFn((1.5, -0.0j, 0.5), (2, 0.25 - 1j, 1j)),) + v.entries[1:])
+    columns[1][2] = MeroVector(tuple(RationalFn(f.num, (1, -3.75j)) for f in columns[1][2].entries))
+    return DataArray(4, 3, tuple(tuple(col) for col in columns))
+
+
+@pytest.mark.parametrize("data", [
+    random_data(4, 3, 3, seed=2),
+    random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0),
+    s1_invariant_data(4, (1, 2, 3), 3, seed=2),
+    random_data(3, 0, 2, seed=0),
+    DataArray(3, 0, ((),)),
+    _rational_denominators(),
+], ids=["random", "echelon", "s1", "r0", "r0-one-column", "rational"])
+def test_data_from_json_equals_the_per_entry_decode(data):
+    obj = json.loads(serialize.dumps(serialize.data_to_json(data)))
+    decoded, reference = serialize.data_from_json(obj), data_from_json_per_entry(obj)
+    assert decoded == reference == data
+    # compared as text too, which tells -0.0 from 0.0
+    assert serialize.dumps(serialize.data_to_json(decoded)) == serialize.dumps(serialize.data_to_json(reference))
+
+
+def _entry(obj, value, part="num"):
+    obj["columns"][0][0][0][part] = value
+    return obj
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda obj: _entry(obj, [[1.0, float("nan")]]),
+    lambda obj: _entry(obj, [[1e151, 0.0]], "den"),
+    lambda obj: _entry(obj, [[1.0, 0.0, 0.0]]),
+    lambda obj: _entry(obj, [1.0, 0.0]),
+    lambda obj: _entry(obj, [[1.0, 0.0], [1.0]]),
+    lambda obj: _entry(obj, [[None, 0.0]]),
+    lambda obj: _entry(obj, [["x", 0.0]]),
+    lambda obj: _entry(obj, [[10**400, 0.0]]),
+    lambda obj: _entry(obj, 5),
+    lambda obj: _entry(obj, [], "den"),
+], ids=["nan", "huge", "triple", "flat", "ragged", "null", "string", "huge-int", "number", "zero-denominator"])
+def test_data_from_json_rejects_what_the_per_entry_decode_rejects(mutate):
+    obj = mutate(serialize.data_to_json(random_data(3, 2, 2, sparsity_pattern=(1, 1), seed=1)))
+    with pytest.raises(BadShape):
+        data_from_json_per_entry(obj)
+    with pytest.raises(BadShape):
+        serialize.data_from_json(obj)

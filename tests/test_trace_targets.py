@@ -21,11 +21,15 @@ import unitons.serialize  # noqa: F401
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 @pytest.mark.parametrize("target", _targets(), ids=lambda t: t[0])
@@ -104,3 +108,32 @@ def test_benchmark_call_binds_to_signature(call):
         owner = getattr(owner, part)
     # placeholder values: only the arity and the keyword names are checked
     inspect.signature(owner).bind(*[None] * npos, **dict.fromkeys(keywords))
+
+
+def test_report_stages_are_the_tracers_direct_children():
+    # the tracer charges verify's time to its stages by their spans under
+    # verification_report: a check inlined into the report would move its time
+    # into verifier.static_s, and one nested in another stage into that stage
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.active = tracer.record_spans = True
+        unitons.verification_report(unitons.random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0),
+                                    samples=3, seed=5)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    report = names.index("verifier.verification_report")
+
+    def ancestors(i):
+        while tracer.spans[i][3] >= 0:
+            i = tracer.spans[i][3]
+            yield names[i]
+
+    for stage in ("verifier.harmonicity_residual", "verifier.extended_checks", "verifier.section_identities"):
+        assert names.count(stage) == 1, stage
+        assert tracer.spans[names.index(stage)][3] == report, stage
+    assert "meromorphic.MeroVector.eval" not in names
+    assert not any("verifier.extended_checks" in ancestors(i) for i, name in enumerate(names)
+                   if name == "builder.extended_product")

@@ -211,15 +211,19 @@ def _per_entry_sections(sampler, z, seed=0):
                 nxt = center.kvecs[i, k + 1, j] if k + 1 <= i else np.zeros(n)
                 az_k.append(float(np.linalg.norm(conn[i].a_z @ kv + nxt)))
     H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
+
+    def h_at(w):  # H at one point, by a one-point table evaluation
+        return builder.derivative_values(n, 1, ((H,),), np.array([w]))[0][0, 0, 0, 0]
+
     for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
         for s in range(ell):
             def f_field(w, _ell=ell, _s=s):
                 cd = sampler.chain_at(w)
-                return cd.perps[_ell - 1] @ (c_rows(cd.perps[: _ell - 1], n, _ell)[_s] @ H.eval(w))
+                return cd.perps[_ell - 1] @ (c_rows(cd.perps[: _ell - 1], n, _ell)[_s] @ h_at(w))
 
             def g_field(w, _ell=ell, _s=s):
                 cd = sampler.chain_at(w)
-                return c_rows(cd.perps[: _ell - 1], n, _ell)[_s + 1] @ H.eval(w)
+                return c_rows(cd.perps[: _ell - 1], n, _ell)[_s + 1] @ h_at(w)
 
             _, dzb_f = wirtinger(f_field, z)
             _, dzb_g = wirtinger(g_field, z)
@@ -422,3 +426,51 @@ def test_static_checks_flag_broken_chains_as_the_per_point_reference_does():
     for name in ("reality", "top_coefficient"):
         assert stacked[name].max() <= DEFAULT_TOLERANCES[name], name
 
+
+
+_CRITERION_2 = [(n, r, pattern, seed) for seed in range(4)
+                for n, r, pattern in ((3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2)))]
+
+
+@pytest.mark.parametrize("case", _CRITERION_2, ids=lambda c: f"{c[0]}-{c[1]}-{'-'.join(map(str, c[2]))}-s{c[3]}")
+def test_extended_values_from_coefficients_match_the_per_lambda_product(case):
+    # Phi_lambda as sum_t lambda^t T_t agrees with the product of its r factors
+    # at every lambda extended_checks reads, on every stencil point of its draw
+    n, r, pattern, seed = case
+    data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+    batch = builder._draw(data, 3, 5, verifier.FD_STEP)[1]
+    lams = np.array((-1, 1, *verifier.DEFAULT_LAMBDAS), np.complex128)
+    ext = verifier._extended_values(batch, lams)
+    assert ext.shape == batch.zs.shape + (len(lams), n, n)
+    for k, lam in enumerate(lams):
+        product = builder.extended_product(batch.pis, batch.perps, lam, np.eye(n, dtype=np.complex128))
+        assert np.abs(ext[..., k, :, :] - product).max() <= 1e-13, lam
+
+
+@pytest.mark.parametrize("data", [
+    random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=5),
+    random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2),
+    random_data(3, 0, 2, seed=0),
+], ids=["J>1", "r=4", "r0"])
+def test_prefix_maps_are_the_products_of_their_steps_bit_for_bit(data):
+    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((data.n, data.n)) + 1j * np.eye(data.n))
+    points = verifier._stencil(draw_sample_points(data, 2, seed=17, stencil_h=verifier.FD_STEP), verifier.FD_STEP)
+    for sampler in (HarmonicMapSampler(data), HarmonicMapSampler(data, q)):
+        chains, phi0 = verifier._on_stencil(sampler, points)
+        prefix = verifier._prefix_maps(chains, phi0)
+        assert prefix.shape == points.shape + (data.r + 1, data.n, data.n)
+        for ell in range(data.r + 1):
+            expected = builder.extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1, phi0)
+            assert np.array_equal(prefix[..., ell, :, :], expected), ell
+
+
+def test_lemma_vector_values_match_its_pointwise_evaluation():
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    zs = builder._draw(data, 10, 7, verifier.FD_STEP)[1].zs  # (9, 10)
+    for seed in range(5):
+        H = random_polynomial_vector(np.random.default_rng(seed), 5, 3)
+        values = builder._vector_values(H, zs)
+        expected = np.array([[H.eval(z) for z in row] for row in zs.tolist()])
+        assert values.shape == expected.shape == zs.shape + (5,)
+        # relative to each value's largest entry: a single entry may cancel
+        assert (np.abs(values - expected).max(axis=-1) <= 1e-15 * np.abs(expected).max(axis=-1)).all()
