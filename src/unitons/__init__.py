@@ -8,9 +8,7 @@ factorizes algebraic loops through the finite Grassmannian model.
 from .builder import (
     HarmonicMapSampler,
     alpha1_is_full,
-    associated_and_gauss,
     build_fiber,
-    cartan_embed,
     draw_sample_points,
     evaluate_map,
     extended_coefficients,
@@ -51,11 +49,9 @@ from .meromorphic import (
 from .projections import (
     Span,
     image_span,
-    max_principal_angle,
     orthonormal_basis,
     principal_angles,
     projection_pair,
-    spans_equal,
 )
 from .verifier import (
     connection_form,

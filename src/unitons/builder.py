@@ -27,7 +27,7 @@ from .meromorphic import (
     differentiate,
     random_polynomial_vector,
 )
-from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis, projection_pair
+from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis
 
 ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |perp v| > RTOL |v| + ATOL
 STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in steps: the centre, then x and y
@@ -275,40 +275,6 @@ def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndar
         T[..., 1 : i + 2, :, :] = T[..., 1 : i + 2, :, :] @ pi + T[..., : i + 1, :, :] @ perp
         T[..., 0, :, :] = T[..., 0, :, :] @ pis[..., i, :, :]
     return T
-
-
-def cartan_embed(s: Span) -> np.ndarray:
-    """pi_s - pi_s_perp: the totally geodesic embedding of a subspace into U(n)."""
-    pi, perp = projection_pair(s)
-    return pi - perp
-
-
-def associated_and_gauss(h_column: Sequence[MeroVector], i: int, z: complex) -> tuple[Span, Span]:
-    """The i'th associated curve h_(i) and Gauss bundle fiber G^(i)(h) at z."""
-    if i < 0:
-        raise BadShape("i must be >= 0")
-    h_column = tuple(h_column)
-    if not h_column:
-        raise BadShape("need at least one spanning section")
-    n = h_column[0].n
-    lower: list[np.ndarray] = []
-    upper: list[np.ndarray] = []
-    for vec in h_column:
-        cur = vec
-        for m in range(i + 1):
-            v = cur.eval(z)
-            upper.append(v)
-            if m <= i - 1:
-                lower.append(v)
-            if m < i:
-                cur = cur.derivative()
-    h_i = orthonormal_basis(np.column_stack(upper) if upper else np.zeros((n, 0)))
-    if i == 0:
-        return h_i, h_i
-    h_im1 = orthonormal_basis(np.column_stack(lower))
-    _, perp = projection_pair(h_im1)
-    gauss = orthonormal_basis(perp @ h_i.basis)
-    return h_i, gauss
 
 
 def s1_invariant_data(

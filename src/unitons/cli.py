@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -43,15 +44,19 @@ EXIT_FAILED = 4
 SAMPLE_BLOCK = 256  # `sample` evaluates at most this many grid points per kernel call
 
 
+def _finite_positive(option, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{option} must be finite and positive, got {value!r}")
+    return value
+
+
 def _parse_tols(items):
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-        out[name] = float(value)
-        if out[name] <= 0:
-            raise ValueError(f"tolerance {name} must be positive")
+        out[name] = _finite_positive(f"--tol {name}", float(value))
     return out
 
 
@@ -65,6 +70,8 @@ def _parse_rect(text):
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 4:
         raise ValueError("--rect expects x0,x1,y0,y1")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"--rect bounds must be finite, got {text!r}")
     return parts
 
 
@@ -93,8 +100,9 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_positive(samples=args.samples)
+    tolerances = _parse_tols(args.tol)
     data = serialize.data_from_json(serialize.read_json(args.input))
-    report = verification_report(data, samples=args.samples, seed=args.seed, tolerances=_parse_tols(args.tol))
+    report = verification_report(data, samples=args.samples, seed=args.seed, tolerances=tolerances)
     _emit(report, args.output)
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
@@ -107,6 +115,7 @@ def _loop_fibers(data, samples, seed):
 
 def cmd_factorize(args) -> int:
     _check_positive(samples=args.samples)
+    _finite_positive("--agree-tol", args.agree_tol)
     obj = serialize.read_json(args.input)
     if isinstance(obj, dict) and "columns" in obj:
         data = serialize.data_from_json(obj)
@@ -164,10 +173,12 @@ def cmd_grassmann(args) -> int:
         q = QInvolution.identity(data.n)
     zs, loops, _ = _loop_fibers(data, args.samples, args.seed)
     w = w_from_loop(loops)
-    defects = []
-    for p, z in enumerate(zs):
-        res = q_adapted_check(w.at(p), q)
-        defects.append({"z": serialize.encode_complex(z), "defect": res.defect, "adapted": res.adapted})
+    for singular in w.errors:
+        if singular:
+            raise singular
+    res = q_adapted_check(w, q)
+    defects = [{"z": serialize.encode_complex(z), "defect": float(d), "adapted": bool(a)}
+               for z, d, a in zip(zs, res.defect, res.adapted)]
     report = {
         "q_rank": q.a_span.dim,
         "defects": defects,
@@ -197,8 +208,8 @@ def _sample_records(data, zs, eye) -> list[dict]:
 
 def cmd_sample(args) -> int:
     _check_positive(grid=args.grid)
-    data = serialize.data_from_json(serialize.read_json(args.input))
     x0, x1, y0, y1 = _parse_rect(args.rect)
+    data = serialize.data_from_json(serialize.read_json(args.input))
     m = args.grid
     eye = np.eye(data.n, dtype=np.complex128)
     xs = [x0 + (x1 - x0) * (ix + 0.5) / m for ix in range(m)]

@@ -28,10 +28,10 @@ from .meromorphic import MeroVector
 from .projections import (
     Span,
     masked_basis,
-    max_principal_angle,
     numerical_rank,
     orthonormal_basis,
     projection_pair,
+    projector_gap,
     s_rows,
 )
 
@@ -39,7 +39,7 @@ LAMBDA_TOL = 1e-8     # allowed shift-invariance defect of a W subspace
 BOUNDARY_TOL = 1e-9   # boundary coefficients must vanish below this when dividing
 TRIM_TOL = 1e-9       # a loop coefficient below this is treated as zero
 REALITY_TOL = 1e-10   # a loop fiber must have T_0 T_r^* and T_r^* T_0 below this
-Q_ADAPTED_TOL = 1e-7  # W is nu_Q-invariant when its largest angle to nu_Q W is below this
+Q_ADAPTED_TOL = 1e-7  # W is nu_Q-invariant when its projector gap to nu_Q W is at most this
 IDENTITY_TOL = 1e-8   # the kernel descent's residual constant term must be within this of I
 NORM_FLOOR = 1e-12    # a shifted W column below this norm counts as zero in the shift defect
 
@@ -110,10 +110,6 @@ class WSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[-1]
-
-    @property
-    def span(self) -> Span:
-        return Span(self.basis, self.r * self.n, validate=False)
 
     def lambda_defect(self) -> np.ndarray:
         """max over shifted basis columns of the relative distance to the span,
@@ -270,33 +266,33 @@ class ConstantLoop:
         return loop_at(self.coeffs, 1 / lam)
 
 
+def _constant_step(coeffs: np.ndarray, pi: np.ndarray, perp: np.ndarray, degree: int) -> np.ndarray:
+    """Left-multiply loop coefficients (..., d+1, n, n) by pi + lambda^{-1} perp,
+    T_t <- pi T_t + perp T_{t+1}, keeping T_0..T_degree."""
+    shifted = np.concatenate([coeffs[..., 1:, :, :], np.zeros_like(coeffs[..., :1, :, :])], axis=-3)
+    return (pi @ coeffs + perp @ shifted)[..., : degree + 1, :, :]
+
+
 def normalize_type_one(
     loop_sampler: Callable[[complex], LoopPoly],
     sample_points: Sequence[complex],
 ) -> tuple[ConstantLoop, Callable[[complex], LoopPoly]]:
     """Left-multiply by constant loops until im T_0 is full (type one).
 
-    Returns the accumulated constant pre-factor and the normalized sampler.
+    The sampler is called once per point; each step acts on the stack of
+    sampled loops.  Returns the accumulated constant pre-factor and the
+    normalized sampler.
     """
     points = [complex(z) for z in sample_points]
     if not points:
         raise BadShape("need at least one sample point")
-    first = loop_sampler(points[0])
-    n = first.n
-    r0 = first.degree
+    stack = np.array([loop_sampler(z).coeffs for z in points])  # (P, d+1, n, n)
+    n, r0 = stack.shape[-1], stack.shape[-3] - 1
     steps: list[Span] = []
-    degrees: list[int] = []  # degree after each step, decided from the sample points
-
-    def sample(z: complex) -> LoopPoly:
-        loop = loop_sampler(z)
-        for span, deg in zip(steps, degrees):
-            pi, perp = projection_pair(span)
-            c = loop.coeffs  # T_t <- pi T_t + perp T_{t+1}
-            loop = LoopPoly((pi @ c + perp @ np.concatenate([c[1:], np.zeros((1, n, n), np.complex128)]))[: deg + 1])
-        return loop
+    pairs: list[tuple[np.ndarray, np.ndarray, int]] = []  # (pi, perp, degree after the step)
 
     def constant_image() -> Span:
-        return orthonormal_basis(np.hstack([sample(z).coeffs[0] for z in points]))
+        return orthonormal_basis(np.hstack(stack[:, 0]))
 
     for _ in range(max(r0, 1)):
         a_span = constant_image()
@@ -304,17 +300,25 @@ def normalize_type_one(
             break
         if a_span.dim == 0:
             raise NoTermination("constant term vanishes identically")
-        prev_degree = degrees[-1] if degrees else r0
+        pi, perp = projection_pair(a_span)
+        stack = _constant_step(stack, pi, perp, stack.shape[-3] - 1)
+        degree = LoopPoly(stack).trimmed().degree
+        stack = stack[:, : degree + 1]
         steps.append(a_span)
-        degrees.append(prev_degree)  # provisional: trim below once sampled
-        degrees[-1] = LoopPoly(np.array([sample(z).coeffs for z in points])).trimmed().degree
+        pairs.append((pi, perp, degree))
     else:
         if constant_image().dim != n:
             raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")
 
+    def sample(z: complex) -> LoopPoly:
+        coeffs = loop_sampler(z).coeffs
+        for pi, perp, degree in pairs:
+            coeffs = _constant_step(coeffs, pi, perp, degree)
+        return LoopPoly(coeffs)
+
     # the last step multiplies leftmost: expand the product over the reversed steps
-    pairs = np.array([projection_pair(span) for span in reversed(steps)]).reshape(-1, 2, n, n)
-    return ConstantLoop(tuple(steps), extended_coefficients(pairs[:, 0], pairs[:, 1], n)), sample
+    factors = np.array([pair[:2] for pair in reversed(pairs)]).reshape(-1, 2, n, n)
+    return ConstantLoop(tuple(steps), extended_coefficients(factors[:, 0], factors[:, 1], n)), sample
 
 
 class QInvolution:
@@ -335,30 +339,30 @@ class QInvolution:
 
 @dataclass(frozen=True)
 class QAdaptedResult:
-    """Outcome of the nu_Q-invariance test.
+    """Outcome of the nu_Q-invariance test, for one W or per fiber of a stack.
 
     plus/minus hold an adapted basis split by eigenvalue of nu_Q; they are
-    None when the defect exceeds the tolerance.
+    None when the defect exceeds the tolerance, and for a stack.
     """
 
-    defect: float
+    defect: float | np.ndarray
     plus: Optional[np.ndarray]
     minus: Optional[np.ndarray]
 
     @property
-    def adapted(self) -> bool:
-        return self.plus is not None
+    def adapted(self) -> bool | np.ndarray:
+        return self.defect <= Q_ADAPTED_TOL
 
 
 def q_adapted_check(w: WSubspace, q: QInvolution) -> QAdaptedResult:
-    """Defect of nu_Q-invariance of W; on success, a Q-adapted spanning basis."""
-    nu = q.nu_matrix(w.r)
-    moved = nu @ w.basis
-    defect = max_principal_angle(w.span, Span(moved, w.r * w.n, validate=False))
+    """Defect of nu_Q-invariance of W, the projector gap between W and nu_Q W; on
+    success, a Q-adapted spanning basis.  A stack of W gives each fiber's defect."""
+    moved = q.nu_matrix(w.r) @ w.basis
+    defect = projector_gap(*(b @ b.conj().swapaxes(-1, -2) for b in (w.basis, moved)))
+    if w.basis.ndim == 3:
+        return QAdaptedResult(defect, None, None)
     if defect > Q_ADAPTED_TOL:
         return QAdaptedResult(float(defect), None, None)
-    plus_vecs = w.basis + moved
-    minus_vecs = w.basis - moved
-    plus = orthonormal_basis(plus_vecs)
-    minus = orthonormal_basis(minus_vecs)
+    plus = orthonormal_basis(w.basis + moved)
+    minus = orthonormal_basis(w.basis - moved)
     return QAdaptedResult(float(defect), plus.basis, minus.basis)

@@ -1,6 +1,5 @@
 """Pointwise subspace linear algebra: spans, projection pairs, the C and S
-operator calculus, and subspace comparison by projector gaps and principal
-angles."""
+operator calculus, and subspace comparison by the projector gap."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import numpy as np
 from .errors import BadShape
 
 RANK_TOL = 1e-9     # relative singular-value cutoff for numerical rank
-SPAN_EQ_TOL = 1e-8  # spans are equal when ranks match and all angles are below this
 ORTHONORMAL_TOL = 1e-12  # largest entry of B* B - I for orthonormal columns (and U U* - I for unitary U)
 
 
@@ -46,12 +44,6 @@ class Span:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, vec: np.ndarray) -> bool:
-        # v is in the span when appending it would not raise the numerical rank
-        v = np.asarray(vec, dtype=np.complex128)
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return np.linalg.norm(resid) <= RANK_TOL * max(1.0, np.linalg.norm(v))
-
 
 def numerical_rank(sv: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Count singular values (descending, last axis) above
@@ -75,16 +67,9 @@ def _column_span(mat: np.ndarray, scale: float) -> Span:
     return Span(u[:, :rank], mat.shape[0], validate=False)
 
 
-def orthonormal_basis(vectors) -> Span:
-    """Orthonormal basis of the span of the given vectors (SVD rank decision)."""
-    if isinstance(vectors, np.ndarray):
-        mat = np.asarray(vectors, dtype=np.complex128)
-    else:
-        vecs = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-        if not vecs:
-            raise BadShape("cannot infer ambient dimension from no vectors")
-        mat = np.column_stack(vecs)
-    return _column_span(mat, 0.0)
+def orthonormal_basis(matrix: np.ndarray) -> Span:
+    """Orthonormal basis of the column span of a matrix, or of one vector (SVD rank decision)."""
+    return _column_span(np.asarray(matrix, dtype=np.complex128), 0.0)
 
 
 def image_span(matrix: np.ndarray) -> Span:
@@ -164,11 +149,6 @@ def principal_angles(a: Span, b: Span) -> np.ndarray:
     return angles
 
 
-def max_principal_angle(a: Span, b: Span) -> float:
-    ang = principal_angles(a, b)
-    return float(ang[-1]) if ang.size else 0.0
-
-
 def projector_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Largest principal angle between the images of orthogonal projectors p
     and q (..., n, n): arcsin ||p - q||_2 where their rounded traces (ranks)
@@ -176,13 +156,3 @@ def projector_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     sin = np.minimum(1.0, np.linalg.svd(p - q, compute_uv=False).max(axis=-1, initial=0.0))
     ranks = [np.rint(np.trace(m, axis1=-2, axis2=-1).real) for m in (p, q)]
     return np.where(ranks[0] == ranks[1], np.arcsin(sin), np.pi / 2)
-
-
-def span_gap(a: Span, b: Span) -> float:
-    """Largest principal angle, or pi/2 when the dimensions differ."""
-    return float(projector_gap(*(s.basis @ s.basis.conj().T for s in (a, b))))
-
-
-def spans_equal(a: Span, b: Span) -> bool:
-    """Basis-independent equality: equal ranks and all angles below SPAN_EQ_TOL."""
-    return span_gap(a, b) < SPAN_EQ_TOL

@@ -186,7 +186,9 @@ def loop_fibers_from_json(obj) -> tuple[list[complex], LoopPoly]:
     """The fibers' z values and their loops as one (P, r+1, n, n) stack, every
     fiber's coefficients decoded at once and held to the file's n and r."""
     n, r, fibers = int(obj["n"]), int(obj["r"]), obj["fibers"]
-    coeffs = _matrices_from_json([t for fib in fibers for t in fib["coeffs"]]) if fibers else np.zeros((0, n, n))
+    if not fibers:
+        raise BadShape("a loop-fiber file needs at least one fiber: no fiber is no evidence")
+    coeffs = _matrices_from_json([t for fib in fibers for t in fib["coeffs"]])
     if coeffs.shape != (len(fibers) * (r + 1), n, n) or any(len(fib["coeffs"]) != r + 1 for fib in fibers):
         raise BadShape(f"every loop fiber must hold r + 1 = {r + 1} coefficients of shape ({n}, {n})")
     return [decode_complex(fib["z"]) for fib in fibers], LoopPoly(coeffs.reshape(len(fibers), r + 1, n, n))

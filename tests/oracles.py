@@ -4,14 +4,21 @@ recursions under test; the per-point verification oracle takes its chains
 from single-point builds and checks the pointwise identities with spans and
 principal angles, not with the verifier's projector products.  The loop
 factorizations are referenced one fiber at a time, the Iwasawa step's S
-operators by word enumeration and the kernel descent by the SVD of T_i."""
+operators by word enumeration and the kernel descent by the SVD of T_i.
+Subspace references that only tests use live here too:
+principal-angle gaps, the Cartan embedding of a span, the associated curves
+of a column, and type-one normalization point by point."""
 
 from functools import reduce
 from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 
-from unitons import eval_rational
+from unitons import BadShape, MeroVector, eval_rational
+from unitons.projections import Span, orthonormal_basis, principal_angles, projection_pair, projector_gap
+
+SPAN_EQ_TOL = 1e-8  # spans are equal when ranks match and all angles are below this
 
 
 def random_chain(rng, n, length):
@@ -136,7 +143,7 @@ def static_residuals(chain, n):
     alpha_ell_perp and alpha_1 (pi/2 on a dimension mismatch); reality and
     the top coefficient from the end coefficients pi_1 ... pi_r and
     pi_1_perp ... pi_r_perp of the extended solution."""
-    from unitons import Span, image_span, max_principal_angle
+    from unitons import image_span
 
     def gap(a, b):
         return max_principal_angle(a, b) if a.dim == b.dim else np.pi / 2
@@ -332,3 +339,112 @@ def kernel_descent_per_fiber(coeffs):
     if np.abs(T[0] - np.eye(n)).max() > IDENTITY_TOL:
         raise DegreeNoDrop("residual constant term is not the identity")
     return pis, perps
+
+
+def max_principal_angle(a: Span, b: Span) -> float:
+    ang = principal_angles(a, b)
+    return float(ang[-1]) if ang.size else 0.0
+
+
+def span_gap(a: Span, b: Span) -> float:
+    """Largest principal angle, or pi/2 when the dimensions differ."""
+    return float(projector_gap(*(s.basis @ s.basis.conj().T for s in (a, b))))
+
+
+def spans_equal(a: Span, b: Span) -> bool:
+    """Basis-independent equality: equal ranks and all angles below SPAN_EQ_TOL."""
+    return span_gap(a, b) < SPAN_EQ_TOL
+
+
+def w_span(w):
+    """The span of one W subspace of C^{rn}."""
+    return Span(w.basis, w.r * w.n, validate=False)
+
+
+def cartan_embed(s: Span) -> np.ndarray:
+    """pi_s - pi_s_perp: the totally geodesic embedding of a subspace into U(n)."""
+    pi, perp = projection_pair(s)
+    return pi - perp
+
+
+def associated_and_gauss(h_column: Sequence[MeroVector], i: int, z: complex) -> tuple[Span, Span]:
+    """The i'th associated curve h_(i) and Gauss bundle fiber G^(i)(h) at z."""
+    if i < 0:
+        raise BadShape("i must be >= 0")
+    h_column = tuple(h_column)
+    if not h_column:
+        raise BadShape("need at least one spanning section")
+    n = h_column[0].n
+    lower: list[np.ndarray] = []
+    upper: list[np.ndarray] = []
+    for vec in h_column:
+        cur = vec
+        for m in range(i + 1):
+            v = cur.eval(z)
+            upper.append(v)
+            if m <= i - 1:
+                lower.append(v)
+            if m < i:
+                cur = cur.derivative()
+    h_i = orthonormal_basis(np.column_stack(upper) if upper else np.zeros((n, 0)))
+    if i == 0:
+        return h_i, h_i
+    h_im1 = orthonormal_basis(np.column_stack(lower))
+    _, perp = projection_pair(h_im1)
+    gauss = orthonormal_basis(perp @ h_i.basis)
+    return h_i, gauss
+
+
+def q_adapted_defect_per_fiber(w, q):
+    """Largest principal angle between one W and nu_Q W, by the cosine/sine route."""
+    moved = Span(q.nu_matrix(w.r) @ w.basis, w.r * w.n, validate=False)
+    return max_principal_angle(w_span(w), moved)
+
+
+def normalize_type_one_per_point(
+    loop_sampler: Callable[[complex], "LoopPoly"],
+    sample_points: Sequence[complex],
+):
+    """Type-one normalization with every sample point pushed through every
+    earlier constant-loop step again on each iteration; returns the pre-factor
+    and the normalized sampler."""
+    from unitons import LoopPoly, NoTermination, extended_coefficients
+    from unitons.grassmannian import ConstantLoop
+
+    points = [complex(z) for z in sample_points]
+    if not points:
+        raise BadShape("need at least one sample point")
+    first = loop_sampler(points[0])
+    n = first.n
+    r0 = first.degree
+    steps: list[Span] = []
+    degrees: list[int] = []  # degree after each step, decided from the sample points
+
+    def sample(z: complex) -> LoopPoly:
+        loop = loop_sampler(z)
+        for span, deg in zip(steps, degrees):
+            pi, perp = projection_pair(span)
+            c = loop.coeffs  # T_t <- pi T_t + perp T_{t+1}
+            loop = LoopPoly((pi @ c + perp @ np.concatenate([c[1:], np.zeros((1, n, n), np.complex128)]))[: deg + 1])
+        return loop
+
+    def constant_image() -> Span:
+        return orthonormal_basis(np.hstack([sample(z).coeffs[0] for z in points]))
+
+    for _ in range(max(r0, 1)):
+        a_span = constant_image()
+        if a_span.dim == n:
+            break
+        if a_span.dim == 0:
+            raise NoTermination("constant term vanishes identically")
+        prev_degree = degrees[-1] if degrees else r0
+        steps.append(a_span)
+        degrees.append(prev_degree)  # provisional: trim below once sampled
+        degrees[-1] = LoopPoly(np.array([sample(z).coeffs for z in points])).trimmed().degree
+    else:
+        if constant_image().dim != n:
+            raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")
+
+    # the last step multiplies leftmost: expand the product over the reversed steps
+    pairs = np.array([projection_pair(span) for span in reversed(steps)]).reshape(-1, 2, n, n)
+    return ConstantLoop(tuple(steps), extended_coefficients(pairs[:, 0], pairs[:, 1], n)), sample

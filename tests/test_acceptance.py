@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
-from oracles import c_words, product_inverse_coeff, random_chain, s_words
+from oracles import c_words, cartan_embed, max_principal_angle, product_inverse_coeff, random_chain, s_words, span_gap, w_span
 
 from unitons import (
     DataArray,
@@ -22,14 +22,12 @@ from unitons import (
     RationalFn,
     alpha1_is_full,
     build_fiber,
-    cartan_embed,
     draw_sample_points,
     extended_checks,
     extended_coefficients,
     harmonicity_residual,
     iwasawa_factorize,
     kernel_factorize_fiber,
-    max_principal_angle,
     normalize_type_one,
     orthonormal_basis,
     projection_pair,
@@ -43,7 +41,7 @@ from unitons import (
 )
 from unitons.cli import main as cli_main
 from unitons.grassmannian import reality_defect
-from unitons.projections import c_rows, image_span, s_rows, span_gap
+from unitons.projections import c_rows, image_span, s_rows
 
 P = RationalFn.polynomial
 
@@ -224,7 +222,7 @@ def test_criterion_06_grassmannian_model():
         for z in draw_sample_points(data, 20, seed=10):
             wx = w_from_x(xcols, z)
             wl = w_from_loop(LoopPoly(sampler.extended_coeffs_at(z)))
-            worst = max(worst, span_gap(wx.span, wl.span))
+            worst = max(worst, span_gap(w_span(wx), w_span(wl)))
     _DURATIONS[6] = time.perf_counter() - t0
     ok = worst <= TOL_MODEL
     _record(6, "grassmannian model", ok, f"max angle {worst:.2e}")

@@ -12,21 +12,19 @@ from unitons import (
     RationalFn,
     Span,
     alpha1_is_full,
-    associated_and_gauss,
     build_fiber,
-    cartan_embed,
     draw_sample_points,
     evaluate_map,
-    max_principal_angle,
     orthonormal_basis,
     projection_pair,
     random_data,
     s1_invariant_data,
-    spans_equal,
 )
 from unitons.builder import chain_arrays, extended_coefficients, extended_product
 from unitons.grassmannian import reality_defect
 from unitons.meromorphic import shifted_column
+
+from oracles import associated_and_gauss, cartan_embed, max_principal_angle, spans_equal
 
 P = RationalFn.polynomial
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unitons import BadShape, DegreeNoDrop, LoopPoly, random_data, s1_invariant_data, serialize, w_from_x, x_columns_from_data
+from unitons import cli
 from unitons.cli import main
 from unitons.meromorphic import DataArray, MeroVector, RationalFn
 
@@ -144,6 +145,35 @@ def test_parse_error_exit_codes(tmp_path):
     assert run("verify", "--input", data_file, "--tol", "harmonicity=-1") == 2
     assert run("verify", "--input", data_file, "--samples", 0) == 2
     assert run("sample", "--input", data_file, "--grid", 0) == 2
+    # numeric options must be finite (and tolerances positive) when parsed
+    for tol in ("nan", "inf", "-inf", "0"):
+        assert run("verify", "--input", data_file, "--tol", f"harmonicity={tol}") == 2
+    for tol in ("nan", "inf", "-1", "0"):
+        assert run("factorize", "--input", data_file, "--agree-tol", tol) == 2
+    for rect in ("nan,1,0,1", "inf,1,0,1", "0,1,-inf,1", "0,1,0,nan"):
+        assert run("sample", "--input", data_file, f"--rect={rect}") == 2
+
+
+def test_bad_numeric_options_name_the_option_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    data_file = tmp_path / "d.json"
+    run("generate", "--n", 3, "--r", 1, "--output", data_file)
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated with a bad option")
+
+    monkeypatch.setattr(cli, "verification_report", no_evaluation)
+    monkeypatch.setattr(cli, "chain_arrays", no_evaluation)
+    monkeypatch.setattr(cli, "_draw", no_evaluation)
+    monkeypatch.setattr(cli.serialize, "read_json", no_evaluation)
+    for argv, option in [
+        (("verify", "--tol", "harmonicity=nan"), "--tol harmonicity"),
+        (("factorize", "--agree-tol", "nan"), "--agree-tol"),
+        (("sample", "--rect=inf,1,0,1"), "--rect"),
+    ]:
+        capsys.readouterr()
+        assert run(argv[0], "--input", data_file, *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert option in err and "Warning" not in err
 
 
 def test_degenerate_exhaustion_exit_code(tmp_path):
@@ -306,11 +336,11 @@ def test_loop_fibers_must_match_the_file_shape(tmp_path, capsys, mutate):
 
 
 def test_factorize_an_empty_loop_file(tmp_path):
+    # no fiber is no evidence: like --samples 0, the file exits 2 instead of passing vacuously
     path, out = tmp_path / "loops.json", tmp_path / "out.json"
     serialize.write_json(serialize.loop_fibers_to_json(3, 2, []), path)
-    assert run("factorize", "--input", path, "--output", out) == 0
-    assert json.loads(out.read_text()) == {"alpha1_full": None, "fibers": [], "max_gap": 0.0, "passed": True,
-                                           "tolerance": 1e-07}
+    assert run("factorize", "--input", path, "--output", out) == 2
+    assert not out.exists()
 
 
 def test_grassmann_s1_versus_generic(tmp_path):
@@ -353,6 +383,36 @@ def test_grassmann_with_q_span_file(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["q_rank"] == 2
     assert rep["adapted"] and rep["max_defect"] <= 1e-7
+
+
+@pytest.mark.parametrize("argv, q_span", [
+    (("--n", 4, "--r", 3, "--mode", "s1", "--rank-steps", "1,1,1"), False),
+    (("--n", 4, "--r", 3, "--mode", "s1", "--rank-steps", "1,1,1"), True),
+    (("--n", 3, "--r", 0, "--seed", 11), False),
+], ids=["s1", "s1-q-span", "r0"])
+def test_grassmann_svd_count_does_not_grow_with_samples(tmp_path, monkeypatch, argv, q_span):
+    # one nu_Q-invariance check on the whole W stack: the SVD count is fixed
+    data_file, out = tmp_path / "d.json", tmp_path / "g.json"
+    run("generate", *argv, "--output", data_file)
+    extra = ()
+    if q_span:
+        a_file = tmp_path / "span.json"
+        a_file.write_text(json.dumps([[[1, 0], [0, 0], [0, 0], [0, 0]]]))
+        extra = ("--q-span", a_file)
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = []
+    for samples in (2, 8):
+        calls.clear()
+        assert run("grassmann", "--input", data_file, "--samples", samples, *extra, "--output", out) == 0
+        assert len(json.loads(out.read_text())["defects"]) == samples
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_sample_grid(tmp_path):

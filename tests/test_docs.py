@@ -1,5 +1,6 @@
 """The README's "Numerical constants" list must name constants that exist in
-the package with the values it states, so the docs cannot drift from the code."""
+the package with the values it states, and every `module.name` the README
+cites must exist in that module, so the docs cannot drift from the code."""
 
 import importlib
 import re
@@ -31,3 +32,29 @@ def test_listed_constant_resolves_with_its_value(entry):
     value = getattr(importlib.import_module(f"unitons.{mod}"), name)
     if stated is not None:
         assert value == float(stated)
+
+
+def _module_references():
+    """Every `module.name` (optionally `unitons.module.name`) that opens a
+    backticked span of the README, for each module of the package."""
+    import pkgutil
+
+    import unitons
+
+    modules = "|".join(sorted(m.name for m in pkgutil.iter_modules(unitons.__path__)))
+    pattern = re.compile(rf"`(?:unitons\.)?({modules})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+    return sorted(set(pattern.findall(README.read_text())))
+
+
+def test_module_references_are_found():
+    refs = {f"{mod}.{name}" for mod, name in _module_references()}
+    assert len(refs) >= 30
+    assert {"projections.projector_gap", "builder.chain_arrays", "cli.SAMPLE_BLOCK"} <= refs
+
+
+@pytest.mark.parametrize("ref", _module_references(), ids=lambda r: f"{r[0]}.{r[1]}")
+def test_module_reference_resolves(ref):
+    mod, name = ref
+    owner = importlib.import_module(f"unitons.{mod}")
+    for part in name.split("."):
+        owner = getattr(owner, part)

@@ -20,7 +20,6 @@ from unitons import (
     extended_coefficients,
     iwasawa_factorize,
     kernel_factorize_fiber,
-    max_principal_angle,
     normalize_type_one,
     orthonormal_basis,
     q_adapted_check,
@@ -33,9 +32,20 @@ from unitons import (
 )
 from unitons.builder import extended_product
 from unitons.errors import BadShape, NonProperUniton
-from unitons.projections import Span, s_rows, span_gap
+from unitons.projections import Span, s_rows
 
-from oracles import iwasawa_per_fiber, kernel_descent_per_fiber, random_chain, w_basis_per_fiber, w_from_x_per_vector
+from oracles import (
+    iwasawa_per_fiber,
+    kernel_descent_per_fiber,
+    max_principal_angle,
+    normalize_type_one_per_point,
+    q_adapted_defect_per_fiber,
+    random_chain,
+    span_gap,
+    w_basis_per_fiber,
+    w_from_x_per_vector,
+    w_span,
+)
 
 P = RationalFn.polynomial
 
@@ -83,7 +93,7 @@ def test_w_from_x_constant_section():
         )
     )
     assert w.dim == 2
-    assert max_principal_angle(w.span, expect) <= 1e-12
+    assert max_principal_angle(w_span(w), expect) <= 1e-12
 
 
 def test_w_from_x_raises_at_a_pole_of_x():
@@ -107,7 +117,7 @@ def test_w_from_x_r1_is_fiber():
     col = (MeroVector((P([1]), P([0, 1]), P([3]))),)
     w = w_from_x([col], Z)
     assert w.r == 1 and w.dim == 1
-    assert max_principal_angle(w.span, orthonormal_basis(col[0].eval(Z))) <= 1e-12
+    assert max_principal_angle(w_span(w), orthonormal_basis(col[0].eval(Z))) <= 1e-12
 
 
 def test_w_from_x_gathers_the_per_vector_construction():
@@ -128,9 +138,9 @@ def test_w_from_x_skips_dead_columns():
     for z in draw_sample_points(data, 6, seed=3):
         w = w_from_x(xcols, z)
         assert w.basis.shape == w_from_x_per_vector(xcols, z).shape
-        assert span_gap(w.span, orthonormal_basis(w_from_x_per_vector(xcols, z))) <= 1e-12
+        assert span_gap(w_span(w), orthonormal_basis(w_from_x_per_vector(xcols, z))) <= 1e-12
         wl = w_from_loop(loop_at(data, z))
-        assert w.dim == wl.dim and span_gap(w.span, wl.span) <= 1e-10
+        assert w.dim == wl.dim and span_gap(w_span(w), w_span(wl)) <= 1e-10
 
 
 def test_w_from_x_of_only_dead_columns_is_zero():
@@ -150,7 +160,7 @@ def test_w_from_loop_diagonal_example():
     coeffs = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     w = w_from_loop(LoopPoly(coeffs))
     assert w.r == 1 and w.dim == 1
-    assert max_principal_angle(w.span, orthonormal_basis(np.array([1.0, 0.0]))) <= 1e-12
+    assert max_principal_angle(w_span(w), orthonormal_basis(np.array([1.0, 0.0]))) <= 1e-12
 
 
 def test_grassmannian_model_equivalence():
@@ -161,7 +171,7 @@ def test_grassmannian_model_equivalence():
         wx = w_from_x(xcols, z)
         wl = w_from_loop(loop_at(data, z))
         assert wx.dim == wl.dim
-        assert max_principal_angle(wx.span, wl.span) <= 1e-8
+        assert max_principal_angle(w_span(wx), w_span(wl)) <= 1e-8
 
 
 def test_lemma_42_sum_identities():
@@ -201,7 +211,7 @@ def test_iwasawa_trivial_cases():
     assert np.allclose(pis[0], np.diag([1.0, 0.0]))
     # reconstructed loop diag(1, lambda) maps H_+ onto W
     again = w_from_loop(LoopPoly(np.array([pis[0], perps[0]])))
-    assert max_principal_angle(again.span, w.span) <= 1e-7
+    assert max_principal_angle(w_span(again), w_span(w)) <= 1e-7
 
     full = WSubspace(1, 2, np.eye(2, dtype=complex))
     pis, _ = iwasawa_factorize(full)
@@ -350,6 +360,57 @@ def test_q_adapted_s1_invariant_maps():
         assert np.abs(m @ m - np.eye(4)).max() <= 1e-10
 
 
+H0 = MeroVector((P([1]), P([0, 1]), P([0])))  # h = (1, z, 0), inside the constant A = span{e1, e2}
+
+
+@pytest.mark.parametrize("data, seed", [
+    (DataArray(3, 1, ((H0,),)), 12),  # criterion 8 (a): one constant-loop step
+    (DataArray(3, 2, ((H0, MeroVector((P([0]), P([0]), P([0, 0, 1])))),)), 13),  # criterion 8 (b): a degree drop
+    (random_data(3, 1, 3, seed=34), 35),  # already type one
+], ids=["non-full", "degree-drop", "type-one"])
+def test_normalize_type_one_equals_the_per_point_reference(data, seed):
+    sampler = HarmonicMapSampler(data)
+    pts = draw_sample_points(data, 4, seed=seed)
+    table = {z: LoopPoly(sampler.extended_coeffs_at(z)) for z in pts}
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return table[z]
+
+    pre, norm = normalize_type_one(counted, pts)
+    assert calls == pts  # each point sampled once
+    ref_pre, ref_norm = normalize_type_one_per_point(table.__getitem__, pts)
+    assert np.array_equal(pre.coeffs, ref_pre.coeffs)
+    assert len(pre.factors) == len(ref_pre.factors)
+    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(pre.factors, ref_pre.factors))
+    for z in pts:
+        assert np.array_equal(norm(z).coeffs, ref_norm(z).coeffs)
+
+
+@pytest.mark.parametrize("data, adapted", [
+    *((s1_invariant_data(4, (1, 1, 1), 3, seed=seed), True) for seed in range(3)),
+    (random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=38), False),
+    (random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=3), False),
+], ids=["s1-0", "s1-1", "s1-2", "control-111", "control-12"])
+def test_stacked_q_adapted_check_equals_each_fiber(data, adapted):
+    s = HarmonicMapSampler(data)
+    zs = draw_sample_points(data, 5, seed=42)
+    w = w_from_loop(LoopPoly(np.array([s.extended_coeffs_at(z) for z in zs])))
+    q = QInvolution.identity(4)
+    stacked = q_adapted_check(w, q)
+    assert stacked.defect.shape == stacked.adapted.shape == (5,)
+    assert stacked.plus is None and stacked.minus is None
+    assert stacked.adapted.tolist() == [adapted] * 5
+    for p in range(5):
+        one = q_adapted_check(w.at(p), q)
+        assert one.adapted == stacked.adapted[p] and (one.plus is not None) == adapted
+        assert abs(one.defect - stacked.defect[p]) <= 2e-14
+        # the principal-angle route measures the same gap; compared as sines, since
+        # near pi/2 arcsin amplifies the last bits of either route by 1/cos
+        assert abs(np.sin(one.defect) - np.sin(q_adapted_defect_per_fiber(w.at(p), q))) <= 2e-14
+
+
 def test_q_involution_from_span():
     a = orthonormal_basis(np.eye(3)[:, :1])
     q = QInvolution(a)
@@ -371,7 +432,7 @@ def test_shift_equivariance_on_padding():
     embed[n:, :] = w.basis
     target = Span(embed, validate=False)
     assert w2.dim == w.dim
-    assert max_principal_angle(w2.span, target) <= 1e-8
+    assert max_principal_angle(w_span(w2), target) <= 1e-8
 
 
 def test_wsubspace_validation():

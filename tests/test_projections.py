@@ -7,35 +7,33 @@ from unitons import (
     BadShape,
     Span,
     image_span,
-    max_principal_angle,
     orthonormal_basis,
     principal_angles,
     projection_pair,
-    spans_equal,
 )
-from unitons.projections import c_rows, masked_basis, numerical_rank, projector_gap, s_rows, span_gap
+from unitons.projections import c_rows, masked_basis, numerical_rank, projector_gap, s_rows
 
-from oracles import c_words, product_inverse_coeff, random_chain, s_words
+from oracles import c_words, max_principal_angle, product_inverse_coeff, random_chain, s_words, span_gap, spans_equal
 
 
 def test_orthonormal_basis_examples():
-    s = orthonormal_basis([np.array([1.0, 0.0])])
+    s = orthonormal_basis(np.array([1.0, 0.0]))
     assert s.dim == 1
     assert np.abs(np.abs(s.basis[0, 0]) - 1) < 1e-12
-    dep = orthonormal_basis([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
+    dep = orthonormal_basis(np.column_stack([[1.0, 0.0], [2.0, 0.0]]))
     assert dep.dim == 1
     eps = 1e-14
-    near = orthonormal_basis([np.array([1.0, 1.0]), np.array([1.0, 1.0 + eps])])
+    near = orthonormal_basis(np.column_stack([[1.0, 1.0], [1.0, 1.0 + eps]]))
     assert near.dim == 1  # below the rank tolerance
 
 
 def test_orthonormal_basis_empty_and_zero():
     assert orthonormal_basis(np.zeros((3, 0))).dim == 0
-    assert orthonormal_basis([np.zeros(3)]).dim == 0
+    assert orthonormal_basis(np.zeros(3)).dim == 0
 
 
 def test_projection_pair_examples():
-    pi, perp = projection_pair(orthonormal_basis([np.array([1.0, 0.0])]))
+    pi, perp = projection_pair(orthonormal_basis(np.array([1.0, 0.0])))
     assert np.allclose(pi, np.diag([1, 0]))
     assert np.allclose(perp, np.diag([0, 1]))
     pi, perp = projection_pair(Span.zero(3))
@@ -110,9 +108,9 @@ def test_s_recursion_vs_words_and_expansion():
 
 
 def test_principal_angles_examples():
-    e1 = orthonormal_basis([np.array([1.0, 0.0])])
-    e2 = orthonormal_basis([np.array([0.0, 1.0])])
-    diag = orthonormal_basis([np.array([1.0, 1.0])])
+    e1 = orthonormal_basis(np.array([1.0, 0.0]))
+    e2 = orthonormal_basis(np.array([0.0, 1.0]))
+    diag = orthonormal_basis(np.array([1.0, 1.0]))
     assert max_principal_angle(e1, e1) == 0.0
     assert principal_angles(e1, e2)[0] == pytest.approx(np.pi / 2)
     assert principal_angles(e1, diag)[0] == pytest.approx(np.pi / 4)
@@ -182,9 +180,7 @@ def test_spans_equal():
 def test_span_validation():
     with pytest.raises(BadShape):
         Span(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not orthonormal
-    s = Span(np.array([[1.0], [0.0]]))
-    assert s.contains(np.array([2.0, 0.0]))
-    assert not s.contains(np.array([0.0, 1.0]))
+    assert Span(np.array([[1.0], [0.0]])).dim == 1
 
 
 def _random_span(rng, n, k):
