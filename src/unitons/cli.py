@@ -195,15 +195,13 @@ def _rows_per_block(m: int) -> int:
 
 
 def _sample_records(data, zs, eye) -> list[dict]:
-    """The map at each point of zs from one kernel call and one map product;
-    a pole or degenerate point gets phi: null."""
+    """The map at each point of zs from one kernel call and one map product,
+    written by one matrices_to_json; a pole or degenerate point gets phi: null."""
     batch = chain_arrays(data, zs)
     maps = extended_product(batch.pis, batch.perps, -1, eye)
     bad = (batch.pole | batch.ambiguous).tolist()
-    # one matrix_to_json per point, each record built whole: measured faster end to end
-    # than one tolist() of the block's maps followed by a second pass over the records
-    return [{"z": serialize.encode_complex(z), "phi": None if b else serialize.matrix_to_json(phi)}
-            for z, b, phi in zip(zs, bad, maps)]
+    return [{"z": serialize.encode_complex(z), "phi": None if b else phi}
+            for z, b, phi in zip(zs, bad, serialize.matrices_to_json(maps))]
 
 
 def cmd_sample(args) -> int:

@@ -2,18 +2,19 @@
 
 Complex numbers are always [re, im] pairs; matrices are row-major lists of
 pairs with an explicit shape, so golden files diff cleanly and round-trip
-byte-exactly through the canonical writer.
+byte-exactly through the canonical writer.  orjson reads and writes the text:
+floats as shortest round-trip decimals, a non-finite float as null.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .errors import BadShape
 from .grassmannian import LoopPoly
@@ -195,17 +196,19 @@ def loop_fibers_from_json(obj) -> tuple[list[complex], LoopPoly]:
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, tight separators, trailing newline."""
-    # the objects written are built here and never cyclic; the per-container cycle
-    # check would only cost time (every [re, im] pair is a container)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    """Canonical JSON text: sorted keys, tight separators, trailing newline;
+    numpy scalars and arrays are written as the numbers they hold."""
+    options = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    return orjson.dumps(obj, option=options).decode()
 
 
 def write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    # through dumps, the one place JSON text is made; the str round trip of
+    # its ASCII text is cheap next to the encoding
+    with open(path, "wb") as fh:
+        fh.write(dumps(obj).encode())
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return orjson.loads(fh.read())

@@ -164,11 +164,10 @@ def harmonicity_residual(source, z):
     return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (b_zbar @ b_z + b_z @ b_zbar) / 4))
 
 
-def _extended_values(chains: ChainBatch, lams: np.ndarray) -> np.ndarray:
+def _extended_values(T: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Phi_lambda = T_0 + lambda T_1 + ... + lambda^r T_r at each of lams (L,),
-    on axis -3 of every chain: one contraction of the powers of lambda with the
-    r + 1 coefficients, not r factors per lambda."""
-    T = extended_coefficients(chains.pis, chains.perps, chains.pis.shape[-1])
+    on axis -3 of the coefficients T (..., r+1, n, n): one contraction of the
+    powers of lambda with the r + 1 coefficients, not r factors per lambda."""
     lead, (terms, n) = T.shape[:-3], T.shape[-3:-1]
     flat = np.vander(lams, terms, increasing=True) @ T.reshape(lead + (terms, n * n))
     return flat.reshape(lead + (len(lams), n, n))
@@ -177,14 +176,20 @@ def _extended_values(chains: ChainBatch, lams: np.ndarray) -> np.ndarray:
 def extended_checks(sampler, z) -> dict:
     """Extended-solution equation residual, unitarity defect and Phi_1 defect.
 
-    ``sampler`` is a HarmonicMapSampler or its chains on ``_stencil(z, FD_STEP)``
-    (a ChainBatch); each value has the shape of z, a point or an array.
+    ``sampler`` is a HarmonicMapSampler, its chains on ``_stencil(z, FD_STEP)``
+    (a ChainBatch) or the coefficients T_0..T_r of Phi_lambda there,
+    (9,) + z.shape + (r+1, n, n); each value has the shape of z, a point or an
+    array.
     """
-    chains, _ = _on_stencil(sampler, _stencil(z, FD_STEP))
+    if isinstance(sampler, np.ndarray):
+        T = sampler
+    else:
+        chains, _ = _on_stencil(sampler, _stencil(z, FD_STEP))
+        T = extended_coefficients(chains.pis, chains.perps, chains.pis.shape[-1])
     lams = np.array((-1, 1, *DEFAULT_LAMBDAS), np.complex128)
-    eye = np.eye(chains.pis.shape[-1], dtype=np.complex128)
+    eye = np.eye(T.shape[-1], dtype=np.complex128)
     # Phi_lambda for lambda = -1, 1, then each of DEFAULT_LAMBDAS, at every stencil point
-    ext = _extended_values(chains, lams)
+    ext = _extended_values(T, lams)
     cf = _connection(ext[..., 0, :, :], FD_STEP)
     dz, dzb = _wirtinger(ext[1:, ..., 2:, :, :], FD_STEP)
     val, lam = ext[0, ..., 2:, :, :], lams[2:, None, None]
@@ -254,11 +259,12 @@ def section_identities(data, z, seed: int = 0) -> dict:
     return {**out, **maxima}
 
 
-def _static_checks(chains: ChainBatch) -> dict:
+def _static_checks(chains: ChainBatch, T: np.ndarray) -> dict:
     """The pointwise identities at every point of a chain stack (S, r, n, n),
     as products of its projectors: pi_{ell-1} maps alpha_ell onto alpha_{ell-1}
     (covering), pi_ell_perp ... pi_1_perp is onto alpha_ell_perp, pi_1 ... pi_ell
-    has image alpha_1, T_0 T_r^* = 0 and T_r^* = pi_r_perp ... pi_1_perp."""
+    has image alpha_1, T_0 T_r^* = 0 and T_r^* = pi_r_perp ... pi_1_perp, with
+    T (S, r+1, n, n) the chains' ``extended_coefficients``."""
     pis, perps = chains.pis, chains.perps
     (S, r), n = pis.shape[:2], pis.shape[-1]
     if r == 0:
@@ -272,7 +278,6 @@ def _static_checks(chains: ChainBatch) -> dict:
                                            np.stack(prod_pi[1:], 1)], axis=1), 1.0)
     targets = np.concatenate([pis[:, :-1], perps, np.broadcast_to(pis[:, :1], pis.shape)], axis=1)
     gaps = projector_gap(u @ u.conj().swapaxes(-1, -2), targets)
-    T = extended_coefficients(pis, perps, n)
     return {"covering": gaps[:, : r - 1].max(axis=1, initial=0.0),
             "perp_surjectivity": gaps[:, r - 1 : 2 * r - 1].max(axis=1),
             "alpha1_image": gaps[:, 2 * r - 1 :].max(axis=1),
@@ -298,7 +303,9 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         tol.update(tolerances)
     batch = _draw(data, samples, seed, FD_STEP)[1]  # (9, samples), the sample points in row 0
     maps = extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128))
-    ec = extended_checks(batch, batch.zs[0])
+    # Phi_lambda's coefficients on every stencil point; row 0's are the sample points'
+    T = extended_coefficients(batch.pis, batch.perps, data.n)
+    ec = extended_checks(T, batch.zs[0])
     sec = section_identities(batch, batch.zs[0], seed=seed)
     residuals = {
         "harmonicity": harmonicity_residual(maps, batch.zs[0]),
@@ -311,7 +318,7 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         "dzbar_lemma": sec["max_dzbar_lemma"],
         "antibasic": sec["max_antibasic"],
     }
-    residuals.update(_static_checks(batch.take(0)))
+    residuals.update(_static_checks(batch.take(0), T[0]))
     worst = {name: float(np.max(residuals[name])) for name in tol}
     checks = [{"name": k, "max_residual": v, "tolerance": tol[k], "pass": bool(v <= tol[k])} for k, v in worst.items()]
     ranks = batch.ranks[0]

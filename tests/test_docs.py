@@ -1,14 +1,18 @@
 """The README's "Numerical constants" list must name constants that exist in
 the package with the values it states, and every `module.name` the README
-cites must exist in that module, so the docs cannot drift from the code."""
+cites must exist in that module, so the docs cannot drift from the code.
+Every third-party module the package imports must be a declared dependency."""
 
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _listed_constants():
@@ -58,3 +62,29 @@ def test_module_reference_resolves(ref):
     owner = importlib.import_module(f"unitons.{mod}")
     for part in name.split("."):
         owner = getattr(owner, part)
+
+
+def _imported_modules():
+    """The top-level name of every module a src module imports, anywhere in it."""
+    names = set()
+    for path in sorted((ROOT / "src" / "unitons").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in declared}
+    third_party = _imported_modules() - set(sys.stdlib_module_names) - {"unitons"}
+    assert {"numpy", "orjson"} <= third_party
+    assert third_party <= names
+
+
+def test_json_is_read_and_written_by_one_library():
+    # serialize is the one home of JSON I/O, through orjson; stdlib json would be a second path
+    assert "json" not in _imported_modules()

@@ -40,6 +40,54 @@ def test_matrix_json_round_trip_is_byte_exact(m):
     assert serialize.dumps(serialize.matrix_to_json(back)) == text
 
 
+# the spellings whose exponent form changed with the writer, the extremes and a signed zero
+edge_floats = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-5, 1.5e-7, 1e-7, 1e16, 1e22, 1.7976931348623157e308])
+edge_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(*[arrays(np.float64, shape, elements=st.one_of(edge_floats, finite))] * 2)
+).map(_complex)
+
+
+def _bits(m):
+    return np.asarray(m, np.complex128).view(np.float64).view(np.uint64)
+
+
+@given(edge_matrices)
+def test_written_floats_read_back_bit_exactly(tmp_path_factory, m):
+    text = serialize.dumps(serialize.matrix_to_json(m))
+    assert np.array_equal(_bits(serialize.matrix_from_json(json.loads(text))), _bits(m))
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    serialize.write_json(serialize.matrix_to_json(m), path)
+    assert path.read_text() == text
+    assert np.array_equal(_bits(serialize.matrix_from_json(serialize.read_json(path))), _bits(m))
+
+
+def test_floats_are_written_as_shortest_round_trip_decimals():
+    assert serialize.dumps([1e-5, 1.5e-7, 1e16, 1e22, -0.0, 5e-324, 0.1, 2.0]) == (
+        "[0.00001,1.5e-7,1e16,1e22,-0.0,5e-324,0.1,2.0]\n")
+
+
+def test_write_json_accepts_numpy_scalars_nested_in_lists(tmp_path):
+    plain = {"coeffs": [[0.5, -0.0], [1e-7, 3.0]], "n": 2, "ok": True}
+    scalars = {"coeffs": [[np.float64(0.5), np.float64(-0.0)], [np.float64(1e-7), np.float64(3.0)]],
+               "n": np.int64(2), "ok": np.bool_(True)}
+    serialize.write_json(plain, tmp_path / "plain.json")
+    serialize.write_json(scalars, tmp_path / "scalars.json")
+    assert (tmp_path / "scalars.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert serialize.read_json(tmp_path / "scalars.json") == plain
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_value_never_reads_back_as_a_number(value, tmp_path):
+    assert serialize.dumps({"x": value}) == '{"x":null}\n'
+    m = np.eye(2, dtype=np.complex128)
+    m[0, 1] = complex(value, 0.0)
+    serialize.write_json(serialize.matrix_to_json(m), tmp_path / "m.json")
+    for obj in (serialize.read_json(tmp_path / "m.json"), json.loads(serialize.dumps(serialize.matrix_to_json(m)))):
+        assert obj["data"][1] == [None, 0.0]
+        with pytest.raises(BadShape):
+            serialize.matrix_from_json(obj)
+
+
 @pytest.mark.parametrize("data", [
     [[float("nan"), 0.0], [0.0, 0.0]],
     [[0.0, float("inf")], [0.0, 0.0]],

@@ -388,9 +388,9 @@ def test_static_stage_svd_count_is_independent_of_samples(monkeypatch):
         svds["all"] += 1
         return svd(*args, **kwargs)
 
-    def counted_static(chains):
+    def counted_static(chains, coeffs):
         before = svds["all"]
-        out = static(chains)
+        out = static(chains, coeffs)
         svds[len(chains.zs)] += svds["all"] - before
         return out
 
@@ -415,7 +415,7 @@ def test_static_checks_flag_broken_chains_as_the_per_point_reference_does():
     # random projections are no uniton chain: their steps are not nested
     rng = np.random.default_rng(21)
     batch = _chain_stack([random_chain(rng, 5, 3) for _ in range(8)])
-    stacked = verifier._static_checks(batch)
+    stacked = verifier._static_checks(batch, builder.extended_coefficients(batch.pis, batch.perps, 5))
     for p in range(8):
         reference = static_residuals(batch.take(p), 5)
         for name, value in reference.items():
@@ -440,11 +440,49 @@ def test_extended_values_from_coefficients_match_the_per_lambda_product(case):
     data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
     batch = builder._draw(data, 3, 5, verifier.FD_STEP)[1]
     lams = np.array((-1, 1, *verifier.DEFAULT_LAMBDAS), np.complex128)
-    ext = verifier._extended_values(batch, lams)
+    ext = verifier._extended_values(builder.extended_coefficients(batch.pis, batch.perps, n), lams)
     assert ext.shape == batch.zs.shape + (len(lams), n, n)
     for k, lam in enumerate(lams):
         product = builder.extended_product(batch.pis, batch.perps, lam, np.eye(n, dtype=np.complex128))
         assert np.abs(ext[..., k, :, :] - product).max() <= 1e-13, lam
+
+
+def test_verify_forms_the_extended_coefficients_once(monkeypatch):
+    calls = Counter()
+    coefficients = builder.extended_coefficients
+
+    def counted(*args):
+        calls["extended_coefficients"] += 1
+        return coefficients(*args)
+
+    monkeypatch.setattr(verifier, "extended_coefficients", counted)
+    for data in (random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0), random_data(3, 0, 2, seed=0)):
+        calls.clear()
+        verification_report(data, samples=3, seed=5)
+        assert calls["extended_coefficients"] == 1
+
+
+@pytest.mark.parametrize("case", _CRITERION_2, ids=lambda c: f"{c[0]}-{c[1]}-{'-'.join(map(str, c[2]))}-s{c[3]}")
+def test_report_is_bit_for_bit_that_of_the_static_checks_own_coefficients(case, monkeypatch):
+    # the static checks read row 0 of the stencil batch's coefficients; the
+    # centres' own extended_coefficients call gives every report value bit for bit
+    n, r, pattern, seed = case
+    data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+    report = verification_report(data, samples=3, seed=5)
+    batch = builder._draw(data, 3, 5, verifier.FD_STEP)[1]
+    row0 = builder.extended_coefficients(batch.pis, batch.perps, n)[0]
+    own = builder.extended_coefficients(batch.pis[0], batch.perps[0], n)
+    assert row0.view(np.float64).tobytes() == own.view(np.float64).tobytes()
+    # extended_checks on the coefficients is extended_checks on the chains they come from
+    on_chains = verifier.extended_checks(batch, batch.zs[0])
+    on_coeffs = verifier.extended_checks(builder.extended_coefficients(batch.pis, batch.perps, n), batch.zs[0])
+    assert all(np.array_equal(on_chains[k], on_coeffs[k]) for k in on_chains)
+    static = verifier._static_checks
+    monkeypatch.setattr(verifier, "_static_checks", lambda chains, _: static(
+        chains, builder.extended_coefficients(chains.pis, chains.perps, n)))
+    reference = verification_report(data, samples=3, seed=5)
+    assert [c["max_residual"].hex() for c in report["checks"]] == [c["max_residual"].hex() for c in reference["checks"]]
+    assert report == reference
 
 
 @pytest.mark.parametrize("data", [
