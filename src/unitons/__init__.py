@@ -20,7 +20,6 @@ from .errors import (
     DegreeNoDrop,
     NoTermination,
     NotLambdaInvariant,
-    PoleError,
     UnitonsError,
 )
 from .grassmannian import (
@@ -43,7 +42,6 @@ from .meromorphic import (
     RationalFn,
     differentiate,
     eval_rational,
-    poles_of,
     random_data,
 )
 from .projections import (

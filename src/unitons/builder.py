@@ -15,16 +15,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import BadShape, DegeneratePoint, PoleError
+from .errors import BadShape, DegeneratePoint
 from .meromorphic import (
     DISC_RADIUS,
-    MAX_COEFFICIENT,
     MAX_SAMPLE_TRIES,
-    POLE_CLEARANCE,
     DataArray,
     MeroVector,
-    data_poles,
-    differentiate,
+    polynomial_column,
     random_polynomial_vector,
 )
 from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis
@@ -34,57 +31,31 @@ STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in
 
 
 class _Tables(NamedTuple):
-    nums: np.ndarray
-    dens: np.ndarray
-    dnorms: np.ndarray
-    poles: tuple[complex, ...]
-    live: tuple[int, ...]  # the columns holding an entry other than the zero polynomial
+    coeffs: np.ndarray  # (K, K, J_slots, n, L): coefficient row (k, m, slot, c), degree-ascending
+    live: tuple[int, ...]  # the columns holding a non-zero entry
     ncols: int
-
-
-def _zero_polynomial(f) -> bool:
-    # 0/1 only: an entry 0/q stays live, its denominator still flags poles
-    return f.is_zero and f.is_polynomial
 
 
 @lru_cache(maxsize=64)
 def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tables:
-    """Coefficient tables of the derivative chains of the live columns.
+    """Coefficient table of the derivative chains of the live columns' normal forms.
 
-    A column is dead when every entry is the zero polynomial 0/1: it gets no
-    slot (one padding slot when no column is live), and zero-polynomial
-    entries of live columns are never differentiated, their slots keeping the
-    0/1 padding, so every value of a live column is the one a full table gives.
+    Each live column enters as its ``polynomial_column``, which has the
+    column's map.  A column is dead when every entry is zero: it gets no slot
+    (one padding slot when no column is live).  Row (k, m, slot, c) holds the
+    k'th derivative of row m of the column in that slot for k <= r-1-m, and
+    zeros above.
     """
-    live = tuple(j for j, col in enumerate(columns)
-                 if not all(_zero_polynomial(f) for vec in col for f in vec.entries))
-    K, J = max(r, 1), max(len(live), 1)
-    # derivative chains: row m is differentiated up to order r-1-m, and entry
-    # (k, m, slot, c) is coefficient row ((k K + m) J + slot) n + c of a table
-    rows, fns = [], []
-    for slot, j in enumerate(live):
-        for m, vec in enumerate(columns[j]):
-            for c, f in enumerate(vec.entries):
-                if _zero_polynomial(f):
-                    continue
-                for k in range(r - m):
-                    f = differentiate(f) if k else f
-                    rows.append(((k * K + m) * J + slot) * n + c)
-                    fns.append(f)
-    max_len = max((len(p) for f in fns for p in (f.num, f.den)), default=1)
-    tables = np.zeros((2, K * K * J * n, max_len), np.complex128)  # nums, then dens
-    tables[1, :, 0] = 1.0  # padding entries evaluate to 0/1
-    if fns:
-        # every entry's zero-padded numerator and denominator by one indexed assignment
-        pad = (0j,) * max_len
-        coeffs = np.array([a for f in fns for p in (f.num, f.den) for a in (p + pad)[:max_len]], np.complex128)
-        tables[:, rows] = coeffs.reshape(-1, 2, max_len).swapaxes(0, 1)
-    # each derivative squares its denominator; `not <=` also catches NaN
-    if not (np.abs(tables) <= MAX_COEFFICIENT).all():
-        raise BadShape(f"a derivative coefficient exceeds {MAX_COEFFICIENT:g} in magnitude")
-    nums, dens = tables.reshape(2, K, K, J, n, max_len)
-    dnorms = np.linalg.norm(dens, axis=-1)
-    return _Tables(nums, dens, dnorms, tuple(data_poles(columns)), live, len(columns))
+    live = tuple(j for j, col in enumerate(columns) if not all(f.is_zero for vec in col for f in vec.entries))
+    forms = [polynomial_column(columns[j]) for j in live]
+    width = max((form.shape[-1] for form in forms), default=1)
+    table = np.zeros((max(r, 1), max(r, 1), max(len(live), 1), n, width), np.complex128)
+    for slot, form in enumerate(forms):
+        table[0, :, slot, :, : form.shape[-1]] = form
+    for k in range(1, r):
+        # shift and multiply by the index: a chained polyder's products, so its bits
+        table[k, : r - k, ..., :-1] = table[k - 1, : r - k, ..., 1:] * np.arange(1, width)
+    return _Tables(table, live, len(columns))
 
 
 def _all_columns(t: _Tables, arr: np.ndarray) -> np.ndarray:
@@ -98,31 +69,20 @@ def _all_columns(t: _Tables, arr: np.ndarray) -> np.ndarray:
 
 
 def _live_values(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...],
-                 zs: np.ndarray) -> tuple[_Tables, np.ndarray, np.ndarray]:
-    """The cached table of r-row columns, and its slots' derivative values and
-    ok flags at every point of zs (P,): vals (P, r, r, J_slots, n), slot s
-    holding live column ``t.live[s]``."""
+                 zs: np.ndarray) -> tuple[_Tables, np.ndarray]:
+    """The cached table of r-row columns, and its slots' derivative values at
+    every point of zs (P,): (P, r, r, J_slots, n), slot s holding live column
+    ``t.live[s]``."""
     t = _tables(n, r, columns)
-    return (t,) + kernels.eval_table(t.nums, t.dens, t.dnorms, zs)
-
-
-def derivative_values(n: int, r: int, columns, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The derivative table of r-row columns of C^n vectors at every point of zs (P,).
-
-    vals[p, k, m, j] (P, r, r, J, n) is the k'th derivative of row m of column
-    j at zs[p], held for k <= r-1-m and zero above; ok (P,) is False at a pole.
-    Only the live columns are evaluated; a dead column's values are exact zeros.
-    """
-    t, vals, ok = _live_values(n, r, tuple(tuple(col) for col in columns), zs)
-    return _all_columns(t, vals), ok
+    return t, kernels.eval_table(t.coeffs, zs)
 
 
 def _vector_values(vec: MeroVector, zs: np.ndarray) -> np.ndarray:
-    """A vector's values zs.shape + (n,) by one table evaluation, 0 at a pole.
-    Its table is built outside the cache, which holds the data's tables."""
-    t = _tables.__wrapped__(vec.n, 1, ((vec,),))
-    vals, _ = kernels.eval_table(t.nums, t.dens, t.dnorms, zs.ravel())
-    return vals[:, 0, 0, 0].reshape(zs.shape + (vec.n,))
+    """A polynomial vector's values zs.shape + (n,) by one table evaluation of
+    its own coefficients (not its normal form), outside the data's table cache."""
+    width = max(len(f.num) for f in vec.entries)
+    coeffs = np.array([f.num + (0j,) * (width - len(f.num)) for f in vec.entries], np.complex128)
+    return kernels.eval_table(coeffs, zs.ravel()).reshape(zs.shape + (vec.n,))
 
 
 class ChainBatch(NamedTuple):
@@ -137,14 +97,11 @@ class ChainBatch(NamedTuple):
     perps: np.ndarray      # (P, r, n, n)
     bases: np.ndarray      # (P, r, n, n)
     ranks: np.ndarray      # (P, r)
-    kvecs: np.ndarray      # (P, r, r, J, n): K^(k)_{i,j}, exactly 0 in a dead column
-    pole: np.ndarray       # (P,) bool: a pole of the data is too close
+    kvecs: np.ndarray      # (P, r, r, J, n): K^(k)_{i,j} of the normal forms, exactly 0 in a dead column
     ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
 
     def at(self, p: int) -> "ChainBatch":
         """Point p's chain (no point axis), raising as a single-point build does."""
-        if self.pole[p]:
-            raise PoleError(f"data array has a pole too close to z={complex(self.zs[p])}")
         if self.ambiguous[p]:
             raise DegeneratePoint(f"ambiguous rank decision at z={complex(self.zs[p])}")
         return self.take(p)
@@ -157,19 +114,19 @@ class ChainBatch(NamedTuple):
 def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     """Evaluate the data at every point of zs and build the chains (hot path).
 
-    Evaluation and the kernel run on the data's live columns only (see
-    ``_tables``); a dead column spans nothing, and its K-vectors are zero.
+    Evaluation and the kernel run on the normal forms of the data's live
+    columns only (see ``_tables``); a dead column spans nothing, and its
+    K-vectors are zero.
     """
     n, r, P = data.n, data.r, len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)
-    flags = np.zeros(P, bool)
     if r == 0:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
-        return ChainBatch(zs, empty, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), flags, flags)
-    t, vals, ok = _live_values(n, r, data.columns, zs)
+        return ChainBatch(zs, empty, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), np.zeros(P, bool))
+    t, vals = _live_values(n, r, data.columns, zs)
     pis, perps, bases, ranks, kvecs, status = kernels.build_chain(vals)
-    return ChainBatch(zs, pis, perps, bases, ranks, _all_columns(t, kvecs), ~ok, status != 0)
+    return ChainBatch(zs, pis, perps, bases, ranks, _all_columns(t, kvecs), status != 0)
 
 
 @dataclass(frozen=True)
@@ -303,7 +260,7 @@ def s1_invariant_data(
 
 
 def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Optional[float] = None) -> list[complex]:
-    """Generic points in |z| <= 2: away from poles, with unambiguous ranks.
+    """Generic points in |z| <= 2: points with unambiguous ranks.
 
     When stencil_h is given, all 9 points of each candidate's stencil
     (``STENCIL_OFFSETS`` times stencil_h) must be so too, with the candidate's
@@ -320,7 +277,6 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
     if count < 0:
         raise BadShape("count must be >= 0")
     rng = np.random.default_rng(seed)
-    poles = _tables(data.n, data.r, data.columns).poles if data.r > 0 else ()
     offsets = STENCIL_OFFSETS * stencil_h if stencil_h is not None else STENCIL_OFFSETS[:1]
     points: list[complex] = []
     accepted: list[ChainBatch] = []
@@ -330,16 +286,14 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
         for u, v in rng.random((count - len(points), 2)).tolist():
             zr = DISC_RADIUS * math.sqrt(u)
             th = 2.0 * math.pi * v
-            z = complex(zr * math.cos(th), zr * math.sin(th))
-            cands.append(None if any(abs(z - p) < POLE_CLEARANCE for p in poles) else z)
-        clear = np.array([z for z in cands if z is not None], np.complex128)
-        batch = chain_arrays(data, (offsets[:, None] + clear).ravel())
+            cands.append(complex(zr * math.cos(th), zr * math.sin(th)))
+        batch = chain_arrays(data, (offsets[:, None] + np.array(cands, np.complex128)).ravel())
         batch = batch.take(np.arange(batch.zs.size).reshape(len(offsets), -1))  # (offsets, candidates)
-        good = ~(batch.pole | batch.ambiguous).any(axis=0) & (batch.ranks == batch.ranks[:1]).all(axis=(0, 2))
+        good = ~batch.ambiguous.any(axis=0) & (batch.ranks == batch.ranks[:1]).all(axis=(0, 2))
         taken = []
-        for z, col in zip(cands, np.cumsum([z is not None for z in cands]) - 1):
-            if z is not None and good[col]:
-                points.append(z)
+        for col, ok in enumerate(good.tolist()):
+            if ok:
+                points.append(cands[col])
                 taken.append(col)
                 misses = 0
                 if len(points) == count:

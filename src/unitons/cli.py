@@ -196,10 +196,13 @@ def _rows_per_block(m: int) -> int:
 
 def _sample_records(data, zs, eye) -> list[dict]:
     """The map at each point of zs from one kernel call and one map product,
-    written by one matrices_to_json; a pole or degenerate point gets phi: null."""
+    written by one matrices_to_json; a degenerate point, or one whose map is
+    not finite, gets phi: null."""
     batch = chain_arrays(data, zs)
     maps = extended_product(batch.pis, batch.perps, -1, eye)
-    bad = (batch.pole | batch.ambiguous).tolist()
+    # a ufunc after the complex matrix products: with the products last, orjson's
+    # float encoding ran 3-5x slower for the rest of the process (AVX-512 CPU)
+    bad = np.logical_or(batch.ambiguous, ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
     return [{"z": serialize.encode_complex(z), "phi": None if b else phi}
             for z, b, phi in zip(zs, bad, serialize.matrices_to_json(maps))]
 

@@ -5,10 +5,6 @@ class UnitonsError(Exception):
     """Base class for package-specific errors."""
 
 
-class PoleError(UnitonsError):
-    """Evaluation requested at, or too close to, a pole."""
-
-
 class BadShape(UnitonsError):
     """Dimensions violate a structural constraint (e.g. r > n - 1)."""
 

@@ -22,7 +22,6 @@ from .errors import (
     NonProperUniton,
     NoTermination,
     NotLambdaInvariant,
-    PoleError,
 )
 from .meromorphic import MeroVector
 from .projections import (
@@ -160,9 +159,7 @@ def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace
     if r == 0:
         return WSubspace(0, 0, np.zeros((0, 0), np.complex128))
     n = cols[0][0].n
-    t, vals, ok = _live_values(n, r, cols, np.array([z], np.complex128))
-    if not ok[0]:
-        raise PoleError(f"an X entry has a pole too close to z={complex(z)}")
+    t, vals = _live_values(n, r, cols, np.array([z], np.complex128))
     # the table's rows, then one zero row; a dead column spans nothing and gets no vector
     rows = np.concatenate([vals[0].reshape(-1, n), np.zeros((1, n), np.complex128)])
     blocks = rows[_w_gather(r, vals.shape[3], len(t.live))]  # (r, vectors, n)

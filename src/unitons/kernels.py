@@ -8,37 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meromorphic import POLE_TOL
 from .projections import RANK_TOL, masked_basis, pascal_step
 
 BACKEND = "numpy"
 
 
-def _horner(coeffs, zs):
-    # coeffs: (..., L) degree-ascending; evaluates every polynomial at every
-    # point of zs (P,) at once, giving (P, ...)
+def eval_table(coeffs, zs):
+    """Evaluate every polynomial of a padded table (..., L), degree-ascending,
+    at every point of zs (P,) at once by Horner's rule, giving (P, ...)."""
     zb = zs.reshape((-1,) + (1,) * (coeffs.ndim - 1))
     out = np.zeros(zs.shape + coeffs.shape[:-1], np.complex128)
     for t in range(coeffs.shape[-1] - 1, -1, -1):
         out *= zb
         out += coeffs[..., t]
     return out
-
-
-def eval_table(nums, dens, dnorms, zs):
-    """Evaluate the padded rational table at every point of zs (P,).
-
-    nums/dens: (K, M, J, N, L) coefficient tables, degree-ascending.  Returns
-    the evaluated tables (P, K, M, J, N) and ``ok`` (P,), False at a point
-    where any entry's denominator falls below ``POLE_TOL * max(dnorm, 1)``
-    (a pole hit; that entry is 0).
-    """
-    nv = _horner(nums, zs)
-    dv = _horner(dens, zs)
-    hit = np.abs(dv) < POLE_TOL * np.maximum(dnorms, 1.0)
-    vals = np.zeros_like(nv)
-    np.divide(nv, dv, out=vals, where=~hit)
-    return vals, ~hit.any(axis=tuple(range(1, hit.ndim)))
 
 
 def build_chain(hvals):

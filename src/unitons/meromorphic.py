@@ -3,7 +3,9 @@
 On the sphere every meromorphic function is rational, so a data entry is a
 pair of degree-ascending coefficient tuples.  Differentiation is the
 structural quotient rule on those tuples; only point evaluation rounds.
-Coefficients are complex doubles throughout.
+Coefficients are complex doubles throughout.  A column enters the numerics
+only through its polynomial normal form (``polynomial_column``): the map sees
+the spans of the column and its derivatives, which no scalar multiplier moves.
 """
 
 from __future__ import annotations
@@ -14,24 +16,23 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadShape, PoleError
+from .errors import BadShape
 
-# |den(z)| below POLE_TOL * max(1, ||den||) counts as a pole.
-POLE_TOL = 1e-10
-# Sample points are drawn from the disc |z| <= DISC_RADIUS ...
+# Sample points are drawn from the disc |z| <= DISC_RADIUS.
 DISC_RADIUS = 2.0
-# ... and must keep this distance from every pole of the data.
-POLE_CLEARANCE = 1e-2
 # Rejection sampling gives up after this many draws per point.
 MAX_SAMPLE_TRIES = 100
 # Decoded coefficients above this magnitude are rejected: their values on the
 # sample disc, and the squared norms the SVD forms from them, would overflow.
 MAX_COEFFICIENT = 1e150
-# Denominator roots within ROOT_MERGE_TOL * max(1, |root|) are one pole (an
-# m-fold root splits by ~eps^(1/m), so this collapses up to triple roots) ...
+# Denominator roots within ROOT_MERGE_TOL * max(1, |root|) are one root.  An
+# m-fold root splits by about eps^(1/m): a double root's halves (1e-8 apart)
+# merge, a triple root's thirds (about 1e-5 apart) may not.
 ROOT_MERGE_TOL = 1e-5
-# ... and poles of different entries within POLE_MERGE_TOL are one pole of the data.
-POLE_MERGE_TOL = 1e-8
+# A column's normal form has its largest coefficient magnitude in
+# [SCALE_FLOOR, 2 SCALE_FLOOR), where generated Gaussian-integer data sits; a
+# power of two, so the scaling is exact.
+SCALE_FLOOR = 4.0
 
 _COEFF_RANGE = 4  # random coefficients are Gaussian integers in [-4, 4]^2
 
@@ -133,13 +134,9 @@ class RationalFn:
 
 
 def eval_rational(f: RationalFn, z: complex) -> complex:
-    """Evaluate f at z, raising PoleError when the denominator is too small."""
+    """f(z) as the quotient of its numerator and denominator values."""
     z = complex(z)
-    dv = _horner(f.den, z)
-    scale = math.sqrt(sum(abs(c) ** 2 for c in f.den))
-    if abs(dv) < POLE_TOL * max(1.0, scale):
-        raise PoleError(f"evaluation at z={z} hits a pole")
-    return _horner(f.num, z) / dv
+    return _horner(f.num, z) / _horner(f.den, z)
 
 
 def differentiate(f: RationalFn) -> RationalFn:
@@ -150,20 +147,6 @@ def differentiate(f: RationalFn) -> RationalFn:
     dden = _polyder(f.den)
     num = _padded_add(_conv(dnum, f.den), tuple(-c for c in _conv(f.num, dden)))
     return RationalFn(num, _conv(f.den, f.den))
-
-
-def poles_of(f: RationalFn) -> list[complex]:
-    """All roots of the denominator, multiplicity collapsed."""
-    den = f.den
-    if len(den) == 1:
-        return []
-    roots = np.roots(list(reversed(den)))
-    out: list[complex] = []
-    for root in roots:
-        r = complex(root)
-        if not any(abs(r - p) <= ROOT_MERGE_TOL * max(1.0, abs(r)) for p in out):
-            out.append(r)
-    return out
 
 
 @dataclass(frozen=True)
@@ -207,6 +190,53 @@ class MeroVector:
 Column = tuple[MeroVector, ...]
 
 
+def polynomial_column(column: Sequence[MeroVector]) -> np.ndarray:
+    """A column's normal form: coefficients (rows, n, L), degree-ascending, of
+    the column times the LCM of its denominators, then times the power of two
+    that puts its largest coefficient magnitude in [SCALE_FLOOR, 2 SCALE_FLOOR).
+
+    A scalar multiplier moves no span of the column or of its derivatives, so
+    the normal form has the column's map.  The LCM has every denominator root,
+    merged within ROOT_MERGE_TOL, to the largest multiplicity one denominator
+    gives it; a zero entry's denominator adds none, and a polynomial column
+    skips the LCM.
+    """
+    fns = [f for vec in column for f in vec.entries]
+    dens = dict.fromkeys(f.den for f in fns if not (f.is_polynomial or f.is_zero))
+    if dens:
+        from numpy.polynomial import polynomial as npoly  # 5 ms to import, and only rational data needs it
+
+        groups: list[list[complex]] = []  # the roots merged into each LCM root
+        mult: list[int] = []
+        for den in dens:
+            here = [0] * len(groups)
+            for root in np.roots(den[::-1]).tolist():
+                near = (i for i, g in enumerate(groups) if abs(root - g[0]) <= ROOT_MERGE_TOL * max(1.0, abs(root)))
+                i = next(near, len(groups))
+                if i == len(groups):
+                    groups.append([])
+                    mult.append(0)
+                    here.append(0)
+                groups[i].append(root)
+                here[i] += 1
+            mult = [max(a, b) for a, b in zip(mult, here)]
+        # a merged root is its members' mean: an m-fold root's split halves average out
+        lcm = npoly.polyfromroots([sum(g) / len(g) for g, m in zip(groups, mult) for _ in range(m)])
+        polys = [npoly.polymul(f.num, npoly.polydiv(lcm, f.den)[0]) for f in fns]
+    else:
+        polys = [f.num for f in fns]
+    width = max(len(p) for p in polys)
+    coeffs = np.zeros((len(fns), width), np.complex128)
+    for row, p in zip(coeffs, polys):
+        row[: len(p)] = p
+    top = np.abs(coeffs).max()
+    if not 0 < top < math.inf:
+        raise BadShape(f"a column's normal form has largest coefficient magnitude {top:g}")
+    flat = coeffs.view(np.float64)  # ldexp scales by 2^k exactly, signed zeros included
+    np.ldexp(flat, math.frexp(SCALE_FLOOR)[1] - math.frexp(top)[1], out=flat)
+    return coeffs.reshape(len(column), -1, width)
+
+
 @dataclass(frozen=True)
 class DataArray:
     """The r x n array (H_{i,j}): one column = (H_{0,j}, ..., H_{r-1,j})."""
@@ -238,20 +268,6 @@ class DataArray:
     def row(self, i: int) -> tuple[MeroVector, ...]:
         return tuple(col[i] for col in self.columns)
 
-    def restrict_rows(self, i: int) -> "DataArray":
-        """Keep only the first i rows (the first i unitons depend on nothing else)."""
-        if not 0 <= i <= self.r:
-            raise BadShape("row restriction out of range")
-        return DataArray(self.n, i, tuple(col[:i] for col in self.columns))
-
-    def with_extra_column(self, column: Sequence[MeroVector]) -> "DataArray":
-        return DataArray(self.n, self.r, self.columns + (tuple(column),))
-
-
-def shifted_column(column: Sequence[MeroVector], n: int) -> Column:
-    """(H_0, ..., H_{r-1}) -> (0, H_0, ..., H_{r-2})."""
-    col = tuple(column)
-    return (MeroVector.zero(n),) + col[:-1]
 
 
 def _random_poly(rng: np.random.Generator, max_degree: int) -> RationalFn:
@@ -302,14 +318,3 @@ def random_data(
         columns.append(tuple(col))
     return DataArray(n, r, tuple(columns))
 
-
-def data_poles(columns: Sequence[Column]) -> list[complex]:
-    """Union of the poles of every entry of the columns."""
-    out: list[complex] = []
-    for col in columns:
-        for vec in col:
-            for f in vec.entries:
-                for p in poles_of(f):
-                    if not any(abs(p - q) <= POLE_MERGE_TOL for q in out):
-                        out.append(p)
-    return out

@@ -81,7 +81,7 @@ def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
 def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
     """The chains on a stencil array and the map's left factor phi_0: built
     in one kernel call from a DataArray or HarmonicMapSampler, raising as
-    ChainBatch.at does at a pole or an ambiguous point, or a ChainBatch
+    ChainBatch.at does at an ambiguous point, or a ChainBatch
     already laid out there (phi_0 = I)."""
     if isinstance(source, ChainBatch):
         return source, np.eye(source.pis.shape[-1], dtype=np.complex128)
@@ -89,8 +89,8 @@ def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
         source = HarmonicMapSampler(source)
     uniq, inverse = np.unique(points, return_inverse=True)
     batch = chain_arrays(source.data, uniq)
-    if (batch.pole | batch.ambiguous).any():
-        batch.at(int((batch.pole | batch.ambiguous).argmax()))
+    if batch.ambiguous.any():
+        batch.at(int(batch.ambiguous.argmax()))
     return batch.take(inverse.reshape(points.shape)), source.phi0
 
 

@@ -7,7 +7,9 @@ factorizations are referenced one fiber at a time, the Iwasawa step's S
 operators by word enumeration and the kernel descent by the SVD of T_i.
 Subspace references that only tests use live here too:
 principal-angle gaps, the Cartan embedding of a span, the associated curves
-of a column, and type-one normalization point by point."""
+of a column, type-one normalization point by point, the derivative table of
+any columns, and the data-array edits (row restriction, an extra or shifted
+column) that only tests make."""
 
 from functools import reduce
 from itertools import combinations
@@ -15,10 +17,38 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from unitons import BadShape, MeroVector, eval_rational
+from unitons import BadShape, DataArray, MeroVector, eval_rational
 from unitons.projections import Span, orthonormal_basis, principal_angles, projection_pair, projector_gap
 
 SPAN_EQ_TOL = 1e-8  # spans are equal when ranks match and all angles are below this
+
+
+def restrict_rows(data, i):
+    """The data's first i rows (the first i unitons depend on nothing else)."""
+    if not 0 <= i <= data.r:
+        raise BadShape("row restriction out of range")
+    return DataArray(data.n, i, tuple(col[:i] for col in data.columns))
+
+
+def with_extra_column(data, column):
+    return DataArray(data.n, data.r, data.columns + (tuple(column),))
+
+
+def shifted_column(column, n):
+    """(H_0, ..., H_{r-1}) -> (0, H_0, ..., H_{r-2})."""
+    col = tuple(column)
+    return (MeroVector.zero(n),) + col[:-1]
+
+
+def derivative_values(n, r, columns, zs):
+    """The builder's derivative table of r-row columns of C^n vectors at every
+    point of zs (P,), laid out on all J columns: vals[p, k, m, j] (P, r, r, J, n)
+    is the k'th derivative of row m of column j's normal form at zs[p], held
+    for k <= r-1-m and zero above, and exact zeros in a dead column."""
+    from unitons.builder import _all_columns, _live_values
+
+    t, vals = _live_values(n, r, tuple(tuple(col) for col in columns), np.asarray(zs, complex))
+    return _all_columns(t, vals)
 
 
 def random_chain(rng, n, length):
@@ -174,7 +204,7 @@ def verification_residuals(data, samples, seed, h=1e-3):
     own; each sample point's stencil maps are held in a dict (9 maps).  Chains come from single-point builds; the pointwise static checks
     are ``static_residuals``."""
     from unitons import HarmonicMapSampler, draw_sample_points
-    from unitons.builder import derivative_values
+    from unitons.builder import _vector_values
     from unitons.meromorphic import random_polynomial_vector
     from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL
 
@@ -196,7 +226,7 @@ def verification_residuals(data, samples, seed, h=1e-3):
     H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
 
     def h_at(w):  # H at one point, by a one-point table evaluation as verify reads it
-        return derivative_values(n, 1, ((H,),), np.array([w]))[0][0, 0, 0, 0]
+        return _vector_values(H, np.array([w]))[0]
 
     for z in draw_sample_points(data, samples, seed=seed, stencil_h=h):
         maps = {}
@@ -282,11 +312,10 @@ def w_from_x_per_vector(x_columns, z):
     """Orthonormal basis of W = X + lambda X_(1) + ... at z, one zero-padded vector
     lambda^k X_j^(m) (m <= k) at a time over every column, dead ones included."""
     from unitons import orthonormal_basis
-    from unitons.builder import derivative_values
 
     cols = [tuple(c) for c in x_columns]
     r, n = len(cols[0]), cols[0][0].n
-    vals, _ = derivative_values(n, r, cols, np.array([z], complex))
+    vals = derivative_values(n, r, cols, np.array([z], complex))
     vecs = []
     for j in range(len(cols)):
         for k in range(r):

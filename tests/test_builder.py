@@ -8,7 +8,6 @@ from unitons import (
     DegeneratePoint,
     HarmonicMapSampler,
     MeroVector,
-    PoleError,
     RationalFn,
     Span,
     alpha1_is_full,
@@ -22,9 +21,16 @@ from unitons import (
 )
 from unitons.builder import chain_arrays, extended_coefficients, extended_product
 from unitons.grassmannian import reality_defect
-from unitons.meromorphic import shifted_column
-
-from oracles import associated_and_gauss, cartan_embed, max_principal_angle, spans_equal
+from oracles import (
+    associated_and_gauss,
+    cartan_embed,
+    derivative_values,
+    max_principal_angle,
+    restrict_rows,
+    shifted_column,
+    spans_equal,
+    with_extra_column,
+)
 
 P = RationalFn.polynomial
 
@@ -130,9 +136,9 @@ def test_extended_multiplicativity():
     lam = np.exp(0.7j)
     cd = s.chain_at(Z)
     for i in range(data.r):
-        left = _extended(HarmonicMapSampler(data.restrict_rows(i)), Z, lam)
+        left = _extended(HarmonicMapSampler(restrict_rows(data, i)), Z, lam)
         step = cd.pis[i] + lam * cd.perps[i]
-        right = _extended(HarmonicMapSampler(data.restrict_rows(i + 1)), Z, lam)
+        right = _extended(HarmonicMapSampler(restrict_rows(data, i + 1)), Z, lam)
         assert np.abs(left @ step - right).max() <= 1e-11
 
 
@@ -158,7 +164,7 @@ def test_covering_and_prop22():
 def test_column_augmentation_invariance():
     # adjoining the shifted column (0, H_0, ..., H_{r-2}) changes no alpha_i^(k)
     data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=9)
-    bigger = data.with_extra_column(shifted_column(data.columns[0], data.n))
+    bigger = with_extra_column(data, shifted_column(data.columns[0], data.n))
     for z in draw_sample_points(data, 5, seed=10):
         a = build_fiber(data, z)
         b = build_fiber(bigger, z)
@@ -261,21 +267,28 @@ def test_degenerate_point_detection():
 
 
 
-def test_build_fiber_raises_at_data_pole():
-    pole_fn = RationalFn((1,), (-0.5, 1))  # 1/(z - 0.5)
-    col = (MeroVector((pole_fn, P([0, 1]), P([1]))),)
-    data = DataArray(3, 1, (col,))
-    with pytest.raises(PoleError):
-        build_fiber(data, 0.5)
-    build_fiber(data, 0.5 + 0.1j)  # away from the pole the chain builds
+def _pole_and_cleared():
+    # the column (1/(z - 0.5), z, 1), and the same column times z - 0.5
+    pole_fn = RationalFn((1,), (-0.5, 1))
+    rational = DataArray(3, 1, ((MeroVector((pole_fn, P([0, 1]), P([1]))),),))
+    cleared = DataArray(3, 1, ((MeroVector((P([1]), P([0, -0.5, 1]), P([-0.5, 1]))),),))
+    return rational, cleared
 
-def test_sample_points_avoid_poles():
-    pole_fn = RationalFn((1,), (-0.5, 1))  # pole at 0.5
-    col = (MeroVector((pole_fn, P([0, 1]), P([1]))),)
-    data = DataArray(3, 1, (col,))
-    pts = draw_sample_points(data, 25, seed=3)
+
+def test_build_fiber_at_a_pole_of_the_data_is_the_cleared_columns():
+    # a scalar multiplier moves no span: the chain at the pole is the cleared column's
+    rational, cleared = _pole_and_cleared()
+    for z in (0.5, 0.5 + 1e-9j, 0.5 + 0.1j):
+        a, b = build_fiber(rational, z).chain, build_fiber(cleared, z).chain
+        assert np.array_equal(a.ranks, b.ranks)
+        assert np.abs(a.pis - b.pis).max() <= 1e-12
+
+
+def test_sample_points_need_no_clearance_from_poles():
+    rational, cleared = _pole_and_cleared()
+    pts = draw_sample_points(rational, 25, seed=3)
+    assert pts == draw_sample_points(cleared, 25, seed=3)
     assert len(pts) == 25
-    assert all(abs(z - 0.5) >= 1e-2 for z in pts)
     assert all(abs(z) <= 2.0 + 1e-12 for z in pts)
 
 
@@ -306,8 +319,8 @@ def _assert_batch_matches_points(data, zs):
     for p, z in enumerate(zs):
         try:
             single = chain_arrays(data, [z]).at(0)
-        except (PoleError, DegeneratePoint) as exc:
-            with pytest.raises(type(exc)):
+        except DegeneratePoint:
+            with pytest.raises(DegeneratePoint):
                 batch.at(p)
             continue
         got = batch.at(p)
@@ -333,17 +346,17 @@ def test_equal_data_built_apart_hits_the_table_cache():
 
 
 def test_chain_batch_matches_single_points():
-    # a pole at 0.5 (as in the pole test) and two columns that are nearly
-    # dependent near z = 0.03 (as in the degenerate-point test); ranks of
-    # alpha_1 differ between the ordinary points of the batch
+    # a pole at 0.5, where the cleared first rows (z - 0.5, 0, 1) and
+    # (z - 0.5, 1e-7 z (z - 0.5), 1) meet in one line, and two columns that
+    # are nearly dependent near z = 0.03 (as in the degenerate-point test);
+    # ranks of alpha_1 differ between the ordinary points of the batch
     pole_fn = RationalFn((1,), (-0.5, 1))
     col_a = (MeroVector((P([1]), P([0]), pole_fn)), MeroVector((P([0, 1]), P([2]), P([0]))))
     col_b = (MeroVector((P([1]), P([0, 1e-7]), pole_fn)), MeroVector((P([0]), P([1, 1]), P([0, 0, 1]))))
     data = DataArray(3, 2, (col_a, col_b))
     batch = _assert_batch_matches_points(data, [0.001j, 0.5, 0.03 + 0.01j, -1 + 0.5j, 1.2 - 0.7j, 0.0005])
-    assert batch.pole.tolist() == [False, True, False, False, False, False]
     assert batch.ambiguous.tolist() == [False, False, True, False, False, False]
-    assert batch.ranks[[0, 3, 4, 5], 0].tolist() == [1, 2, 2, 1]
+    assert batch.ranks[[0, 1, 3, 4, 5], 0].tolist() == [1, 1, 2, 2, 1]
     data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2)
     zs = list(np.random.default_rng(3).uniform(-1.4, 1.4, (16, 2)) @ [1, 1j])
     assert not _assert_batch_matches_points(data, zs).ambiguous.all()
@@ -352,11 +365,10 @@ def test_chain_batch_matches_single_points():
 def _full_column_chain(data, zs):
     # the reference: the kernel on every column's derivative table, dead ones included
     from unitons import kernels
-    from unitons.builder import derivative_values
 
-    vals, ok = derivative_values(data.n, data.r, data.columns, np.asarray(zs, np.complex128))
+    vals = derivative_values(data.n, data.r, data.columns, zs)
     assert vals.shape[3] == data.ncols
-    return kernels.build_chain(vals), ok
+    return kernels.build_chain(vals)
 
 
 def _with_zero_columns(data, at):
@@ -372,8 +384,8 @@ def test_dead_columns_leave_the_kernel_input_and_change_no_chain():
     data = _with_zero_columns(base, (0, 2))  # dead columns 0, 2, 5 and 6 of 7
     live = [1, 3, 4]
     batch = chain_arrays(data, zs)
-    (pis, _, _, ranks, kvecs, status), ok = _full_column_chain(data, zs)
-    assert np.array_equal(batch.ranks, ranks) and np.array_equal(batch.pole, ~ok)
+    pis, _, _, ranks, kvecs, status = _full_column_chain(data, zs)
+    assert np.array_equal(batch.ranks, ranks)
     assert np.array_equal(batch.ambiguous, status != 0)
     assert np.abs(batch.pis - pis).max() <= 1e-13
     assert np.abs(batch.kvecs[:, :, :, live] - kvecs[:, :, :, live]).max() <= 1e-12
@@ -397,27 +409,30 @@ def test_all_dead_columns_give_rank_zero_without_an_empty_svd(monkeypatch):
     batch = chain_arrays(data, [0.3, -1j])
     assert batch.ranks.tolist() == [[0, 0], [0, 0]]
     assert batch.kvecs.shape == (2, 2, 2, 3, 4) and not batch.kvecs.any()
-    assert not (batch.pole | batch.ambiguous).any()
+    assert not batch.ambiguous.any()
 
 
-def test_zero_entries_over_a_denominator_keep_their_pole():
-    # 0/(z - 1) is not the zero polynomial: its column stays live and z = 1 is a pole
+def test_zero_entries_over_a_denominator_are_dead():
+    # 0/(z - 1) is the zero function: its column is dead, and z = 1 is an ordinary point
+    from unitons.builder import _tables
+
     zero_over = MeroVector((RationalFn((0,), (-1, 1)),) * 3)
     col = (MeroVector((P([1]), P([0, 1]), P([2, 0, 1]))), MeroVector((P([0, 1]), P([1]), P([0]))))
     data = DataArray(3, 2, (col, (zero_over, zero_over), (MeroVector.zero(3),) * 2))
+    plain = DataArray(3, 2, (col,))
+    assert _tables(3, 2, data.columns).live == (0,)
     batch = chain_arrays(data, [1.0, 0.4 + 0.2j])
-    assert batch.pole.tolist() == [True, False]
-    assert not batch.kvecs[:, :, :, 1:].any()
+    assert not batch.ambiguous.any() and not batch.kvecs[:, :, :, 1:].any()
+    assert batch.pis.tobytes() == chain_arrays(plain, [1.0, 0.4 + 0.2j]).pis.tobytes()
 
 
 def test_dense_chains_are_the_full_column_kernel_bit_for_bit():
     data = random_data(4, 3, 2, seed=3)
     zs = list(np.random.default_rng(5).uniform(-1.4, 1.4, (8, 2)) @ [1, 1j])
     batch = chain_arrays(data, zs)
-    full, ok = _full_column_chain(data, zs)
+    full = _full_column_chain(data, zs)
     for got, want in zip((batch.pis, batch.perps, batch.bases, batch.ranks, batch.kvecs), full):
         assert got.tobytes() == want.tobytes()
-    assert np.array_equal(batch.pole, ~ok)
 
 
 def test_fullness_flag():

@@ -10,7 +10,6 @@ from unitons import (
     LoopPoly,
     MeroVector,
     NotLambdaInvariant,
-    PoleError,
     QInvolution,
     RationalFn,
     WSubspace,
@@ -96,11 +95,14 @@ def test_w_from_x_constant_section():
     assert max_principal_angle(w_span(w), expect) <= 1e-12
 
 
-def test_w_from_x_raises_at_a_pole_of_x():
+def test_w_from_x_at_a_pole_of_x_is_the_cleared_columns():
+    # (1/(z - 0.5), 1) over (z, 2) spans what its cleared form (1, z - 0.5) over (z (z - 0.5), 2 (z - 0.5)) spans
     col = (MeroVector((RationalFn((1,), (-0.5, 1)), P([1]))), MeroVector((P([0, 1]), P([2]))))
-    with pytest.raises(PoleError):
-        w_from_x([col], 0.5)
-    assert w_from_x([col], Z).dim == 3  # X, lambda X and lambda X'
+    cleared = (MeroVector((P([1]), P([-0.5, 1]))), MeroVector((P([0, -0.5, 1]), P([-1, 2]))))
+    for z in (0.5, Z):
+        w, want = w_from_x([col], z), w_from_x([cleared], z)
+        assert w.dim == want.dim == 3  # X, lambda X and lambda X'
+        assert max_principal_angle(w_span(w), w_span(want)) <= 1e-12
 
 
 @pytest.mark.parametrize("data", [DataArray(3, 0, ((),)), random_data(3, 0, 2)], ids=["one-column", "no-column"])

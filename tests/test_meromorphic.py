@@ -5,13 +5,12 @@ from unitons import (
     BadShape,
     DataArray,
     MeroVector,
-    PoleError,
     RationalFn,
     differentiate,
     eval_rational,
-    poles_of,
     random_data,
 )
+from unitons.meromorphic import polynomial_column
 from unitons.serialize import data_from_json, data_to_json
 
 from oracles import fd_derivative
@@ -41,9 +40,8 @@ def test_eval_examples():
     assert eval_rational(f, 0) == pytest.approx(-0.5)
     one = RationalFn((1,))
     assert eval_rational(one, 17 + 3j) == 1
-    g = RationalFn((1,), (-1, 1))  # 1/(z-1)
-    with pytest.raises(PoleError):
-        eval_rational(g, 1.0)
+    g = RationalFn((1,), (-1, 1))  # 1/(z-1): a plain quotient, however near the pole
+    assert eval_rational(g, 1.0 + 1e-12) == pytest.approx(1e12, rel=1e-3)
 
 
 def test_differentiate_power_rule():
@@ -104,27 +102,30 @@ def test_differentiate_linearity():
     assert rationals_close(lhs, rhs, tol=1e-12)
 
 
-def test_eval_at_poles_raises():
-    f = RationalFn((1, 1), (2, 0, 1))  # den z^2 + 2
-    for p in poles_of(f):
-        with pytest.raises(PoleError):
-            eval_rational(f, p)
+def _column(*fns):
+    return (MeroVector(tuple(fns)),)
 
 
-def test_poles_examples():
-    assert poles_of(RationalFn((1,), (-2, 1))) == [2]
-    assert poles_of(RationalFn((3, 1))) == []
-    roots = poles_of(RationalFn((1,), (1, 0, 1)))
-    assert sorted(np.round(np.imag(roots), 9)) == [-1, 1]
-    assert max(abs(np.real(r)) for r in roots) < 1e-9
+def test_polynomial_column_scales_by_a_power_of_two():
+    # Gaussian-integer data already in [4, 8) is kept bit for bit; other scales move by 2^k
+    assert polynomial_column(_column(P([1, 4j]), P([3, 3]))).tolist() == [[[1, 4j], [3, 3]]]
+    assert polynomial_column(_column(P([1, 0.5]), P([0.25]))).tolist() == [[[4, 2], [1, 0]]]
+    assert polynomial_column(_column(P([3e8]), P([0, 1]))).tolist() == [[[3e8 / 2**26, 0], [0, 2**-26]]]
 
 
-def test_poles_multiplicity_collapsed():
-    # (z-1)^2 in the denominator: a single reported pole
-    f = RationalFn((1,), (1, -2, 1))
-    ps = poles_of(f)
-    assert len(ps) == 1
-    assert abs(ps[0] - 1) < 1e-6
+def test_polynomial_column_clears_denominators_by_their_lcm():
+    # 1/(z^2 + 1) and z/(z - i): the LCM is z^2 + 1, so the column is (1, z (z + i))
+    got = polynomial_column(_column(RationalFn((1,), (1, 0, 1)), RationalFn((0, 1), (-1j, 1))))
+    assert np.abs(got - 4 * np.array([[[1, 0, 0], [0, 1j, 1]]])).max() <= 1e-15
+
+
+def test_polynomial_column_keeps_a_root_to_its_largest_multiplicity():
+    # (z - 1)^2 and z - 1 share their root, whose split halves merge to their mean: the LCM is (z - 1)^2
+    got = polynomial_column(_column(RationalFn((1,), (1, -2, 1)), RationalFn((1,), (-1, 1))))
+    assert np.abs(got - 4 * np.array([[[1, 0], [-1, 1]]])).max() <= 1e-12
+    # a zero entry's denominator adds no root
+    got = polynomial_column(_column(RationalFn((0,), (-3, 1)), RationalFn((2,), (-1, 1))))
+    assert np.abs(got - np.array([[[0], [4]]])).max() <= 1e-15
 
 
 def test_random_data_r0():

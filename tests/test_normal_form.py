@@ -1,0 +1,103 @@
+"""Every data column enters the numerics as its polynomial normal form, so a
+scalar multiplier of a column, rational or constant, moves neither the map nor
+verify's verdict: the map sees only the spans of the columns and their
+derivatives."""
+
+import numpy as np
+import pytest
+from numpy.polynomial import polynomial as npoly
+
+from unitons import DataArray, MeroVector, RationalFn, random_data, serialize
+from unitons.builder import chain_arrays, extended_product
+from unitons.cli import main
+from unitons.verifier import verification_report
+
+A = 0.3 + 0.2j  # the pole of the rational multipliers
+CRITERION_2 = [(n, r, pattern, seed) for seed in range(4)
+               for n, r, pattern in ((3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2)))]
+
+
+def _times_column_0(data, entry):
+    """The data with every entry f of column 0 (row m, component c) replaced by entry(f, m, c)."""
+    col = tuple(MeroVector(tuple(entry(f, m, c) for c, f in enumerate(vec.entries)))
+                for m, vec in enumerate(data.columns[0]))
+    return DataArray(data.n, data.r, (col,) + data.columns[1:])
+
+
+def _disc(count, seed):
+    rng = np.random.default_rng(seed)
+    return 2.0 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+
+
+def _maps(data, zs):
+    batch = chain_arrays(data, zs)
+    return batch, extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_a_simple_pole_flags_no_point_and_keeps_the_map(n):
+    # column 0 times 1/(z - a): a quotient-rule table squares this denominator at every
+    # derivative order, and at n = 8 flags 36% of the disc as poles and gets maps wrong by 0.9
+    plain = random_data(n, n - 1, 2, sparsity_pattern=(1,) * (n - 1), seed=0)
+    rational = _times_column_0(plain, lambda f, m, c: RationalFn(f.num, (-A, 1)))
+    zs = _disc(2000, 1)
+    (got, phi), (want, phi_ref) = _maps(rational, zs), _maps(plain, zs)
+    assert not got.ambiguous.any() and not want.ambiguous.any()
+    assert np.array_equal(got.ranks, want.ranks)
+    assert np.abs(phi - phi_ref).max() <= 1e-10
+
+
+def _verdict(data):
+    return verification_report(data, samples=3, seed=5)["passed"]
+
+
+@pytest.mark.parametrize("case", CRITERION_2, ids=lambda c: f"{c[0]}-{c[1]}-{'-'.join(map(str, c[2]))}-s{c[3]}")
+def test_verdict_does_not_depend_on_a_column_scale(case):
+    # a constant column scale moves no span; verdicts read on the data's own scale
+    # change on 41 (1e-8), 119 (1e4) and 199 (1e8) of 200 such datasets
+    n, r, pattern, seed = case
+    data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+    verdict = _verdict(data)
+    for scale in (1e-8, 1e4, 1e8):
+        assert _verdict(_times_column_0(data, lambda f, m, c: f.scale(scale))) == verdict, scale
+
+
+def test_a_root_shared_by_two_denominators_enters_the_lcm_once():
+    # column 0 over z - a and over (z - a)(z - b) in turn: the LCM is (z - a)(z - b), not (z - a)^2 (z - b)
+    b = -0.7 + 0.5j
+    both = tuple(npoly.polyfromroots([A, b]))
+    plain = random_data(4, 3, 2, sparsity_pattern=(1, 1, 1), seed=0)
+    rational = _times_column_0(plain, lambda f, m, c: RationalFn(f.num, (-A, 1) if (m + c) % 2 else both))
+    cleared = _times_column_0(plain, lambda f, m, c: RationalFn(tuple(npoly.polymul(f.num, (-b, 1))) if (m + c) % 2 else f.num))
+    zs = [A, b, A + 1e-9, b - 1e-9j, A + 1e-3j, b + 1e-3, 0.1 - 0.4j]
+    (got, phi), (want, phi_ref) = _maps(rational, zs), _maps(cleared, zs)
+    assert not got.ambiguous.any()
+    assert got.ranks.tolist() == want.ranks.tolist() == [[1, 2, 3]] * len(zs)
+    assert np.abs(phi - phi_ref).max() <= 1e-10
+
+
+def test_sample_box_around_a_double_pole_has_no_null_cell(tmp_path):
+    # a pole test on the data's own denominators nulls all 101 x 101 cells, out to 0.14 from the pole
+    plain = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    rational = _times_column_0(plain, lambda f, m, c: RationalFn(f.num, tuple(npoly.polyfromroots([A, A]))))
+    data_file, out = tmp_path / "double-pole.json", tmp_path / "grid.json"
+    serialize.write_json(serialize.data_to_json(rational), data_file)
+    rect = f"--rect={A.real - 0.1},{A.real + 0.1},{A.imag - 0.1},{A.imag + 0.1}"
+    assert main(["sample", "--input", str(data_file), "--grid", "101", rect, "--output", str(out)]) == 0
+    records = serialize.read_json(out)["records"]
+    assert len(records) == 101 * 101
+    assert all(rec["phi"] is not None for rec in records)
+    # each cell's map is the polynomial data's
+    zs = np.array([complex(*rec["z"]) for rec in records])
+    got = np.array([rec["phi"]["data"] for rec in records]) @ [1, 1j]
+    _, want = _maps(plain, zs)
+    assert np.abs(got - want.reshape(len(zs), -1)).max() <= 1e-10
+
+
+def test_a_normal_form_that_overflows_exits_2(tmp_path, capsys):
+    # roots near -1e150 and -2e150 give an LCM with coefficients near 2e300, times a numerator of 1e150
+    col = (MeroVector((RationalFn((1e150,), (1, 1e-150)), RationalFn((1,), (1, 0.5e-150)), RationalFn((1e150,)))),)
+    data_file = tmp_path / "huge.json"
+    serialize.write_json(serialize.data_to_json(DataArray(3, 1, (col,))), data_file)
+    assert main(["verify", "--input", str(data_file), "--samples", "1"]) == 2
+    assert "normal form" in capsys.readouterr().err

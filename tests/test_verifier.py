@@ -213,7 +213,7 @@ def _per_entry_sections(sampler, z, seed=0):
     H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
 
     def h_at(w):  # H at one point, by a one-point table evaluation
-        return builder.derivative_values(n, 1, ((H,),), np.array([w]))[0][0, 0, 0, 0]
+        return builder._vector_values(H, np.array([w]))[0]
 
     for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
         for s in range(ell):
@@ -407,8 +407,7 @@ def _chain_stack(chains):
     perps = np.array([c[1] for c in chains], np.complex128)
     bases, _, ranks = masked_basis(pis)
     S, r, n = pis.shape[:3]
-    flags = np.zeros(S, bool)
-    return builder.ChainBatch(np.zeros(S, complex), pis, perps, bases, ranks, np.zeros((S, r, r, 0, n)), flags, flags)
+    return builder.ChainBatch(np.zeros(S, complex), pis, perps, bases, ranks, np.zeros((S, r, r, 0, n)), np.zeros(S, bool))
 
 
 def test_static_checks_flag_broken_chains_as_the_per_point_reference_does():
