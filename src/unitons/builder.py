@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in
 class _Tables(NamedTuple):
     coeffs: np.ndarray  # (K, K, J_slots, n, L): coefficient row (k, m, slot, c), degree-ascending
     live: tuple[int, ...]  # the columns holding a non-zero entry
-    ncols: int
 
 
 @lru_cache(maxsize=64)
@@ -55,17 +54,7 @@ def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tab
     for k in range(1, r):
         # shift and multiply by the index: a chained polyder's products, so its bits
         table[k, : r - k, ..., :-1] = table[k - 1, : r - k, ..., 1:] * np.arange(1, width)
-    return _Tables(table, live, len(columns))
-
-
-def _all_columns(t: _Tables, arr: np.ndarray) -> np.ndarray:
-    """arr (..., J_live, n) on the table's live slots laid out on all J columns
-    (at least one), zero in the dead ones."""
-    if len(t.live) == t.ncols:
-        return arr
-    out = np.zeros(arr.shape[:-2] + (t.ncols, arr.shape[-1]), arr.dtype)
-    out[..., list(t.live), :] = arr[..., : len(t.live), :]
-    return out
+    return _Tables(table, live)
 
 
 def _live_values(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...],
@@ -95,9 +84,8 @@ class ChainBatch(NamedTuple):
     zs: np.ndarray         # (P,)
     pis: np.ndarray        # (P, r, n, n)
     perps: np.ndarray      # (P, r, n, n)
-    bases: np.ndarray      # (P, r, n, n)
     ranks: np.ndarray      # (P, r)
-    kvecs: np.ndarray      # (P, r, r, J, n): K^(k)_{i,j} of the normal forms, exactly 0 in a dead column
+    kvecs: np.ndarray      # (P, r, r, J_slots, n): K^(k)_{i,j} of the normal forms on the table's slots
     ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
 
     def at(self, p: int) -> "ChainBatch":
@@ -115,18 +103,17 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     """Evaluate the data at every point of zs and build the chains (hot path).
 
     Evaluation and the kernel run on the normal forms of the data's live
-    columns only (see ``_tables``); a dead column spans nothing, and its
-    K-vectors are zero.
+    columns only (see ``_tables``), and ``kvecs`` stays on the table's slots:
+    a dead column spans nothing and has no K-vectors.
     """
     n, r, P = data.n, data.r, len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)
     if r == 0:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
-        return ChainBatch(zs, empty, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), np.zeros(P, bool))
-    t, vals = _live_values(n, r, data.columns, zs)
-    pis, perps, bases, ranks, kvecs, status = kernels.build_chain(vals)
-    return ChainBatch(zs, pis, perps, bases, ranks, _all_columns(t, kvecs), status != 0)
+        return ChainBatch(zs, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), np.zeros(P, bool))
+    pis, perps, ranks, kvecs, status = kernels.build_chain(_live_values(n, r, data.columns, zs)[1])
+    return ChainBatch(zs, pis, perps, ranks, kvecs, status != 0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,13 @@ class UnitonFiber:
 
     z: complex
     chain: ChainBatch  # the point's view: no point axis
-    alphas: tuple[Span, ...]
+
+    @cached_property
+    def alphas(self) -> tuple[Span, ...]:
+        """alpha_1..alpha_r, each from its step's SVD rerun on the K-vectors."""
+        n, ranks = self.chain.pis.shape[-1], self.chain.ranks
+        return tuple(Span(kernels.step_svd(self.chain.kvecs, i)[0][:, : ranks[i]], n, validate=False)
+                     for i in range(len(ranks)))
 
     @property
     def proper(self) -> bool:
@@ -146,10 +139,6 @@ class UnitonFiber:
 def build_fiber(data: DataArray, z: complex) -> UnitonFiber:
     """Build alpha_1..alpha_r at z per the K-vector construction."""
     cd = chain_arrays(data, [z]).at(0)
-    n = data.n
-    alphas = tuple(
-        Span(cd.bases[i][:, : cd.ranks[i]], n, validate=False) for i in range(data.r)
-    )
     # |perp_i K^(k)_{i,j}| against |K^(k)_{i,j}| for every (i, k, j) at once; the
     # table holds zeros above k = i, which never escape
     escaped = (np.linalg.norm(np.einsum("iab,ikjb->ikja", cd.perps, cd.kvecs), axis=-1)
@@ -157,7 +146,7 @@ def build_fiber(data: DataArray, z: complex) -> UnitonFiber:
     if escaped.any():
         i, k, j = np.argwhere(escaped)[0]
         raise DegeneratePoint(f"K^({k})_{i},{j} escapes alpha_{i + 1} at z={z}")
-    return UnitonFiber(complex(z), cd, alphas)
+    return UnitonFiber(complex(z), cd)
 
 
 class HarmonicMapSampler:
@@ -223,14 +212,15 @@ def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndar
     """Coefficients T_0..T_r of (pi_1 + lambda pi_1_perp) ... as an (r+1, n, n)
     array.  The steps run along axis -3; leading axes broadcast, each chain's
     coefficients bit-identical to its own call."""
-    r = pis.shape[-3]
-    T = np.zeros(pis.shape[:-3] + (r + 1, n, n), np.complex128)
+    lead, r = pis.shape[:-3], pis.shape[-3]
+    T = np.zeros(lead + (r + 1, n, n), np.complex128)
     T[..., 0, :, :] = np.eye(n)
     for i in range(r):
-        # T_ell <- T_ell pi_i + T_{ell-1} perp_i, all ell at once (T_{i+1} is still 0)
-        pi, perp = pis[..., i, None, :, :], perps[..., i, None, :, :]
-        T[..., 1 : i + 2, :, :] = T[..., 1 : i + 2, :, :] @ pi + T[..., : i + 1, :, :] @ perp
-        T[..., 0, :, :] = T[..., 0, :, :] @ pis[..., i, :, :]
+        # T_ell <- T_ell pi_i + T_{ell-1} perp_i, all ell at once (T_{i+1} is still 0), one
+        # product per projector on the coefficients stacked as one ((i+2) n, n) matrix
+        new = T[..., : i + 2, :, :].reshape(lead + (-1, n)) @ pis[..., i, :, :]
+        new[..., n:, :] += T[..., : i + 1, :, :].reshape(lead + (-1, n)) @ perps[..., i, :, :]
+        T[..., : i + 2, :, :] = new.reshape(lead + (i + 2, n, n))
     return T
 
 
@@ -313,6 +303,6 @@ def alpha1_is_full(data: DataArray, seed: int = 1234) -> bool:
     """Fullness of alpha_1, tested by spanning fibers over 2n generic points."""
     if data.r == 0:
         return False
-    batch = _draw(data, 2 * data.n, seed, None)[1].take(0)
-    span = orthonormal_basis(np.hstack([b[0, :, :k] for b, k in zip(batch.bases, batch.ranks[:, 0])]))
+    bases, _, ranks = kernels.step_svd(_draw(data, 2 * data.n, seed, None)[1].kvecs[0], 0)
+    span = orthonormal_basis(np.hstack([b[:, :k] for b, k in zip(bases, ranks)]))
     return span.dim == data.n

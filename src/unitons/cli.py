@@ -199,10 +199,11 @@ def _sample_records(data, zs, eye) -> list[dict]:
     written by one matrices_to_json; a degenerate point, or one whose map is
     not finite, gets phi: null."""
     batch = chain_arrays(data, zs)
-    maps = extended_product(batch.pis, batch.perps, -1, eye)
+    maps, ambiguous = extended_product(batch.pis, batch.perps, -1, eye), batch.ambiguous
+    del batch  # the chains are read no more: free them before the records are built
     # a ufunc after the complex matrix products: with the products last, orjson's
     # float encoding ran 3-5x slower for the rest of the process (AVX-512 CPU)
-    bad = np.logical_or(batch.ambiguous, ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
+    bad = np.logical_or(ambiguous, ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
     return [{"z": serialize.encode_complex(z), "phi": None if b else phi}
             for z, b, phi in zip(zs, bad, serialize.matrices_to_json(maps))]
 

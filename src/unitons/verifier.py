@@ -14,8 +14,7 @@ every sample point at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,12 +56,13 @@ DEFAULT_TOLERANCES = {
 LEMMA_MAX_ELL = 3  # the D_zbar lemma is checked for ell = 1..min(r, LEMMA_MAX_ELL)
 
 
-@dataclass(frozen=True)
-class ConnectionFiber:
-    """A_z and A_zbar of A = (1/2) phi^{-1} d phi at one point."""
+class ConnectionFiber(NamedTuple):
+    """A_z and A_zbar of A = (1/2) phi^{-1} d phi at one point, and the
+    phi^{-1} they were formed with."""
 
     a_z: np.ndarray
     a_zbar: np.ndarray
+    inv: np.ndarray
 
 
 def _stencil(z, h: float) -> np.ndarray:
@@ -112,7 +112,7 @@ def _connection(maps: np.ndarray, h: float) -> ConnectionFiber:
     # A_z, A_zbar at the centre from maps on a stencil's 9 points (first axis)
     dz, dzb = _wirtinger(maps[1:], h)
     inv = np.linalg.inv(maps[0])
-    return ConnectionFiber(0.5 * inv @ dz, 0.5 * inv @ dzb)
+    return ConnectionFiber(0.5 * inv @ dz, 0.5 * inv @ dzb, inv)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -142,16 +142,16 @@ def connection_form(map_sampler: Callable, z: complex) -> ConnectionFiber:
     return _connection(_evaluate(map_sampler, _stencil(z, FD_STEP)), FD_STEP)
 
 
-def harmonicity_residual(source, z):
+def harmonicity_residual(source, z, conn: Optional[ConnectionFiber] = None):
     """Frobenius norm of d_zbar A_z + [A_zbar, A_z] (zero iff harmonic).
 
-    It equals (1/2) phi^{-1} phi_zzbar - (1/4)(B_zbar B_z + B_z B_zbar) with
-    B = phi^{-1} d phi and phi_zzbar = Laplacian(phi) / 4: 4th-order first and
-    second differences of the maps on the 9-point stencil of z.  ``source`` is
-    a DataArray or HarmonicMapSampler, whose chains there come from one kernel
-    call; a map callable, called once per distinct stencil point; or the maps
-    there, (9,) + z.shape + (n, n).  z is a point or an array of points; the
-    residual has z's shape.
+    It equals (1/2) phi^{-1} phi_zzbar - (A_zbar A_z + A_z A_zbar) with
+    phi_zzbar = Laplacian(phi) / 4: 4th-order first and second differences
+    of the maps on the 9-point stencil of z.  ``source`` is a DataArray or
+    HarmonicMapSampler, whose chains there come from one kernel call; a map
+    callable, called once per distinct stencil point; or the maps there,
+    (9,) + z.shape + (n, n), whose connection ``conn`` may be passed in.
+    z is a point or an array of points; the residual has z's shape.
     """
     points = _stencil(z, FD_STEP)
     if isinstance(source, (DataArray, HarmonicMapSampler)):
@@ -159,9 +159,8 @@ def harmonicity_residual(source, z):
         maps = extended_product(chains.pis, chains.perps, -1, phi0)
     else:
         maps = _evaluate(source, points) if callable(source) else source
-    inv = np.linalg.inv(maps[0])
-    b_z, b_zbar = (inv @ d for d in _wirtinger(maps[1:], FD_STEP))
-    return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (b_zbar @ b_z + b_z @ b_zbar) / 4))
+    a_z, a_zbar, inv = conn if conn is not None else _connection(maps, FD_STEP)
+    return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (a_zbar @ a_z + a_z @ a_zbar)))
 
 
 def _extended_values(T: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -173,13 +172,14 @@ def _extended_values(T: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return flat.reshape(lead + (len(lams), n, n))
 
 
-def extended_checks(sampler, z) -> dict:
+def extended_checks(sampler, z, conn: Optional[ConnectionFiber] = None) -> dict:
     """Extended-solution equation residual, unitarity defect and Phi_1 defect.
 
     ``sampler`` is a HarmonicMapSampler, its chains on ``_stencil(z, FD_STEP)``
     (a ChainBatch) or the coefficients T_0..T_r of Phi_lambda there,
     (9,) + z.shape + (r+1, n, n); each value has the shape of z, a point or an
-    array.
+    array.  ``conn`` is the map's connection; by default it is formed from
+    Phi_{-1}.
     """
     if isinstance(sampler, np.ndarray):
         T = sampler
@@ -190,7 +190,7 @@ def extended_checks(sampler, z) -> dict:
     eye = np.eye(T.shape[-1], dtype=np.complex128)
     # Phi_lambda for lambda = -1, 1, then each of DEFAULT_LAMBDAS, at every stencil point
     ext = _extended_values(T, lams)
-    cf = _connection(ext[..., 0, :, :], FD_STEP)
+    cf = conn if conn is not None else _connection(ext[..., 0, :, :], FD_STEP)
     dz, dzb = _wirtinger(ext[1:, ..., 2:, :, :], FD_STEP)
     val, lam = ext[0, ..., 2:, :, :], lams[2:, None, None]
     es = (_norms(dz - (1 - 1 / lam) * val @ cf.a_z[..., None, :, :])
@@ -213,13 +213,14 @@ def _prefix_maps(chains: ChainBatch, phi0: np.ndarray) -> np.ndarray:
     return np.stack(prefix, axis=-3)
 
 
-def section_identities(data, z, seed: int = 0) -> dict:
+def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] = None) -> dict:
     """Residuals of the section identities at the fibers of z.
 
     ``data`` is a DataArray, a HarmonicMapSampler or their chains on
-    ``_stencil(z, FD_STEP)`` (a ChainBatch, read with phi_0 = I).  Each family is
-    one stacked field, differenced once: a list for a point z, an array with
-    the residual index last for an array of points.
+    ``_stencil(z, FD_STEP)`` (a ChainBatch, read with phi_0 = I); ``conn`` may
+    hold the prefix maps' connections.  Each family is one stacked field,
+    differenced once: a list for a point z, an array with the residual index
+    last for an array of points; K-vectors run over the live columns.
 
     dbar_K:        D^{phi_i}_zbar K^(k)_{i,j} = 0      (holomorphic sections)
     Az_K:          A^{phi_i}_z K^(k)_{i,j} + K^(k+1)_{i,j} = 0  (K^(i+1) := 0)
@@ -230,8 +231,8 @@ def section_identities(data, z, seed: int = 0) -> dict:
     chains, phi0 = _on_stencil(data, _stencil(z, FD_STEP))
     r, J, n = chains.kvecs.shape[-3:]
     kv, perp = chains.kvecs[0][..., None], chains.perps[0]
-    # the connections of the prefix maps phi_ell, ell = 0..r, on axis -3
-    conn = _connection(_prefix_maps(chains, phi0), FD_STEP)
+    if conn is None:  # the connections of the prefix maps phi_ell, ell = 0..r, on axis -3
+        conn = _connection(_prefix_maps(chains, phi0), FD_STEP)
     a_z, a_zbar = conn.a_z[..., :r, None, None, :, :], conn.a_zbar[..., :r, None, None, :, :]
     _, dzb_k = _wirtinger(chains.kvecs[1:, ..., None], FD_STEP)
     # K^(k+1)_{i,j}; the table holds zeros above k = i, so this is 0 at k = i
@@ -302,13 +303,16 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
             raise BadShape(f"unknown tolerance names: {sorted(unknown)}")
         tol.update(tolerances)
     batch = _draw(data, samples, seed, FD_STEP)[1]  # (9, samples), the sample points in row 0
-    maps = extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128))
+    # phi_0..phi_r on every stencil point (phi_r the map) and the report's one inversion
+    prefix = _prefix_maps(batch, np.eye(data.n, dtype=np.complex128))
+    conn = _connection(prefix, FD_STEP)
+    maps, map_conn = prefix[..., -1, :, :], ConnectionFiber(*(f[..., -1, :, :] for f in conn))
     # Phi_lambda's coefficients on every stencil point; row 0's are the sample points'
     T = extended_coefficients(batch.pis, batch.perps, data.n)
-    ec = extended_checks(T, batch.zs[0])
-    sec = section_identities(batch, batch.zs[0], seed=seed)
+    ec = extended_checks(T, batch.zs[0], conn=map_conn)
+    sec = section_identities(batch, batch.zs[0], seed=seed, conn=conn)
     residuals = {
-        "harmonicity": harmonicity_residual(maps, batch.zs[0]),
+        "harmonicity": harmonicity_residual(maps, batch.zs[0], conn=map_conn),
         "extended_solution": ec["es_residual"],
         "extended_unitarity": ec["unitarity_defect"],
         "phi_one": ec["phi1_defect"],

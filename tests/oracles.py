@@ -45,10 +45,20 @@ def derivative_values(n, r, columns, zs):
     point of zs (P,), laid out on all J columns: vals[p, k, m, j] (P, r, r, J, n)
     is the k'th derivative of row m of column j's normal form at zs[p], held
     for k <= r-1-m and zero above, and exact zeros in a dead column."""
-    from unitons.builder import _all_columns, _live_values
+    from unitons.builder import _live_values
 
-    t, vals = _live_values(n, r, tuple(tuple(col) for col in columns), np.asarray(zs, complex))
-    return _all_columns(t, vals)
+    columns = tuple(tuple(col) for col in columns)
+    return on_all_columns(columns, _live_values(n, r, columns, np.asarray(zs, complex))[1])
+
+
+def on_all_columns(columns, arr):
+    """arr (..., J_slots, n) on the builder's table slots, one per live column
+    in order, laid out on all J columns, exact zeros in the dead ones (the
+    columns whose entries are all zero)."""
+    live = [j for j, col in enumerate(columns) if not all(f.is_zero for vec in col for f in vec.entries)]
+    out = np.zeros(arr.shape[:-2] + (len(columns), arr.shape[-1]), arr.dtype)
+    out[..., live, :] = arr[..., : len(live), :]
+    return out
 
 
 def random_chain(rng, n, length):
@@ -150,6 +160,20 @@ def stencil_harmonicity(phi, z, h=1e-3):
     return np.linalg.norm(0.5 * np.linalg.inv(phi(z)) @ zzbar - 0.25 * (b_zbar @ b_z + b_z @ b_zbar))
 
 
+def extended_coefficients_per_block(pis, perps, n):
+    """T_0..T_r of (pi_1 + lambda pi_1_perp) ..., the steps on axis -3 and
+    leading axes broadcast: T_ell <- T_ell pi_i + T_{ell-1} perp_i, one
+    (n, n) product per coefficient and step."""
+    r = pis.shape[-3]
+    T = np.zeros(pis.shape[:-3] + (r + 1, n, n), np.complex128)
+    T[..., 0, :, :] = np.eye(n)
+    for i in range(r):
+        pi, perp = pis[..., i, None, :, :], perps[..., i, None, :, :]
+        T[..., 1 : i + 2, :, :] = T[..., 1 : i + 2, :, :] @ pi + T[..., : i + 1, :, :] @ perp
+        T[..., 0, :, :] = T[..., 0, :, :] @ pis[..., i, :, :]
+    return T
+
+
 def _product(pis, perps, lam, n):
     """(pi_1 + lam pi_1_perp) ... (pi_k + lam pi_k_perp), one factor at a time."""
     m = np.eye(n, dtype=complex)
@@ -182,7 +206,7 @@ def static_residuals(chain, n):
     out = dict.fromkeys(("covering", "perp_surjectivity", "alpha1_image", "reality", "top_coefficient"), 0.0)
     if r == 0:
         return out
-    spans = [Span(chain.bases[i][:, : chain.ranks[i]], n, validate=False) for i in range(r)]
+    spans = [image_span(pi) for pi in chain.pis]  # alpha_i, the image of pi_i
     for ell in range(2, r + 1):
         moved = image_span(chain.pis[ell - 2] @ spans[ell - 1].basis)
         out["covering"] = max(out["covering"], gap(moved, spans[ell - 2]))
@@ -209,7 +233,7 @@ def verification_residuals(data, samples, seed, h=1e-3):
     from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL
 
     sampler = HarmonicMapSampler(data)
-    n, r, J = data.n, data.r, data.ncols
+    n, r = data.n, data.r
     eye = np.eye(n, dtype=complex)
     chains = {}
 
@@ -254,7 +278,7 @@ def verification_residuals(data, samples, seed, h=1e-3):
                 for ell in range(r + 1)]
         for i in range(r):
             for k in range(i + 1):
-                for j in range(J):
+                for j in range(center.kvecs.shape[-2]):  # the table's slots: the live columns
                     kv = center.kvecs[i, k, j]
                     _, dzb = _stencil_fd(lambda w: chain(w).kvecs[i, k, j], z, h)
                     note("section_holomorphic", np.linalg.norm(dzb + conn[i][1] @ kv))

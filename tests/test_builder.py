@@ -25,7 +25,9 @@ from oracles import (
     associated_and_gauss,
     cartan_embed,
     derivative_values,
+    extended_coefficients_per_block,
     max_principal_angle,
+    on_all_columns,
     restrict_rows,
     shifted_column,
     spans_equal,
@@ -59,8 +61,8 @@ def test_alpha2_layers_match_explicit_formulas():
         h0, h1 = col
         gen.append(h0.eval(Z) + perp1 @ h1.eval(Z))
         der.append(perp1 @ h0.derivative().eval(Z))
-    k0 = orthonormal_basis(np.column_stack([fib.chain.kvecs[1, 0, j] for j in range(data.ncols)]))
-    k1 = orthonormal_basis(np.column_stack([fib.chain.kvecs[1, 1, j] for j in range(data.ncols)]))
+    k0 = orthonormal_basis(fib.chain.kvecs[1, 0].T)  # one vector per table slot: the live columns
+    k1 = orthonormal_basis(fib.chain.kvecs[1, 1].T)
     assert spans_equal(k0, orthonormal_basis(np.column_stack(gen)))
     assert spans_equal(k1, orthonormal_basis(np.column_stack(der)))
 
@@ -384,17 +386,18 @@ def test_dead_columns_leave_the_kernel_input_and_change_no_chain():
     data = _with_zero_columns(base, (0, 2))  # dead columns 0, 2, 5 and 6 of 7
     live = [1, 3, 4]
     batch = chain_arrays(data, zs)
-    pis, _, _, ranks, kvecs, status = _full_column_chain(data, zs)
+    pis, _, ranks, kvecs, status = _full_column_chain(data, zs)
     assert np.array_equal(batch.ranks, ranks)
     assert np.array_equal(batch.ambiguous, status != 0)
     assert np.abs(batch.pis - pis).max() <= 1e-13
-    assert np.abs(batch.kvecs[:, :, :, live] - kvecs[:, :, :, live]).max() <= 1e-12
-    assert batch.kvecs.shape == kvecs.shape
-    assert not batch.kvecs[:, :, :, [0, 2, 5, 6]].any()
+    # K-vectors stay on the table's slots, one per live column in order
+    assert batch.kvecs.shape == kvecs.shape[:3] + (len(live),) + kvecs.shape[4:]
+    assert not kvecs[:, :, :, [0, 2, 5, 6]].any()
+    assert np.abs(on_all_columns(data.columns, batch.kvecs) - kvecs).max() <= 1e-12
     # a dead column leaves the kernel's input, so inserting one changes no bit
     plain = chain_arrays(base, zs)
     assert batch.pis.tobytes() == plain.pis.tobytes()
-    assert batch.kvecs[:, :, :, live].tobytes() == plain.kvecs[:, :, :, :3].tobytes()
+    assert batch.kvecs.tobytes() == plain.kvecs.tobytes()
 
 
 def test_all_dead_columns_give_rank_zero_without_an_empty_svd(monkeypatch):
@@ -408,7 +411,7 @@ def test_all_dead_columns_give_rank_zero_without_an_empty_svd(monkeypatch):
     data = DataArray(4, 2, tuple((MeroVector.zero(4), MeroVector.zero(4)) for _ in range(3)))
     batch = chain_arrays(data, [0.3, -1j])
     assert batch.ranks.tolist() == [[0, 0], [0, 0]]
-    assert batch.kvecs.shape == (2, 2, 2, 3, 4) and not batch.kvecs.any()
+    assert batch.kvecs.shape == (2, 2, 2, 1, 4) and not batch.kvecs.any()  # one padding slot
     assert not batch.ambiguous.any()
 
 
@@ -422,8 +425,10 @@ def test_zero_entries_over_a_denominator_are_dead():
     plain = DataArray(3, 2, (col,))
     assert _tables(3, 2, data.columns).live == (0,)
     batch = chain_arrays(data, [1.0, 0.4 + 0.2j])
-    assert not batch.ambiguous.any() and not batch.kvecs[:, :, :, 1:].any()
-    assert batch.pis.tobytes() == chain_arrays(plain, [1.0, 0.4 + 0.2j]).pis.tobytes()
+    expected = chain_arrays(plain, [1.0, 0.4 + 0.2j])
+    assert not batch.ambiguous.any() and batch.kvecs.shape[3] == 1
+    assert batch.pis.tobytes() == expected.pis.tobytes()
+    assert batch.kvecs.tobytes() == expected.kvecs.tobytes()
 
 
 def test_dense_chains_are_the_full_column_kernel_bit_for_bit():
@@ -431,8 +436,33 @@ def test_dense_chains_are_the_full_column_kernel_bit_for_bit():
     zs = list(np.random.default_rng(5).uniform(-1.4, 1.4, (8, 2)) @ [1, 1j])
     batch = chain_arrays(data, zs)
     full = _full_column_chain(data, zs)
-    for got, want in zip((batch.pis, batch.perps, batch.bases, batch.ranks, batch.kvecs), full):
+    for got, want in zip((batch.pis, batch.perps, batch.ranks, batch.kvecs), full):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    random_data(4, 3, 2, seed=3),
+    random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3),
+    s1_invariant_data(5, (1, 2, 4), 2, seed=1),
+], ids=["dense", "echelon", "s1"])
+def test_step_bases_rerun_the_kernel_svd_bit_for_bit(data):
+    # a basis recomputed from a chain's K-vectors is the one its projector was
+    # formed from: basis basis^* is pi_i bit for bit, in a batch and at one point
+    from unitons.kernels import step_svd
+
+    zs = list(np.random.default_rng(6).uniform(-1.4, 1.4, (8, 2)) @ [1, 1j])
+    batch = chain_arrays(data, zs)
+    for i in range(data.r):
+        basis, _, rank = step_svd(batch.kvecs, i)
+        assert np.array_equal(rank, batch.ranks[:, i])
+        assert (basis @ basis.conj().swapaxes(-1, -2)).tobytes() == batch.pis[:, i].tobytes()
+    for z in zs[:3]:
+        fib = build_fiber(data, z)
+        assert "alphas" not in vars(fib)  # formed on first read, not by the build
+        for i, alpha in enumerate(fib.alphas):
+            basis = step_svd(fib.chain.kvecs, i)[0]
+            assert (basis @ basis.conj().T).tobytes() == fib.chain.pis[i].tobytes()
+            assert alpha.basis.tobytes() == basis[:, : fib.chain.ranks[i]].tobytes()
 
 
 def test_fullness_flag():
@@ -462,6 +492,19 @@ def test_extended_product_broadcasts_bit_for_bit():
             assert np.array_equal(got[p, q], extended_product(batch.pis[p], batch.perps[p], lam, eye))
     r0 = chain_arrays(random_data(3, 0, 2, seed=0), [0.1, 0.2])
     assert np.array_equal(extended_product(r0.pis, r0.perps, -1, np.eye(3)), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_extended_coefficients_are_the_per_block_products_bit_for_bit(n):
+    # one product per projector and step gives each coefficient's own products' bits
+    zs = np.random.default_rng(n).uniform(-1.4, 1.4, (30, 2)) @ [1, 1j]
+    for r in range(1, n):
+        batch = chain_arrays(random_data(n, r, 3, seed=n + r), zs)
+        want = extended_coefficients_per_block(batch.pis, batch.perps, n)
+        assert extended_coefficients(batch.pis, batch.perps, n).tobytes() == want.tobytes()
+        stencil = batch.take(np.arange(27).reshape(9, 3))  # verify's (9, S) layout
+        assert (extended_coefficients(stencil.pis, stencil.perps, n).tobytes()
+                == extended_coefficients_per_block(stencil.pis, stencil.perps, n).tobytes())
 
 
 def test_extended_coefficients_and_reality_broadcast_bit_for_bit():

@@ -207,3 +207,21 @@ def test_data_from_json_rejects_what_the_per_entry_decode_rejects(mutate):
         data_from_json_per_entry(obj)
     with pytest.raises(BadShape):
         serialize.data_from_json(obj)
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--samples", "2", "--seed", "5"],
+    ["sample", "--grid", "4"],
+    ["factorize", "--samples", "2"],
+], ids=lambda c: c[0])
+def test_written_file_is_the_dumps_text_byte_for_byte(command, tmp_path, capsys):
+    from unitons import cli
+
+    path, out = tmp_path / "data.json", tmp_path / "out.json"
+    serialize.write_json(serialize.data_to_json(random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3)), path)
+    argv = [command[0], "--input", str(path), *command[1:]]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out  # serialize.dumps of the report
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == text.encode()

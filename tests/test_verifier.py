@@ -197,10 +197,12 @@ def test_verification_report_structure_and_overrides():
 
 def _per_entry_sections(sampler, z, seed=0):
     """Reference: one wirtinger per section entry and lemma field, one
-    connection form per prefix map, as the identities read entry by entry."""
-    r, n, J = sampler.r, sampler.n, sampler.data.ncols
+    connection form per prefix map, as the identities read entry by entry,
+    over the chain's table slots (the live columns)."""
+    r, n = sampler.r, sampler.n
     conn = [connection_form(lambda w, _e=ell: sampler.prefix_map_at(w, _e), z) for ell in range(r + 1)]
     center = sampler.chain_at(z)
+    J = center.kvecs.shape[-2]
     dbar_k, az_k, lemma = [], [], []
     for i in range(r):
         for k in range(i + 1):
@@ -314,6 +316,42 @@ def test_verify_builds_once_on_the_points_the_draw_checked(monkeypatch):
     assert calls["harmonicity_residual"] == calls["extended_checks"] == calls["section_identities"] == 1
 
 
+def test_verify_inverts_the_prefix_maps_once(monkeypatch):
+    # one connection of phi_0..phi_r serves harmonicity, Phi_lambda and the sections
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    inv, shapes = np.linalg.inv, []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    assert verification_report(data, samples=3, seed=5)["passed"]
+    assert shapes == [(3, 5, 5, 5)]  # (S, r + 1, n, n) at the sample points
+
+
+def test_shared_connection_gives_the_standalone_residuals():
+    # harmonicity and sections are bit for bit their own calls; Phi_lambda's
+    # equation reads the map's connection, not Phi_{-1}'s from the coefficients
+    data = random_data(5, 3, 3, sparsity_pattern=(1, 2, 2), seed=1)
+    batch = builder._draw(data, 3, 5, verifier.FD_STEP)[1]
+    z = batch.zs[0]
+    prefix = verifier._prefix_maps(batch, np.eye(5, dtype=complex))
+    conn = verifier._connection(prefix, verifier.FD_STEP)
+    last = verifier.ConnectionFiber(*(f[..., -1, :, :] for f in conn))
+    maps = builder.extended_product(batch.pis, batch.perps, -1, np.eye(5, dtype=complex))
+    assert prefix[..., -1, :, :].tobytes() == maps.tobytes()
+    assert harmonicity_residual(maps, z, conn=last).tobytes() == harmonicity_residual(maps, z).tobytes()
+    shared, own = section_identities(batch, z, seed=2, conn=conn), section_identities(batch, z, seed=2)
+    for name, vals in own.items():
+        assert np.asarray(shared[name]).tobytes() == np.asarray(vals).tobytes(), name
+    T = builder.extended_coefficients(batch.pis, batch.perps, 5)
+    shared, own = extended_checks(T, z, conn=last), extended_checks(T, z)
+    assert np.abs(shared["es_residual"] - own["es_residual"]).max() <= 1e-13
+    for name in ("unitarity_defect", "phi1_defect"):
+        assert shared[name].tobytes() == own[name].tobytes(), name
+
+
 def test_draw_checks_every_stencil_point_and_keeps_its_chains(monkeypatch):
     # in the first block, candidate 0 is ambiguous at its last stencil point and
     # candidate 1 changes rank at its first: both are rejected, a second block is
@@ -402,12 +440,12 @@ def test_static_stage_svd_count_is_independent_of_samples(monkeypatch):
 
 
 def _chain_stack(chains):
-    """A ChainBatch of the given (pis, perps) chains, their alphas from masked SVD bases."""
+    """A ChainBatch of the given (pis, perps) chains, their ranks from masked SVDs."""
     pis = np.array([c[0] for c in chains], np.complex128)
     perps = np.array([c[1] for c in chains], np.complex128)
-    bases, _, ranks = masked_basis(pis)
+    ranks = masked_basis(pis)[2]
     S, r, n = pis.shape[:3]
-    return builder.ChainBatch(np.zeros(S, complex), pis, perps, bases, ranks, np.zeros((S, r, r, 0, n)), np.zeros(S, bool))
+    return builder.ChainBatch(np.zeros(S, complex), pis, perps, ranks, np.zeros((S, r, r, 0, n)), np.zeros(S, bool))
 
 
 def test_static_checks_flag_broken_chains_as_the_per_point_reference_does():
