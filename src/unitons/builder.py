@@ -86,7 +86,7 @@ class ChainBatch(NamedTuple):
     perps: np.ndarray      # (P, r, n, n)
     ranks: np.ndarray      # (P, r)
     kvecs: np.ndarray      # (P, r, r, J_slots, n): K^(k)_{i,j} of the normal forms on the table's slots
-    ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous
+    ambiguous: np.ndarray  # (P,) bool: a rank decision is ambiguous, or the data's values are not finite
 
     def at(self, p: int) -> "ChainBatch":
         """Point p's chain (no point axis), raising as a single-point build does."""
@@ -104,7 +104,9 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
 
     Evaluation and the kernel run on the normal forms of the data's live
     columns only (see ``_tables``), and ``kvecs`` stays on the table's slots:
-    a dead column spans nothing and has no K-vectors.
+    a dead column spans nothing and has no K-vectors.  A point where the
+    table's values overflow (far from the origin) is flagged ``ambiguous``
+    and gets the chain of zero values, with no warning.
     """
     n, r, P = data.n, data.r, len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)
@@ -112,8 +114,15 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
         return ChainBatch(zs, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), np.zeros(P, bool))
-    pis, perps, ranks, kvecs, status = kernels.build_chain(_live_values(n, r, data.columns, zs)[1])
-    return ChainBatch(zs, pis, perps, ranks, kvecs, status != 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _live_values(n, r, data.columns, zs)[1]
+    unfit = np.zeros(P, bool)
+    if not np.isfinite(vals).all():
+        # the table overflowed at a point far out: flag it, and give the SVD zeros, not inf
+        unfit = ~np.isfinite(vals).reshape(P, -1).all(axis=1)
+        vals[unfit] = 0.0
+    pis, perps, ranks, kvecs, status = kernels.build_chain(vals)
+    return ChainBatch(zs, pis, perps, ranks, kvecs, (status != 0) | unfit)
 
 
 @dataclass(frozen=True)

@@ -91,13 +91,18 @@ def data_from_json(obj) -> DataArray:
 
 
 def matrices_to_json(ms: np.ndarray) -> list[dict]:
-    """A stack (P, rows, cols) as P matrix objects, every entry read by one tolist()."""
-    ms = np.asarray(ms, dtype=np.complex128)
+    """A stack (P, rows, cols) as P matrix objects, each matrix's "data" a
+    (rows*cols, 2) float64 row view of one C-contiguous copy of the stack.
+
+    orjson writes the rows as the numbers they hold, so ``dumps`` gives the
+    text of the [re, im] lists; stdlib ``json`` cannot write them: the objects
+    are for ``dumps`` and ``write_json`` only."""
+    ms = np.array(ms, np.complex128, order="C")  # a copy: no object aliases the caller's array
     if ms.ndim != 3:
         raise BadShape("a stack of matrices must be 3-d")
     count, rows, cols = ms.shape
     # each complex128 entry read as its (re, im) float64 pair, row-major
-    data = np.ascontiguousarray(ms).view(np.float64).reshape(count, rows * cols, 2).tolist()
+    data = ms.view(np.float64).reshape(count, rows * cols, 2)
     return [{"shape": [rows, cols], "data": entries} for entries in data]
 
 

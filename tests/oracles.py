@@ -8,8 +8,9 @@ operators by word enumeration and the kernel descent by the SVD of T_i.
 Subspace references that only tests use live here too:
 principal-angle gaps, the Cartan embedding of a span, the associated curves
 of a column, type-one normalization point by point, the derivative table of
-any columns, and the data-array edits (row restriction, an extra or shifted
-column) that only tests make."""
+any columns, the data-array edits (row restriction, an extra or shifted
+column) that only tests make, and the JSON encoding of matrix stacks, chains,
+loop fibers and sample records with Python floats from tolist()."""
 
 from functools import reduce
 from itertools import combinations
@@ -318,6 +319,41 @@ def data_from_json_per_entry(obj):
             tuple(MeroVector(tuple(rational(f) for f in vec)) for vec in col) for col in obj["columns"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadShape(f"malformed JSON: {exc}") from exc
+
+
+def matrices_to_json_tolist(ms):
+    """The reference matrix encoding: a stack (P, rows, cols) as P matrix
+    objects whose data are plain [re, im] lists of Python floats, from one
+    tolist() of a C-contiguous copy of the whole stack."""
+    ms = np.array(ms, np.complex128, order="C")
+    count, rows, cols = ms.shape
+    data = ms.view(np.float64).reshape(count, rows * cols, 2).tolist()
+    return [{"shape": [rows, cols], "data": entries} for entries in data]
+
+
+def chain_to_json_tolist(pis):
+    """The reference chain encoding: ranks from each projection's own trace."""
+    return {"n": pis.shape[-1], "r": len(pis), "ranks": [int(round(np.trace(p).real)) for p in pis],
+            "projections": matrices_to_json_tolist(pis)}
+
+
+def loop_fibers_to_json_tolist(n, r, fibers):
+    return {"n": n, "r": r, "fibers": [
+        {"z": [complex(z).real, complex(z).imag], "coeffs": matrices_to_json_tolist(loop.coeffs)} for z, loop in fibers]}
+
+
+def sample_records_tolist(data, zs, eye):
+    """The records of one `unitons sample` block, the same kernel call and map
+    product as the command's, written with Python floats: z from complex(z),
+    phi from the tolist() encoding, null where the point is ambiguous or the
+    map is not finite."""
+    from unitons.builder import chain_arrays, extended_product
+
+    batch = chain_arrays(data, zs)
+    maps = extended_product(batch.pis, batch.perps, -1, eye)
+    bad = (batch.ambiguous | ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
+    return [{"z": [complex(z).real, complex(z).imag], "phi": None if b else phi}
+            for z, b, phi in zip(zs, bad, matrices_to_json_tolist(maps))]
 
 
 def w_basis_per_fiber(coeffs):

@@ -505,6 +505,52 @@ def test_sample_makes_one_kernel_call_per_block_of_rows(tmp_path, monkeypatch):
     assert calls(5) == [5] * 5
 
 
+def test_sample_file_is_the_tolist_encoding_byte_for_byte(tmp_path, monkeypatch):
+    from oracles import sample_records_tolist
+
+    data_file, out, ref = tmp_path / "d.json", tmp_path / "grid.json", tmp_path / "ref.json"
+    serialize.write_json(serialize.data_to_json(_pole_data()), data_file)
+    argv = ["sample", "--input", data_file, "--grid", 5, "--rect=-2.5,2.5,-0.0,2.5"]
+    assert run(*argv, "--output", out) == 0
+    monkeypatch.setattr(cli, "_sample_records", sample_records_tolist)
+    assert run(*argv, "--output", ref) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert '"rect":[-2.5,2.5,-0.0,2.5]' in out.read_text()
+
+
+@pytest.mark.parametrize("grid, block, rect", [
+    (20, 256, (-1.5, 0.0, -0.0, 0.7)),   # 400 points: blocks of 12 and 8 rows
+    (12, 8, (0.0, -0.0, -3.0, 1e-300)),  # a grid wider than the block: one row per call, a zero-width rect
+    (7, 256, (-0.0, -0.0, -0.0, -0.0)),  # every bound a negative zero
+], ids=["blocks-of-rows", "row-per-call", "negative-zeros"])
+def test_sample_record_z_is_the_grid_formula_bit_for_bit(tmp_path, monkeypatch, grid, block, rect):
+    data_file, out = tmp_path / "d.json", tmp_path / "grid.json"
+    serialize.write_json(serialize.data_to_json(random_data(3, 2, 2, sparsity_pattern=(1, 1), seed=4)), data_file)
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+    x0, x1, y0, y1 = rect
+    assert run("sample", "--input", data_file, "--grid", grid, f"--rect={x0!r},{x1!r},{y0!r},{y1!r}",
+               "--output", out) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == grid * grid
+    for idx, rec in enumerate(records):
+        iy, ix = divmod(idx, grid)
+        z = complex(x0 + (x1 - x0) * (ix + 0.5) / grid, y0 + (y1 - y0) * (iy + 0.5) / grid)
+        assert [part.hex() for part in rec["z"]] == [z.real.hex(), z.imag.hex()]
+
+
+def test_sample_far_out_rect_nulls_every_cell_without_warning(tmp_path, capsys):
+    # at |z| ~ 1e200 the degree-3 table overflows: the points are flagged, not fed to LAPACK as inf
+    data_file, out = tmp_path / "d.json", tmp_path / "grid.json"
+    run("generate", "--n", 4, "--r", 3, "--mode", "echelon", "--rank-steps", "1,1,1", "--seed", 2,
+        "--output", data_file)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("sample", "--input", data_file, "--grid", 2, "--rect=1e200,2e200,0,1", "--output", out) == 0
+    assert capsys.readouterr().err == ""
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 4 and all(rec["phi"] is None for rec in records)
+
+
 def test_bad_coefficients_rejected_at_parse_time(tmp_path):
     data_file = tmp_path / "d.json"
     run("generate", "--n", 3, "--r", 2, "--mode", "echelon", "--rank-steps", "1,1",
@@ -552,6 +598,8 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, mutate):
         s = HarmonicMapSampler(data)
         obj = serialize.loop_fibers_to_json(3, 2, [(z, LoopPoly(s.extended_coeffs_at(z)))
                                                    for z in draw_sample_points(data, 2, seed=9)])
+        # matrix data are numpy rows, which only serialize's writer encodes: mutate the plain JSON
+        obj = json.loads(serialize.dumps(obj))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutate(obj)))
     assert run(command, "--input", bad, "--samples", 1) == 2

@@ -6,9 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unitons import BadShape, DataArray, MeroVector, RationalFn, random_data, s1_invariant_data, serialize
+from unitons import BadShape, DataArray, LoopPoly, MeroVector, RationalFn, random_data, s1_invariant_data, serialize
 
-from oracles import data_from_json_per_entry, random_chain
+from oracles import (
+    chain_to_json_tolist,
+    data_from_json_per_entry,
+    loop_fibers_to_json_tolist,
+    matrices_to_json_tolist,
+    random_chain,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -123,23 +129,83 @@ def test_chain_json_round_trip_is_bit_exact(n, r, seed):
 def test_chain_to_json_matches_the_per_matrix_encoding(n, r):
     pis, _ = random_chain(np.random.default_rng(n + r), n, r)
     stack = np.array(pis, np.complex128).reshape(r, n, n)
+    # finite edge values off the diagonal keep the ranks
+    stack[:, 0, 1:] = np.resize(EDGE_PARTS[np.isfinite(EDGE_PARTS)], (r, n - 1, 2)).view(np.complex128)[..., 0]
     stack[:, 0, -1] = -0.0  # a signed zero must keep its sign
-    for view in (stack, np.stack([stack, stack], axis=1)[:, 0]):  # contiguous, then a strided view
+    # contiguous, then a strided and a transposed view
+    for view in (stack, np.stack([stack, stack], axis=1)[:, 0], stack.swapaxes(-1, -2)):
         expected = {
             "n": n,
             "r": r,
             "ranks": [int(round(np.trace(p).real)) for p in view],
             "projections": [serialize.matrix_to_json(p) for p in view],
         }
-        assert serialize.dumps(serialize.chain_to_json(view)) == serialize.dumps(expected)
+        text = serialize.dumps(serialize.chain_to_json(view))
+        assert text == serialize.dumps(expected) == serialize.dumps(chain_to_json_tolist(view))
 
 
 @given(st.integers(0, 3), matrices)
 def test_matrices_to_json_is_each_matrix_encoded(count, m):
     stack = np.array([m, m.conj(), -m][:count], np.complex128).reshape((count,) + m.shape)
-    assert serialize.matrices_to_json(stack) == [serialize.matrix_to_json(mat) for mat in stack]
+    # matrix objects hold numpy rows, so compare the text that dumps writes
+    expected = serialize.dumps([serialize.matrix_to_json(mat) for mat in stack])
+    assert serialize.dumps(serialize.matrices_to_json(stack)) == expected
     with pytest.raises(BadShape):
         serialize.matrices_to_json(m)
+
+
+# 16 floats: the edge spellings, the extremes, signed zeros and each non-finite kind
+EDGE_PARTS = np.array([-0.0, 5e-324, -5e-324, 1e-5, 1.5e-7, 1e16, 1e22, 1.7976931348623157e308,
+                       -1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, -2.5, 1 / 3, 0.0])
+
+
+def _edge_stack(shape, seed=0):
+    """A complex stack whose (re, im) parts are the edge floats in a seeded order
+    (built by a view, so -0.0 keeps its sign)."""
+    parts = np.random.default_rng(seed).permutation(np.resize(EDGE_PARTS, 2 * int(np.prod(shape))))
+    return parts.view(np.complex128).reshape(shape)
+
+
+_STACKS = {
+    "contiguous": _edge_stack((3, 4, 6)),
+    "transposed": _edge_stack((3, 4, 6)).swapaxes(1, 2),
+    "strided": _edge_stack((3, 4, 6))[:, ::2, ::3],
+    "reversed": _edge_stack((3, 4, 6))[::-1, :, ::-1],
+    "one": _edge_stack((1, 2, 2), seed=1),
+    "real": _edge_stack((2, 3, 3), seed=2).real,  # converted to complex128 on the way
+    "no-rows": np.zeros((2, 0, 3), np.complex128),
+    "no-cols": np.zeros((2, 3, 0), np.complex128),
+    "no-matrix": np.zeros((0, 2, 2), np.complex128),
+}
+
+
+@pytest.mark.parametrize("stack", _STACKS.values(), ids=_STACKS.keys())
+def test_matrix_objects_are_the_tolist_encoding_byte_for_byte(stack):
+    text = serialize.dumps(serialize.matrices_to_json(stack))
+    assert text == serialize.dumps(matrices_to_json_tolist(stack))
+    # each finite part reads back bit for bit and each non-finite one as null
+    count, rows, cols = stack.shape
+    parts = np.ascontiguousarray(stack, np.complex128).view(np.float64).reshape(count, rows * cols, 2)
+    for obj, want in zip(json.loads(text), parts):
+        assert obj["shape"] == list(stack.shape[1:]) and len(obj["data"]) == len(want)
+        for got, pair in zip(obj["data"], want.tolist()):
+            assert [g if g is None else g.hex() for g in got] == [p.hex() if np.isfinite(p) else None for p in pair]
+
+
+def test_matrix_objects_do_not_alias_the_stack():
+    stack = _edge_stack((2, 3, 3)).copy()  # complex128 and C-contiguous: an asarray would be the stack itself
+    objs = serialize.matrices_to_json(stack)
+    text = serialize.dumps(objs)
+    stack[...] = 7.0
+    assert serialize.dumps(objs) == text
+
+
+@pytest.mark.parametrize("n, r", [(3, 0), (4, 3)])
+def test_loop_fiber_objects_are_the_tolist_encoding(n, r):
+    fibers = [(complex(-0.0, 1e-5), LoopPoly(_edge_stack((r + 1, n, n), seed=4))),
+              (5e-324j, LoopPoly(_edge_stack((r + 1, n, n), seed=5).swapaxes(-1, -2)))]
+    assert serialize.dumps(serialize.loop_fibers_to_json(n, r, fibers)) == serialize.dumps(
+        loop_fibers_to_json_tolist(n, r, fibers))
 
 
 def test_chain_from_json_rejects_bad_projections():
