@@ -91,7 +91,7 @@ class ChainBatch(NamedTuple):
     def at(self, p: int) -> "ChainBatch":
         """Point p's chain (no point axis), raising as a single-point build does."""
         if self.ambiguous[p]:
-            raise DegeneratePoint(f"ambiguous rank decision at z={complex(self.zs[p])}")
+            raise DegeneratePoint(f"ambiguous rank decision or data values not finite at z={complex(self.zs[p])}")
         return self.take(p)
 
     def take(self, index: np.ndarray) -> "ChainBatch":

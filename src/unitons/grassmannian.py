@@ -23,7 +23,7 @@ from .errors import (
     NoTermination,
     NotLambdaInvariant,
 )
-from .meromorphic import MeroVector
+from .meromorphic import MeroVector, RationalFn, polynomial_column
 from .projections import (
     Span,
     masked_basis,
@@ -128,15 +128,18 @@ class WSubspace:
 
 
 def binomial_transform(column: Sequence[MeroVector]) -> list[MeroVector]:
-    """L_i = sum_l C(i,l) H_l (exact)."""
-    col = list(column)
-    out = []
-    for i in range(len(col)):
-        acc = col[0].scale(math.comb(i, 0))
-        for ell in range(1, i + 1):
-            acc = acc + col[ell].scale(math.comb(i, ell))
-        out.append(acc)
-    return out
+    """L_i = sum_l C(i,l) H_l, one Pascal-matrix product on the column's normal
+    form (``polynomial_column``), as polynomial vectors.  The normal form is the
+    column times a scalar function, so L and its derivatives span at every
+    point what the data's binomial transform spans; on Gaussian-integer data
+    the sums are exact.  A dead (all-zero) column is returned as it is."""
+    col = tuple(column)
+    if all(f.is_zero for vec in col for f in vec.entries):
+        return list(col)
+    form = polynomial_column(col)  # (r, n, L)
+    pascal = np.array([[math.comb(i, ell) for ell in range(len(col))] for i in range(len(col))], np.float64)
+    rows = (pascal @ form.reshape(len(col), -1)).reshape(form.shape)
+    return [MeroVector(tuple(map(RationalFn.polynomial, vec))) for vec in rows.tolist()]
 
 
 def x_columns_from_data(data) -> list[list[MeroVector]]:

@@ -30,7 +30,9 @@ def step_svd(kvecs, i):
     K^(k)_{i,j}.  This is the kernel's own SVD input, so a rerun on a chain's
     ``kvecs`` gives bit for bit the basis its projector was formed from."""
     cols = kvecs[..., i, : i + 1, :, :]
-    return masked_basis(cols.reshape(cols.shape[:-3] + (-1, cols.shape[-1])).swapaxes(-1, -2))
+    _, J, n = cols.shape[-3:]
+    # the explicit (i+1) J, not -1, which an empty point axis leaves undetermined
+    return masked_basis(cols.reshape(cols.shape[:-3] + ((i + 1) * J, n)).swapaxes(-1, -2))
 
 
 def build_chain(hvals):

@@ -1,11 +1,12 @@
 """Rational functions of one complex variable and vector/array bundles of them.
 
 On the sphere every meromorphic function is rational, so a data entry is a
-pair of degree-ascending coefficient tuples.  Differentiation is the
-structural quotient rule on those tuples; only point evaluation rounds.
-Coefficients are complex doubles throughout.  A column enters the numerics
-only through its polynomial normal form (``polynomial_column``): the map sees
-the spans of the column and its derivatives, which no scalar multiplier moves.
+pair of degree-ascending coefficient tuples, complex doubles throughout.  A
+column enters the numerics only through its polynomial normal form
+(``polynomial_column``), the one place in the numerics that computes with
+rational functions: the map sees the spans of the column and its
+derivatives, which no scalar multiplier moves.  The quotient-rule
+``differentiate`` and the pointwise ``eval_rational`` are references.
 """
 
 from __future__ import annotations
@@ -117,21 +118,6 @@ class RationalFn:
     def __call__(self, z: complex) -> complex:
         return eval_rational(self, z)
 
-    def scale(self, c: complex) -> "RationalFn":
-        c = complex(c)
-        if c == 0:
-            return RationalFn((0j,))
-        return RationalFn(tuple(c * a for a in self.num), self.den)
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        if self.den == other.den:
-            # shared denominator: coefficient-exact path
-            return RationalFn(_padded_add(self.num, other.num), self.den)
-        num = _padded_add(_conv(self.num, other.den), _conv(other.num, self.den))
-        return RationalFn(num, _conv(self.den, other.den))
-
 
 def eval_rational(f: RationalFn, z: complex) -> complex:
     """f(z) as the quotient of its numerator and denominator values."""
@@ -177,14 +163,6 @@ class MeroVector:
 
     def derivative(self) -> "MeroVector":
         return MeroVector(tuple(differentiate(f) for f in self.entries))
-
-    def scale(self, c: complex) -> "MeroVector":
-        return MeroVector(tuple(f.scale(c) for f in self.entries))
-
-    def __add__(self, other: "MeroVector") -> "MeroVector":
-        if self.n != other.n:
-            raise BadShape("vector length mismatch")
-        return MeroVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
 
 Column = tuple[MeroVector, ...]
@@ -288,8 +266,8 @@ def random_data(
 ) -> DataArray:
     """Random polynomial data array, deterministic in the seed.
 
-    Coefficients are small Gaussian integers, which keeps later
-    binomial-transform round trips coefficient-exact.  When
+    Coefficients are small Gaussian integers, so the binomial transform's
+    Pascal sums of a column's normal form are exact.  When
     sparsity_pattern = (d_1 <= ... <= d_r) is given, row i is non-zero only
     in the first d_{i+1} columns (echelon shape).
     """

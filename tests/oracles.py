@@ -9,7 +9,8 @@ Subspace references that only tests use live here too:
 principal-angle gaps, the Cartan embedding of a span, the associated curves
 of a column, type-one normalization point by point, the derivative table of
 any columns, the data-array edits (row restriction, an extra or shifted
-column) that only tests make, and the JSON encoding of matrix stacks, chains,
+column) that only tests make, the binomial transform of Gaussian-integer
+data by integer sums, and the JSON encoding of matrix stacks, chains,
 loop fibers and sample records with Python floats from tolist()."""
 
 from functools import reduce
@@ -366,6 +367,35 @@ def w_basis_per_fiber(coeffs):
     for k in range(r):
         vecs[k * n:, k * n:(k + 1) * n] = coeffs[: r - k].reshape((r - k) * n, n)
     return orthonormal_basis(vecs).basis
+
+
+def binomial_transform_gaussian(column):
+    """L_i = sum_l C(i, l) H_l of a polynomial column with Gaussian-integer
+    coefficients, summed as integer pairs coefficient by coefficient on the raw
+    coefficients: no normal form and no MeroVector arithmetic."""
+    from math import comb
+
+    from unitons import RationalFn
+
+    def pairs(f):
+        out = [(int(c.real), int(c.imag)) for c in f.num]
+        if not f.is_polynomial or [complex(*p) for p in out] != list(f.num):
+            raise BadShape("not a Gaussian-integer polynomial")
+        return out
+
+    rows = [[pairs(f) for f in vec.entries] for vec in column]
+    out = []
+    for i in range(len(rows)):
+        entries = []
+        for polys in zip(*rows[: i + 1]):  # one entry of rows 0..i
+            sums = [[0, 0] for _ in range(max(map(len, polys)))]
+            for ell, poly in enumerate(polys):
+                for t, (re, im) in enumerate(poly):
+                    sums[t][0] += comb(i, ell) * re
+                    sums[t][1] += comb(i, ell) * im
+            entries.append(RationalFn(tuple(complex(re, im) for re, im in sums)))
+        out.append(MeroVector(tuple(entries)))
+    return out
 
 
 def w_from_x_per_vector(x_columns, z):

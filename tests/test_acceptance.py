@@ -296,7 +296,7 @@ def test_criterion_08_type_one_normalization():
     pts2 = draw_sample_points(data2, 4, seed=13)
     _, norm2 = normalize_type_one(lambda z: LoopPoly(sampler2.extended_coeffs_at(z)), pts2)
     z2 = pts2[0]
-    g = orthonormal_basis((h0 + h1).eval(z2))
+    g = orthonormal_basis(h0.eval(z2) + h1.eval(z2))
     gap_b = max_principal_angle(orthonormal_basis(norm2(z2).coeffs[0]), g)
     ok_b = norm2(z2).degree == 1 and gap_b <= TOL_MODEL
     _DURATIONS[8] = time.perf_counter() - t0

@@ -533,3 +533,22 @@ def test_build_fiber_names_the_first_escaping_k_vector(monkeypatch):
     monkeypatch.setattr(builder, "ESCAPE_ATOL", -1.0)  # every K-vector escapes
     with pytest.raises(DegeneratePoint, match=r"K\^\(0\)_0,0 escapes alpha_1"):
         build_fiber(data, z)
+
+
+@pytest.mark.parametrize("data", [random_data(4, 3, 3, seed=0), random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)],
+                         ids=["dense", "echelon"])
+def test_empty_point_batches_give_empty_chains(data):
+    # an empty point axis leaves a -1 reshape in the step SVD undetermined
+    empty, two = chain_arrays(data, []), chain_arrays(data, [Z, -Z])
+    for got, want in zip(empty, two):
+        assert got.shape == (0,) + want.shape[1:]
+    assert two.pis.shape == (2, data.r, data.n, data.n)
+    assert draw_sample_points(data, 0) == [] and draw_sample_points(data, 0, stencil_h=1e-3) == []
+
+
+def test_a_point_whose_values_overflow_names_both_causes():
+    # one flag covers an ambiguous rank and values that are not finite, so the message names both
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=2)
+    assert chain_arrays(data, [1e200]).ambiguous.tolist() == [True]
+    with pytest.raises(DegeneratePoint, match="ambiguous rank decision or data values not finite at z=.1e.200"):
+        build_fiber(data, 1e200)

@@ -31,9 +31,11 @@ from unitons import (
 )
 from unitons.builder import extended_product
 from unitons.errors import BadShape, NonProperUniton
+from unitons.meromorphic import polynomial_column
 from unitons.projections import Span, s_rows
 
 from oracles import (
+    binomial_transform_gaussian,
     iwasawa_per_fiber,
     kernel_descent_per_fiber,
     max_principal_angle,
@@ -66,17 +68,25 @@ def ranks(pis):
     return serialize.chain_to_json(pis)["ranks"]
 
 
+def _coefficients(column, width):
+    """A column of polynomial vectors as its coefficient array (rows, n, width)."""
+    return np.array([[f.num + (0j,) * (width - len(f.num)) for f in vec.entries] for vec in column])
+
+
 def test_binomial_transform_rows():
+    # the Pascal product of the column's normal form, which is the column times 2
     h = [MeroVector((P([1, t]),)) for t in range(3)]
-    ell = binomial_transform(h)
-    assert ell[0] == h[0]
-    assert ell[1] == h[0] + h[1]
-    assert ell[2] == h[0] + h[1].scale(2) + h[2]
+    form = polynomial_column(h)
+    ell = _coefficients(binomial_transform(h), form.shape[-1])
+    assert np.array_equal(ell[0], form[0])
+    assert np.array_equal(ell[1], form[0] + form[1])
+    assert np.array_equal(ell[2], form[0] + 2 * form[1] + form[2])
 
 
 def test_binomial_transform_r1_identity():
     h = [MeroVector((P([2, 1j]), P([0, 3])))]
-    assert binomial_transform(h) == h
+    form = polynomial_column(h)
+    assert np.array_equal(_coefficients(binomial_transform(h), form.shape[-1]), form)
 
 
 def test_w_from_x_constant_section():
@@ -175,6 +185,21 @@ def test_grassmannian_model_equivalence():
         wl = w_from_loop(loop_at(data, z))
         assert wx.dim == wl.dim
         assert max_principal_angle(w_span(wx), w_span(wl)) <= 1e-8
+
+
+GENERATED = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2)), (4, 3, None),
+             (4, 3, (1, 1, 2))]
+
+
+@pytest.mark.parametrize("shape", GENERATED, ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
+def test_w_from_x_is_the_integer_binomial_transform_bit_for_bit(shape):
+    # the Pascal sums on the normal form are exact, and its power-of-two scale commutes with them
+    n, r, pattern = shape
+    for seed in range(4):
+        data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+        xcols, reference = x_columns_from_data(data), [binomial_transform_gaussian(col) for col in data.columns]
+        for z in draw_sample_points(data, 2, seed=seed):
+            assert w_from_x(xcols, z).basis.tobytes() == w_from_x(reference, z).basis.tobytes()
 
 
 def test_lemma_42_sum_identities():
@@ -323,7 +348,7 @@ def test_normalize_type_one_degree_drop_example():
     z = pts[0]
     loop = norm(z)
     assert loop.degree == 1
-    g = orthonormal_basis((h0 + h1).eval(z))
+    g = orthonormal_basis(h0.eval(z) + h1.eval(z))
     assert max_principal_angle(orthonormal_basis(loop.coeffs[0]), g) <= 1e-8
 
 

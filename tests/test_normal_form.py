@@ -1,15 +1,28 @@
 """Every data column enters the numerics as its polynomial normal form, so a
-scalar multiplier of a column, rational or constant, moves neither the map nor
-verify's verdict: the map sees only the spans of the columns and their
-derivatives."""
+scalar multiplier of a column, rational or constant, moves neither the map,
+verify's verdict nor the model's W: they see only the spans of the columns
+and their derivatives."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from unitons import DataArray, MeroVector, RationalFn, random_data, serialize
-from unitons.builder import chain_arrays, extended_product
+from unitons import (
+    DataArray,
+    HarmonicMapSampler,
+    LoopPoly,
+    MeroVector,
+    RationalFn,
+    draw_sample_points,
+    random_data,
+    serialize,
+    w_from_loop,
+    w_from_x,
+    x_columns_from_data,
+)
+from unitons.builder import _tables, chain_arrays, extended_product
 from unitons.cli import main
+from unitons.projections import projector_gap
 from unitons.verifier import verification_report
 
 A = 0.3 + 0.2j  # the pole of the rational multipliers
@@ -47,19 +60,51 @@ def test_a_simple_pole_flags_no_point_and_keeps_the_map(n):
     assert np.abs(phi - phi_ref).max() <= 1e-10
 
 
+def _w(xcols, z):
+    w = w_from_x(xcols, z)
+    return w.basis @ w.basis.conj().T
+
+
 def _verdict(data):
     return verification_report(data, samples=3, seed=5)["passed"]
 
 
 @pytest.mark.parametrize("case", CRITERION_2, ids=lambda c: f"{c[0]}-{c[1]}-{'-'.join(map(str, c[2]))}-s{c[3]}")
 def test_verdict_does_not_depend_on_a_column_scale(case):
-    # a constant column scale moves no span; verdicts read on the data's own scale
-    # change on 41 (1e-8), 119 (1e4) and 199 (1e8) of 200 such datasets
+    # a constant column scale moves no span, so neither the verdict nor the model's W; verdicts
+    # read on the data's own scale change on 41 (1e-8), 119 (1e4) and 199 (1e8) of 200 such datasets
     n, r, pattern, seed = case
     data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
-    verdict = _verdict(data)
+    verdict, zs = _verdict(data), draw_sample_points(data, 3, seed=5)
+    w = [_w(x_columns_from_data(data), z) for z in zs]
     for scale in (1e-8, 1e4, 1e8):
-        assert _verdict(_times_column_0(data, lambda f, m, c: f.scale(scale))) == verdict, scale
+        scaled = _times_column_0(data, lambda f, m, c: RationalFn(tuple(scale * c for c in f.num), f.den))
+        assert _verdict(scaled) == verdict, scale
+        xcols = x_columns_from_data(scaled)
+        for z, want in zip(zs, w):
+            assert projector_gap(_w(xcols, z), want) <= 1e-12, (scale, z)
+
+
+NEAR_POLE = [(3, 2, (1, 1)), (4, 2, (1, 2)), (5, 2, (2, 2))]
+
+
+@pytest.mark.parametrize("shape", NEAR_POLE, ids=lambda s: f"{s[0]}-{s[1]}-{'-'.join(map(str, s[2]))}")
+def test_w_from_x_next_to_a_pole_of_every_row_is_the_loops(shape):
+    # row m of column 0 over (z - a)^(m+1): summing the rows' quotients with multiplied
+    # denominators gave X a spurious common factor, and at 1e-3 from a, 80 of these 120
+    # points raised NotLambdaInvariant or missed the loop's W by more than 1e-8
+    n, r, pattern = shape
+    for seed in range(8):
+        data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+        data = _times_column_0(data, lambda f, m, c: RationalFn(f.num, tuple(npoly.polyfromroots([A] * (m + 1)))))
+        xcols = x_columns_from_data(data)
+        # X's normal form has the data's LCM, so its width
+        assert _tables(n, r, tuple(map(tuple, xcols))).coeffs.shape == _tables(n, r, data.columns).coeffs.shape
+        sampler = HarmonicMapSampler(data)
+        for k in range(5):
+            z = A + 1e-3 * np.exp(2j * np.pi * (k + 0.5) / 5)
+            w = w_from_loop(LoopPoly(sampler.extended_coeffs_at(z))).basis
+            assert projector_gap(_w(xcols, z), w @ w.conj().T) <= 1e-8, (seed, k)
 
 
 def test_a_root_shared_by_two_denominators_enters_the_lcm_once():
