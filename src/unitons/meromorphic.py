@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,10 +27,9 @@ MAX_SAMPLE_TRIES = 100
 # Decoded coefficients above this magnitude are rejected: their values on the
 # sample disc, and the squared norms the SVD forms from them, would overflow.
 MAX_COEFFICIENT = 1e150
-# Denominator roots within ROOT_MERGE_TOL * max(1, |root|) are one root.  An
-# m-fold root splits by about eps^(1/m): a double root's halves (1e-8 apart)
-# merge, a triple root's thirds (about 1e-5 apart) may not.
-ROOT_MERGE_TOL = 1e-5
+# A root rho is common to a column's entries when each entry p has |p(rho)| <=
+# COMMON_ROOT_TOL * sum_k |p_k| max(1, |rho|)^k: a split m-fold root does too.
+COMMON_ROOT_TOL = 1e-9
 # A column's normal form has its largest coefficient magnitude in
 # [SCALE_FLOOR, 2 SCALE_FLOOR), where generated Gaussian-integer data sits; a
 # power of two, so the scaling is exact.
@@ -170,39 +170,17 @@ Column = tuple[MeroVector, ...]
 
 def polynomial_column(column: Sequence[MeroVector]) -> np.ndarray:
     """A column's normal form: coefficients (rows, n, L), degree-ascending, of
-    the column times the LCM of its denominators, then times the power of two
-    that puts its largest coefficient magnitude in [SCALE_FLOOR, 2 SCALE_FLOOR).
+    the column times the product of its distinct denominators, divided by
+    every root its entries share, then times the power of two that puts its
+    largest coefficient magnitude in [SCALE_FLOOR, 2 SCALE_FLOOR).
 
-    A scalar multiplier moves no span of the column or of its derivatives, so
-    the normal form has the column's map.  The LCM has every denominator root,
-    merged within ROOT_MERGE_TOL, to the largest multiplicity one denominator
-    gives it; a zero entry's denominator adds none, and a polynomial column
-    skips the LCM.
+    No scalar multiplier moves a span of the column or of its derivatives, so
+    the normal form has the column's map, with no pole and no common zero.  A
+    zero entry's denominator adds no factor; a polynomial column adds none.
     """
     fns = [f for vec in column for f in vec.entries]
     dens = dict.fromkeys(f.den for f in fns if not (f.is_polynomial or f.is_zero))
-    if dens:
-        from numpy.polynomial import polynomial as npoly  # 5 ms to import, and only rational data needs it
-
-        groups: list[list[complex]] = []  # the roots merged into each LCM root
-        mult: list[int] = []
-        for den in dens:
-            here = [0] * len(groups)
-            for root in np.roots(den[::-1]).tolist():
-                near = (i for i, g in enumerate(groups) if abs(root - g[0]) <= ROOT_MERGE_TOL * max(1.0, abs(root)))
-                i = next(near, len(groups))
-                if i == len(groups):
-                    groups.append([])
-                    mult.append(0)
-                    here.append(0)
-                groups[i].append(root)
-                here[i] += 1
-            mult = [max(a, b) for a, b in zip(mult, here)]
-        # a merged root is its members' mean: an m-fold root's split halves average out
-        lcm = npoly.polyfromroots([sum(g) / len(g) for g, m in zip(groups, mult) for _ in range(m)])
-        polys = [npoly.polymul(f.num, npoly.polydiv(lcm, f.den)[0]) for f in fns]
-    else:
-        polys = [f.num for f in fns]
+    polys = [f.num if f.is_zero or not dens else reduce(np.convolve, [d for d in dens if d != f.den], f.num) for f in fns]
     width = max(len(p) for p in polys)
     coeffs = np.zeros((len(fns), width), np.complex128)
     for row, p in zip(coeffs, polys):
@@ -210,9 +188,31 @@ def polynomial_column(column: Sequence[MeroVector]) -> np.ndarray:
     top = np.abs(coeffs).max()
     if not 0 < top < math.inf:
         raise BadShape(f"a column's normal form has largest coefficient magnitude {top:g}")
+    if (roots := _common_roots(coeffs)).size:
+        coeffs = np.array([np.polydiv(row[::-1], np.poly(roots))[0][::-1] for row in coeffs])
     flat = coeffs.view(np.float64)  # ldexp scales by 2^k exactly, signed zeros included
-    np.ldexp(flat, math.frexp(SCALE_FLOOR)[1] - math.frexp(top)[1], out=flat)
-    return coeffs.reshape(len(column), -1, width)
+    np.ldexp(flat, math.frexp(SCALE_FLOOR)[1] - math.frexp(np.abs(coeffs).max())[1], out=flat)
+    return coeffs.reshape(len(column), -1, coeffs.shape[1])
+
+
+def _common_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The roots, with multiplicity, that all rows of coeffs (finite, degree-ascending) share: the
+    roots of a generic combination of the rows at which every row vanishes to within COMMON_ROOT_TOL."""
+    comb = (np.exp(1j * np.arange(len(coeffs))) @ coeffs)[::-1]
+    k = np.arange(coeffs.shape[1])[:, None]
+    with np.errstate(all="ignore"):
+        while not np.isfinite(top_row := -comb[1:] / comb[0]).all():  # so small a lead has roots whose powers overflow
+            comb = comb[1:]
+        companion = np.eye(len(comb) - 1, k=-1, dtype=np.complex128)  # np.roots' matrix, at half np.roots' cost
+        companion[:1] = top_row
+        rho = np.linalg.eigvals(companion)
+        bound = COMMON_ROOT_TOL * (np.abs(coeffs) @ np.maximum(1, np.abs(rho)) ** k)
+        rho = rho[np.isfinite(bound).all(axis=0) & (np.abs(coeffs @ rho**k) <= bound).all(axis=0)]
+    if rho.size:  # one Newton step polishes a simple root: its step is tiny beside the other roots
+        step = np.polyval(comb, rho) / np.polyval(np.polyder(comb), rho)
+        gap = np.abs(rho[:, None] - rho) + np.diag(np.full(rho.size, math.inf))
+        rho = np.where(np.abs(step) <= COMMON_ROOT_TOL * gap.min(axis=1), rho - step, rho)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,6 @@ class DataArray:
 
     def row(self, i: int) -> tuple[MeroVector, ...]:
         return tuple(col[i] for col in self.columns)
-
 
 
 def _random_poly(rng: np.random.Generator, max_degree: int) -> RationalFn:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -10,9 +13,12 @@ from unitons import (
     differentiate,
     eval_rational,
     random_data,
+    s1_invariant_data,
+    x_columns_from_data,
 )
-from unitons.meromorphic import polynomial_column
+from unitons.meromorphic import SCALE_FLOOR, polynomial_column
 from unitons.serialize import data_from_json, data_to_json
+from unitons.verifier import verification_report
 
 from oracles import fd_derivative
 
@@ -120,18 +126,81 @@ def test_polynomial_column_scales_by_a_power_of_two():
 
 
 def test_polynomial_column_clears_denominators_by_their_lcm():
-    # 1/(z^2 + 1) and z/(z - i): the LCM is z^2 + 1, so the column is (1, z (z + i))
+    # 1/(z^2 + 1) and z/(z - i): the product of the denominators leaves the common root i, which
+    # divides out; the column times the LCM z^2 + 1 is (1, z (z + i))
     got = polynomial_column(_column(RationalFn((1,), (1, 0, 1)), RationalFn((0, 1), (-1j, 1))))
     assert np.abs(got - 4 * np.array([[[1, 0, 0], [0, 1j, 1]]])).max() <= 1e-15
 
 
 def test_polynomial_column_keeps_a_root_to_its_largest_multiplicity():
-    # (z - 1)^2 and z - 1 share their root, whose split halves merge to their mean: the LCM is (z - 1)^2
+    # (z - 1)^2 and z - 1 share their root: the product's extra z - 1 divides out, so the column is
+    # cleared by the LCM (z - 1)^2
     got = polynomial_column(_column(RationalFn((1,), (1, -2, 1)), RationalFn((1,), (-1, 1))))
     assert np.abs(got - 4 * np.array([[[1, 0], [-1, 1]]])).max() <= 1e-12
     # a zero entry's denominator adds no root
     got = polynomial_column(_column(RationalFn((0,), (-3, 1)), RationalFn((2,), (-1, 1))))
     assert np.abs(got - np.array([[[0], [4]]])).max() <= 1e-15
+
+
+def test_polynomial_column_divides_out_a_split_multiple_root():
+    # 1/(z - 1)^3 and 1/(z - 1)^2: the product of the denominators gives (z - 1)^2 (1, z - 1),
+    # whose double root the eigenvalue solver splits by about 1e-8; both halves divide out.  Merging the
+    # denominators' roots instead split the triple root past the merge and left width 4.
+    got = polynomial_column(_column(RationalFn((1,), (-1, 3, -3, 1)), RationalFn((1,), (1, -2, 1))))
+    assert got.shape == (1, 2, 2)
+    assert np.abs(got - 4 * np.array([[[1, 0], [-1, 1]]])).max() <= 1e-12
+
+
+def test_polynomial_column_divides_a_common_root_out_once():
+    # (z - 1)^2 (z^2 + 1) and (z - 1)(z + 3) share z - 1 once: width 5 becomes 4, and the
+    # double root of the first entry keeps one factor
+    got = polynomial_column(_column(P(npoly.polyfromroots([1, 1, 1j, -1j])), P(npoly.polyfromroots([1, -3]))))
+    assert got.shape == (1, 2, 4)
+    assert np.abs(got - 2 * np.array([[[-1, 1, -1, 1], [3, 1, 0, 0]]])).max() <= 1e-12
+
+
+TINY_LEAD = [(lead, shape) for lead in (1e-200, 1e-300, 5e-324) for shape in ((3, 1, (1,)), (5, 3, (1, 2, 2)))]
+
+
+@pytest.mark.parametrize("lead, shape", TINY_LEAD, ids=lambda v: str(v) if isinstance(v, float) else "-".join(map(str, v[:2])))
+def test_a_tiny_leading_coefficient_gives_a_finite_normal_form(lead, shape):
+    # every entry of column 0 gains lead z^4, so their combination has a root near 1/lead,
+    # whose powers overflow (at 5e-324 its companion matrix does too); none is common, and the
+    # data verifies
+    n, r, pattern = shape
+    plain = random_data(n, r, 3, sparsity_pattern=pattern, seed=2)
+    col = tuple(MeroVector(tuple(P(f.num + (0,) * (4 - len(f.num)) + (lead,)) for f in vec.entries))
+                for vec in plain.columns[0])
+    form = polynomial_column(col)
+    assert form.shape == (r, n, 5) and np.isfinite(form).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verification_report(DataArray(n, r, (col,) + plain.columns[1:]), samples=3, seed=5)["passed"]
+
+
+def _numerators_times_a_power_of_two(column, form):
+    raw = np.zeros(form.shape, np.complex128)
+    for row, vec in zip(raw, column):
+        for out, f in zip(row, vec.entries):
+            out[: len(f.num)] = f.num
+    return form.tobytes() == (raw * 2.0 ** (math.frexp(SCALE_FLOOR)[1] - math.frexp(np.abs(raw).max())[1])).tobytes()
+
+
+def test_generated_data_deflates_nothing():
+    # no generated column has a common root: each normal form of a live data or X column is its
+    # numerators times a power of two, bit for bit, so outputs on generated data keep their bytes
+    shapes = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2))]
+    datasets = [random_data(n, r, 3, sparsity_pattern=p, seed=seed) for n, r, p in shapes for seed in range(100)]
+    datasets += [random_data(n, r, 3, sparsity_pattern=p, seed=seed)
+                 for n, r, p in [(4, 3, (1, 1, 2)), (5, 4, (1, 1, 2, 3)), (4, 3, (1, 2, 3))] for seed in range(20)]
+    datasets += [s1_invariant_data(n, steps, 3, seed=seed) for n, steps in [(4, (1, 2, 3)), (5, (1, 2, 4))] for seed in range(20)]
+    checked = 0
+    for data in datasets:
+        for col in data.columns + tuple(map(tuple, x_columns_from_data(data))):
+            if any(not f.is_zero for vec in col for f in vec.entries):
+                assert _numerators_times_a_power_of_two(col, polynomial_column(col))
+                checked += 1
+    assert checked == 2000
 
 
 def test_random_data_r0():

@@ -3,6 +3,11 @@ scalar multiplier of a column, rational or constant, moves neither the map,
 verify's verdict nor the model's W: they see only the spans of the columns
 and their derivatives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -98,7 +103,7 @@ def test_w_from_x_next_to_a_pole_of_every_row_is_the_loops(shape):
         data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
         data = _times_column_0(data, lambda f, m, c: RationalFn(f.num, tuple(npoly.polyfromroots([A] * (m + 1)))))
         xcols = x_columns_from_data(data)
-        # X's normal form has the data's LCM, so its width
+        # X's normal form is the Pascal product of the data's, so it has its width
         assert _tables(n, r, tuple(map(tuple, xcols))).coeffs.shape == _tables(n, r, data.columns).coeffs.shape
         sampler = HarmonicMapSampler(data)
         for k in range(5):
@@ -108,7 +113,8 @@ def test_w_from_x_next_to_a_pole_of_every_row_is_the_loops(shape):
 
 
 def test_a_root_shared_by_two_denominators_enters_the_lcm_once():
-    # column 0 over z - a and over (z - a)(z - b) in turn: the LCM is (z - a)(z - b), not (z - a)^2 (z - b)
+    # column 0 over z - a and over (z - a)(z - b) in turn: the product's extra z - a divides out,
+    # so the column is cleared by (z - a)(z - b), not (z - a)^2 (z - b)
     b = -0.7 + 0.5j
     both = tuple(npoly.polyfromroots([A, b]))
     plain = random_data(4, 3, 2, sparsity_pattern=(1, 1, 1), seed=0)
@@ -139,10 +145,78 @@ def test_sample_box_around_a_double_pole_has_no_null_cell(tmp_path):
     assert np.abs(got - want.reshape(len(zs), -1)).max() <= 1e-10
 
 
-def test_a_normal_form_that_overflows_exits_2(tmp_path, capsys):
-    # roots near -1e150 and -2e150 give an LCM with coefficients near 2e300, times a numerator of 1e150
-    col = (MeroVector((RationalFn((1e150,), (1, 1e-150)), RationalFn((1,), (1, 0.5e-150)), RationalFn((1e150,)))),)
-    data_file = tmp_path / "huge.json"
+def _verify_exit(tmp_path, col):
+    data_file = tmp_path / "column.json"
     serialize.write_json(serialize.data_to_json(DataArray(3, 1, (col,))), data_file)
-    assert main(["verify", "--input", str(data_file), "--samples", "1"]) == 2
+    return main(["verify", "--input", str(data_file), "--samples", "1"])
+
+
+def test_a_normal_form_that_overflows_exits_2(tmp_path, capsys):
+    # three distinct denominators near 1e150: each entry's product of the other two reaches
+    # 1e300 at z^2, times a numerator of 1e150
+    col = (MeroVector(tuple(RationalFn((1e150,), (k, 1e150)) for k in (1, 2, 3))),)
+    assert _verify_exit(tmp_path, col) == 2
     assert "normal form" in capsys.readouterr().err
+    # 1 + 1e-150 z and 1 + 0.5e-150 z over 1e150 overflowed a monic LCM (coefficients near
+    # 2e300); the product of the denominators has coefficients of at most 1.5
+    col = (MeroVector((RationalFn((1e150,), (1, 1e-150)), RationalFn((1,), (1, 0.5e-150)), RationalFn((1e150,)))),)
+    assert _verify_exit(tmp_path, col) == 0
+
+
+F3 = [case for case in CRITERION_2 if case[3] < 3]
+
+
+def _f3_id(case):
+    return f"{case[0]}-{case[1]}-{'-'.join(map(str, case[2]))}-s{case[3]}"
+
+
+def _times_powers(data, k):
+    """The data with entry (row m, component c) of column 0 times (z - a)^k[m, c]."""
+    return _times_column_0(data, lambda f, m, c: RationalFn(tuple(npoly.polymul(f.num, npoly.polyfromroots([A] * k[m, c])))))
+
+
+@pytest.mark.parametrize("case", F3, ids=_f3_id)
+def test_a_common_zero_of_a_column_keeps_the_map(case):
+    # column 0 times z - a: the normal form divides the common root out, so at and next to a
+    # the map is the plain data's; keeping the root gave a low rank profile at a, unflagged,
+    # and maps off by up to 1.55 there and by up to 0.76 at 1e-4 from a
+    n, r, pattern, seed = case
+    plain = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+    zero = _times_powers(plain, np.ones((r, n), int))
+    zs = A + np.array([0, 1e-10, 1e-4 * np.exp(0.7j), 1e-3])
+    (got, phi), (want, phi_ref) = _maps(zero, zs), _maps(plain, zs)
+    generic = chain_arrays(plain, draw_sample_points(plain, 1, seed=0)).ranks
+    assert not got.ambiguous.any()
+    assert np.array_equal(got.ranks, np.broadcast_to(generic, got.ranks.shape))
+    assert np.abs(phi - phi_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", F3, ids=_f3_id)
+def test_a_common_zero_of_mixed_multiplicity_divides_out_to_its_lowest(case):
+    # entry (m, c) of column 0 times (z - a)^k, k in 2..4 and 2 on component 0 of every row:
+    # the normal form divides out (z - a)^2 and has the map of the data times (z - a)^(k - 2),
+    # every row of which lives at a; keeping the factor gave maps off by up to 0.1 at 1e-3 from a
+    n, r, pattern, seed = case
+    plain = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+    k = np.random.default_rng(seed).integers(2, 5, size=(r, n))
+    k[:, 0] = 2
+    zs = A + np.array([1e-3, 1e-2 * np.exp(1j), 0.1j, 1.0])
+    (got, phi), (want, phi_ref) = _maps(_times_powers(plain, k), zs), _maps(_times_powers(plain, k - 2), zs)
+    assert not got.ambiguous.any() and np.array_equal(got.ranks, want.ranks)
+    assert np.abs(phi - phi_ref).max() <= 1e-10
+
+
+def test_verify_on_rational_data_leaves_numpy_polynomial_unimported(tmp_path):
+    # the normal form multiplies denominators with np.convolve and divides roots out with
+    # np.polydiv, so verify never loads numpy.polynomial (5 ms to import)
+    plain = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=0)
+    rational = _times_column_0(plain, lambda f, m, c: RationalFn(f.num, tuple(npoly.polyfromroots([A] * (1 + c % 2)))))
+    data_file = tmp_path / "rational.json"
+    serialize.write_json(serialize.data_to_json(rational), data_file)
+    code = ("import sys; from unitons.cli import main; "
+            "code = main(['verify', '--input', sys.argv[1], '--samples', '1']); "
+            "print(code, 'numpy.polynomial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(data_file)], env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split()[-2:] == ["0", "False"]
