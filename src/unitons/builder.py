@@ -21,8 +21,9 @@ from .meromorphic import (
     MAX_SAMPLE_TRIES,
     DataArray,
     MeroVector,
+    _polynomial_vectors,
+    _random_coefficients,
     polynomial_column,
-    random_polynomial_vector,
 )
 from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis
 
@@ -64,14 +65,6 @@ def _live_values(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...],
     ``t.live[s]``."""
     t = _tables(n, r, columns)
     return t, kernels.eval_table(t.coeffs, zs)
-
-
-def _vector_values(vec: MeroVector, zs: np.ndarray) -> np.ndarray:
-    """A polynomial vector's values zs.shape + (n,) by one table evaluation of
-    its own coefficients (not its normal form), outside the data's table cache."""
-    width = max(len(f.num) for f in vec.entries)
-    coeffs = np.array([f.num + (0j,) * (width - len(f.num)) for f in vec.entries], np.complex128)
-    return kernels.eval_table(coeffs, zs.ravel()).reshape(zs.shape + (vec.n,))
 
 
 class ChainBatch(NamedTuple):
@@ -233,6 +226,13 @@ def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndar
     return T
 
 
+def reality_defect(coeffs: np.ndarray) -> np.ndarray:
+    """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop) of coefficients
+    (..., r+1, n, n); leading axes broadcast, bit-identical to each loop's own call."""
+    t0, tr_h = coeffs[..., 0, :, :], coeffs[..., -1, :, :].conj().swapaxes(-1, -2)
+    return np.maximum(np.abs(t0 @ tr_h).max(axis=(-2, -1)), np.abs(tr_h @ t0).max(axis=(-2, -1)))
+
+
 def s1_invariant_data(
     n: int, rank_steps: Sequence[int], max_degree: int, seed: int = 0
 ) -> DataArray:
@@ -246,16 +246,12 @@ def s1_invariant_data(
         raise BadShape("rank_steps must be ascending with d_1 >= 1")
     if d[-1] > n or r > n - 1:
         raise BadShape("need d_r <= n and r <= n-1")
-    rng = np.random.default_rng(seed)
-    columns = []
-    for j in range(d[-1]):
-        row_of_j = next(i for i in range(r) if j < d[i])
-        col = [
-            random_polynomial_vector(rng, n, max_degree) if i == row_of_j else MeroVector.zero(n)
-            for i in range(r)
-        ]
-        columns.append(tuple(col))
-    return DataArray(n, r, tuple(columns))
+    coeffs = _random_coefficients(np.random.default_rng(seed), d[-1], n, max_degree)
+    zero = MeroVector.zero(n)
+    # column j is live in the first row i with j < d_{i+1}
+    rows = [next(i for i in range(r) if j < d[i]) for j in range(d[-1])]
+    return DataArray(n, r, tuple(tuple(vec if i == row else zero for i in range(r))
+                                 for row, vec in zip(rows, _polynomial_vectors(coeffs))))
 
 
 def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Optional[float] = None) -> list[complex]:

@@ -3,6 +3,8 @@
 Sub-commands: generate, verify, factorize, grassmann, sample.  Everything is
 JSON in, JSON out; exit codes are 0 (ok), 2 (parse/usage error),
 3 (no generic sample point found), 4 (a verification/agreement check failed).
+The Grassmannian model is imported inside the commands that run it
+(factorize, grassmann), so the others start without compiling it.
 """
 
 from __future__ import annotations
@@ -24,17 +26,9 @@ from .builder import (
     s1_invariant_data,
 )
 from .errors import DegeneratePoint, UnitonsError
-from .grassmannian import (
-    LoopPoly,
-    QInvolution,
-    iwasawa_factorize,
-    kernel_factorize_fiber,
-    q_adapted_check,
-    w_from_loop,
-)
 from .meromorphic import random_data
 from .projections import orthonormal_basis, projector_gap
-from .verifier import verification_report
+from .verifier import verification_report  # loaded with cli, so perfbench's tracer finds it to wrap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -109,11 +103,15 @@ def cmd_verify(args) -> int:
 
 def _loop_fibers(data, samples, seed):
     """The drawn sample points, their loops as one stack and the builder's pis, from the draw's kernel call."""
+    from .grassmannian import LoopPoly
+
     points, batch = _draw(data, samples, seed, None)
     return points, LoopPoly(extended_coefficients(batch.pis[0], batch.perps[0], data.n)), batch.pis[0]
 
 
 def cmd_factorize(args) -> int:
+    from .grassmannian import iwasawa_factorize, kernel_factorize_fiber, w_from_loop
+
     _check_positive(samples=args.samples)
     _finite_positive("--agree-tol", args.agree_tol)
     obj = serialize.read_json(args.input)
@@ -165,6 +163,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
+    from .grassmannian import QInvolution, q_adapted_check, w_from_loop
+
     _check_positive(samples=args.samples)
     data = serialize.data_from_json(serialize.read_json(args.input))
     if args.q_span:

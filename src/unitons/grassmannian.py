@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .builder import _live_values, extended_coefficients
+from .builder import _live_values, extended_coefficients, reality_defect
 from .errors import (
     BadShape,
     DegreeNoDrop,
@@ -50,13 +50,6 @@ def loop_at(coeffs: np.ndarray, lam) -> np.ndarray:
     for t in range(coeffs.shape[-3]):
         out += lam**t * coeffs[..., t, :, :]
     return out
-
-
-def reality_defect(coeffs: np.ndarray) -> np.ndarray:
-    """max entry of T_0 T_r^* and T_r^* T_0 (both vanish for a real loop) of coefficients
-    (..., r+1, n, n); leading axes broadcast, bit-identical to each loop's own call."""
-    t0, tr_h = coeffs[..., 0, :, :], coeffs[..., -1, :, :].conj().swapaxes(-1, -2)
-    return np.maximum(np.abs(t0 @ tr_h).max(axis=(-2, -1)), np.abs(tr_h @ t0).max(axis=(-2, -1)))
 
 
 class LoopPoly:

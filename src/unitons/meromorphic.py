@@ -247,13 +247,17 @@ class DataArray:
         return tuple(col[i] for col in self.columns)
 
 
-def _random_poly(rng: np.random.Generator, max_degree: int) -> RationalFn:
-    c = rng.integers(-_COEFF_RANGE, _COEFF_RANGE + 1, size=(max_degree + 1, 2))
-    return RationalFn(tuple(complex(a, b) for a, b in c))
+def _random_coefficients(rng: np.random.Generator, count: int, n: int, max_degree: int) -> np.ndarray:
+    """Coefficients (count, n, max_degree + 1), degree-ascending, of count
+    random polynomial C^n vectors: Gaussian integers from one draw, which
+    gives the stream of one draw per polynomial."""
+    pairs = rng.integers(-_COEFF_RANGE, _COEFF_RANGE + 1, size=(count, n, max_degree + 1, 2))
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
 
-def random_polynomial_vector(rng: np.random.Generator, n: int, max_degree: int) -> MeroVector:
-    return MeroVector(tuple(_random_poly(rng, max_degree) for _ in range(n)))
+def _polynomial_vectors(coeffs: np.ndarray) -> list[MeroVector]:
+    """A MeroVector per leading row of a coefficient array (count, n, L)."""
+    return [MeroVector(tuple(map(RationalFn, vec))) for vec in coeffs.tolist()]
 
 
 def random_data(
@@ -268,7 +272,8 @@ def random_data(
     Coefficients are small Gaussian integers, so the binomial transform's
     Pascal sums of a column's normal form are exact.  When
     sparsity_pattern = (d_1 <= ... <= d_r) is given, row i is non-zero only
-    in the first d_{i+1} columns (echelon shape).
+    in the first d_{i+1} columns (echelon shape).  The live entries, column
+    by column, take their coefficients from one draw.
     """
     if not 0 <= r <= n - 1:
         raise BadShape(f"need 0 <= r <= n-1, got r={r}, n={n}")
@@ -281,17 +286,9 @@ def random_data(
         if d and d[-1] > n:
             raise BadShape("echelon ranks cannot exceed n")
     else:
-        d = None
-    rng = np.random.default_rng(seed)
+        d = (n,) * r
     ncols = n if r > 0 else 0
-    columns = []
-    for j in range(ncols):
-        col = []
-        for i in range(r):
-            if d is not None and j >= d[i]:
-                col.append(MeroVector.zero(n))
-            else:
-                col.append(random_polynomial_vector(rng, n, max_degree))
-        columns.append(tuple(col))
-    return DataArray(n, r, tuple(columns))
-
+    live = [(j, i) for j in range(ncols) for i in range(r) if j < d[i]]
+    coeffs = _random_coefficients(np.random.default_rng(seed), len(live), n, max_degree)
+    vectors, zero = dict(zip(live, _polynomial_vectors(coeffs))), MeroVector.zero(n)
+    return DataArray(n, r, tuple(tuple(vectors.get((j, i), zero) for i in range(r)) for j in range(ncols)))

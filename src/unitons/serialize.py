@@ -11,14 +11,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import orjson
 
 from .errors import BadShape
-from .grassmannian import LoopPoly
 from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn
+
+if TYPE_CHECKING:
+    from .grassmannian import LoopPoly
 
 PROJECTOR_TOL = 1e-11  # a decoded projection must be Hermitian and idempotent to this
 
@@ -82,12 +84,18 @@ def data_from_json(obj) -> DataArray:
     values = _complex_from_pairs(pairs)
     if (np.abs(values) > MAX_COEFFICIENT).any():
         raise BadShape(f"coefficient magnitude above {MAX_COEFFICIENT:g}")
-    values, bounds = values.tolist(), [0, *itertools.accumulate(map(len, coeffs))]
-    parts = iter([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
-    # the parts come in file order, each entry's numerator before its denominator
+    values, raw, bounds = values.tolist(), pairs.tobytes(), [0, *itertools.accumulate(map(len, coeffs))]
+    shared, entries = {}, []
+    # the parts come in file order, each entry's numerator [a, b) before its denominator [b, c)
+    for a, b, c in zip(bounds[::2], bounds[1::2], bounds[2::2]):
+        # entries with byte-identical parts (16 bytes a pair) share one RationalFn; -0.0 stays distinct
+        key = (b - a, raw[16 * a : 16 * c])
+        if (f := shared.get(key)) is None:
+            f = shared[key] = RationalFn(tuple(values[a:b]), tuple(values[b:c]))
+        entries.append(f)
+    fns = iter(entries)
     return DataArray(int(obj["n"]), int(obj["r"]), tuple(
-        tuple(MeroVector(tuple(RationalFn(next(parts), next(parts)) for _ in vec)) for vec in col)
-        for col in columns))
+        tuple(MeroVector(tuple(next(fns) for _ in vec)) for vec in col) for col in columns))
 
 
 def matrices_to_json(ms: np.ndarray) -> list[dict]:
@@ -191,6 +199,8 @@ def loop_fibers_to_json(n: int, r: int, fibers: Sequence[tuple[complex, LoopPoly
 def loop_fibers_from_json(obj) -> tuple[list[complex], LoopPoly]:
     """The fibers' z values and their loops as one (P, r+1, n, n) stack, every
     fiber's coefficients decoded at once and held to the file's n and r."""
+    from .grassmannian import LoopPoly  # the Grassmannian model loads only where it runs
+
     n, r, fibers = int(obj["n"]), int(obj["r"]), obj["fibers"]
     if not fibers:
         raise BadShape("a loop-fiber file needs at least one fiber: no fiber is no evidence")

@@ -18,19 +18,19 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import kernels
 from .builder import (
     STENCIL_OFFSETS,
     ChainBatch,
     HarmonicMapSampler,
     _draw,
-    _vector_values,
     chain_arrays,
     extended_coefficients,
     extended_product,
+    reality_defect,
 )
 from .errors import BadShape
-from .grassmannian import reality_defect
-from .meromorphic import DataArray, random_polynomial_vector
+from .meromorphic import DataArray, _random_coefficients
 from .projections import c_rows, masked_basis, projector_gap
 
 FD_STEP = 1e-3  # step h of the 4th-order central differences behind the Wirtinger operators
@@ -242,8 +242,7 @@ def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] =
     az_k = _norms(a_z @ kv + nxt)[..., lower]
     antibasic = _norms(perp @ conn.a_z[..., :r, :, :])
     # Lemma residuals for a fresh random polynomial vector H
-    H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
-    h_vals = _vector_values(H, chains.zs)[..., None, :, None]
+    h_vals = _lemma_vector_values(seed, n, chains.zs)[..., None, :, None]
     lemma = [np.zeros(antibasic.shape[:-1] + (0,))]
     for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
         # rows s = 0..ell-1: perp_ell C_s H, then rows ell + s: C_{s+1} H
@@ -258,6 +257,14 @@ def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] =
     if np.ndim(z) == 0:
         out = {name: vals.tolist() for name, vals in out.items()}
     return {**out, **maxima}
+
+
+def _lemma_vector_values(seed: int, n: int, zs: np.ndarray) -> np.ndarray:
+    """The lemma's test vector H, a fresh random cubic polynomial C^n vector,
+    at every point of zs: zs.shape + (n,), from one table evaluation of its
+    drawn coefficients (not a normal form, and outside the data's table cache)."""
+    coeffs = _random_coefficients(np.random.default_rng(seed), 1, n, 3)[0]
+    return kernels.eval_table(coeffs, zs.ravel()).reshape(zs.shape + (n,))
 
 
 def _static_checks(chains: ChainBatch, T: np.ndarray) -> dict:

@@ -9,7 +9,8 @@ Subspace references that only tests use live here too:
 principal-angle gaps, the Cartan embedding of a span, the associated curves
 of a column, type-one normalization point by point, the derivative table of
 any columns, the data-array edits (row restriction, an extra or shifted
-column) that only tests make, the binomial transform of Gaussian-integer
+column) that only tests make, the random generators drawn one entry at a
+time and a polynomial vector's values from its own coefficients, the binomial transform of Gaussian-integer
 data by integer sums, and the JSON encoding of matrix stacks, chains,
 loop fibers and sample records with Python floats from tolist()."""
 
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from unitons import BadShape, DataArray, MeroVector, eval_rational
+from unitons import BadShape, DataArray, MeroVector, RationalFn, eval_rational
 from unitons.projections import Span, orthonormal_basis, principal_angles, projection_pair, projector_gap
 
 SPAN_EQ_TOL = 1e-8  # spans are equal when ranks match and all angles are below this
@@ -61,6 +62,46 @@ def on_all_columns(columns, arr):
     out = np.zeros(arr.shape[:-2] + (len(columns), arr.shape[-1]), arr.dtype)
     out[..., live, :] = arr[..., : len(live), :]
     return out
+
+
+def random_polynomial_vector_per_entry(rng, n, max_degree):
+    """A random polynomial C^n vector drawn one entry at a time: each entry's
+    max_degree + 1 Gaussian-integer coefficients in [-4, 4]^2 from their own draw."""
+    return MeroVector(tuple(RationalFn(tuple(complex(a, b) for a, b in rng.integers(-4, 5, size=(max_degree + 1, 2))))
+                            for _ in range(n)))
+
+
+def random_data_per_entry(n, r, max_degree, sparsity_pattern=None, seed=0):
+    """``random_data`` drawn entry by entry: column by column, each live row's
+    vector from its own draws, a fresh zero vector outside the echelon shape."""
+    rng = np.random.default_rng(seed)
+    d = (n,) * r if sparsity_pattern is None else tuple(sparsity_pattern)
+    return DataArray(n, r, tuple(
+        tuple(random_polynomial_vector_per_entry(rng, n, max_degree) if j < d[i] else MeroVector.zero(n)
+              for i in range(r))
+        for j in range(n if r > 0 else 0)))
+
+
+def s1_invariant_data_per_entry(n, rank_steps, max_degree, seed=0):
+    """``s1_invariant_data`` drawn entry by entry: column j's vector in the
+    first row i with j < d_{i+1}, zeros in the other rows."""
+    rng = np.random.default_rng(seed)
+    d, columns = tuple(rank_steps), []
+    for j in range(d[-1]):
+        row = next(i for i in range(len(d)) if j < d[i])
+        columns.append(tuple(random_polynomial_vector_per_entry(rng, n, max_degree) if i == row else MeroVector.zero(n)
+                             for i in range(len(d))))
+    return DataArray(n, len(d), tuple(columns))
+
+
+def vector_values(vec, zs):
+    """A polynomial vector's values zs.shape + (n,) by one table evaluation of
+    its entries' trimmed numerators, padded to the longest."""
+    from unitons import kernels
+
+    width = max(len(f.num) for f in vec.entries)
+    coeffs = np.array([f.num + (0j,) * (width - len(f.num)) for f in vec.entries], np.complex128)
+    return kernels.eval_table(coeffs, np.asarray(zs).ravel()).reshape(np.shape(zs) + (vec.n,))
 
 
 def random_chain(rng, n, length):
@@ -230,8 +271,6 @@ def verification_residuals(data, samples, seed, h=1e-3):
     own; each sample point's stencil maps are held in a dict (9 maps).  Chains come from single-point builds; the pointwise static checks
     are ``static_residuals``."""
     from unitons import HarmonicMapSampler, draw_sample_points
-    from unitons.builder import _vector_values
-    from unitons.meromorphic import random_polynomial_vector
     from unitons.verifier import DEFAULT_LAMBDAS, LEMMA_MAX_ELL
 
     sampler = HarmonicMapSampler(data)
@@ -249,10 +288,10 @@ def verification_residuals(data, samples, seed, h=1e-3):
     def note(name, value):
         worst[name] = max(worst.get(name, 0.0), float(value))
 
-    H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
+    H = random_polynomial_vector_per_entry(np.random.default_rng(seed), n, 3)
 
-    def h_at(w):  # H at one point, by a one-point table evaluation as verify reads it
-        return _vector_values(H, np.array([w]))[0]
+    def h_at(w):  # H at one point, by a one-point table evaluation
+        return vector_values(H, np.array([w]))[0]
 
     for z in draw_sample_points(data, samples, seed=seed, stencil_h=h):
         maps = {}

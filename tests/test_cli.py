@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,7 +275,7 @@ def test_factorize_runs_each_factorization_once_per_file(tmp_path, monkeypatch):
     # the SVD count of a factorize call depends on r, not on the number of fibers
     from collections import Counter
 
-    from unitons import cli
+    from unitons import grassmannian
 
     calls, svd = Counter(), np.linalg.svd
 
@@ -283,7 +287,8 @@ def test_factorize_runs_each_factorization_once_per_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
     for name in ("w_from_loop", "iwasawa_factorize", "kernel_factorize_fiber"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        # cli imports them from the Grassmannian model inside the command
+        monkeypatch.setattr(grassmannian, name, counted(name, getattr(grassmannian, name)))
     svds = {}
     for count in (12, 3):
         _loop_file(tmp_path / f"loops{count}.json", 4, 3, count)
@@ -654,3 +659,69 @@ def test_matrix_and_chain_serialization_round_trip():
     back_pis, _ = serialize.chain_from_json(obj)
     assert np.abs(back_pis[0] - pi).max() <= 1e-15
     assert obj["ranks"] == [1]
+
+
+PUBLIC_NAMES = """
+    BACKEND BadShape DataArray DegeneratePoint DegreeNoDrop HarmonicMapSampler LoopPoly MeroVector
+    NoTermination NotLambdaInvariant QInvolution RationalFn Span UnitonsError WSubspace alpha1_is_full
+    binomial_transform build_fiber connection_form differentiate draw_sample_points eval_rational
+    evaluate_map extended_checks extended_coefficients harmonicity_residual image_span iwasawa_factorize
+    kernel_factorize_fiber normalize_type_one orthonormal_basis principal_angles projection_pair
+    q_adapted_check random_data s1_invariant_data section_identities verification_report w_from_loop
+    w_from_x wirtinger x_columns_from_data
+""".split()
+
+_START_UP = """
+import json, sys
+
+def fresh():  # every unitons module dropped, as in a new process; numpy stays loaded
+    for name in [m for m in sys.modules if m.split(".")[0] == "unitons"]:
+        del sys.modules[name]
+
+out = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    fresh()
+    from unitons.cli import main
+    out[name] = [main(argv), "unitons.grassmannian" in sys.modules]
+fresh()
+import unitons
+out["bare"] = sorted(m for m in sys.modules if m.startswith("unitons."))
+out["loop"] = unitons.LoopPoly.__module__
+out["dir"] = dir(unitons)
+print(json.dumps(out))
+"""
+
+
+def test_only_factorize_and_grassmann_load_the_grassmannian_model(tmp_path):
+    # the paper's maps come from projections alone: generate, sample and verify never
+    # compile the Grassmannian model, and a bare import loads no submodule
+    data = tmp_path / "data.json"
+    serialize.write_json(serialize.data_to_json(random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=0)), data)
+    out = [f"--output={tmp_path / name}.out" for name in ("generate", "sample", "verify", "factorize", "grassmann")]
+    commands = {
+        "generate": ["generate", "--n", "3", "--r", "2", out[0]],
+        "sample": ["sample", "--input", str(data), "--grid", "2", out[1]],
+        "verify": ["verify", "--input", str(data), "--samples", "1", out[2]],
+        "factorize": ["factorize", "--input", str(data), "--samples", "1", out[3]],
+        "grassmann": ["grassmann", "--input", str(data), "--samples", "1", out[4]],
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _START_UP, json.dumps(commands)], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert {name: got[name] for name in commands} == {
+        "generate": [0, False], "sample": [0, False], "verify": [0, False], "factorize": [0, True], "grassmann": [0, True]}
+    assert got["bare"] == [] and got["loop"] == "unitons.grassmannian"
+    assert set(PUBLIC_NAMES) <= set(got["dir"]) and len(PUBLIC_NAMES) == 42
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    import importlib
+
+    import unitons
+
+    assert unitons.__all__ == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        assert getattr(unitons, name) is getattr(importlib.import_module(f"unitons.{unitons._EXPORTS[name]}"), name)
+    with pytest.raises(AttributeError):
+        unitons.reality_defect  # not exported: builder.reality_defect

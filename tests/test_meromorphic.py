@@ -17,10 +17,10 @@ from unitons import (
     x_columns_from_data,
 )
 from unitons.meromorphic import SCALE_FLOOR, polynomial_column
-from unitons.serialize import data_from_json, data_to_json
+from unitons.serialize import data_from_json, data_to_json, dumps
 from unitons.verifier import verification_report
 
-from oracles import fd_derivative
+from oracles import fd_derivative, random_data_per_entry, s1_invariant_data_per_entry
 
 P = RationalFn.polynomial
 
@@ -240,6 +240,26 @@ def test_random_data_echelon_zero_blocks():
                 assert all(f.is_zero for f in vec.entries)
             else:
                 assert any(not f.is_zero for f in vec.entries)
+
+
+@pytest.mark.parametrize("n, r, pattern", [
+    (3, 0, None), (3, 2, None), (4, 3, None), (3, 2, (1, 1)), (4, 3, (1, 1, 1)),
+    (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2)), (4, 3, (0, 1, 3)),
+], ids=str)
+def test_random_data_is_the_per_entry_draw_byte_for_byte(n, r, pattern):
+    # one draw for every live entry gives the stream of one draw per polynomial
+    for degree in (0, 3):
+        for seed in range(200):
+            expected = dumps(data_to_json(random_data_per_entry(n, r, degree, pattern, seed)))
+            assert dumps(data_to_json(random_data(n, r, degree, sparsity_pattern=pattern, seed=seed))) == expected
+
+
+@pytest.mark.parametrize("n, steps", [(4, (1, 2, 3)), (5, (1, 2, 4)), (3, (2, 2))], ids=str)
+def test_s1_invariant_data_is_the_per_entry_draw_byte_for_byte(n, steps):
+    for degree in (0, 3):
+        for seed in range(50):
+            expected = dumps(data_to_json(s1_invariant_data_per_entry(n, steps, degree, seed)))
+            assert dumps(data_to_json(s1_invariant_data(n, steps, degree, seed=seed))) == expected
 
 
 def test_data_array_validation():

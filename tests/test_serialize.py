@@ -250,6 +250,41 @@ def test_data_from_json_equals_the_per_entry_decode(data):
     assert serialize.dumps(serialize.data_to_json(decoded)) == serialize.dumps(serialize.data_to_json(reference))
 
 
+def _signed_zero_file():
+    """A data file (n = 3, r = 1, four columns) of six entries, each twice:
+    zeros that differ only in sign, and the same pairs split differently
+    between numerator and denominator."""
+    one, two, three = [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]
+    entries = [
+        {"num": [[0.0, 0.0]], "den": [one]},
+        {"num": [[-0.0, 0.0]], "den": [one]},
+        {"num": [[0.0, -0.0]], "den": [one]},
+        {"num": [[0.0, 0.0]], "den": [[1.0, -0.0]]},
+        {"num": [one, two], "den": [three]},
+        {"num": [one], "den": [two, three]},
+    ]
+    return {"n": 3, "r": 1, "columns": [[[entries[(3 * j + m) % 6] for m in range(3)]] for j in range(4)]}
+
+
+def test_data_from_json_shares_byte_identical_entries_and_keeps_signed_zeros():
+    obj = _signed_zero_file()
+    data = serialize.data_from_json(obj)
+    assert serialize.dumps(serialize.data_to_json(data)) == serialize.dumps(obj)
+    fns = [f for col in data.columns for vec in col for f in vec.entries]
+    assert len({id(f) for f in fns}) == 6  # one object per distinct entry, -0.0 apart from 0.0
+    assert all(fns[k] is fns[k + 6] for k in range(6))
+    assert data == data_from_json_per_entry(obj)
+
+
+def test_data_from_json_shares_the_zero_entries_of_an_echelon_file():
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
+    obj = json.loads(serialize.dumps(serialize.data_to_json(data)))
+    decoded = serialize.data_from_json(obj)
+    zeros = {id(f) for col in decoded.columns for vec in col for f in vec.entries if f.is_zero}
+    assert len(zeros) == 1 and decoded == data
+    assert serialize.dumps(serialize.data_to_json(decoded)) == serialize.dumps(obj)
+
+
 def _entry(obj, value, part="num"):
     obj["columns"][0][0][0][part] = value
     return obj

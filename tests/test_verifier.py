@@ -20,11 +20,17 @@ from unitons import (
     wirtinger,
 )
 from unitons import builder, kernels, verifier
-from unitons.meromorphic import random_polynomial_vector
 from unitons.projections import c_rows, masked_basis
 from unitons.verifier import DEFAULT_TOLERANCES, LEMMA_MAX_ELL
 
-from oracles import nested_harmonicity, random_chain, static_residuals, verification_residuals
+from oracles import (
+    nested_harmonicity,
+    random_chain,
+    random_polynomial_vector_per_entry,
+    static_residuals,
+    vector_values,
+    verification_residuals,
+)
 
 
 def test_wirtinger_holomorphic_monomial():
@@ -212,10 +218,10 @@ def _per_entry_sections(sampler, z, seed=0):
                 dbar_k.append(float(np.linalg.norm(dzb + conn[i].a_zbar @ kv)))
                 nxt = center.kvecs[i, k + 1, j] if k + 1 <= i else np.zeros(n)
                 az_k.append(float(np.linalg.norm(conn[i].a_z @ kv + nxt)))
-    H = random_polynomial_vector(np.random.default_rng(seed), n, 3)
+    H = random_polynomial_vector_per_entry(np.random.default_rng(seed), n, 3)
 
     def h_at(w):  # H at one point, by a one-point table evaluation
-        return builder._vector_values(H, np.array([w]))[0]
+        return vector_values(H, np.array([w]))[0]
 
     for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
         for s in range(ell):
@@ -543,9 +549,20 @@ def test_lemma_vector_values_match_its_pointwise_evaluation():
     data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
     zs = builder._draw(data, 10, 7, verifier.FD_STEP)[1].zs  # (9, 10)
     for seed in range(5):
-        H = random_polynomial_vector(np.random.default_rng(seed), 5, 3)
-        values = builder._vector_values(H, zs)
+        H = random_polynomial_vector_per_entry(np.random.default_rng(seed), 5, 3)
+        values = verifier._lemma_vector_values(seed, 5, zs)
         expected = np.array([[H.eval(z) for z in row] for row in zs.tolist()])
         assert values.shape == expected.shape == zs.shape + (5,)
         # relative to each value's largest entry: a single entry may cancel
         assert (np.abs(values - expected).max(axis=-1) <= 1e-15 * np.abs(expected).max(axis=-1)).all()
+
+
+def test_lemma_vector_values_equal_the_per_entry_draw_bit_for_bit():
+    # one draw of H's padded coefficients against a draw per entry, evaluated on its
+    # trimmed numerators: the same stream and the same Horner values, signed zeros included
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=0)
+    zs = builder._draw(data, 3, 7, verifier.FD_STEP)[1].zs  # (9, 3)
+    assert zs.shape == (9, 3)
+    for seed in range(1000):
+        expected = vector_values(random_polynomial_vector_per_entry(np.random.default_rng(seed), 4, 3), zs)
+        assert verifier._lemma_vector_values(seed, 4, zs).tobytes() == expected.tobytes(), seed
