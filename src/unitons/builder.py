@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .meromorphic import (
     _random_coefficients,
     polynomial_column,
 )
-from .projections import ORTHONORMAL_TOL, Span, orthonormal_basis
+from .projections import ORTHONORMAL_TOL, masked_basis
 
 ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |perp v| > RTOL |v| + ATOL
 STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in steps: the centre, then x and y
@@ -120,17 +120,10 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
 
 @dataclass(frozen=True)
 class UnitonFiber:
-    """The chain at one sample point and its subspaces alpha_1..alpha_r."""
+    """The chain at one sample point: alpha_{i+1} is the image of ``chain.pis[i]``."""
 
     z: complex
     chain: ChainBatch  # the point's view: no point axis
-
-    @cached_property
-    def alphas(self) -> tuple[Span, ...]:
-        """alpha_1..alpha_r, each from its step's SVD rerun on the K-vectors."""
-        n, ranks = self.chain.pis.shape[-1], self.chain.ranks
-        return tuple(Span(kernels.step_svd(self.chain.kvecs, i)[0][:, : ranks[i]], n, validate=False)
-                     for i in range(len(ranks)))
 
     @property
     def proper(self) -> bool:
@@ -184,7 +177,9 @@ class HarmonicMapSampler:
     __call__ = map_at
 
     def prefix_map_at(self, z: complex, ell: int) -> np.ndarray:
-        """phi_ell = phi_0 (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp)."""
+        """phi_ell = phi_0 (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp), 0 <= ell <= r."""
+        if not 0 <= ell <= self.r:
+            raise BadShape(f"need 0 <= ell <= r = {self.r}, got ell={ell}")
         cd = self.chain_at(z)
         return extended_product(cd.pis[:ell], cd.perps[:ell], -1, self.phi0)
 
@@ -198,16 +193,23 @@ def evaluate_map(sampler: HarmonicMapSampler, z: complex) -> np.ndarray:
     return extended_product(cd.pis, cd.perps, -1, sampler.phi0)
 
 
-def extended_product(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> np.ndarray:
-    """left (pi_1 + lam pi_1_perp) ... (pi_r + lam pi_r_perp), a new array;
-    lam = -1 gives the map's Cartan factors pi_i - pi_i_perp.  The steps run
-    along axis -3; leading axes and an array lam broadcast, each product
-    bit-identical to its single-point call."""
-    factors = pis + lam * perps
-    out = left
+def prefix_products(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> Iterator[np.ndarray]:
+    """left, left F_1, ..., left F_1 ... F_r with F_i = pi_i + lam pi_i_perp (phi_0..phi_r at
+    lam = -1), the first a read-only broadcast view of left.  The steps run along axis -3;
+    leading axes and an array lam broadcast, each product bit-identical to its single call."""
+    factors, out = pis + lam * perps, left
+    yield np.broadcast_to(left, factors.shape[:-3] + left.shape)
     for i in range(factors.shape[-3]):
         out = out @ factors[..., i, :, :]
-    return out if factors.shape[-3] else np.broadcast_to(left, factors.shape[:-3] + left.shape).copy()
+        yield out
+
+
+def extended_product(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> np.ndarray:
+    """left (pi_1 + lam pi_1_perp) ... (pi_r + lam pi_r_perp), a new array: the
+    last of ``prefix_products``."""
+    for out in prefix_products(pis, perps, lam, left):  # each product is freed as the next is formed
+        pass
+    return out if pis.shape[-3] else out.copy()
 
 
 def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndarray:
@@ -308,6 +310,5 @@ def alpha1_is_full(data: DataArray, seed: int = 1234) -> bool:
     """Fullness of alpha_1, tested by spanning fibers over 2n generic points."""
     if data.r == 0:
         return False
-    bases, _, ranks = kernels.step_svd(_draw(data, 2 * data.n, seed, None)[1].kvecs[0], 0)
-    span = orthonormal_basis(np.hstack([b[:, :k] for b, k in zip(bases, ranks)]))
-    return span.dim == data.n
+    pis = _draw(data, 2 * data.n, seed, None)[1].pis[0, :, 0]  # the 2n points' alpha_1 projectors
+    return int(masked_basis(np.hstack(pis))[2]) == data.n

@@ -24,17 +24,6 @@ def eval_table(coeffs, zs):
     return out
 
 
-def step_svd(kvecs, i):
-    """(basis, sv, rank) of the masked SVD of step i's K-vectors, kvecs
-    (..., r, r, J, n): columns ordered k-major, column k * J + j being
-    K^(k)_{i,j}.  This is the kernel's own SVD input, so a rerun on a chain's
-    ``kvecs`` gives bit for bit the basis its projector was formed from."""
-    cols = kvecs[..., i, : i + 1, :, :]
-    _, J, n = cols.shape[-3:]
-    # the explicit (i+1) J, not -1, which an empty point axis leaves undetermined
-    return masked_basis(cols.reshape(cols.shape[:-3] + ((i + 1) * J, n)).swapaxes(-1, -2))
-
-
 def build_chain(hvals):
     """Build the projection chain at every point from its derivative table.
 
@@ -42,8 +31,8 @@ def build_chain(hvals):
     entry of column j at point p.  At step i the vectors
     K^(k)_{i,j} = sum_s C^i_s hvals[k, s-k, j] span the next subspace, whose
     projector feeds the Pascal update of C.  Ranks may differ between points,
-    so each point's SVD basis is masked to its own rank; it is not returned
-    (``step_svd`` recomputes it).  ``status`` (P,) is 1 where a singular
+    so each point's SVD basis is masked to its own rank; it is not returned,
+    the projector pi_i holds the step.  ``status`` (P,) is 1 where a singular
     value lies within a decade of the rank threshold (ambiguous rank).
     """
     P, r, _, J, n = hvals.shape
@@ -58,7 +47,8 @@ def build_chain(hvals):
     for i in range(r):
         for k in range(i + 1):
             kvecs[:, i, k] = np.einsum("psab,psjb->pja", C[:, k : i + 1], hvals[:, k, : i + 1 - k])
-        basis, sv, rank = step_svd(kvecs, i)
+        # column k J + j is K^(k)_{i,j}; (i+1) J, not -1, which an empty point axis leaves undetermined
+        basis, sv, rank = masked_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
         thr = RANK_TOL * sv[:, :1]
         status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)

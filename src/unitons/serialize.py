@@ -40,6 +40,12 @@ def _decoder(decode):
     return checked
 
 
+def _integer(value, name: str) -> int:
+    if type(value) is not int:  # a float, a string or a bool of the same value is malformed
+        raise BadShape(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def encode_complex(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -94,7 +100,7 @@ def data_from_json(obj) -> DataArray:
             f = shared[key] = RationalFn(tuple(values[a:b]), tuple(values[b:c]))
         entries.append(f)
     fns = iter(entries)
-    return DataArray(int(obj["n"]), int(obj["r"]), tuple(
+    return DataArray(_integer(obj["n"], "n"), _integer(obj["r"], "r"), tuple(
         tuple(MeroVector(tuple(next(fns) for _ in vec)) for vec in col) for col in columns))
 
 
@@ -130,7 +136,7 @@ def _complex_from_pairs(pairs: np.ndarray) -> np.ndarray:
 
 def _matrices_from_json(objs) -> np.ndarray:
     """Matrix objects of one shape decoded at once into a (len(objs), rows, cols) array."""
-    shapes = {tuple(int(x) for x in m["shape"]) for m in objs}
+    shapes = {tuple(_integer(x, "shape") for x in m["shape"]) for m in objs}
     if len(shapes) != 1:
         raise BadShape("a stack needs matrices of one shape")
     (rows, cols), = shapes
@@ -172,7 +178,7 @@ def chain_to_json(pis: np.ndarray) -> dict:
 @_decoder
 def chain_from_json(obj) -> tuple[np.ndarray, np.ndarray]:
     """The chain (pis, perps), each (r, n, n), with perp = I - pi."""
-    n = int(obj["n"])
+    n = _integer(obj["n"], "n")
     mats = obj["projections"]
     pis = _matrices_from_json(mats) if mats else np.zeros((0, n, n), np.complex128)
     if pis.shape[1:] != (n, n):
@@ -201,7 +207,7 @@ def loop_fibers_from_json(obj) -> tuple[list[complex], LoopPoly]:
     fiber's coefficients decoded at once and held to the file's n and r."""
     from .grassmannian import LoopPoly  # the Grassmannian model loads only where it runs
 
-    n, r, fibers = int(obj["n"]), int(obj["r"]), obj["fibers"]
+    n, r, fibers = _integer(obj["n"], "n"), _integer(obj["r"], "r"), obj["fibers"]
     if not fibers:
         raise BadShape("a loop-fiber file needs at least one fiber: no fiber is no evidence")
     coeffs = _matrices_from_json([t for fib in fibers for t in fib["coeffs"]])

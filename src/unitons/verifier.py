@@ -27,6 +27,7 @@ from .builder import (
     chain_arrays,
     extended_coefficients,
     extended_product,
+    prefix_products,
     reality_defect,
 )
 from .errors import BadShape
@@ -73,9 +74,8 @@ def _stencil(z, h: float) -> np.ndarray:
 
 
 def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
-    # f once per distinct point (exact float equality), stacked on points' axes
-    uniq, inverse = np.unique(points, return_inverse=True)
-    return np.array([f(w) for w in uniq.tolist()])[inverse.reshape(points.shape)]
+    vals = np.array([f(w) for w in points.ravel().tolist()])
+    return vals.reshape(points.shape + vals.shape[1:])
 
 
 def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
@@ -87,11 +87,10 @@ def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
         return source, np.eye(source.pis.shape[-1], dtype=np.complex128)
     if isinstance(source, DataArray):
         source = HarmonicMapSampler(source)
-    uniq, inverse = np.unique(points, return_inverse=True)
-    batch = chain_arrays(source.data, uniq)
+    batch = chain_arrays(source.data, points.ravel())
     if batch.ambiguous.any():
         batch.at(int(batch.ambiguous.argmax()))
-    return batch.take(inverse.reshape(points.shape)), source.phi0
+    return batch.take(np.arange(points.size).reshape(points.shape)), source.phi0
 
 
 def _wirtinger(f: np.ndarray, h: float):
@@ -149,7 +148,7 @@ def harmonicity_residual(source, z, conn: Optional[ConnectionFiber] = None):
     phi_zzbar = Laplacian(phi) / 4: 4th-order first and second differences
     of the maps on the 9-point stencil of z.  ``source`` is a DataArray or
     HarmonicMapSampler, whose chains there come from one kernel call; a map
-    callable, called once per distinct stencil point; or the maps there,
+    callable, called once per stencil point; or the maps there,
     (9,) + z.shape + (n, n), whose connection ``conn`` may be passed in.
     z is a point or an array of points; the residual has z's shape.
     """
@@ -202,15 +201,8 @@ def extended_checks(sampler, z, conn: Optional[ConnectionFiber] = None) -> dict:
 
 
 def _prefix_maps(chains: ChainBatch, phi0: np.ndarray) -> np.ndarray:
-    """phi_0 .. phi_r on axis -3, phi_ell = phi_{ell-1} (pi_ell - pi_ell_perp): the
-    steps of one ``extended_product`` call, so phi_ell is bit for bit its call on
-    the first ell steps."""
-    factors = chains.pis + -1 * chains.perps  # extended_product's factors at lambda = -1
-    out, prefix = phi0, [np.broadcast_to(phi0, factors.shape[:-3] + phi0.shape)]
-    for ell in range(factors.shape[-3]):
-        out = out @ factors[..., ell, :, :]
-        prefix.append(out)
-    return np.stack(prefix, axis=-3)
+    """phi_0 .. phi_r on axis -3, ``prefix_products`` at lambda = -1: phi_ell is ``extended_product`` on ell steps."""
+    return np.stack(list(prefix_products(chains.pis, chains.perps, -1, phi0)), axis=-3)
 
 
 def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] = None) -> dict:

@@ -180,8 +180,8 @@ def test_criterion_04_covering_and_surjectivity():
             pis, perps = fib.chain.pis, fib.chain.perps
             n = data.n
             for ell in range(2, data.r + 1):
-                moved = image_span(pis[ell - 2] @ fib.alphas[ell - 1].basis)
-                worst = max(worst, span_gap(moved, fib.alphas[ell - 2]))
+                moved = image_span(pis[ell - 2] @ image_span(fib.chain.pis[ell - 1]).basis)
+                worst = max(worst, span_gap(moved, image_span(fib.chain.pis[ell - 2])))
             prod = np.eye(n, dtype=complex)
             for t in range(data.r):
                 prod = perps[t] @ prod
@@ -189,7 +189,7 @@ def test_criterion_04_covering_and_surjectivity():
             prod = np.eye(n, dtype=complex)
             for t in range(data.r):
                 prod = prod @ pis[t]
-                worst = max(worst, span_gap(image_span(prod), fib.alphas[0]))
+                worst = max(worst, span_gap(image_span(prod), image_span(fib.chain.pis[0])))
     _DURATIONS[4] = time.perf_counter() - t0
     ok = worst <= TOL_COVERING
     _record(4, "covering + surjectivity", ok, f"max angle {worst:.2e}")
@@ -316,16 +316,16 @@ def test_criterion_09_grassmannian_detection():
             w = w_from_loop(LoopPoly(sampler.extended_coeffs_at(z)))
             worst_defect = max(worst_defect, q_adapted_check(w, QInvolution.identity(n)).defect)
             for i in range(r - 1):
-                resid = np.linalg.norm(fib.chain.perps[i + 1] @ fib.alphas[i].basis)
+                resid = np.linalg.norm(fib.chain.perps[i + 1] @ image_span(fib.chain.pis[i]).basis)
                 worst_nested = max(worst_nested, np.arcsin(min(1.0, resid)))
             pieces = []
             for k in range((r - 1) // 2 + 1):
                 lo, hi = r - 1 - 2 * k, r - 2 * k
-                hi_basis = fib.alphas[hi - 1].basis
+                hi_basis = image_span(fib.chain.pis[hi - 1]).basis
                 if lo == 0:
                     pieces.append(hi_basis)
                 else:
-                    _, perp = projection_pair(fib.alphas[lo - 1])
+                    _, perp = projection_pair(image_span(fib.chain.pis[lo - 1]))
                     pieces.append(orthonormal_basis(perp @ hi_basis).basis)
             psi = orthonormal_basis(np.hstack(pieces))
             sign = 1 if r % 2 == 1 else -1

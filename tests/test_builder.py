@@ -47,14 +47,14 @@ def test_alpha1_is_span_of_first_row():
     data = random_data(4, 2, 3, sparsity_pattern=(2, 2), seed=1)
     fib = build_fiber(data, Z)
     direct = column_span_at(data.row(0), Z)
-    assert spans_equal(fib.alphas[0], direct)
+    assert spans_equal(image_span(fib.chain.pis[0]), direct)
 
 
 def test_alpha2_layers_match_explicit_formulas():
     # alpha_2^(0) = span{H_0j + perp_1 H_1j}, alpha_2^(1) = span{perp_1 H_0j'}
     data = random_data(5, 2, 3, sparsity_pattern=(2, 2), seed=3)
     fib = build_fiber(data, Z)
-    _, perp1 = projection_pair(fib.alphas[0])
+    _, perp1 = projection_pair(image_span(fib.chain.pis[0]))
     gen = []
     der = []
     for col in data.columns:
@@ -71,7 +71,7 @@ def test_trivial_substitution_case():
     col = (MeroVector((P([1]), P([0, 1]))),)
     data = DataArray(2, 1, (col,))
     fib = build_fiber(data, 0.0)
-    assert spans_equal(fib.alphas[0], orthonormal_basis(np.array([1.0, 0.0])))
+    assert spans_equal(image_span(fib.chain.pis[0]), orthonormal_basis(np.array([1.0, 0.0])))
 
 
 def test_evaluate_map_r0_is_constant():
@@ -102,6 +102,21 @@ def test_map_left_factor_is_phi0_and_never_aliased():
     out = s.prefix_map_at(Z, 0)
     out[:] = 0.0
     assert np.array_equal(s.phi0, q)
+
+
+def test_prefix_map_at_takes_only_ell_in_0_to_r():
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=0)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)) + 1j * np.eye(4))
+    s = HarmonicMapSampler(data, q)
+    for ell in (-1, 4, 7):  # -1 once gave phi_2, and 7 the map
+        with pytest.raises(BadShape, match="0 <= ell <= r"):
+            s.prefix_map_at(Z, ell)
+    cd = s.chain_at(Z)
+    expect = q
+    for ell in range(data.r + 1):
+        assert s.prefix_map_at(Z, ell).tobytes() == expect.tobytes()
+        if ell < data.r:
+            expect = expect @ (cd.pis[ell] + -1 * cd.perps[ell])
 
 
 def test_map_unitary_at_30_points():
@@ -151,8 +166,8 @@ def test_covering_and_prop22():
             fib = build_fiber(data, z)
             pis, perps = fib.chain.pis, fib.chain.perps
             for ell in range(2, data.r + 1):
-                moved = image_span(pis[ell - 2] @ fib.alphas[ell - 1].basis)
-                assert max_principal_angle(moved, fib.alphas[ell - 2]) <= 1e-7
+                moved = image_span(pis[ell - 2] @ image_span(fib.chain.pis[ell - 1]).basis)
+                assert max_principal_angle(moved, image_span(fib.chain.pis[ell - 2])) <= 1e-7
             prod = np.eye(4, dtype=complex)
             for t in range(data.r):
                 prod = perps[t] @ prod
@@ -160,7 +175,7 @@ def test_covering_and_prop22():
             prod = np.eye(4, dtype=complex)
             for t in range(data.r):
                 prod = prod @ pis[t]
-                assert max_principal_angle(image_span(prod), fib.alphas[0]) <= 1e-7
+                assert max_principal_angle(image_span(prod), image_span(fib.chain.pis[0])) <= 1e-7
 
 
 def test_column_augmentation_invariance():
@@ -200,7 +215,7 @@ def test_single_row_data_gives_associated_curves():
         fib = build_fiber(data, z)
         for i in range(3):
             h_i, _ = associated_and_gauss((h_vec,), i, z)
-            assert max_principal_angle(fib.alphas[i], h_i) <= 1e-8
+            assert max_principal_angle(image_span(fib.chain.pis[i]), h_i) <= 1e-8
 
 
 def test_s1_invariant_shapes_and_nesting():
@@ -215,7 +230,7 @@ def test_s1_invariant_shapes_and_nesting():
     for z in draw_sample_points(data, 10, seed=12):
         fib = build_fiber(data, z)
         for i in range(data.r - 1):
-            resid = np.linalg.norm(fib.chain.perps[i + 1] @ fib.alphas[i].basis)
+            resid = np.linalg.norm(fib.chain.perps[i + 1] @ image_span(fib.chain.pis[i]).basis)
             assert resid <= 1e-7
 
 
@@ -230,11 +245,11 @@ def test_s1_nested_grassmann_decomposition():
             pieces = []
             for k in range((r - 1) // 2 + 1):
                 lo, hi = r - 1 - 2 * k, r - 2 * k
-                hi_basis = fib.alphas[hi - 1].basis
+                hi_basis = image_span(fib.chain.pis[hi - 1]).basis
                 if lo == 0:
                     pieces.append(hi_basis)
                 else:
-                    _, perp = projection_pair(fib.alphas[lo - 1])
+                    _, perp = projection_pair(image_span(fib.chain.pis[lo - 1]))
                     pieces.append(orthonormal_basis(perp @ hi_basis).basis)
             psi = orthonormal_basis(np.hstack(pieces))
             sign = 1 if r % 2 == 1 else -1
@@ -438,31 +453,6 @@ def test_dense_chains_are_the_full_column_kernel_bit_for_bit():
     full = _full_column_chain(data, zs)
     for got, want in zip((batch.pis, batch.perps, batch.ranks, batch.kvecs), full):
         assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("data", [
-    random_data(4, 3, 2, seed=3),
-    random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3),
-    s1_invariant_data(5, (1, 2, 4), 2, seed=1),
-], ids=["dense", "echelon", "s1"])
-def test_step_bases_rerun_the_kernel_svd_bit_for_bit(data):
-    # a basis recomputed from a chain's K-vectors is the one its projector was
-    # formed from: basis basis^* is pi_i bit for bit, in a batch and at one point
-    from unitons.kernels import step_svd
-
-    zs = list(np.random.default_rng(6).uniform(-1.4, 1.4, (8, 2)) @ [1, 1j])
-    batch = chain_arrays(data, zs)
-    for i in range(data.r):
-        basis, _, rank = step_svd(batch.kvecs, i)
-        assert np.array_equal(rank, batch.ranks[:, i])
-        assert (basis @ basis.conj().swapaxes(-1, -2)).tobytes() == batch.pis[:, i].tobytes()
-    for z in zs[:3]:
-        fib = build_fiber(data, z)
-        assert "alphas" not in vars(fib)  # formed on first read, not by the build
-        for i, alpha in enumerate(fib.alphas):
-            basis = step_svd(fib.chain.kvecs, i)[0]
-            assert (basis @ basis.conj().T).tobytes() == fib.chain.pis[i].tobytes()
-            assert alpha.basis.tobytes() == basis[:, : fib.chain.ranks[i]].tobytes()
 
 
 def test_fullness_flag():

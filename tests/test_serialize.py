@@ -326,3 +326,72 @@ def test_written_file_is_the_dumps_text_byte_for_byte(command, tmp_path, capsys)
     text = capsys.readouterr().out  # serialize.dumps of the report
     assert cli.main(argv + ["--output", str(out)]) == 0
     assert out.read_bytes() == text.encode()
+
+
+
+def _data_file():
+    return serialize.data_to_json(random_data(3, 2, 2, sparsity_pattern=(1, 1), seed=1))
+
+
+def _loop_file():
+    return serialize.loop_fibers_to_json(2, 1, [(0.1, LoopPoly(np.stack([np.eye(2), np.zeros((2, 2))])))])
+
+
+def _chain_file():
+    return serialize.chain_to_json(np.diag([1.0, 0.0]).astype(complex)[None])
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _set(obj, path, value):
+    _get(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+_HEADER_INTEGERS = [
+    (serialize.data_from_json, _data_file, ("n",)),
+    (serialize.data_from_json, _data_file, ("r",)),
+    (serialize.chain_from_json, _chain_file, ("n",)),
+    (serialize.chain_from_json, _chain_file, ("projections", 0, "shape", 1)),
+    (serialize.loop_fibers_from_json, _loop_file, ("n",)),
+    (serialize.loop_fibers_from_json, _loop_file, ("r",)),
+    (serialize.loop_fibers_from_json, _loop_file, ("fibers", 0, "coeffs", 0, "shape", 0)),
+    (serialize.matrix_from_json, lambda: serialize.matrix_to_json(np.eye(2)), ("shape", 0)),
+]
+
+
+@pytest.mark.parametrize("decode, make, path", _HEADER_INTEGERS,
+                         ids=[f"{d.__name__}-{'.'.join(map(str, p))}" for d, _, p in _HEADER_INTEGERS])
+@pytest.mark.parametrize("bad", ["float", "fraction", "string", "bool"])
+def test_header_integers_must_be_json_integers(decode, make, path, bad):
+    # "n": 4.7 or "n": "4" once read as 4: only a JSON integer is read as one
+    decode(make())
+    value = _get(make(), path)
+    wrong = {"float": float(value), "fraction": value + 0.7, "string": str(value), "bool": bool(value)}[bad]
+    with pytest.raises(BadShape, match="must be a JSON integer"):
+        decode(_set(make(), path, wrong))
+
+
+@pytest.mark.parametrize("command, make", [("verify", _data_file), ("factorize", _data_file), ("factorize", _loop_file)],
+                         ids=["verify", "factorize-data", "factorize-loops"])
+def test_cli_exits_2_on_a_non_integer_header(command, make, tmp_path, capsys):
+    from unitons import cli
+
+    path = tmp_path / "bad.json"
+    for value in (str(make()["r"]), make()["r"] + 0.9):
+        path.write_text(serialize.dumps(_set(make(), ("r",), value)))
+        assert cli.main([command, "--input", str(path)]) == 2
+        assert "must be a JSON integer" in capsys.readouterr().err
+
+
+def test_written_headers_still_decode_and_rewrite_byte_for_byte():
+    data, loops, chain = (serialize.dumps(make()) for make in (_data_file, _loop_file, _chain_file))
+    assert serialize.dumps(serialize.data_to_json(serialize.data_from_json(json.loads(data)))) == data
+    zs, stack = serialize.loop_fibers_from_json(json.loads(loops))
+    fibers = [(z, LoopPoly(c)) for z, c in zip(zs, stack.coeffs)]
+    assert serialize.dumps(serialize.loop_fibers_to_json(stack.n, stack.degree, fibers)) == loops
+    assert serialize.dumps(serialize.chain_to_json(serialize.chain_from_json(json.loads(chain))[0])) == chain
