@@ -7,7 +7,9 @@ product of Cartan factors phi_0 (pi_1 - pi_1_perp) ... (pi_r - pi_r_perp).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -92,6 +94,11 @@ class ChainBatch(NamedTuple):
         return ChainBatch(*(field[index] for field in self))
 
 
+# the last _draw's data columns, {point: index} of its accepted points, and their
+# chains (a view of the draw's batch); r >= 1 data owns its columns tuple
+_last_draw: tuple = (None, {}, None)
+
+
 def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     """Evaluate the data at every point of zs and build the chains (hot path).
 
@@ -99,7 +106,9 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     columns only (see ``_tables``), and ``kvecs`` stays on the table's slots:
     a dead column spans nothing and has no K-vectors.  A point where the
     table's values overflow (far from the origin) is flagged ``ambiguous``
-    and gets the chain of zero values, with no warning.
+    and gets the chain of zero values, with no warning.  A one-point call at
+    a point the last draw accepted on this data object gets a fresh copy of
+    the chain the draw built there, bit for bit the one-point build's chain.
     """
     n, r, P = data.n, data.r, len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)
@@ -107,6 +116,8 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
         empty = np.zeros((P, 0, n, n), np.complex128)
         none = np.zeros((P, 0), np.int64)
         return ChainBatch(zs, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), np.zeros(P, bool))
+    if P == 1 and data.columns is _last_draw[0] and (p := _last_draw[1].get(complex(zs[0]))) is not None:
+        return _last_draw[2].take([p])
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _live_values(n, r, data.columns, zs)[1]
     unfit = np.zeros(P, bool)
@@ -178,6 +189,7 @@ class HarmonicMapSampler:
 
     def prefix_map_at(self, z: complex, ell: int) -> np.ndarray:
         """phi_ell = phi_0 (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp), 0 <= ell <= r."""
+        ell = _integer(ell, "ell")
         if not 0 <= ell <= self.r:
             raise BadShape(f"need 0 <= ell <= r = {self.r}, got ell={ell}")
         cd = self.chain_at(z)
@@ -256,6 +268,14 @@ def s1_invariant_data(
                                  for row, vec in zip(rows, _polynomial_vectors(coeffs))))
 
 
+def _integer(value, name: str) -> int:
+    """An integer argument (np.int64 too); a bool or a float is malformed."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise BadShape(f"{name} must be an integer, got {value!r}")
+
+
 def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Optional[float] = None) -> list[complex]:
     """Generic points in |z| <= 2: points with unambiguous ranks.
 
@@ -271,6 +291,8 @@ def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Op
 def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) -> tuple[list[complex], ChainBatch]:
     """draw_sample_points' points, and the chains its kernel calls built on
     their stencils: (9, count), or (1, count) without stencil_h; row 0 holds the points."""
+    global _last_draw
+    count = _integer(count, "count")
     if count < 0:
         raise BadShape("count must be >= 0")
     rng = np.random.default_rng(seed)
@@ -303,7 +325,9 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
                     )
         accepted.append(batch.take((slice(None), taken)))
         if len(points) == count:
-            return points, ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
+            batch = ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
+            _last_draw = (data.columns, dict(zip(points, range(count))), batch.take(0))
+            return points, batch
 
 
 def alpha1_is_full(data: DataArray, seed: int = 1234) -> bool:

@@ -165,28 +165,36 @@ def vectors_from_json(obj, n: int) -> np.ndarray:
     return _complex_from_pairs(pairs).T
 
 
+def _ranks(pis: np.ndarray) -> list[int]:
+    return np.rint(np.trace(pis, axis1=-2, axis2=-1).real).astype(int).tolist()
+
+
 def chain_to_json(pis: np.ndarray) -> dict:
     """The chain's projections pi_1..pi_r, (r, n, n), with their ranks."""
     return {
         "n": pis.shape[-1],
         "r": len(pis),
-        "ranks": np.rint(np.trace(pis, axis1=-2, axis2=-1).real).astype(int).tolist(),
+        "ranks": _ranks(pis),
         "projections": matrices_to_json(pis),
     }
 
 
 @_decoder
 def chain_from_json(obj) -> tuple[np.ndarray, np.ndarray]:
-    """The chain (pis, perps), each (r, n, n), with perp = I - pi."""
-    n = _integer(obj["n"], "n")
+    """The chain (pis, perps), each (r, n, n), with perp = I - pi; the header's
+    r must count the projections and its ranks must be their traces."""
+    n, r = _integer(obj["n"], "n"), _integer(obj["r"], "r")
+    ranks = [_integer(k, "rank") for k in obj["ranks"]]
     mats = obj["projections"]
     pis = _matrices_from_json(mats) if mats else np.zeros((0, n, n), np.complex128)
-    if pis.shape[1:] != (n, n):
-        raise BadShape("projections must be n x n")
+    if pis.shape != (r, n, n):
+        raise BadShape(f"projections must be r = {r} matrices, n x n with n = {n}")
     # a Hermitian idempotent pi makes I - pi one too, and the pair sums to I
     idem = np.abs(pis @ pis - pis).max(initial=0.0)
     if max(idem, np.abs(pis - pis.conj().swapaxes(-1, -2)).max(initial=0.0)) > PROJECTOR_TOL:
         raise BadShape("not a Hermitian idempotent")
+    if ranks != _ranks(pis):
+        raise BadShape(f"ranks {ranks} are not the projections' traces")
     return pis, np.eye(n, dtype=np.complex128) - pis
 
 

@@ -19,6 +19,7 @@ from unitons import (
     random_data,
     s1_invariant_data,
 )
+from unitons import kernels
 from unitons.builder import chain_arrays, extended_coefficients, extended_product
 from unitons.grassmannian import reality_defect
 from oracles import (
@@ -111,6 +112,10 @@ def test_prefix_map_at_takes_only_ell_in_0_to_r():
     for ell in (-1, 4, 7):  # -1 once gave phi_2, and 7 the map
         with pytest.raises(BadShape, match="0 <= ell <= r"):
             s.prefix_map_at(Z, ell)
+    for ell in (1.5, 1.0, True, False, "1", None):  # 1.5 once failed in the slice, True was read as 1
+        with pytest.raises(BadShape, match="ell must be an integer"):
+            s.prefix_map_at(Z, ell)
+    assert s.prefix_map_at(Z, np.int64(2)).tobytes() == s.prefix_map_at(Z, 2).tobytes()
     cd = s.chain_at(Z)
     expect = q
     for ell in range(data.r + 1):
@@ -312,6 +317,10 @@ def test_sample_points_need_no_clearance_from_poles():
 def test_sample_points_deterministic():
     data = random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=0)
     assert draw_sample_points(data, 5, seed=4) == draw_sample_points(data, 5, seed=4)
+    assert draw_sample_points(data, np.int64(5), seed=4) == draw_sample_points(data, 5, seed=4)
+    for count in (2.5, 2.0, True, False, "2", None):  # 2.5 once raised TypeError, True drew 1 point
+        with pytest.raises(BadShape, match="count must be an integer"):
+            draw_sample_points(data, count)
 
 
 def test_sample_points_pinned():
@@ -542,3 +551,107 @@ def test_a_point_whose_values_overflow_names_both_causes():
     assert chain_arrays(data, [1e200]).ambiguous.tolist() == [True]
     with pytest.raises(DegeneratePoint, match="ambiguous rank decision or data values not finite at z=.1e.200"):
         build_fiber(data, 1e200)
+
+
+SERVED_SHAPES = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1))]
+
+
+def _counted_builds(monkeypatch):
+    calls, build_chain = [], kernels.build_chain
+    monkeypatch.setattr(kernels, "build_chain", lambda hvals: calls.append(len(hvals)) or build_chain(hvals))
+    return calls
+
+
+def _one_point_values(data, q, z):
+    s = HarmonicMapSampler(data, q)
+    fib = build_fiber(data, z)
+    return ([fib.chain.pis, fib.chain.perps, fib.chain.kvecs, fib.chain.ranks, s.map_at(z),
+             evaluate_map(s, z), s.extended_coeffs_at(z)] + [s.prefix_map_at(z, ell) for ell in range(data.r + 1)])
+
+
+@pytest.mark.parametrize("n, r, pattern", SERVED_SHAPES, ids=[f"{n}-{r}" for n, r, _ in SERVED_SHAPES])
+def test_one_point_builds_at_drawn_points_are_served_bit_for_bit(n, r, pattern, monkeypatch):
+    # the draw's kernel call serves every one-point build at its points; an equal
+    # DataArray built apart is another data object, so its builds are misses
+    from unitons.serialize import data_from_json, data_to_json
+
+    data = random_data(n, r, 3, sparsity_pattern=pattern, seed=4)
+    apart = data_from_json(data_to_json(data))
+    q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((n, n)) + 1j * np.eye(n))
+    calls = _counted_builds(monkeypatch)
+    for z in draw_sample_points(data, 12, seed=6):
+        del calls[:]
+        served = _one_point_values(data, q, z)
+        assert calls == []
+        missed = _one_point_values(apart, q, z)
+        assert calls == [1] * (r + 5)
+        for got, want in zip(served, missed, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_served_chain_is_a_fresh_copy():
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=0)
+    z = draw_sample_points(data, 3, seed=2)[1]
+    first = chain_arrays(data, [z])
+    want = [field.copy() for field in first]
+    for field in first:
+        field[...] = 0
+    build_fiber(data, z).chain.pis[...] = 7.0
+    assert all(np.array_equal(got, w) for got, w in zip(chain_arrays(data, [z]), want, strict=True))
+
+
+def test_undrawn_points_other_data_and_earlier_draws_are_misses(monkeypatch):
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=0)
+    equal = DataArray(data.n, data.r, data.columns)
+    assert equal == data and equal.columns is not data.columns
+    earlier = draw_sample_points(data, 4, seed=1)
+    later = draw_sample_points(data, 4, seed=2)
+    calls = _counted_builds(monkeypatch)
+    build_fiber(data, later[0])
+    assert calls == []
+    for source, z in ((data, Z), (data, earlier[0]), (equal, later[0])):
+        build_fiber(source, z)
+        assert calls == [1]
+        del calls[:]
+    chain_arrays(data, later[:2])  # a batch of drawn points is built
+    assert calls == [2]
+
+
+def test_the_slot_holds_the_last_draw_only():
+    from unitons import builder
+
+    draws = []
+    for seed in range(50):
+        data = random_data(3, 2, 2, sparsity_pattern=(1, 1), seed=seed)
+        draws.append((data, draw_sample_points(data, 3, seed=seed)))
+    columns, index, row = builder._last_draw
+    data, points = draws[-1]
+    assert columns is data.columns and list(index) == points and row.zs.tolist() == points
+    assert all(builder._last_draw[1].keys().isdisjoint(pts) for _, pts in draws[:-1])
+
+
+def test_served_builds_make_no_kernel_call(monkeypatch):
+    # counts repeat exactly for fixed seeds: the one-point builds at drawn points
+    # add no call to the draws' own
+    from unitons.verifier import harmonicity_residual
+
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3)
+    calls = _counted_builds(monkeypatch)
+    draw_sample_points(data, 12)
+    full = alpha1_is_full(data)
+    alone = len(calls)
+    del calls[:]
+    fibers = [build_fiber(data, z) for z in draw_sample_points(data, 12)]
+    assert all(f.proper for f in fibers) and alpha1_is_full(data) == full
+    assert len(calls) == alone
+    del calls[:]
+    draw_sample_points(data, 20, seed=3)
+    alone = len(calls)
+    del calls[:]
+    sampler = HarmonicMapSampler(data)
+    for z in draw_sample_points(data, 20, seed=3):
+        sampler.extended_coeffs_at(z)
+    assert len(calls) == alone
+    del calls[:]
+    assert harmonicity_residual(sampler, z) < 1e-5  # a stencil at a drawn point is one 9-point build
+    assert calls == [9]

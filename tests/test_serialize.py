@@ -223,6 +223,26 @@ def test_chain_from_json_rejects_bad_projections():
         serialize.chain_from_json({**good, "n": 3})
 
 
+def test_chain_from_json_holds_r_and_ranks_to_the_projections():
+    pis = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0]), np.eye(3)]).astype(complex)
+    good = serialize.chain_to_json(pis)
+    assert (good["r"], good["ranks"]) == (3, [1, 2, 3])
+    assert np.array_equal(serialize.chain_from_json(good)[0], pis)
+    empty = serialize.chain_to_json(np.zeros((0, 3, 3), complex))
+    assert serialize.chain_from_json(empty)[0].shape == (0, 3, 3)
+    # "r": 7, "ranks": [2] over one rank-1 projection once decoded to a (1, 2, 2) stack
+    one = serialize.chain_to_json(np.diag([1.0, 0.0]).astype(complex)[None])
+    for header in ({"r": 7, "ranks": [2]}, {"r": 7}, {"r": 0}, {"ranks": [2]}, {"ranks": [0]}, {"ranks": []},
+                   {"ranks": [1, 1]}):
+        with pytest.raises(BadShape):
+            serialize.chain_from_json({**one, **header})
+    for header in ({"r": 2}, {"ranks": [1, 2, 2]}, {"ranks": [1, 2]}):
+        with pytest.raises(BadShape):
+            serialize.chain_from_json({**good, **header})
+    with pytest.raises(BadShape):
+        serialize.chain_from_json({**empty, "r": 1})
+
+
 def _rational_denominators():
     # the echelon (4, 3, (1, 1, 2)) data with rational entries, signed zeros and
     # non-integer coefficients in its live columns
@@ -356,6 +376,8 @@ _HEADER_INTEGERS = [
     (serialize.data_from_json, _data_file, ("n",)),
     (serialize.data_from_json, _data_file, ("r",)),
     (serialize.chain_from_json, _chain_file, ("n",)),
+    (serialize.chain_from_json, _chain_file, ("r",)),
+    (serialize.chain_from_json, _chain_file, ("ranks", 0)),
     (serialize.chain_from_json, _chain_file, ("projections", 0, "shape", 1)),
     (serialize.loop_fibers_from_json, _loop_file, ("n",)),
     (serialize.loop_fibers_from_json, _loop_file, ("r",)),
