@@ -1,16 +1,23 @@
 """Hot numeric kernels in vectorized numpy: table evaluation and chain building.
 
 Both kernels take a leading point axis: each point's chain depends on that
-point alone, so one call serves a whole grid row or finite-difference stencil.
+point alone, so one call serves a whole grid row or finite-difference stencil,
+and a large batch's chains are built in contiguous chunks on every CPU the
+process may use, bit for bit as one chunk would build them.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
 from .projections import RANK_TOL, masked_basis, pascal_step
 
 BACKEND = "numpy"
+SPLIT_POINTS = 64  # fewest points per chunk: on fewer a thread costs more than it saves
 
 
 def eval_table(coeffs, zs):
@@ -34,13 +41,57 @@ def build_chain(hvals):
     so each point's SVD basis is masked to its own rank; it is not returned,
     the projector pi_i holds the step.  ``status`` (P,) is 1 where a singular
     value lies within a decade of the rank threshold (ambiguous rank).
+
+    The points are split into k = min(usable CPUs, P // SPLIT_POINTS)
+    contiguous chunks, or one when that is below 2: the caller's thread
+    builds the first and k - 1 threads the rest, each into its slices of the
+    outputs, since the stacked SVDs that dominate the kernel run in LAPACK
+    without the interpreter lock.  Every thread is joined before the call
+    returns or raises, and the first failing chunk's exception is raised, as
+    the one-chunk build would raise it.
     """
     P, r, _, J, n = hvals.shape
-    pis = np.zeros((P, r, n, n), np.complex128)
-    perps = np.zeros_like(pis)
-    kvecs = np.zeros((P, r, r, J, n), np.complex128)
-    ranks = np.zeros((P, r), np.int64)
-    status = np.zeros(P, np.int64)
+    out = (
+        np.zeros((P, r, n, n), np.complex128),  # pis
+        np.zeros((P, r, n, n), np.complex128),  # perps
+        np.zeros((P, r), np.int64),  # ranks
+        np.zeros((P, r, r, J, n), np.complex128),  # kvecs
+        np.zeros(P, np.int64),  # status
+    )
+    k = P // SPLIT_POINTS
+    if k >= 2:
+        k = min(k, len(os.sched_getaffinity(0)))
+    if k < 2:
+        _build_chunk(hvals, *out)
+        return out
+    cuts = [c * P // k for c in range(k + 1)]
+    chunks = [(hvals[a:b], *(o[a:b] for o in out)) for a, b in zip(cuts, cuts[1:])]
+    errors = [None] * k
+
+    def build(c):
+        try:
+            _build_chunk(*chunks[c])
+        except Exception as exc:  # raised in the caller's thread once every worker is joined
+            errors[c] = exc
+
+    # each worker runs in a copy of the caller's context, so under the caller's np.errstate
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(build, c)) for c in range(1, k)]
+    for w in workers:
+        w.start()
+    try:
+        _build_chunk(*chunks[0])
+    finally:
+        for w in workers:
+            w.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
+
+
+def _build_chunk(hvals, pis, perps, ranks, kvecs, status):
+    """``build_chain`` on one chunk of points, written into its output slices."""
+    P, r, _, J, n = hvals.shape
     eye = np.eye(n, dtype=np.complex128)
     C = np.zeros((P, r, n, n), np.complex128)  # C^i_s for s < r: the last step's C is never read
     C[:, :1] = eye
@@ -56,4 +107,3 @@ def build_chain(hvals):
         ranks[:, i] = rank
         if i + 1 < r:
             pascal_step(C, perps[:, i], i + 1)
-    return pis, perps, ranks, kvecs, status

@@ -40,6 +40,23 @@ def _decoder(decode):
     return checked
 
 
+# null is orjson's non-finite float, left to the finiteness check; np.float64
+# is a matrices_to_json row entry, decoded in process
+_NUMBER_TYPES = frozenset({int, float, type(None), np.float64})
+
+
+def _floats(nested, ndim: int) -> np.ndarray:
+    """Lists of JSON numbers nested ndim deep as one float64 array.  numpy
+    would read true as 1 and "1" as 1, so a bool or a string in a number's
+    place is malformed."""
+    leaves = nested
+    for _ in range(ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not _NUMBER_TYPES.issuperset(map(type, leaves)):
+        raise BadShape("complex values must be [re, im] pairs of JSON numbers")
+    return np.array(nested, np.float64)
+
+
 def _integer(value, name: str) -> int:
     if type(value) is not int:  # a float, a string or a bool of the same value is malformed
         raise BadShape(f"{name} must be a JSON integer, got {value!r}")
@@ -55,7 +72,7 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise BadShape("complex values must be [re, im] pairs")
-    re, im = float(pair[0]), float(pair[1])
+    re, im = _floats(pair, 1).tolist()
     if not (math.isfinite(re) and math.isfinite(im)):
         raise BadShape("complex values must be finite")
     return complex(re, im)
@@ -84,7 +101,7 @@ def data_from_json(obj) -> DataArray:
     columns = obj["columns"]
     coeffs = [part for col in columns for vec in col for f in vec for part in (f["num"], f["den"])]
     flat = [pair for part in coeffs for pair in part]
-    pairs = np.array(flat or np.zeros((0, 2)), np.float64)
+    pairs = _floats(flat, 2) if flat else np.zeros((0, 2))
     if pairs.shape != (len(flat), 2):
         raise BadShape("complex values must be [re, im] pairs")
     values = _complex_from_pairs(pairs)
@@ -140,7 +157,7 @@ def _matrices_from_json(objs) -> np.ndarray:
     if len(shapes) != 1:
         raise BadShape("a stack needs matrices of one shape")
     (rows, cols), = shapes
-    pairs = np.array([m["data"] for m in objs], np.float64)
+    pairs = _floats([m["data"] for m in objs], 3)
     if pairs.shape == (len(objs), 0):  # every matrix is empty
         pairs = pairs.reshape(len(objs), 0, 2)
     if pairs.shape != (len(objs), rows * cols, 2):
@@ -159,7 +176,7 @@ def vectors_from_json(obj, n: int) -> np.ndarray:
     into the columns of an (n, k) matrix."""
     if not isinstance(obj, list) or not obj:
         raise BadShape("expected a non-empty list of vectors")
-    pairs = np.array(obj, np.float64)
+    pairs = _floats(obj, 3)
     if pairs.shape != (len(obj), n, 2):
         raise BadShape(f"each vector must be {n} [re, im] pairs")
     return _complex_from_pairs(pairs).T

@@ -589,10 +589,16 @@ def _set(path, value):
     ("verify", _set(("columns", 0, 0, 0), [[1.0, 0.0]])),
     ("verify", _set(("n",), None)),
     ("verify", lambda obj: [obj]),
+    ("verify", _set(("columns", 0, 0, 0, "den", 0), [True, False])),
+    ("verify", _set(("columns", 0, 0, 0, "den", 0), ["1", "0"])),
     ("factorize", _set(("fibers", 0, "coeffs", 0, "data", 0, 0), None)),
     ("factorize", lambda obj: 5),
+    ("factorize", _set(("fibers", 0, "coeffs", 0, "data", 0), [True, 0.0])),
+    ("factorize", _set(("fibers", 0, "coeffs", 0, "data", 0), ["1", 0.0])),
+    ("factorize", _set(("fibers", 0, "z"), [0.5, "0"])),
 ], ids=["null-coefficient", "columns-number", "column-number", "entry-list", "n-null", "top-level-array",
-        "loop-null-entry", "loop-top-level-number"])
+        "bool-coefficient", "string-coefficient", "loop-null-entry", "loop-top-level-number", "loop-bool-entry",
+        "loop-string-entry", "loop-string-z"])
 def test_malformed_json_exits_2(tmp_path, capsys, command, mutate):
     # wrong JSON types are parse errors: exit 2 with one message, no traceback
     data = random_data(3, 2, 3, sparsity_pattern=(1, 1), seed=2)
@@ -619,7 +625,9 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, mutate):
     [[[1, 0], [0, 0], [0, 0]], [[1, 0]]],
     [[[float("nan"), 0], [0, 0], [0, 0]]],
     [[[1, 0], [float("inf"), 0], [0, 0]]],
-], ids=["null", "number", "short-vector", "empty", "ragged", "nan", "inf"])
+    [[[True, 0], [0, 0], [0, 0]]],
+    [[["1", "0"], [0, 0], [0, 0]]],
+], ids=["null", "number", "short-vector", "empty", "ragged", "nan", "inf", "bool", "numeric-string"])
 def test_malformed_q_span_exits_2(tmp_path, capsys, q_span):
     # the q-span file is parsed before any sample point: exit 2 with one message
     data_file, q_file = tmp_path / "d.json", tmp_path / "q.json"

@@ -1,0 +1,129 @@
+"""The chain kernel's point split: a batch of P points is built in
+min(usable CPUs, P // SPLIT_POINTS) contiguous chunks, each but the first on
+its own thread, bit for bit as one chunk builds it, and no thread outlives
+the call."""
+
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from unitons import DataArray, MeroVector, cli, kernels, random_data, s1_invariant_data, serialize
+from unitons.builder import _live_values
+
+SHAPES = {
+    "echelon": random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3),
+    "s1": s1_invariant_data(4, (1, 1, 1), 3, seed=2),
+    "dense": random_data(4, 3, 3, seed=1),
+    "all-dead": DataArray(4, 2, tuple((MeroVector.zero(4), MeroVector.zero(4)) for _ in range(3))),
+}
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _kernel_input(data, P, seed=0):
+    """The kernel's derivative table at P random points, every 37th row
+    zeroed as `chain_arrays` zeroes the rows of points whose values overflow."""
+    zs = np.random.default_rng(seed).uniform(-1.5, 1.5, (P, 2)) @ [1, 1j]
+    vals = _live_values(data.n, data.r, data.columns, zs)[1]
+    vals[::37] = 0.0
+    return vals
+
+
+def _counted_starts(monkeypatch):
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    return starts
+
+
+def _assert_same_bits(whole, split):
+    for a, b in zip(whole, split, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("P", [127, 128, 129, 256, 257])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_split_batch_is_the_one_chunk_build_bit_for_bit(shape, P, monkeypatch):
+    vals = _kernel_input(SHAPES[shape], P)
+    _cpus(monkeypatch, 1)
+    whole = kernels.build_chain(vals)
+    _cpus(monkeypatch, 4)  # 256 points make 4 chunks, more threads than this machine may have cores
+    starts = _counted_starts(monkeypatch)
+    split = kernels.build_chain(vals)
+    assert len(starts) == min(4, P // kernels.SPLIT_POINTS) - 1
+    assert not any(s.is_alive() for s in starts)
+    _assert_same_bits(whole, split)
+
+
+def test_many_chunks_under_rapid_switching_are_the_one_chunk_build(monkeypatch):
+    vals = _kernel_input(SHAPES["echelon"], 10 * kernels.SPLIT_POINTS + 3, seed=1)
+    _cpus(monkeypatch, 1)
+    whole = kernels.build_chain(vals)
+    _cpus(monkeypatch, 10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = kernels.build_chain(vals)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_bits(whole, split)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_chunk_raises_only_after_every_join(failing, monkeypatch):
+    vals = _kernel_input(SHAPES["dense"], 2 * kernels.SPLIT_POINTS)
+    svd, calls = np.linalg.svd, []
+
+    def failing_svd(mat, *args, **kwargs):
+        calls.append(threading.current_thread())
+        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        kernels.build_chain(vals)
+    assert threading.active_count() == before
+    assert len(set(calls)) == 2  # the second chunk ran on its own thread
+
+
+def test_a_chunk_that_cannot_converge_raises_as_the_serial_build(monkeypatch):
+    vals = _kernel_input(SHAPES["dense"], 2 * kernels.SPLIT_POINTS)
+    vals[-1, 0, 0, 0, 0] = np.nan  # a point of the second chunk
+    raised = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            kernels.build_chain(vals)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+def test_every_chunk_runs_under_the_callers_errstate(monkeypatch):
+    vals = _kernel_input(SHAPES["dense"], 2 * kernels.SPLIT_POINTS)
+    vals[-1] *= 1e-300  # the last point's rank threshold underflows, in the second chunk
+    _cpus(monkeypatch, 2)
+    kernels.build_chain(vals)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        kernels.build_chain(vals)
+
+
+@pytest.mark.parametrize("cpus, sample_threads", [(2, 1), (1, 0)])
+def test_thread_counts_of_verify_and_sample(cpus, sample_threads, tmp_path, monkeypatch):
+    path = tmp_path / "data.json"
+    serialize.write_json(serialize.data_to_json(SHAPES["echelon"]), path)
+    _cpus(monkeypatch, cpus)
+    starts = _counted_starts(monkeypatch)
+    # verify's kernel calls hold 27 points at most (3 samples' 9-point stencils): too few to split
+    assert cli.main(["verify", "--input", str(path), "--samples", "3", "--output", str(tmp_path / "rep.json")]) == 0
+    assert starts == []
+    # a 16 x 16 grid is one 256-point kernel call
+    assert cli.main(["sample", "--input", str(path), "--grid", "16", "--output", str(tmp_path / "grid.json")]) == 0
+    assert len(starts) == sample_threads
+    assert not any(s.is_alive() for s in starts)

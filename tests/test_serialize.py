@@ -243,6 +243,31 @@ def test_chain_from_json_holds_r_and_ranks_to_the_projections():
         serialize.chain_from_json({**empty, "r": 1})
 
 
+@pytest.mark.parametrize("number", [True, False, "1", "0.5", "nan"], ids=["true", "false", "1", "0.5", "nan"])
+def test_a_bool_or_string_is_no_number_in_any_decoder(number):
+    # numpy reads true as 1 and "1" as 1: every decoder of [re, im] pairs refuses them
+    pairs = json.loads(serialize.dumps(serialize.data_to_json(random_data(3, 2, 3, seed=0))))
+    pairs["columns"][1][0][2]["den"][0] = [number, 0.0]
+    chain = json.loads(serialize.dumps(serialize.chain_to_json(np.diag([1.0, 0.0]).astype(complex)[None])))
+    chain["projections"][0]["data"][3] = [0.0, number]
+    loops = serialize.loop_fibers_to_json(1, 0, [(0.5, LoopPoly(np.ones((1, 1, 1), complex)))])
+    loops = json.loads(serialize.dumps(loops))
+    loops["fibers"][0]["coeffs"][0]["data"][0] = [number, 0.0]
+    for decode, obj in (
+        (serialize.data_from_json, pairs),
+        (serialize.chain_from_json, chain),
+        (serialize.loop_fibers_from_json, loops),
+        (serialize.matrix_from_json, {"shape": [1, 1], "data": [[number, 0.0]]}),
+        (lambda obj: serialize.vectors_from_json(obj, 2), [[[1, 0], [number, 0]]]),
+        (serialize.decode_complex, [0.0, number]),
+    ):
+        with pytest.raises(BadShape):
+            decode(obj)
+    # JSON integers are numbers
+    assert serialize.matrix_from_json({"shape": [1, 2], "data": [[1, 0], [0, -2]]}).tolist() == [[1, -2j]]
+    assert serialize.vectors_from_json([[[1, 0], [0, 1]]], 2)[:, 0].tolist() == [1, 1j]
+
+
 def _rational_denominators():
     # the echelon (4, 3, (1, 1, 2)) data with rational entries, signed zeros and
     # non-integer coefficients in its live columns
