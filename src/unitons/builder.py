@@ -27,7 +27,7 @@ from .meromorphic import (
     _random_coefficients,
     polynomial_column,
 )
-from .projections import ORTHONORMAL_TOL, masked_basis
+from .projections import ORTHONORMAL_TOL, factor_products, masked_basis
 
 ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |perp v| > RTOL |v| + ATOL
 STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in steps: the centre, then x and y
@@ -225,19 +225,9 @@ def extended_product(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) 
 
 
 def extended_coefficients(pis: np.ndarray, perps: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients T_0..T_r of (pi_1 + lambda pi_1_perp) ... as an (r+1, n, n)
-    array.  The steps run along axis -3; leading axes broadcast, each chain's
-    coefficients bit-identical to its own call."""
-    lead, r = pis.shape[:-3], pis.shape[-3]
-    T = np.zeros(lead + (r + 1, n, n), np.complex128)
-    T[..., 0, :, :] = np.eye(n)
-    for i in range(r):
-        # T_ell <- T_ell pi_i + T_{ell-1} perp_i, all ell at once (T_{i+1} is still 0), one
-        # product per projector on the coefficients stacked as one ((i+2) n, n) matrix
-        new = T[..., : i + 2, :, :].reshape(lead + (-1, n)) @ pis[..., i, :, :]
-        new[..., n:, :] += T[..., : i + 1, :, :].reshape(lead + (-1, n)) @ perps[..., i, :, :]
-        T[..., : i + 2, :, :] = new.reshape(lead + (i + 2, n, n))
-    return T
+    """Coefficients T_0..T_r, (r+1, n, n), of (pi_1 + lambda pi_1_perp) ... (pi_r + lambda pi_r_perp):
+    ``factor_products`` multiplying on the right, the steps on axis -3, leading axes broadcast."""
+    return factor_products(pis, perps, n, left=False)
 
 
 def reality_defect(coeffs: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .builder import (
     extended_product,
     s1_invariant_data,
 )
-from .errors import DegeneratePoint, UnitonsError
+from .errors import BadShape, DegeneratePoint, UnitonsError
 from .meromorphic import random_data
 from .projections import orthonormal_basis, projector_gap
 from .verifier import verification_report  # loaded with cli, so perfbench's tracer finds it to wrap
@@ -86,7 +86,9 @@ def cmd_generate(args) -> int:
         data = random_data(args.n, args.r, args.max_degree, seed=args.seed)
     elif args.mode == "echelon":
         data = random_data(args.n, args.r, args.max_degree, sparsity_pattern=steps, seed=args.seed)
-    else:  # s1
+    elif len(steps) != args.r:  # s1 takes r from the steps, which must give the --r asked for
+        raise BadShape("sparsity pattern must be r ascending non-negative ranks")
+    else:
         data = s1_invariant_data(args.n, steps, args.max_degree, seed=args.seed)
     _emit(serialize.data_to_json(data), args.output)
     return EXIT_OK

@@ -26,12 +26,12 @@ from .errors import (
 from .meromorphic import MeroVector, RationalFn, polynomial_column
 from .projections import (
     Span,
+    factor_step,
     masked_basis,
     numerical_rank,
     orthonormal_basis,
     projection_pair,
     projector_gap,
-    s_rows,
 )
 
 LAMBDA_TOL = 1e-8     # allowed shift-invariance defect of a W subspace
@@ -197,12 +197,15 @@ def iwasawa_factorize(w: WSubspace) -> tuple[np.ndarray, np.ndarray]:
     r, n, lead = w.r, w.n, w.basis.shape[:-2]
     blocks = w.basis.reshape(lead + (r, n, w.dim))  # P_s W for s = 0..r-1 on axis -3
     pis = np.zeros(lead + (r, n, n), np.complex128)
-    for i in range(1, r + 1):
-        S = s_rows(pis[..., : i - 1, :, :], np.eye(n) - pis[..., : i - 1, :, :], n)  # S^{i-1}_s, s = 0..i-1
-        M = (S @ blocks[..., :i, :, :]).sum(axis=-3)
+    S = np.zeros(lead + (r, n, n), np.complex128)  # S^i_s for s <= i: the last step's S is never read
+    S[..., :1, :, :] = np.eye(n)
+    for i in range(r):
+        M = (S[..., : i + 1, :, :] @ blocks[..., : i + 1, :, :]).sum(axis=-3)
         # rank against the unit operator scale: degenerate steps collapse to 0 or C^n
         basis, _, _ = masked_basis(M, 1.0)
-        pis[..., i - 1, :, :] = basis @ basis.conj().swapaxes(-1, -2)
+        pis[..., i, :, :] = basis @ basis.conj().swapaxes(-1, -2)
+        if i + 1 < r:
+            factor_step(S, pis[..., i, :, :], np.eye(n) - pis[..., i, :, :], i + 1, True)
     return pis, np.eye(n) - pis
 
 
@@ -237,7 +240,7 @@ def kernel_factorize_fiber(loop: LoopPoly):
         lam_top = np.abs(T[:, i] @ pi).max(axis=(-2, -1))
         fail(np.maximum(lam_minus, lam_top) > BOUNDARY_TOL, lambda p: DegreeNoDrop(
             f"boundary coefficients at step {i} do not vanish ({lam_minus[p]:.2e}, {lam_top[p]:.2e})"))
-        T[:, :i] = T[:, :i] @ pi[:, None] + T[:, 1 : i + 1] @ perp[:, None]
+        factor_step(T[:, i::-1], pi, perp, i, False)  # T_t <- T_t pi + T_{t+1} perp, t < i
         pis[:, i - 1] = pi
     fail(np.abs(T[:, 0] - np.eye(n)).max(axis=(-2, -1)) > IDENTITY_TOL,
          lambda p: DegreeNoDrop("residual constant term is not the identity"))
@@ -260,10 +263,11 @@ class ConstantLoop:
 
 
 def _constant_step(coeffs: np.ndarray, pi: np.ndarray, perp: np.ndarray, degree: int) -> np.ndarray:
-    """Left-multiply loop coefficients (..., d+1, n, n) by pi + lambda^{-1} perp,
-    T_t <- pi T_t + perp T_{t+1}, keeping T_0..T_degree."""
-    shifted = np.concatenate([coeffs[..., 1:, :, :], np.zeros_like(coeffs[..., :1, :, :])], axis=-3)
-    return (pi @ coeffs + perp @ shifted)[..., : degree + 1, :, :]
+    """Left-multiply loop coefficients (..., d+1, n, n) by pi + lambda^{-1} perp, T_t <- pi T_t
+    + perp T_{t+1}, keeping T_0..T_degree: the left step on the reversed axis of a copy."""
+    out = coeffs.copy()
+    factor_step(out[..., ::-1, :, :], pi, perp, out.shape[-3] - 1, True)
+    return out[..., : degree + 1, :, :]
 
 
 def normalize_type_one(
@@ -294,11 +298,9 @@ def normalize_type_one(
         if a_span.dim == 0:
             raise NoTermination("constant term vanishes identically")
         pi, perp = projection_pair(a_span)
-        stack = _constant_step(stack, pi, perp, stack.shape[-3] - 1)
-        degree = LoopPoly(stack).trimmed().degree
-        stack = stack[:, : degree + 1]
+        stack = LoopPoly(_constant_step(stack, pi, perp, stack.shape[-3] - 1)).trimmed().coeffs
         steps.append(a_span)
-        pairs.append((pi, perp, degree))
+        pairs.append((pi, perp, stack.shape[-3] - 1))
     else:
         if constant_image().dim != n:
             raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")

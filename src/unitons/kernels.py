@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .projections import RANK_TOL, masked_basis, pascal_step
+from .projections import RANK_TOL, factor_step, masked_basis
 
 BACKEND = "numpy"
 SPLIT_POINTS = 64  # fewest points per chunk: on fewer a thread costs more than it saves
@@ -106,4 +106,4 @@ def _build_chunk(hvals, pis, perps, ranks, kvecs, status):
         perps[:, i] = eye - pis[:, i]
         ranks[:, i] = rank
         if i + 1 < r:
-            pascal_step(C, perps[:, i], i + 1)
+            factor_step(C, None, perps[:, i], i + 1, True)

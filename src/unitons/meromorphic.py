@@ -251,6 +251,8 @@ def _random_coefficients(rng: np.random.Generator, count: int, n: int, max_degre
     """Coefficients (count, n, max_degree + 1), degree-ascending, of count
     random polynomial C^n vectors: Gaussian integers from one draw, which
     gives the stream of one draw per polynomial."""
+    if max_degree < 0:
+        raise BadShape("max_degree must be >= 0")
     pairs = rng.integers(-_COEFF_RANGE, _COEFF_RANGE + 1, size=(count, n, max_degree + 1, 2))
     return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
@@ -277,8 +279,6 @@ def random_data(
     """
     if not 0 <= r <= n - 1:
         raise BadShape(f"need 0 <= r <= n-1, got r={r}, n={n}")
-    if max_degree < 0:
-        raise BadShape("max_degree must be >= 0")
     if sparsity_pattern is not None:
         d = tuple(int(x) for x in sparsity_pattern)
         if len(d) != r or any(x < 0 for x in d) or any(a > b for a, b in zip(d, d[1:])):

@@ -1,9 +1,8 @@
-"""Pointwise subspace linear algebra: spans, projection pairs, the C and S
-operator calculus, and subspace comparison by the projector gap."""
+"""Pointwise subspace linear algebra: spans, projection pairs, the coefficients
+of products of linear loop factors (the C and S operators among them), and
+subspace comparison by the projector gap."""
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -88,40 +87,39 @@ def projection_pair(s: Span) -> tuple[np.ndarray, np.ndarray]:
     return pi, np.eye(s.ambient_dim, dtype=np.complex128) - pi
 
 
-def pascal_step(C: np.ndarray, perp: np.ndarray, top: int) -> None:
-    """In place, C^{i+1}_s = perp C^i_{s-1} + C^i_s for s = 1..top, all s at
-    once; the s axis of C is third from last, any leading axes broadcast."""
-    C[..., 1 : top + 1, :, :] += perp[..., None, :, :] @ C[..., :top, :, :]
+def factor_step(T: np.ndarray, a: np.ndarray | None, b: np.ndarray, top: int, left: bool) -> None:
+    """In place, multiply T_0..T_top (axis -3) of a polynomial in lambda by a + lambda b:
+    T_t <- a T_t + b T_{t-1} (left) or T_t a + T_{t-1} b, all t at once, with T_{-1} = 0
+    and a = None for I; a, b (..., n, n) broadcast over T's leading axes.  A factor
+    a + lambda^{-1} b is the same step on the reversed coefficient axis."""
+    n, lead = T.shape[-1], T.shape[:-3]
+
+    def times(m, rows):  # m times each of T_0..T_{rows-1}; on the right, as one (rows n, n) matrix
+        if left:
+            return m[..., None, :, :] @ T[..., :rows, :, :]
+        return (T[..., :rows, :, :].reshape(lead + (rows * n, n)) @ m).reshape(lead + (rows, n, n))
+
+    if a is None:  # one temporary, added in place
+        T[..., 1 : top + 1, :, :] += times(b, top)
+    else:
+        new = times(a, top + 1)
+        new[..., 1:, :, :] += times(b, top)
+        T[..., : top + 1, :, :] = new
 
 
-def c_rows(perps: Sequence[np.ndarray], n: int, smax: int) -> np.ndarray:
-    """All C^i_s for the chain with the given perps, s = 0..smax on axis -3.
-    The steps run along axis -3 of perps; leading axes (a stack of chains) broadcast.
-
-    Pascal recursion: C^i_s = perp_i C^{i-1}_{s-1} + C^{i-1}_s.
-    """
-    perps = np.asarray(perps, np.complex128)
-    if perps.ndim < 3:  # an empty sequence
-        perps = perps.reshape(0, n, n)
-    C = np.zeros(perps.shape[:-3] + (smax + 1, n, n), np.complex128)
-    C[..., 0, :, :] = np.eye(n)
-    for ell in range(1, perps.shape[-3] + 1):
-        pascal_step(C, perps[..., ell - 1, :, :], min(smax, ell))
-    return C
-
-
-def s_rows(pis: Sequence[np.ndarray], perps: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """All S^i_s for s = 0..i on axis -3, via S^i_s = perp_i S^{i-1}_{s-1} + pi_i S^{i-1}_s.
-    The steps run along axis -3 of pis and perps; leading axes broadcast, as in c_rows."""
-    pis, perps = (np.asarray(a, np.complex128) for a in (pis, perps))
-    pis, perps = (a if a.ndim >= 3 else a.reshape(0, n, n) for a in (pis, perps))  # an empty sequence
-    S = np.zeros(pis.shape[:-3] + (pis.shape[-3] + 1, n, n), np.complex128)
-    S[..., 0, :, :] = np.eye(n)
-    for ell in range(1, pis.shape[-3] + 1):
-        pi, perp = pis[..., ell - 1, None, :, :], perps[..., ell - 1, None, :, :]
-        S[..., 1 : ell + 1, :, :] = perp @ S[..., :ell, :, :] + pi @ S[..., 1 : ell + 1, :, :]
-        S[..., 0, :, :] = pis[..., ell - 1, :, :] @ S[..., 0, :, :]
-    return S
+def factor_products(a, b, n: int, left: bool = True, top: int | None = None) -> np.ndarray:
+    """T_0..T_top (top = r unless given) on axis -3 of the product of a_i + lambda b_i, i = 1..r on
+    axis -3 of a and b, each applied to T_0 = I by ``factor_step``; leading axes broadcast, bit for bit
+    as each chain's own call.  On the left, I + lambda perp_i gives the C^i_s, pi_i + lambda perp_i the S^i_s."""
+    a, b = (m if m is None else np.asarray(m, np.complex128) for m in (a, b))
+    if b.ndim < 3:  # an empty sequence
+        a, b = (m if m is None else m.reshape(0, n, n) for m in (a, b))
+    top = b.shape[-3] if top is None else top
+    T = np.zeros(b.shape[:-3] + (top + 1, n, n), np.complex128)
+    T[..., 0, :, :] = np.eye(n)
+    for i in range(b.shape[-3]):
+        factor_step(T, None if a is None else a[..., i, :, :], b[..., i, :, :], min(i + 1, top), left)
+    return T
 
 
 def principal_angles(a: Span, b: Span) -> np.ndarray:

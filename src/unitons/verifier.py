@@ -32,7 +32,7 @@ from .builder import (
 )
 from .errors import BadShape
 from .meromorphic import DataArray, _random_coefficients
-from .projections import c_rows, masked_basis, projector_gap
+from .projections import factor_products, masked_basis, projector_gap
 
 FD_STEP = 1e-3  # step h of the 4th-order central differences behind the Wirtinger operators
 DEFAULT_LAMBDAS = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
@@ -238,7 +238,7 @@ def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] =
     lemma = [np.zeros(antibasic.shape[:-1] + (0,))]
     for ell in range(1, min(r, LEMMA_MAX_ELL) + 1):
         # rows s = 0..ell-1: perp_ell C_s H, then rows ell + s: C_{s+1} H
-        ch = c_rows(chains.perps[..., : ell - 1, :, :], n, ell) @ h_vals
+        ch = factor_products(None, chains.perps[..., : ell - 1, :, :], n, top=ell) @ h_vals
         field = np.concatenate([chains.perps[..., [ell - 1], :, :] @ ch[..., :-1, :, :], ch[..., 1:, :, :]], axis=-3)
         _, dzb = _wirtinger(field[1:], FD_STEP)
         resid = (dzb[..., :ell, :, :] + conn.a_zbar[..., ell, None, :, :] @ field[0, ..., :ell, :, :]

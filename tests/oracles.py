@@ -12,7 +12,10 @@ any columns, the data-array edits (row restriction, an extra or shifted
 column) that only tests make, the random generators drawn one entry at a
 time and a polynomial vector's values from its own coefficients, the binomial transform of Gaussian-integer
 data by integer sums, and the JSON encoding of matrix stacks, chains,
-loop fibers and sample records with Python floats from tolist()."""
+loop fibers and sample records with Python floats from tolist().  The
+separate recursions that ``projections.factor_step`` replaced (the C and S
+rows, the constant-loop step, the kernel descent's update and the Iwasawa
+loop that rebuilt S at every step) are kept as bit-for-bit references."""
 
 from functools import reduce
 from itertools import combinations
@@ -161,6 +164,80 @@ def product_inverse_coeff(pis, perps, s):
             m = (pis[ell] + perps[ell] / lam) @ m
         acc += m * lams[k] ** s
     return acc / (i + 1)
+
+
+def pascal_step_reference(C, perp, top):
+    """In place, C^{i+1}_s = perp C^i_{s-1} + C^i_s for s = 1..top, all s at
+    once; the s axis of C is third from last, any leading axes broadcast."""
+    C[..., 1 : top + 1, :, :] += perp[..., None, :, :] @ C[..., :top, :, :]
+
+
+def c_rows_reference(perps, n, smax):
+    """All C^i_s, s = 0..smax on axis -3, by the Pascal recursion
+    C^i_s = perp_i C^{i-1}_{s-1} + C^{i-1}_s; leading axes broadcast."""
+    perps = np.asarray(perps, np.complex128)
+    if perps.ndim < 3:  # an empty sequence
+        perps = perps.reshape(0, n, n)
+    C = np.zeros(perps.shape[:-3] + (smax + 1, n, n), np.complex128)
+    C[..., 0, :, :] = np.eye(n)
+    for ell in range(1, perps.shape[-3] + 1):
+        pascal_step_reference(C, perps[..., ell - 1, :, :], min(smax, ell))
+    return C
+
+
+def s_rows_reference(pis, perps, n):
+    """All S^i_s for s = 0..i on axis -3, via S^i_s = perp_i S^{i-1}_{s-1} + pi_i S^{i-1}_s;
+    leading axes broadcast."""
+    pis, perps = (np.asarray(a, np.complex128) for a in (pis, perps))
+    pis, perps = (a if a.ndim >= 3 else a.reshape(0, n, n) for a in (pis, perps))  # an empty sequence
+    S = np.zeros(pis.shape[:-3] + (pis.shape[-3] + 1, n, n), np.complex128)
+    S[..., 0, :, :] = np.eye(n)
+    for ell in range(1, pis.shape[-3] + 1):
+        pi, perp = pis[..., ell - 1, None, :, :], perps[..., ell - 1, None, :, :]
+        S[..., 1 : ell + 1, :, :] = perp @ S[..., :ell, :, :] + pi @ S[..., 1 : ell + 1, :, :]
+        S[..., 0, :, :] = pis[..., ell - 1, :, :] @ S[..., 0, :, :]
+    return S
+
+
+def constant_step_reference(coeffs, pi, perp, degree):
+    """Loop coefficients (..., d+1, n, n) left-multiplied by pi + lambda^{-1} perp,
+    T_t <- pi T_t + perp T_{t+1} with the shifted coefficients concatenated,
+    keeping T_0..T_degree."""
+    shifted = np.concatenate([coeffs[..., 1:, :, :], np.zeros_like(coeffs[..., :1, :, :])], axis=-3)
+    return (pi @ coeffs + perp @ shifted)[..., : degree + 1, :, :]
+
+
+def kernel_descent_reference(coeffs):
+    """The kernel descent's pis (P, r, n, n) of loops (P, r+1, n, n), each step's
+    update T_t <- T_t pi + T_{t+1} perp as two per-coefficient products; no error checks."""
+    from unitons.projections import numerical_rank
+
+    T = coeffs.copy()
+    P, r, n = T.shape[0], T.shape[1] - 1, T.shape[-1]
+    pis = np.zeros((P, r, n, n), np.complex128)
+    for i in range(r, 0, -1):
+        _, sv, vh = np.linalg.svd(T[:, i])
+        ker = vh.conj().swapaxes(-1, -2) * (np.arange(n) >= numerical_rank(sv)[:, None])[:, None, :]
+        pi = ker @ ker.conj().swapaxes(-1, -2)
+        perp = np.eye(n) - pi
+        T[:, :i] = T[:, :i] @ pi[:, None] + T[:, 1 : i + 1] @ perp[:, None]
+        pis[:, i - 1] = pi
+    return pis
+
+
+def iwasawa_reference(w):
+    """The Iwasawa chain's pis of a W or a stack, every step's S rows rebuilt
+    from all earlier steps by ``s_rows_reference`` (O(r^2) factor steps)."""
+    from unitons.projections import masked_basis
+
+    r, n, lead = w.r, w.n, w.basis.shape[:-2]
+    blocks = w.basis.reshape(lead + (r, n, w.dim))
+    pis = np.zeros(lead + (r, n, n), np.complex128)
+    for i in range(1, r + 1):
+        S = s_rows_reference(pis[..., : i - 1, :, :], np.eye(n) - pis[..., : i - 1, :, :], n)
+        basis, _, _ = masked_basis((S @ blocks[..., :i, :, :]).sum(axis=-3), 1.0)
+        pis[..., i - 1, :, :] = basis @ basis.conj().swapaxes(-1, -2)
+    return pis
 
 
 def fd_derivative(f, z, h=1e-5):

@@ -41,7 +41,7 @@ from unitons import (
 )
 from unitons.cli import main as cli_main
 from unitons.grassmannian import reality_defect
-from unitons.projections import c_rows, image_span, s_rows
+from unitons.projections import factor_products, image_span
 
 P = RationalFn.polynomial
 
@@ -96,8 +96,8 @@ def test_criterion_01_operator_calculus():
         n = int(rng.integers(2, 7))
         i = int(rng.integers(1, 5))
         pis, perps = random_chain(rng, n, i)
-        C = c_rows(perps, n, i)
-        S = s_rows(pis, perps, n)
+        C = factor_products(None, perps, n, top=i)
+        S = factor_products(pis, perps, n)
         for s in range(i + 1):
             worst = max(worst, np.abs(C[s] - c_words(perps, n, s)).max())
             worst = max(worst, np.abs(S[s] - s_words(pis, perps, n, s)).max())

@@ -44,6 +44,23 @@ def test_generate_read_back_equal(tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("argv, modes", [
+    (("--n", 4, "--r", 2, "--max-degree", -1), ("random", "echelon", "s1")),
+    (("--n", 4, "--r", 3, "--rank-steps", "1,2"), ("echelon", "s1")),
+], ids=["negative-max-degree", "rank-steps-not-r"])
+def test_s1_generate_refuses_what_the_other_modes_refuse(tmp_path, capsys, argv, modes):
+    # s1 mode takes r from the rank steps: a step list of another length, or a negative
+    # degree (all-zero data), exits 2 with the message the other modes give, and writes nothing
+    errors = []
+    for mode in modes:
+        out = tmp_path / f"{mode}.json"
+        capsys.readouterr()
+        assert run("generate", "--mode", mode, *argv, "--output", out) == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and set(errors) == {errors[0]}
+
+
 def test_verify_r0_passes(tmp_path):
     data_file = tmp_path / "r0.json"
     run("generate", "--n", 3, "--r", 0, "--output", data_file)

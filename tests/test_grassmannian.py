@@ -29,10 +29,10 @@ from unitons import (
     w_from_x,
     x_columns_from_data,
 )
-from unitons.builder import extended_product
+from unitons.builder import chain_arrays, extended_product
 from unitons.errors import BadShape, NonProperUniton
 from unitons.meromorphic import polynomial_column
-from unitons.projections import Span, s_rows
+from unitons.projections import Span, factor_products
 
 from oracles import (
     binomial_transform_gaussian,
@@ -205,8 +205,6 @@ def test_w_from_x_is_the_integer_binomial_transform_bit_for_bit(shape):
 def test_lemma_42_sum_identities():
     # sum_s S^i_s L^(k)_{s-j} = sum_s C^i_s H^(k)_{s-j}, equal to K_i^(k) when
     # j = k and to zero when j > k, for 0 <= k <= j <= i
-    from unitons.projections import c_rows, s_rows
-
     data = random_data(4, 3, 3, sparsity_pattern=(1, 2, 2), seed=24)
     xcols = x_columns_from_data(data)
     z = draw_sample_points(data, 1, seed=25)[0]
@@ -220,8 +218,8 @@ def test_lemma_42_sum_identities():
             hd[k] = [v.derivative() for v in hd[k - 1]]
             ld[k] = [v.derivative() for v in ld[k - 1]]
         for i in range(1, data.r):  # K_i^(k) lives at chain step i (i <= r-1)
-            S = s_rows(pis[:i], perps[:i], data.n)
-            C = c_rows(perps[:i], data.n, i)
+            S = factor_products(pis[:i], perps[:i], data.n)
+            C = factor_products(None, perps[:i], data.n, top=i)
             for k in range(i + 1):
                 for j in range(k, i + 1):
                     lhs = sum(S[s] @ ld[k][s - j].eval(z) for s in range(j, i + 1))
@@ -350,6 +348,33 @@ def test_normalize_type_one_degree_drop_example():
     assert loop.degree == 1
     g = orthonormal_basis(h0.eval(z) + h1.eval(z))
     assert max_principal_angle(orthonormal_basis(loop.coeffs[0]), g) <= 1e-8
+
+
+def test_the_in_place_factor_steps_leave_their_inputs_unchanged():
+    # factor_step writes in place: the type-one normalization and its sampler, the kernel
+    # descent and the Iwasawa steps must leave the loops and the W bases they are given as they were
+    h0 = MeroVector((P([1]), P([0, 1]), P([0])))
+    h1 = MeroVector((P([0]), P([0]), P([0, 0, 1])))
+    quadratic = DataArray(3, 2, ((h0, h1),))
+    pts = draw_sample_points(quadratic, 4, seed=37)
+    loops = {z: loop_at(quadratic, z) for z in pts}
+    before = [loop.coeffs.tobytes() for loop in loops.values()]
+    pre, norm = normalize_type_one(loops.__getitem__, pts)
+    assert len(pre.factors) == 1 and norm(pts[0]).degree == 1  # a constant-loop step that drops the degree
+    for z in pts:
+        norm(z)
+    assert [loop.coeffs.tobytes() for loop in loops.values()] == before
+    data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=1)
+    batch = chain_arrays(data, draw_sample_points(data, 4, seed=2))
+    T = extended_coefficients(batch.pis, batch.perps, 5)
+    kept = T.tobytes()
+    kernel_factorize_fiber(LoopPoly(T))
+    kernel_factorize_fiber(LoopPoly(T[0]))
+    assert T.tobytes() == kept
+    for w in (w_from_loop(LoopPoly(T)), w_from_loop(LoopPoly(T[0]))):
+        kept = w.basis.tobytes()
+        iwasawa_factorize(w)
+        assert w.basis.tobytes() == kept
 
 
 def test_q_adapted_even_odd():
@@ -584,6 +609,6 @@ def test_loop_poly_stack_and_s_rows_broadcast():
     assert values.shape == (5, 3, 4, 4)
     for p in range(3):
         assert np.abs(values[:, p] - LoopPoly(loops.coeffs[p]).at(lams[..., 0])).max() == 0.0
-        assert np.abs(s_rows(pis, perps, 4)[p] - s_rows(pis[p], perps[p], 4)).max() <= 1e-15
+        assert np.abs(factor_products(pis, perps, 4)[p] - factor_products(pis[p], perps[p], 4)).max() <= 1e-15
     with pytest.raises(BadShape):
         LoopPoly(np.zeros((2, 3, 4, 4, 4)))

@@ -5,15 +5,37 @@ from hypothesis import strategies as st
 
 from unitons import (
     BadShape,
+    LoopPoly,
     Span,
+    draw_sample_points,
+    extended_coefficients,
     image_span,
+    iwasawa_factorize,
+    kernel_factorize_fiber,
     orthonormal_basis,
     principal_angles,
     projection_pair,
+    random_data,
+    w_from_loop,
 )
-from unitons.projections import c_rows, masked_basis, numerical_rank, projector_gap, s_rows
+from unitons.builder import chain_arrays
+from unitons.grassmannian import _constant_step
+from unitons.projections import factor_products, masked_basis, numerical_rank, projector_gap
 
-from oracles import c_words, max_principal_angle, product_inverse_coeff, random_chain, s_words, span_gap, spans_equal
+from oracles import (
+    c_rows_reference,
+    c_words,
+    constant_step_reference,
+    iwasawa_reference,
+    kernel_descent_reference,
+    max_principal_angle,
+    product_inverse_coeff,
+    random_chain,
+    s_rows_reference,
+    s_words,
+    span_gap,
+    spans_equal,
+)
 
 
 def test_orthonormal_basis_examples():
@@ -55,9 +77,9 @@ def test_projection_pair_orthogonality():
 def test_c_operator_paper_examples():
     rng = np.random.default_rng(1)
     pis, perps = random_chain(rng, 4, 3)
-    C2 = c_rows(perps[:2], 4, 2)
+    C2 = factor_products(None, perps[:2], 4, top=2)
     assert np.abs(C2[1] - (perps[0] + perps[1])).max() <= 1e-12
-    C3 = c_rows(perps, 4, 3)
+    C3 = factor_products(None, perps, 4, top=3)
     expect = perps[1] @ perps[0] + perps[2] @ perps[0] + perps[2] @ perps[1]
     assert np.abs(C3[2] - expect).max() <= 1e-12
     for C in (C2, C3):
@@ -67,10 +89,10 @@ def test_c_operator_paper_examples():
 def test_s_operator_definition_cases():
     rng = np.random.default_rng(2)
     pis, perps = random_chain(rng, 4, 2)
-    S1 = s_rows(pis[:1], perps[:1], 4)
+    S1 = factor_products(pis[:1], perps[:1], 4)
     assert np.allclose(S1[0], pis[0])
     assert np.allclose(S1[1], perps[0])
-    S2 = s_rows(pis, perps, 4)
+    S2 = factor_products(pis, perps, 4)
     expect = perps[1] @ pis[0] + pis[1] @ perps[0]
     assert np.abs(S2[1] - expect).max() <= 1e-12
 
@@ -79,9 +101,9 @@ def test_lemma_41_instance():
     # S^2_1 + 2 S^2_2 = C^2_1 for random projections
     rng = np.random.default_rng(3)
     pis, perps = random_chain(rng, 5, 2)
-    S = s_rows(pis, perps, 5)
+    S = factor_products(pis, perps, 5)
     lhs = S[1] + 2 * S[2]
-    assert np.abs(lhs - c_rows(perps, 5, 1)[1]).max() <= 1e-11
+    assert np.abs(lhs - factor_products(None, perps, 5, top=1)[1]).max() <= 1e-11
 
 
 def test_pascal_recursion_vs_word_enumeration():
@@ -90,7 +112,7 @@ def test_pascal_recursion_vs_word_enumeration():
         n = int(rng.integers(2, 7))
         i = int(rng.integers(1, 5))
         pis, perps = random_chain(rng, n, i)
-        C = c_rows(perps, n, i)
+        C = factor_products(None, perps, n, top=i)
         for s in range(i + 1):
             assert np.abs(C[s] - c_words(perps, n, s)).max() <= 1e-12
 
@@ -101,7 +123,7 @@ def test_s_recursion_vs_words_and_expansion():
         n = int(rng.integers(2, 7))
         i = int(rng.integers(1, 5))
         pis, perps = random_chain(rng, n, i)
-        S = s_rows(pis, perps, n)
+        S = factor_products(pis, perps, n)
         for s in range(i + 1):
             assert np.abs(S[s] - s_words(pis, perps, n, s)).max() <= 1e-12
             assert np.abs(S[s] - product_inverse_coeff(pis, perps, s)).max() <= 1e-12
@@ -222,7 +244,7 @@ chains = st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 
 def test_pascal_rows_equal_word_sums(spec):
     n, length, seed = spec
     pis, perps = random_chain(np.random.default_rng(seed), n, length)
-    C, S = c_rows(perps, n, length), s_rows(pis, perps, n)
+    C, S = factor_products(None, perps, n, top=length), factor_products(pis, perps, n)
     for s in range(length + 1):
         assert np.abs(C[s] - c_words(perps, n, s)).max() <= 1e-12
         assert np.abs(S[s] - s_words(pis, perps, n, s)).max() <= 1e-12
@@ -233,5 +255,43 @@ def test_c_rows_of_a_stack_equal_each_chain(spec):
     n, length, seed = spec
     rng = np.random.default_rng(seed)
     perps = np.array([random_chain(rng, n, length)[1] for _ in range(3)])
-    stacked = c_rows(perps, n, length)
-    assert all(np.array_equal(stacked[p], c_rows(perps[p], n, length)) for p in range(3))
+    stacked = factor_products(None, perps, n, top=length)
+    assert all(np.array_equal(stacked[p], factor_products(None, perps[p], n, top=length)) for p in range(3))
+
+
+_CRITERION_2 = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2))]
+_CHAINS = [*((n, r, pattern, seed) for seed in range(4) for n, r, pattern in _CRITERION_2), (3, 0, None, 0)]
+
+
+def _same_bytes(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, r, pattern, seed", _CHAINS, ids=[f"{n}-{r}-{pattern}-s{seed}" for n, r, pattern, seed in _CHAINS])
+def test_factor_products_are_the_separate_recursions_bit_for_bit(n, r, pattern, seed):
+    # the criterion-2 shapes and r = 0 at the 16 points of a draw, as one stack, a (4, 4) stack and
+    # one chain: the S and C rows of every prefix (C truncated at every s), the constant-loop step
+    # at every degree, once and applied again to its own output, the kernel descent and Iwasawa
+    data = random_data(n, r, 3 if r else 2, sparsity_pattern=pattern, seed=seed)
+    batch = chain_arrays(data, draw_sample_points(data, 16, seed=seed + 40))
+    for pis, perps in ((batch.pis, batch.perps), (batch.pis.reshape(4, 4, r, n, n), batch.perps.reshape(4, 4, r, n, n)),
+                       (batch.pis[0], batch.perps[0])):
+        for ell in range(r + 1):
+            p, q = pis[..., :ell, :, :], perps[..., :ell, :, :]
+            _same_bytes(factor_products(p, q, n), s_rows_reference(p, q, n))
+            for smax in range(r + 1):
+                _same_bytes(factor_products(None, q, n, top=smax), c_rows_reference(q, n, smax))
+    for empty in ([], np.zeros((0, n, n))):  # an empty factor sequence
+        _same_bytes(factor_products(empty, empty, n), s_rows_reference(empty, empty, n))
+        _same_bytes(factor_products(None, empty, n, top=2), c_rows_reference(empty, n, 2))
+    T = extended_coefficients(batch.pis, batch.perps, n)
+    (pi,), (perp,) = random_chain(np.random.default_rng(seed), n, 1)
+    for coeffs in (T, T[0]):
+        for degree in range(r + 1):
+            once = _constant_step(coeffs, pi, perp, degree)
+            _same_bytes(once, constant_step_reference(coeffs, pi, perp, degree))
+            _same_bytes(_constant_step(once, perp, pi, degree), constant_step_reference(once, perp, pi, degree))
+    _same_bytes(kernel_factorize_fiber(LoopPoly(T))[0], kernel_descent_reference(T))
+    for w in (w_from_loop(LoopPoly(T)), w_from_loop(LoopPoly(T[0]))):
+        _same_bytes(iwasawa_factorize(w)[0], iwasawa_reference(w))

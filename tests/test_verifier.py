@@ -20,7 +20,7 @@ from unitons import (
     wirtinger,
 )
 from unitons import builder, kernels, verifier
-from unitons.projections import c_rows, masked_basis
+from unitons.projections import factor_products, masked_basis
 from unitons.verifier import DEFAULT_TOLERANCES, LEMMA_MAX_ELL
 
 from oracles import (
@@ -227,11 +227,11 @@ def _per_entry_sections(sampler, z, seed=0):
         for s in range(ell):
             def f_field(w, _ell=ell, _s=s):
                 cd = sampler.chain_at(w)
-                return cd.perps[_ell - 1] @ (c_rows(cd.perps[: _ell - 1], n, _ell)[_s] @ h_at(w))
+                return cd.perps[_ell - 1] @ (factor_products(None, cd.perps[: _ell - 1], n, top=_ell)[_s] @ h_at(w))
 
             def g_field(w, _ell=ell, _s=s):
                 cd = sampler.chain_at(w)
-                return c_rows(cd.perps[: _ell - 1], n, _ell)[_s + 1] @ h_at(w)
+                return factor_products(None, cd.perps[: _ell - 1], n, top=_ell)[_s + 1] @ h_at(w)
 
             _, dzb_f = wirtinger(f_field, z)
             _, dzb_g = wirtinger(g_field, z)
