@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in {
     "meromorphic": "DataArray MeroVector RationalFn differentiate eval_rational random_data",
     "projections": "Span image_span orthonormal_basis principal_angles projection_pair",
     "verifier": "connection_form extended_checks harmonicity_residual section_identities "
-                "verification_report wirtinger",
+                "verification_report",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

@@ -2,7 +2,9 @@
 
 Each sample point is treated independently: the chain of subspaces
 alpha_1, ..., alpha_r is rebuilt from the data at every z, and the map is the
-product of Cartan factors phi_0 (pi_1 - pi_1_perp) ... (pi_r - pi_r_perp).
+product of Cartan factors (pi_1 - pi_1_perp) ... (pi_r - pi_r_perp).  The
+constant left factor phi_0 is I: left translation by a constant unitary
+leaves A = (1/2) phi^{-1} d phi, and so every identity, unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .meromorphic import (
     _random_coefficients,
     polynomial_column,
 )
-from .projections import ORTHONORMAL_TOL, factor_products, masked_basis
+from .projections import factor_products, masked_basis
 
 ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |perp v| > RTOL |v| + ATOL
 STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in steps: the centre, then x and y
@@ -156,20 +158,11 @@ def build_fiber(data: DataArray, z: complex) -> UnitonFiber:
 
 
 class HarmonicMapSampler:
-    """Pointwise evaluator for the map phi = phi_0 (pi_1 - pi_1_perp) ... and
-    its extended solution Phi_lambda = (pi_1 + lambda pi_1_perp) ...  ."""
+    """Pointwise evaluator for the map phi = (pi_1 - pi_1_perp) ... (pi_r - pi_r_perp)
+    and its extended solution Phi_lambda = (pi_1 + lambda pi_1_perp) ...  ."""
 
-    def __init__(self, data: DataArray, phi0: Optional[np.ndarray] = None):
+    def __init__(self, data: DataArray):
         self.data = data
-        n = data.n
-        if phi0 is None:
-            phi0 = np.eye(n, dtype=np.complex128)
-        phi0 = np.asarray(phi0, dtype=np.complex128)
-        if phi0.shape != (n, n):
-            raise BadShape("phi0 must be n x n")
-        if np.abs(phi0 @ phi0.conj().T - np.eye(n)).max() > ORTHONORMAL_TOL:
-            raise BadShape("phi0 must be unitary")
-        self.phi0 = phi0
 
     @property
     def n(self) -> int:
@@ -188,12 +181,12 @@ class HarmonicMapSampler:
     __call__ = map_at
 
     def prefix_map_at(self, z: complex, ell: int) -> np.ndarray:
-        """phi_ell = phi_0 (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp), 0 <= ell <= r."""
+        """phi_ell = (pi_1 - pi_1_perp) ... (pi_ell - pi_ell_perp), 0 <= ell <= r (phi_0 = I)."""
         ell = _integer(ell, "ell")
         if not 0 <= ell <= self.r:
             raise BadShape(f"need 0 <= ell <= r = {self.r}, got ell={ell}")
         cd = self.chain_at(z)
-        return extended_product(cd.pis[:ell], cd.perps[:ell], -1, self.phi0)
+        return extended_product(cd.pis[:ell], cd.perps[:ell], -1, np.eye(self.n, dtype=np.complex128))
 
     def extended_coeffs_at(self, z: complex) -> np.ndarray:
         cd = self.chain_at(z)
@@ -202,7 +195,7 @@ class HarmonicMapSampler:
 
 def evaluate_map(sampler: HarmonicMapSampler, z: complex) -> np.ndarray:
     cd = sampler.chain_at(z)
-    return extended_product(cd.pis, cd.perps, -1, sampler.phi0)
+    return extended_product(cd.pis, cd.perps, -1, np.eye(sampler.n, dtype=np.complex128))
 
 
 def prefix_products(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> Iterator[np.ndarray]:
@@ -269,11 +262,11 @@ def _integer(value, name: str) -> int:
 def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Optional[float] = None) -> list[complex]:
     """Generic points in |z| <= 2: points with unambiguous ranks.
 
-    When stencil_h is given, all 9 points of each candidate's stencil
-    (``STENCIL_OFFSETS`` times stencil_h) must be so too, with the candidate's
-    rank profile, so differencing stays on one smooth branch.  Candidates are
-    drawn in blocks and built with their stencils in one kernel call; the
-    first ``count`` accepted in stream order are returned.
+    When stencil_h is given, in (0, DISC_RADIUS], all 9 points of each
+    candidate's stencil (``STENCIL_OFFSETS`` times stencil_h) must be so too,
+    with the candidate's rank profile, so differencing stays on one smooth
+    branch.  Candidates are drawn in blocks and built with their stencils in
+    one kernel call; the first ``count`` accepted in stream order are returned.
     """
     return _draw(data, count, seed, stencil_h)[0]
 
@@ -285,6 +278,8 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
     count = _integer(count, "count")
     if count < 0:
         raise BadShape("count must be >= 0")
+    if stencil_h is not None and not 0 < stencil_h <= DISC_RADIUS:  # nan fails the comparison too
+        raise BadShape(f"stencil_h must be in (0, {DISC_RADIUS}], got {stencil_h!r}")
     rng = np.random.default_rng(seed)
     offsets = STENCIL_OFFSETS * stencil_h if stencil_h is not None else STENCIL_OFFSETS[:1]
     points: list[complex] = []

@@ -83,6 +83,8 @@ def _emit(obj, output):
 def cmd_generate(args) -> int:
     steps = _parse_steps(args.rank_steps) if args.rank_steps else tuple(range(1, args.r + 1))
     if args.mode == "random":
+        if args.rank_steps:
+            raise BadShape("--rank-steps applies to the echelon and s1 modes only")
         data = random_data(args.n, args.r, args.max_degree, seed=args.seed)
     elif args.mode == "echelon":
         data = random_data(args.n, args.r, args.max_degree, sparsity_pattern=steps, seed=args.seed)

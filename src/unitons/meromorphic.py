@@ -239,13 +239,6 @@ class DataArray:
                     raise BadShape("every entry must be a C^n vector")
         object.__setattr__(self, "columns", cols)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
-    def row(self, i: int) -> tuple[MeroVector, ...]:
-        return tuple(col[i] for col in self.columns)
-
 
 def _random_coefficients(rng: np.random.Generator, count: int, n: int, max_degree: int) -> np.ndarray:
     """Coefficients (count, n, max_degree + 1), degree-ascending, of count

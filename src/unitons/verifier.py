@@ -22,11 +22,9 @@ from . import kernels
 from .builder import (
     STENCIL_OFFSETS,
     ChainBatch,
-    HarmonicMapSampler,
     _draw,
     chain_arrays,
     extended_coefficients,
-    extended_product,
     prefix_products,
     reality_defect,
 )
@@ -67,7 +65,7 @@ class ConnectionFiber(NamedTuple):
 
 
 def _stencil(z, h: float) -> np.ndarray:
-    """Each point of z, then the 8 points wirtinger combines around it in its
+    """Each point of z, then the 8 points _wirtinger combines around it in its
     order, on a new leading axis: (9,) + z.shape."""
     z = np.asarray(z, np.complex128)
     return (STENCIL_OFFSETS * h).reshape((9,) + (1,) * z.ndim) + z
@@ -78,19 +76,14 @@ def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
     return vals.reshape(points.shape + vals.shape[1:])
 
 
-def _on_stencil(source, points: np.ndarray) -> tuple[ChainBatch, np.ndarray]:
-    """The chains on a stencil array and the map's left factor phi_0: built
-    in one kernel call from a DataArray or HarmonicMapSampler, raising as
-    ChainBatch.at does at an ambiguous point, or a ChainBatch
-    already laid out there (phi_0 = I)."""
-    if isinstance(source, ChainBatch):
-        return source, np.eye(source.pis.shape[-1], dtype=np.complex128)
-    if isinstance(source, DataArray):
-        source = HarmonicMapSampler(source)
-    batch = chain_arrays(source.data, points.ravel())
+def stencil_chains(data: DataArray, z) -> ChainBatch:
+    """The data's chains on ``_stencil(z, FD_STEP)``, laid out (9,) + z.shape:
+    one ``chain_arrays`` call, raising as ChainBatch.at does at an ambiguous point."""
+    points = _stencil(z, FD_STEP)
+    batch = chain_arrays(data, points.ravel())
     if batch.ambiguous.any():
         batch.at(int(batch.ambiguous.argmax()))
-    return batch.take(np.arange(points.size).reshape(points.shape)), source.phi0
+    return batch.take(np.arange(points.size).reshape(points.shape))
 
 
 def _wirtinger(f: np.ndarray, h: float):
@@ -124,15 +117,6 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def wirtinger(field_sampler: Callable, z: complex):
-    """(d/dz f, d/dzbar f) of a field by central differences.
-
-    The combination is elementwise, so a field returning a stacked array is
-    differenced entry by entry exactly as each entry would be alone.
-    """
-    return _wirtinger(_evaluate(field_sampler, _stencil(z, FD_STEP)[1:]), FD_STEP)
-
-
 def connection_form(map_sampler: Callable, z: complex) -> ConnectionFiber:
     """A_z = (1/2) phi^{-1} d_z phi and A_zbar = (1/2) phi^{-1} d_zbar phi.
 
@@ -146,18 +130,12 @@ def harmonicity_residual(source, z, conn: Optional[ConnectionFiber] = None):
 
     It equals (1/2) phi^{-1} phi_zzbar - (A_zbar A_z + A_z A_zbar) with
     phi_zzbar = Laplacian(phi) / 4: 4th-order first and second differences
-    of the maps on the 9-point stencil of z.  ``source`` is a DataArray or
-    HarmonicMapSampler, whose chains there come from one kernel call; a map
-    callable, called once per stencil point; or the maps there,
-    (9,) + z.shape + (n, n), whose connection ``conn`` may be passed in.
+    of the maps on the 9-point stencil of z.  ``source`` is the maps there,
+    (9,) + z.shape + (n, n), whose connection ``conn`` may be passed in, or a
+    map callable (a HarmonicMapSampler too), called once per stencil point.
     z is a point or an array of points; the residual has z's shape.
     """
-    points = _stencil(z, FD_STEP)
-    if isinstance(source, (DataArray, HarmonicMapSampler)):
-        chains, phi0 = _on_stencil(source, points)
-        maps = extended_product(chains.pis, chains.perps, -1, phi0)
-    else:
-        maps = _evaluate(source, points) if callable(source) else source
+    maps = _evaluate(source, _stencil(z, FD_STEP)) if callable(source) else source
     a_z, a_zbar, inv = conn if conn is not None else _connection(maps, FD_STEP)
     return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (a_zbar @ a_z + a_z @ a_zbar)))
 
@@ -171,20 +149,14 @@ def _extended_values(T: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return flat.reshape(lead + (len(lams), n, n))
 
 
-def extended_checks(sampler, z, conn: Optional[ConnectionFiber] = None) -> dict:
+def extended_checks(T: np.ndarray, conn: Optional[ConnectionFiber] = None) -> dict:
     """Extended-solution equation residual, unitarity defect and Phi_1 defect.
 
-    ``sampler`` is a HarmonicMapSampler, its chains on ``_stencil(z, FD_STEP)``
-    (a ChainBatch) or the coefficients T_0..T_r of Phi_lambda there,
+    T is the coefficients T_0..T_r of Phi_lambda on ``_stencil(z, FD_STEP)``,
     (9,) + z.shape + (r+1, n, n); each value has the shape of z, a point or an
     array.  ``conn`` is the map's connection; by default it is formed from
     Phi_{-1}.
     """
-    if isinstance(sampler, np.ndarray):
-        T = sampler
-    else:
-        chains, _ = _on_stencil(sampler, _stencil(z, FD_STEP))
-        T = extended_coefficients(chains.pis, chains.perps, chains.pis.shape[-1])
     lams = np.array((-1, 1, *DEFAULT_LAMBDAS), np.complex128)
     eye = np.eye(T.shape[-1], dtype=np.complex128)
     # Phi_lambda for lambda = -1, 1, then each of DEFAULT_LAMBDAS, at every stencil point
@@ -200,19 +172,20 @@ def extended_checks(sampler, z, conn: Optional[ConnectionFiber] = None) -> dict:
             "phi1_defect": _scalar(np.abs(ext[0, ..., 1, :, :] - eye).max(axis=(-2, -1)))}
 
 
-def _prefix_maps(chains: ChainBatch, phi0: np.ndarray) -> np.ndarray:
-    """phi_0 .. phi_r on axis -3, ``prefix_products`` at lambda = -1: phi_ell is ``extended_product`` on ell steps."""
-    return np.stack(list(prefix_products(chains.pis, chains.perps, -1, phi0)), axis=-3)
+def _prefix_maps(chains: ChainBatch) -> np.ndarray:
+    """phi_0 = I .. phi_r on axis -3, ``prefix_products`` at lambda = -1: phi_ell is ``extended_product`` on ell steps."""
+    eye = np.eye(chains.pis.shape[-1], dtype=np.complex128)
+    return np.stack(list(prefix_products(chains.pis, chains.perps, -1, eye)), axis=-3)
 
 
-def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] = None) -> dict:
+def section_identities(chains: ChainBatch, seed: int = 0, conn: Optional[ConnectionFiber] = None) -> dict:
     """Residuals of the section identities at the fibers of z.
 
-    ``data`` is a DataArray, a HarmonicMapSampler or their chains on
-    ``_stencil(z, FD_STEP)`` (a ChainBatch, read with phi_0 = I); ``conn`` may
-    hold the prefix maps' connections.  Each family is one stacked field,
-    differenced once: a list for a point z, an array with the residual index
-    last for an array of points; K-vectors run over the live columns.
+    ``chains`` is the chains on ``_stencil(z, FD_STEP)``, as ``stencil_chains``
+    lays them out; ``conn`` may hold the prefix maps' connections.  Each family
+    is one stacked field, differenced once: a list for a point z, an array with
+    the residual index last for an array of points; K-vectors run over the live
+    columns.
 
     dbar_K:        D^{phi_i}_zbar K^(k)_{i,j} = 0      (holomorphic sections)
     Az_K:          A^{phi_i}_z K^(k)_{i,j} + K^(k+1)_{i,j} = 0  (K^(i+1) := 0)
@@ -220,11 +193,10 @@ def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] =
                    for ell <= LEMMA_MAX_ELL
     antibasic:     pi_ell_perp A^{phi_{ell-1}}_z = 0
     """
-    chains, phi0 = _on_stencil(data, _stencil(z, FD_STEP))
     r, J, n = chains.kvecs.shape[-3:]
     kv, perp = chains.kvecs[0][..., None], chains.perps[0]
     if conn is None:  # the connections of the prefix maps phi_ell, ell = 0..r, on axis -3
-        conn = _connection(_prefix_maps(chains, phi0), FD_STEP)
+        conn = _connection(_prefix_maps(chains), FD_STEP)
     a_z, a_zbar = conn.a_z[..., :r, None, None, :, :], conn.a_zbar[..., :r, None, None, :, :]
     _, dzb_k = _wirtinger(chains.kvecs[1:, ..., None], FD_STEP)
     # K^(k+1)_{i,j}; the table holds zeros above k = i, so this is 0 at k = i
@@ -246,7 +218,7 @@ def section_identities(data, z, seed: int = 0, conn: Optional[ConnectionFiber] =
         lemma.append(_norms(resid))
     out = {"dbar_K": dbar_k, "Az_K": az_k, "dzbar_lemma": np.concatenate(lemma, axis=-1), "antibasic": antibasic}
     maxima = {f"max_{name}": _scalar(vals.max(axis=-1, initial=0.0)) for name, vals in out.items()}
-    if np.ndim(z) == 0:
+    if chains.zs.ndim == 1:
         out = {name: vals.tolist() for name, vals in out.items()}
     return {**out, **maxima}
 
@@ -303,13 +275,13 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         tol.update(tolerances)
     batch = _draw(data, samples, seed, FD_STEP)[1]  # (9, samples), the sample points in row 0
     # phi_0..phi_r on every stencil point (phi_r the map) and the report's one inversion
-    prefix = _prefix_maps(batch, np.eye(data.n, dtype=np.complex128))
+    prefix = _prefix_maps(batch)
     conn = _connection(prefix, FD_STEP)
     maps, map_conn = prefix[..., -1, :, :], ConnectionFiber(*(f[..., -1, :, :] for f in conn))
     # Phi_lambda's coefficients on every stencil point; row 0's are the sample points'
     T = extended_coefficients(batch.pis, batch.perps, data.n)
-    ec = extended_checks(T, batch.zs[0], conn=map_conn)
-    sec = section_identities(batch, batch.zs[0], seed=seed, conn=conn)
+    ec = extended_checks(T, conn=map_conn)
+    sec = section_identities(batch, seed=seed, conn=conn)
     residuals = {
         "harmonicity": harmonicity_residual(maps, batch.zs[0], conn=map_conn),
         "extended_solution": ec["es_residual"],

@@ -39,9 +39,11 @@ from unitons import (
     w_from_x,
     x_columns_from_data,
 )
+from unitons.builder import extended_product
 from unitons.cli import main as cli_main
 from unitons.grassmannian import reality_defect
 from unitons.projections import factor_products, image_span
+from unitons.verifier import stencil_chains
 
 P = RationalFn.polynomial
 
@@ -121,9 +123,10 @@ def test_criterion_02_harmonicity():
     t0 = time.perf_counter()
     worst = 0.0
     for data in _harmonic_datasets():
-        sampler = HarmonicMapSampler(data)
-        for z in draw_sample_points(data, 30, seed=5, stencil_h=1e-3):
-            worst = max(worst, harmonicity_residual(sampler, z))
+        zs = np.array(draw_sample_points(data, 30, seed=5, stencil_h=1e-3))
+        chains = stencil_chains(data, zs)  # one kernel call on the 30 points' stencils
+        maps = extended_product(chains.pis, chains.perps, -1, np.eye(data.n, dtype=complex))
+        worst = max(worst, harmonicity_residual(maps, zs).max())
     # negative control: replace the second factor by a non-uniton projection
     data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=0)
     sampler = HarmonicMapSampler(data)
@@ -150,13 +153,14 @@ def test_criterion_03_extended_solution():
     for seed in (0, 1):
         for n, r, pattern in HARMONIC_CASES[:3]:
             data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
-            sampler = HarmonicMapSampler(data)
             for z in draw_sample_points(data, 2, seed=7, stencil_h=1e-3):
-                rep = extended_checks(sampler, z)
+                chains = stencil_chains(data, z)
+                T = extended_coefficients(chains.pis, chains.perps, n)  # row 0 is z's own loop
+                rep = extended_checks(T)
                 worst_es = max(worst_es, rep["es_residual"])
                 worst_unit = max(worst_unit, rep["unitarity_defect"])
                 worst_phi1 = max(worst_phi1, rep["phi1_defect"])
-                worst_real = max(worst_real, reality_defect(sampler.extended_coeffs_at(z)))
+                worst_real = max(worst_real, reality_defect(T[0]))
     _DURATIONS[3] = time.perf_counter() - t0
     ok = (worst_es <= TOL_EXTENDED and worst_unit <= TOL_UNITARITY
           and worst_phi1 <= TOL_PHI_ONE and worst_real <= TOL_REALITY)
@@ -201,7 +205,7 @@ def test_criterion_05_section_identities():
     for seed in (0, 1):
         data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=seed)
         for z in draw_sample_points(data, 10, seed=9, stencil_h=1e-3):
-            sec = section_identities(data, z, seed=seed)
+            sec = section_identities(stencil_chains(data, z), seed=seed)
             worst = max(worst, sec["max_dbar_K"], sec["max_Az_K"], sec["max_dzbar_lemma"])
     _DURATIONS[5] = time.perf_counter() - t0
     ok = worst <= TOL_SECTIONS

@@ -61,6 +61,15 @@ def test_s1_generate_refuses_what_the_other_modes_refuse(tmp_path, capsys, argv,
     assert errors[0].startswith("error: ") and set(errors) == {errors[0]}
 
 
+def test_random_generate_refuses_rank_steps(tmp_path, capsys):
+    # random mode draws dense data and once wrote the same bytes with or without the steps
+    out = tmp_path / "random.json"
+    assert run("generate", "--n", 4, "--r", 2, "--rank-steps", "1,1", "--output", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: --rank-steps applies to the echelon and s1 modes only\n"
+    assert run("generate", "--n", 4, "--r", 2, "--output", out) == 0
+
+
 def test_verify_r0_passes(tmp_path):
     data_file = tmp_path / "r0.json"
     run("generate", "--n", 3, "--r", 0, "--output", data_file)
@@ -693,7 +702,7 @@ PUBLIC_NAMES = """
     evaluate_map extended_checks extended_coefficients harmonicity_residual image_span iwasawa_factorize
     kernel_factorize_fiber normalize_type_one orthonormal_basis principal_angles projection_pair
     q_adapted_check random_data s1_invariant_data section_identities verification_report w_from_loop
-    w_from_x wirtinger x_columns_from_data
+    w_from_x x_columns_from_data
 """.split()
 
 _START_UP = """
@@ -737,7 +746,7 @@ def test_only_factorize_and_grassmann_load_the_grassmannian_model(tmp_path):
     assert {name: got[name] for name in commands} == {
         "generate": [0, False], "sample": [0, False], "verify": [0, False], "factorize": [0, True], "grassmann": [0, True]}
     assert got["bare"] == [] and got["loop"] == "unitons.grassmannian"
-    assert set(PUBLIC_NAMES) <= set(got["dir"]) and len(PUBLIC_NAMES) == 42
+    assert set(PUBLIC_NAMES) <= set(got["dir"]) and len(PUBLIC_NAMES) == 41
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -88,3 +88,13 @@ def test_every_third_party_import_is_a_declared_dependency():
 def test_json_is_read_and_written_by_one_library():
     # serialize is the one home of JSON I/O, through orjson; stdlib json would be a second path
     assert "json" not in _imported_modules()
+
+
+def test_library_sketch_runs():
+    # the README's "Library sketch" block runs as printed against the current API
+    section = README.read_text().split("## Library sketch", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md#library-sketch", "exec"), namespace)
+    assert namespace["res"] <= 1e-8
+    assert namespace["pis"].shape[0] == len(namespace["zs"])

@@ -54,8 +54,8 @@ P = RationalFn.polynomial
 Z = 0.29 + 0.41j
 
 
-def loop_at(data, z, phi0=None):
-    s = HarmonicMapSampler(data, phi0)
+def loop_at(data, z):
+    s = HarmonicMapSampler(data)
     return LoopPoly(s.extended_coeffs_at(z))
 
 

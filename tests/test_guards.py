@@ -17,7 +17,6 @@ from unitons import (
     Span,
     WSubspace,
     draw_sample_points,
-    harmonicity_residual,
     normalize_type_one,
     principal_angles,
     random_data,
@@ -26,6 +25,7 @@ from unitons import (
     w_from_x,
 )
 from unitons.cli import _parse_rect
+from unitons.verifier import stencil_chains
 
 P = RationalFn.polynomial
 DATA = random_data(3, 2, 2, sparsity_pattern=(1, 1), seed=1)
@@ -67,7 +67,7 @@ GUARDS = {
     "serialize-matrix-ndim": (lambda: serialize.matrix_to_json(np.zeros(3)), BadShape, "only 2-d matrices serialize"),
     "serialize-stack-shapes": (lambda: serialize.loop_fibers_from_json(_two_shape_loop_file()), BadShape,
                                "a stack needs matrices of one shape"),
-    "verifier-stencil-degenerate": (lambda: harmonicity_residual(DATA, 1e200), DegeneratePoint,
+    "verifier-stencil-degenerate": (lambda: stencil_chains(DATA, 1e200), DegeneratePoint,
                                     "ambiguous rank decision or data values not finite"),
     "verifier-no-samples": (lambda: verification_report(DATA, samples=0), BadShape, "samples must be >= 1"),
 }

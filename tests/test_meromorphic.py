@@ -205,7 +205,7 @@ def test_generated_data_deflates_nothing():
 
 def test_random_data_r0():
     data = random_data(3, 0, 3, seed=1)
-    assert data.ncols == 0 and data.r == 0
+    assert data.columns == () and data.r == 0
 
 
 def test_random_data_deterministic():
@@ -270,7 +270,7 @@ def test_data_array_validation():
         DataArray(3, 1, ((v,),))  # vector length 2 in C^3
     with pytest.raises(BadShape):
         DataArray(2, 1, ())  # r >= 1 with no column: every uniton would be zero
-    assert DataArray(2, 0, ()).ncols == 0  # r = 0 needs none
+    assert DataArray(2, 0, ()).columns == ()  # r = 0 needs none
 
 
 def test_json_round_trip_exact():

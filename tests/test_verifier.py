@@ -17,11 +17,10 @@ from unitons import (
     s1_invariant_data,
     section_identities,
     verification_report,
-    wirtinger,
 )
 from unitons import builder, kernels, verifier
 from unitons.projections import factor_products, masked_basis
-from unitons.verifier import DEFAULT_TOLERANCES, LEMMA_MAX_ELL
+from unitons.verifier import DEFAULT_TOLERANCES, FD_STEP, LEMMA_MAX_ELL, stencil_chains
 
 from oracles import (
     nested_harmonicity,
@@ -33,21 +32,32 @@ from oracles import (
 )
 
 
+def _wirtinger_of(field, z):
+    """(d/dz f, d/dzbar f) at z of a field called once per stencil point: its
+    values on ``_stencil(z)``, differenced by ``_wirtinger``."""
+    return verifier._wirtinger(np.array([field(w) for w in verifier._stencil(z, FD_STEP)[1:].tolist()]), FD_STEP)
+
+
+def _maps(chains):
+    """The map (pi_1 - pi_1_perp) ... (pi_r - pi_r_perp) on every point of a chain stack."""
+    return builder.extended_product(chains.pis, chains.perps, -1, np.eye(chains.pis.shape[-1], dtype=np.complex128))
+
+
 def test_wirtinger_holomorphic_monomial():
-    dz, dzb = wirtinger(lambda z: z**2, 1.0)
+    dz, dzb = verifier._wirtinger(verifier._stencil(1.0, FD_STEP)[1:] ** 2, FD_STEP)
     assert abs(dz - 2.0) <= 1e-9
     assert abs(dzb) <= 1e-9
 
 
 def test_wirtinger_antiholomorphic():
-    dz, dzb = wirtinger(lambda z: np.conj(z), 0.3 - 0.8j)
+    dz, dzb = verifier._wirtinger(np.conj(verifier._stencil(0.3 - 0.8j, FD_STEP)[1:]), FD_STEP)
     assert abs(dz) <= 1e-9
     assert abs(dzb - 1.0) <= 1e-9
 
 
 def test_wirtinger_mixed():
     z0 = 1.0 + 1.0j
-    dz, _ = wirtinger(lambda z: abs(z) ** 2, z0)
+    dz, _ = verifier._wirtinger(abs(verifier._stencil(z0, FD_STEP)[1:]) ** 2, FD_STEP)
     assert abs(dz - np.conj(z0)) <= 1e-9
 
 
@@ -141,25 +151,23 @@ def test_harmonicity_built_map_and_negative_control():
     random_data(3, 0, 2, seed=0),
 ], ids=["echelon-5-4", "echelon-4-2", "r0"])
 def test_harmonicity_input_forms_agree_bit_for_bit(data):
-    # a sampler or DataArray builds the stencil in one kernel call, a
-    # callable is evaluated point by point; the residuals are the same
-    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((data.n, data.n)) + 1j * np.eye(data.n))
+    # the maps on stencil_chains' one kernel call, and a sampler or map callable
+    # evaluated point by point, give the same residuals
     pts = np.array(draw_sample_points(data, 4, seed=10, stencil_h=1e-3))
-    s, twisted = HarmonicMapSampler(data), HarmonicMapSampler(data, q)
+    s = HarmonicMapSampler(data)
     for z in pts:
         by_point = harmonicity_residual(s.map_at, z)
-        assert harmonicity_residual(s, z) == harmonicity_residual(data, z) == by_point
-        assert harmonicity_residual(twisted, z) == harmonicity_residual(twisted.map_at, z)
-    stacked = harmonicity_residual(s, pts)
+        assert harmonicity_residual(s, z) == harmonicity_residual(_maps(stencil_chains(data, z)), z) == by_point
+    stacked = harmonicity_residual(_maps(stencil_chains(data, pts)), pts)
     assert stacked.shape == pts.shape
     assert np.array_equal(stacked, [harmonicity_residual(s.map_at, z) for z in pts])
 
 
 def test_extended_checks_built_map():
     data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 2), seed=7)
-    s = HarmonicMapSampler(data)
     z = draw_sample_points(data, 1, seed=8, stencil_h=1e-3)[0]
-    rep = extended_checks(s, z)
+    chains = stencil_chains(data, z)
+    rep = extended_checks(builder.extended_coefficients(chains.pis, chains.perps, data.n))
     assert rep["es_residual"] <= 1e-5
     assert rep["unitarity_defect"] <= 1e-10
     assert rep["phi1_defect"] <= 1e-12
@@ -168,7 +176,7 @@ def test_extended_checks_built_map():
 def test_section_identities_polynomial_r1():
     data = random_data(3, 1, 3, seed=11)
     z = draw_sample_points(data, 1, seed=12, stencil_h=1e-3)[0]
-    sec = section_identities(data, z)
+    sec = section_identities(stencil_chains(data, z))
     # step 0 sits in the standard structure: dbar K = dbar H_0 = 0
     assert sec["max_dbar_K"] <= 1e-9
     assert sec["max_Az_K"] <= 1e-5
@@ -177,7 +185,7 @@ def test_section_identities_polynomial_r1():
 def test_section_identities_full_depth():
     data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=13)
     for z in draw_sample_points(data, 3, seed=14, stencil_h=1e-3):
-        sec = section_identities(data, z)
+        sec = section_identities(stencil_chains(data, z))
         assert sec["max_dbar_K"] <= 1e-5
         assert sec["max_Az_K"] <= 1e-5
         assert sec["max_dzbar_lemma"] <= 1e-5
@@ -214,7 +222,7 @@ def _per_entry_sections(sampler, z, seed=0):
         for k in range(i + 1):
             for j in range(J):
                 kv = center.kvecs[i, k, j]
-                _, dzb = wirtinger(lambda w, _i=i, _k=k, _j=j: sampler.chain_at(w).kvecs[_i, _k, _j], z)
+                _, dzb = _wirtinger_of(lambda w, _i=i, _k=k, _j=j: sampler.chain_at(w).kvecs[_i, _k, _j], z)
                 dbar_k.append(float(np.linalg.norm(dzb + conn[i].a_zbar @ kv)))
                 nxt = center.kvecs[i, k + 1, j] if k + 1 <= i else np.zeros(n)
                 az_k.append(float(np.linalg.norm(conn[i].a_z @ kv + nxt)))
@@ -233,8 +241,8 @@ def _per_entry_sections(sampler, z, seed=0):
                 cd = sampler.chain_at(w)
                 return factor_products(None, cd.perps[: _ell - 1], n, top=_ell)[_s + 1] @ h_at(w)
 
-            _, dzb_f = wirtinger(f_field, z)
-            _, dzb_g = wirtinger(g_field, z)
+            _, dzb_f = _wirtinger_of(f_field, z)
+            _, dzb_g = _wirtinger_of(g_field, z)
             resid = dzb_f + conn[ell].a_zbar @ f_field(z) + center.perps[ell - 1] @ dzb_g
             lemma.append(float(np.linalg.norm(resid)))
     antibasic = [float(np.linalg.norm(center.perps[ell] @ conn[ell].a_z)) for ell in range(r)]
@@ -248,7 +256,7 @@ def _per_entry_sections(sampler, z, seed=0):
 def test_stacked_sections_equal_per_entry_reference(data):
     s = HarmonicMapSampler(data)
     for z in draw_sample_points(data, 2, seed=17, stencil_h=1e-3):
-        sec = section_identities(s, z, seed=4)
+        sec = section_identities(stencil_chains(data, z), seed=4)
         dbar_k, az_k, lemma, antibasic = _per_entry_sections(s, z, seed=4)
         assert sec["dbar_K"] == dbar_k and sec["max_dbar_K"] == max(dbar_k)
         assert sec["Az_K"] == az_k and sec["max_Az_K"] == max(az_k)
@@ -259,7 +267,7 @@ def test_stacked_sections_equal_per_entry_reference(data):
 
 def test_sections_r0_are_empty():
     data = random_data(3, 0, 2, seed=0)
-    sec = section_identities(data, 0.3 + 0.2j)
+    sec = section_identities(stencil_chains(data, 0.3 + 0.2j))
     assert sec["dbar_K"] == sec["Az_K"] == sec["dzbar_lemma"] == sec["antibasic"] == []
     assert sec["max_dbar_K"] == sec["max_antibasic"] == 0.0
 
@@ -307,7 +315,6 @@ def test_verify_builds_once_on_the_points_the_draw_checked(monkeypatch):
     monkeypatch.setattr(kernels, "build_chain", counted("build_chain", kernels.build_chain))
     product = counted("extended_product", builder.extended_product)
     monkeypatch.setattr(builder, "extended_product", product)
-    monkeypatch.setattr(verifier, "extended_product", product)
     monkeypatch.setattr(builder.ChainBatch, "at", counted("at", builder.ChainBatch.at))
     for stage in ("harmonicity_residual", "extended_checks", "section_identities"):
         monkeypatch.setattr(verifier, stage, counted(stage, getattr(verifier, stage)))
@@ -342,17 +349,17 @@ def test_shared_connection_gives_the_standalone_residuals():
     data = random_data(5, 3, 3, sparsity_pattern=(1, 2, 2), seed=1)
     batch = builder._draw(data, 3, 5, verifier.FD_STEP)[1]
     z = batch.zs[0]
-    prefix = verifier._prefix_maps(batch, np.eye(5, dtype=complex))
+    prefix = verifier._prefix_maps(batch)
     conn = verifier._connection(prefix, verifier.FD_STEP)
     last = verifier.ConnectionFiber(*(f[..., -1, :, :] for f in conn))
     maps = builder.extended_product(batch.pis, batch.perps, -1, np.eye(5, dtype=complex))
     assert prefix[..., -1, :, :].tobytes() == maps.tobytes()
     assert harmonicity_residual(maps, z, conn=last).tobytes() == harmonicity_residual(maps, z).tobytes()
-    shared, own = section_identities(batch, z, seed=2, conn=conn), section_identities(batch, z, seed=2)
+    shared, own = section_identities(batch, seed=2, conn=conn), section_identities(batch, seed=2)
     for name, vals in own.items():
         assert np.asarray(shared[name]).tobytes() == np.asarray(vals).tobytes(), name
     T = builder.extended_coefficients(batch.pis, batch.perps, 5)
-    shared, own = extended_checks(T, z, conn=last), extended_checks(T, z)
+    shared, own = extended_checks(T, conn=last), extended_checks(T)
     assert np.abs(shared["es_residual"] - own["es_residual"]).max() <= 1e-13
     for name in ("unitarity_defect", "phi1_defect"):
         assert shared[name].tobytes() == own[name].tobytes(), name
@@ -516,10 +523,6 @@ def test_report_is_bit_for_bit_that_of_the_static_checks_own_coefficients(case, 
     row0 = builder.extended_coefficients(batch.pis, batch.perps, n)[0]
     own = builder.extended_coefficients(batch.pis[0], batch.perps[0], n)
     assert row0.view(np.float64).tobytes() == own.view(np.float64).tobytes()
-    # extended_checks on the coefficients is extended_checks on the chains they come from
-    on_chains = verifier.extended_checks(batch, batch.zs[0])
-    on_coeffs = verifier.extended_checks(builder.extended_coefficients(batch.pis, batch.perps, n), batch.zs[0])
-    assert all(np.array_equal(on_chains[k], on_coeffs[k]) for k in on_chains)
     static = verifier._static_checks
     monkeypatch.setattr(verifier, "_static_checks", lambda chains, _: static(
         chains, builder.extended_coefficients(chains.pis, chains.perps, n)))
@@ -534,15 +537,13 @@ def test_report_is_bit_for_bit_that_of_the_static_checks_own_coefficients(case, 
     random_data(3, 0, 2, seed=0),
 ], ids=["J>1", "r=4", "r0"])
 def test_prefix_maps_are_the_products_of_their_steps_bit_for_bit(data):
-    q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((data.n, data.n)) + 1j * np.eye(data.n))
-    points = verifier._stencil(draw_sample_points(data, 2, seed=17, stencil_h=verifier.FD_STEP), verifier.FD_STEP)
-    for sampler in (HarmonicMapSampler(data), HarmonicMapSampler(data, q)):
-        chains, phi0 = verifier._on_stencil(sampler, points)
-        prefix = verifier._prefix_maps(chains, phi0)
-        assert prefix.shape == points.shape + (data.r + 1, data.n, data.n)
-        for ell in range(data.r + 1):
-            expected = builder.extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1, phi0)
-            assert np.array_equal(prefix[..., ell, :, :], expected), ell
+    eye = np.eye(data.n, dtype=np.complex128)
+    chains = stencil_chains(data, draw_sample_points(data, 2, seed=17, stencil_h=FD_STEP))
+    prefix = verifier._prefix_maps(chains)
+    assert prefix.shape == chains.zs.shape + (data.r + 1, data.n, data.n)
+    for ell in range(data.r + 1):
+        expected = builder.extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1, eye)
+        assert np.array_equal(prefix[..., ell, :, :], expected), ell
 
 
 def test_lemma_vector_values_match_its_pointwise_evaluation():
