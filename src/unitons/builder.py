@@ -35,40 +35,27 @@ ESCAPE_RTOL, ESCAPE_ATOL = 1e-9, 1e-12  # K^(k)_{i,j} escapes alpha_{i+1} when |
 STENCIL_OFFSETS = np.array([0, 2, 1, -1, -2, 2j, 1j, -1j, -2j])  # FD stencil in steps: the centre, then x and y
 
 
-class _Tables(NamedTuple):
-    coeffs: np.ndarray  # (K, K, J_slots, n, L): coefficient row (k, m, slot, c), degree-ascending
-    live: tuple[int, ...]  # the columns holding a non-zero entry
-
-
 @lru_cache(maxsize=64)
-def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> _Tables:
-    """Coefficient table of the derivative chains of the live columns' normal forms.
+def _tables(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...]) -> np.ndarray:
+    """Coefficient table (r, r, J_slots, n, L), degree-ascending, of the
+    derivative chains of the live columns' normal forms.
 
     Each live column enters as its ``polynomial_column``, which has the
     column's map.  A column is dead when every entry is zero: it gets no slot
     (one padding slot when no column is live).  Row (k, m, slot, c) holds the
     k'th derivative of row m of the column in that slot for k <= r-1-m, and
-    zeros above.
+    zeros above.  The cached table is read-only.
     """
-    live = tuple(j for j, col in enumerate(columns) if not all(f.is_zero for vec in col for f in vec.entries))
-    forms = [polynomial_column(columns[j]) for j in live]
+    forms = [polynomial_column(col) for col in columns if not all(f.is_zero for vec in col for f in vec.entries)]
     width = max((form.shape[-1] for form in forms), default=1)
-    table = np.zeros((max(r, 1), max(r, 1), max(len(live), 1), n, width), np.complex128)
+    table = np.zeros((r, r, max(len(forms), 1), n, width), np.complex128)
     for slot, form in enumerate(forms):
         table[0, :, slot, :, : form.shape[-1]] = form
     for k in range(1, r):
         # shift and multiply by the index: a chained polyder's products, so its bits
         table[k, : r - k, ..., :-1] = table[k - 1, : r - k, ..., 1:] * np.arange(1, width)
-    return _Tables(table, live)
-
-
-def _live_values(n: int, r: int, columns: tuple[tuple[MeroVector, ...], ...],
-                 zs: np.ndarray) -> tuple[_Tables, np.ndarray]:
-    """The cached table of r-row columns, and its slots' derivative values at
-    every point of zs (P,): (P, r, r, J_slots, n), slot s holding live column
-    ``t.live[s]``."""
-    t = _tables(n, r, columns)
-    return t, kernels.eval_table(t.coeffs, zs)
+    table.flags.writeable = False
+    return table
 
 
 class ChainBatch(NamedTuple):
@@ -121,7 +108,7 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     if P == 1 and data.columns is _last_draw[0] and (p := _last_draw[1].get(complex(zs[0]))) is not None:
         return _last_draw[2].take([p])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _live_values(n, r, data.columns, zs)[1]
+        vals = kernels.eval_table(_tables(n, r, data.columns), zs)
     unfit = np.zeros(P, bool)
     if not np.isfinite(vals).all():
         # the table overflowed at a point far out: flag it, and give the SVD zeros, not inf

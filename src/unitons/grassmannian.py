@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .builder import _live_values, extended_coefficients, reality_defect
+from . import kernels
+from .builder import _tables, extended_coefficients, reality_defect
 from .errors import (
     BadShape,
     DegreeNoDrop,
@@ -23,7 +24,6 @@ from .errors import (
     NoTermination,
     NotLambdaInvariant,
 )
-from .meromorphic import MeroVector, RationalFn, polynomial_column
 from .projections import (
     Span,
     factor_step,
@@ -120,56 +120,53 @@ class WSubspace:
         return WSubspace(self.r, self.n, b[:, b.any(axis=0)])
 
 
-def binomial_transform(column: Sequence[MeroVector]) -> list[MeroVector]:
-    """L_i = sum_l C(i,l) H_l, one Pascal-matrix product on the column's normal
-    form (``polynomial_column``), as polynomial vectors.  The normal form is the
-    column times a scalar function, so L and its derivatives span at every
-    point what the data's binomial transform spans; on Gaussian-integer data
-    the sums are exact.  A dead (all-zero) column is returned as it is."""
-    col = tuple(column)
-    if all(f.is_zero for vec in col for f in vec.entries):
-        return list(col)
-    form = polynomial_column(col)  # (r, n, L)
-    pascal = np.array([[math.comb(i, ell) for ell in range(len(col))] for i in range(len(col))], np.float64)
-    rows = (pascal @ form.reshape(len(col), -1)).reshape(form.shape)
-    return [MeroVector(tuple(map(RationalFn.polynomial, vec))) for vec in rows.tolist()]
+def binomial_transform(table: np.ndarray) -> np.ndarray:
+    """L_i = sum_l C(i,l) H_l on a derivative table (r, r, J, n, L) of the
+    rows H_l (``builder._tables``): one Pascal contraction along the row axis,
+    which commutes with d/dz, giving the table of the L_i in the same layout,
+    zeros at k + i > r-1 included.  On Gaussian-integer data the sums are exact."""
+    r = table.shape[0]
+    pascal = np.array([[math.comb(i, ell) for ell in range(r)] for i in range(r)], np.float64).reshape(r, r)
+    out = np.einsum("il,kl...->ki...", pascal, table)
+    out[np.add.outer(np.arange(r), np.arange(r)) >= r] = 0.0
+    return out
 
 
-def x_columns_from_data(data) -> list[list[MeroVector]]:
-    """Binomial transform of every column: the X spanning set of the model."""
-    return [binomial_transform(col) for col in data.columns]
+def x_columns_from_data(data) -> np.ndarray:
+    """The X spanning set of the model: the binomial transform of the data's
+    cached derivative table, a new array (r, r, J_slots, n, L)."""
+    return binomial_transform(_tables(data.n, data.r, data.columns))
 
 
-def w_from_x(x_columns: Sequence[Sequence[MeroVector]], z: complex) -> WSubspace:
-    """W = X + lambda X_(1) + ... + lambda^{r-1} X_(r-1) + lambda^r H_+ at z.
+def w_from_x(x_table: np.ndarray, z: complex) -> WSubspace:
+    """W = X + lambda X_(1) + ... + lambda^{r-1} X_(r-1) + lambda^r H_+ at z,
+    from X's derivative table (r, r, J, n, L), laid out as ``builder._tables``.
 
-    The derivative table holds block i of X^(m) for m <= r-1-i, exactly the
-    blocks that lambda^k X^(m) (m <= k) keeps below lambda^r.  Sections of no
-    block (r = 0, or no section) give W = H_+, the zero subspace of C^0, as
-    ``w_from_loop`` does; they hold no vector to read n from, so its n is 0.
+    The table holds block i of X^(m) for m <= r-1-i, exactly the blocks that
+    lambda^k X^(m) (m <= k) keeps below lambda^r.  A table of no block
+    (r = 0) gives W = H_+, the zero subspace of C^0, as ``w_from_loop`` does.
     """
-    cols = tuple(tuple(c) for c in x_columns)
-    r = len(cols[0]) if cols else 0
-    if any(len(col) != r for col in cols):
-        raise BadShape("all sections must have r blocks")
+    x_table = np.asarray(x_table)
+    if x_table.ndim != 5 or x_table.shape[0] != x_table.shape[1]:
+        raise BadShape(f"X must be a derivative table (r, r, J, n, L), got shape {x_table.shape}")
+    r, _, slots, n, _ = x_table.shape
     if r == 0:
-        return WSubspace(0, 0, np.zeros((0, 0), np.complex128))
-    n = cols[0][0].n
-    t, vals = _live_values(n, r, cols, np.array([z], np.complex128))
-    # the table's rows, then one zero row; a dead column spans nothing and gets no vector
+        return WSubspace(0, n, np.zeros((0, 0), np.complex128))
+    vals = kernels.eval_table(x_table, np.array([z], np.complex128))
+    # the table's rows, then one zero row
     rows = np.concatenate([vals[0].reshape(-1, n), np.zeros((1, n), np.complex128)])
-    blocks = rows[_w_gather(r, vals.shape[3], len(t.live))]  # (r, vectors, n)
+    blocks = rows[_w_gather(r, slots)]  # (r, vectors, n)
     basis = orthonormal_basis(blocks.transpose(0, 2, 1).reshape(r * n, -1))
     return WSubspace(r, n, basis.basis)
 
 
 @lru_cache(maxsize=16)
-def _w_gather(r: int, slots: int, live: int) -> np.ndarray:
-    """Row indices (r, live * r(r+1)/2) into a table (r, r, slots, n) flattened to
+def _w_gather(r: int, slots: int) -> np.ndarray:
+    """Row indices (r, slots * r(r+1)/2) into a table (r, r, slots, n) flattened to
     rows, with the zero row r * r * slots appended: entry [b, v] is block b of
     vector v = lambda^k X_j^(m), ordered by j, then k, then m <= k, which is row
     b - k of X_j^(m) for b >= k and zero below."""
-    b, j, k, m = np.indices((r, live, r, r))
+    b, j, k, m = np.indices((r, slots, r, r))
     idx = np.where(b >= k, (m * r + b - k) * slots + j, r * r * slots)
     tri_k, tri_m = np.tril_indices(r)
     return idx[:, :, tri_k, tri_m].reshape(r, -1)

@@ -43,7 +43,8 @@ def build_chain(hvals):
     value lies within a decade of the rank threshold (ambiguous rank).
 
     The points are split into k = min(usable CPUs, P // SPLIT_POINTS)
-    contiguous chunks, or one when that is below 2: the caller's thread
+    contiguous chunks, or one when that is below 2 (usable CPUs: the affinity
+    mask's, or ``os.cpu_count()`` where the OS has none): the caller's thread
     builds the first and k - 1 threads the rest, each into its slices of the
     outputs, since the stacked SVDs that dominate the kernel run in LAPACK
     without the interpreter lock.  Every thread is joined before the call
@@ -60,7 +61,7 @@ def build_chain(hvals):
     )
     k = P // SPLIT_POINTS
     if k >= 2:
-        k = min(k, len(os.sched_getaffinity(0)))
+        k = min(k, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if k < 2:
         _build_chunk(hvals, *out)
         return out

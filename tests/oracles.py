@@ -10,9 +10,10 @@ principal-angle gaps, the Cartan embedding of a span, the associated curves
 of a column, type-one normalization point by point, the derivative table of
 any columns, the data-array edits (row restriction, an extra or shifted
 column) that only tests make, the random generators drawn one entry at a
-time and a polynomial vector's values from its own coefficients, the binomial transform of Gaussian-integer
-data by integer sums, and the JSON encoding of matrix stacks, chains,
-loop fibers and sample records with Python floats from tolist().  The
+time and a polynomial vector's values from its own coefficients, the
+binomial transform of a Gaussian-integer table by integer sums, and the JSON
+encoding of matrix stacks, chains, loop fibers and sample records with
+Python floats from tolist().  The
 separate recursions that ``projections.factor_step`` replaced (the C and S
 rows, the constant-loop step, the kernel descent's update and the Iwasawa
 loop that rebuilt S at every step) are kept as bit-for-bit references."""
@@ -51,10 +52,11 @@ def derivative_values(n, r, columns, zs):
     point of zs (P,), laid out on all J columns: vals[p, k, m, j] (P, r, r, J, n)
     is the k'th derivative of row m of column j's normal form at zs[p], held
     for k <= r-1-m and zero above, and exact zeros in a dead column."""
-    from unitons.builder import _live_values
+    from unitons import kernels
+    from unitons.builder import _tables
 
     columns = tuple(tuple(col) for col in columns)
-    return on_all_columns(columns, _live_values(n, r, columns, np.asarray(zs, complex))[1])
+    return on_all_columns(columns, kernels.eval_table(_tables(n, r, columns), np.asarray(zs, complex)))
 
 
 def on_all_columns(columns, arr):
@@ -485,45 +487,35 @@ def w_basis_per_fiber(coeffs):
     return orthonormal_basis(vecs).basis
 
 
-def binomial_transform_gaussian(column):
-    """L_i = sum_l C(i, l) H_l of a polynomial column with Gaussian-integer
-    coefficients, summed as integer pairs coefficient by coefficient on the raw
-    coefficients: no normal form and no MeroVector arithmetic."""
+def binomial_transform_integer(table):
+    """L_i = sum_l C(i, l) H_l on a derivative table (r, r, J, n, L) whose entries
+    are Gaussian integers, summed in Python ints entry by entry over the rows
+    l <= i that the table holds (k + i <= r-1), and zero where it holds none:
+    no Pascal matrix and no floating-point sum."""
     from math import comb
 
-    from unitons import RationalFn
-
-    def pairs(f):
-        out = [(int(c.real), int(c.imag)) for c in f.num]
-        if not f.is_polynomial or [complex(*p) for p in out] != list(f.num):
-            raise BadShape("not a Gaussian-integer polynomial")
-        return out
-
-    rows = [[pairs(f) for f in vec.entries] for vec in column]
-    out = []
-    for i in range(len(rows)):
-        entries = []
-        for polys in zip(*rows[: i + 1]):  # one entry of rows 0..i
-            sums = [[0, 0] for _ in range(max(map(len, polys)))]
-            for ell, poly in enumerate(polys):
-                for t, (re, im) in enumerate(poly):
-                    sums[t][0] += comb(i, ell) * re
-                    sums[t][1] += comb(i, ell) * im
-            entries.append(RationalFn(tuple(complex(re, im) for re, im in sums)))
-        out.append(MeroVector(tuple(entries)))
-    return out
+    r = table.shape[0]
+    pairs = np.stack([table.real, table.imag], axis=-1)
+    if (pairs != np.trunc(pairs)).any():
+        raise BadShape("not a Gaussian-integer table")
+    rows = pairs.astype(np.int64).reshape(r, r, -1).tolist()  # Python ints, [k][l][entry]
+    out = [[[0] * pairs[0, 0].size for _ in range(r)] for _ in range(r)]
+    for k in range(r):
+        for i in range(r - k):
+            out[k][i] = [sum(comb(i, ell) * rows[k][ell][e] for ell in range(i + 1)) for e in range(len(out[k][i]))]
+    return np.array(out, np.float64).reshape(pairs.shape).view(np.complex128)[..., 0]
 
 
-def w_from_x_per_vector(x_columns, z):
+def w_from_x_per_vector(x_table, z, columns):
     """Orthonormal basis of W = X + lambda X_(1) + ... at z, one zero-padded vector
-    lambda^k X_j^(m) (m <= k) at a time over every column, dead ones included."""
-    from unitons import orthonormal_basis
+    lambda^k X_j^(m) (m <= k) at a time over every one of the columns, dead ones
+    included, from X's derivative table on the columns' table slots."""
+    from unitons import kernels, orthonormal_basis
 
-    cols = [tuple(c) for c in x_columns]
-    r, n = len(cols[0]), cols[0][0].n
-    vals = derivative_values(n, r, cols, np.array([z], complex))
+    r, n = x_table.shape[0], x_table.shape[3]
+    vals = on_all_columns(columns, kernels.eval_table(x_table, np.array([z], complex)))
     vecs = []
-    for j in range(len(cols)):
+    for j in range(len(columns)):
         for k in range(r):
             for m in range(k + 1):
                 w = np.zeros(r * n, complex)

@@ -446,7 +446,7 @@ def test_zero_entries_over_a_denominator_are_dead():
     col = (MeroVector((P([1]), P([0, 1]), P([2, 0, 1]))), MeroVector((P([0, 1]), P([1]), P([0]))))
     data = DataArray(3, 2, (col, (zero_over, zero_over), (MeroVector.zero(3),) * 2))
     plain = DataArray(3, 2, (col,))
-    assert _tables(3, 2, data.columns).live == (0,)
+    assert _tables(3, 2, data.columns).shape[2] == 1  # one slot: column 0's
     batch = chain_arrays(data, [1.0, 0.4 + 0.2j])
     expected = chain_arrays(plain, [1.0, 0.4 + 0.2j])
     assert not batch.ambiguous.any() and batch.kvecs.shape[3] == 1

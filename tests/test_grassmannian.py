@@ -15,10 +15,13 @@ from unitons import (
     WSubspace,
     binomial_transform,
     build_fiber,
+    builder,
     draw_sample_points,
     extended_coefficients,
     iwasawa_factorize,
     kernel_factorize_fiber,
+    kernels,
+    meromorphic,
     normalize_type_one,
     orthonormal_basis,
     q_adapted_check,
@@ -29,13 +32,13 @@ from unitons import (
     w_from_x,
     x_columns_from_data,
 )
-from unitons.builder import chain_arrays, extended_product
+from unitons.builder import _tables, chain_arrays, extended_product
 from unitons.errors import BadShape, NonProperUniton
-from unitons.meromorphic import polynomial_column
 from unitons.projections import Span, factor_products
 
 from oracles import (
-    binomial_transform_gaussian,
+    binomial_transform_integer,
+    derivative_values,
     iwasawa_per_fiber,
     kernel_descent_per_fiber,
     max_principal_angle,
@@ -68,32 +71,26 @@ def ranks(pis):
     return serialize.chain_to_json(pis)["ranks"]
 
 
-def _coefficients(column, width):
-    """A column of polynomial vectors as its coefficient array (rows, n, width)."""
-    return np.array([[f.num + (0j,) * (width - len(f.num)) for f in vec.entries] for vec in column])
-
-
 def test_binomial_transform_rows():
-    # the Pascal product of the column's normal form, which is the column times 2
-    h = [MeroVector((P([1, t]),)) for t in range(3)]
-    form = polynomial_column(h)
-    ell = _coefficients(binomial_transform(h), form.shape[-1])
-    assert np.array_equal(ell[0], form[0])
-    assert np.array_equal(ell[1], form[0] + form[1])
-    assert np.array_equal(ell[2], form[0] + 2 * form[1] + form[2])
+    # the Pascal product of the column's normal form on every derivative order it holds
+    table = _tables(1, 3, (tuple(MeroVector((P([1, t, t * t]),)) for t in range(1, 4)),))
+    ell = binomial_transform(table)
+    assert np.array_equal(ell[:, 0], table[:, 0])
+    assert np.array_equal(ell[:2, 1], table[:2, 0] + table[:2, 1])
+    assert np.array_equal(ell[0, 2], table[0, 0] + 2 * table[0, 1] + table[0, 2])
+    assert not table[1:, 2].any() and not ell[1:, 2].any() and not ell[2, 1:].any()  # zeros at k + i > r-1
 
 
 def test_binomial_transform_r1_identity():
-    h = [MeroVector((P([2, 1j]), P([0, 3])))]
-    form = polynomial_column(h)
-    assert np.array_equal(_coefficients(binomial_transform(h), form.shape[-1]), form)
+    table = _tables(2, 1, ((MeroVector((P([2, 1j]), P([0, 3]))),),))
+    assert np.array_equal(binomial_transform(table), table)
 
 
 def test_w_from_x_constant_section():
     # r=2 constant X = span{(L0, L1)} -> W = span{(L0, L1), (0, L0)}
     l0 = MeroVector((P([1]), P([2])))
     l1 = MeroVector((P([0]), P([1j])))
-    w = w_from_x([(l0, l1)], Z)
+    w = w_from_x(_tables(2, 2, ((l0, l1),)), Z)
     expect = orthonormal_basis(
         np.column_stack(
             [
@@ -111,7 +108,7 @@ def test_w_from_x_at_a_pole_of_x_is_the_cleared_columns():
     col = (MeroVector((RationalFn((1,), (-0.5, 1)), P([1]))), MeroVector((P([0, 1]), P([2]))))
     cleared = (MeroVector((P([1]), P([-0.5, 1]))), MeroVector((P([0, -0.5, 1]), P([-1, 2]))))
     for z in (0.5, Z):
-        w, want = w_from_x([col], z), w_from_x([cleared], z)
+        w, want = w_from_x(_tables(2, 2, (col,)), z), w_from_x(_tables(2, 2, (cleared,)), z)
         assert w.dim == want.dim == 3  # X, lambda X and lambda X'
         assert max_principal_angle(w_span(w), w_span(want)) <= 1e-12
 
@@ -128,7 +125,7 @@ def test_w_from_x_r0_is_the_zero_subspace(data):
 
 def test_w_from_x_r1_is_fiber():
     col = (MeroVector((P([1]), P([0, 1]), P([3]))),)
-    w = w_from_x([col], Z)
+    w = w_from_x(_tables(3, 1, (col,)), Z)
     assert w.r == 1 and w.dim == 1
     assert max_principal_angle(w_span(w), orthonormal_basis(col[0].eval(Z))) <= 1e-12
 
@@ -138,27 +135,24 @@ def test_w_from_x_gathers_the_per_vector_construction():
     data = random_data(4, 3, 3, seed=22)
     xcols = x_columns_from_data(data)
     for z in draw_sample_points(data, 4, seed=3):
-        assert np.array_equal(w_from_x(xcols, z).basis, w_from_x_per_vector(xcols, z))
+        assert np.array_equal(w_from_x(xcols, z).basis, w_from_x_per_vector(xcols, z, data.columns))
 
 
 def test_w_from_x_skips_dead_columns():
-    from unitons.builder import _tables
-
     data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=0)
     xcols = x_columns_from_data(data)
-    live = _tables(data.n, data.r, tuple(tuple(c) for c in xcols)).live
-    assert 0 < len(live) < len(xcols)  # echelon data leaves most X columns zero
+    assert 0 < xcols.shape[2] < len(data.columns)  # echelon data leaves most columns zero: they get no slot
     for z in draw_sample_points(data, 6, seed=3):
-        w = w_from_x(xcols, z)
-        assert w.basis.shape == w_from_x_per_vector(xcols, z).shape
-        assert span_gap(w_span(w), orthonormal_basis(w_from_x_per_vector(xcols, z))) <= 1e-12
+        w, per_vector = w_from_x(xcols, z), w_from_x_per_vector(xcols, z, data.columns)
+        assert w.basis.shape == per_vector.shape
+        assert span_gap(w_span(w), orthonormal_basis(per_vector)) <= 1e-12
         wl = w_from_loop(loop_at(data, z))
         assert w.dim == wl.dim and span_gap(w_span(w), w_span(wl)) <= 1e-10
 
 
 def test_w_from_x_of_only_dead_columns_is_zero():
     zero = tuple(MeroVector.zero(3) for _ in range(2))
-    w = w_from_x([zero, zero], Z)
+    w = w_from_x(_tables(3, 2, (zero, zero)), Z)
     assert w.dim == 0 and w.basis.shape == (6, 0)
 
 
@@ -192,38 +186,66 @@ GENERATED = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1,
 
 
 @pytest.mark.parametrize("shape", GENERATED, ids=lambda s: f"{s[0]}-{s[1]}-{s[2]}")
-def test_w_from_x_is_the_integer_binomial_transform_bit_for_bit(shape):
-    # the Pascal sums on the normal form are exact, and its power-of-two scale commutes with them
+def test_x_is_the_integer_pascal_sums_of_the_data_table_bit_for_bit(shape):
+    # X is the Pascal product of the data's table, exact on Gaussian integers, in the table's layout
     n, r, pattern = shape
+    above = np.add.outer(np.arange(r), np.arange(r)) >= r
     for seed in range(4):
         data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
-        xcols, reference = x_columns_from_data(data), [binomial_transform_gaussian(col) for col in data.columns]
-        for z in draw_sample_points(data, 2, seed=seed):
-            assert w_from_x(xcols, z).basis.tobytes() == w_from_x(reference, z).basis.tobytes()
+        table, x = _tables(n, r, data.columns), x_columns_from_data(data)
+        assert x.tobytes() == binomial_transform_integer(table).tobytes()
+        # zeros above, as in the data's table, and wherever the data's rows l <= i are all zero
+        assert not table[above].any() and not x[above].any()
+        assert not x[~np.logical_or.accumulate(table != 0, axis=1)].any()
+
+
+def test_x_from_a_cached_table_computes_no_normal_form(monkeypatch):
+    data = random_data(4, 3, 3, sparsity_pattern=(1, 1, 2), seed=1)
+    zs = draw_sample_points(data, 20, seed=2)
+    _tables.cache_clear()
+    _tables(data.n, data.r, data.columns)
+    calls, form = [], meromorphic.polynomial_column
+    for module in (builder, meromorphic):
+        monkeypatch.setattr(module, "polynomial_column", lambda col: calls.append(col) or form(col))
+    xcols = x_columns_from_data(data)
+    for z in zs:
+        w_from_x(xcols, z)
+    assert calls == []
+
+
+def test_x_is_a_new_array_and_leaves_the_cached_table_alone():
+    data = random_data(5, 3, 3, sparsity_pattern=(1, 2, 2), seed=3)
+    zs = draw_sample_points(data, 3, seed=4)
+    table = _tables(data.n, data.r, data.columns)
+    kept, before = table.tobytes(), chain_arrays(data, zs)
+    xcols = x_columns_from_data(data)
+    for z in zs:
+        w_from_x(xcols, z)
+    assert _tables(data.n, data.r, data.columns) is table and table.tobytes() == kept
+    xcols[...] = 7.0
+    for field, again in zip(before, chain_arrays(data, zs)):
+        assert field.tobytes() == again.tobytes()
 
 
 def test_lemma_42_sum_identities():
     # sum_s S^i_s L^(k)_{s-j} = sum_s C^i_s H^(k)_{s-j}, equal to K_i^(k) when
     # j = k and to zero when j > k, for 0 <= k <= j <= i
     data = random_data(4, 3, 3, sparsity_pattern=(1, 2, 2), seed=24)
-    xcols = x_columns_from_data(data)
     z = draw_sample_points(data, 1, seed=25)[0]
     fib = build_fiber(data, z)
     pis, perps = fib.chain.pis, fib.chain.perps
-    kvecs = on_all_columns(data.columns, fib.chain.kvecs)  # zero in a dead column
-    for ci, (hcol, lcol) in enumerate(zip(data.columns, xcols)):
-        hd = {0: list(hcol)}
-        ld = {0: list(lcol)}
-        for k in (1, 2):
-            hd[k] = [v.derivative() for v in hd[k - 1]]
-            ld[k] = [v.derivative() for v in ld[k - 1]]
+    # derivative values [k, row, column] of the data's and of X's tables at z, zero in a dead column
+    hd = derivative_values(data.n, data.r, data.columns, [z])[0]
+    ld = on_all_columns(data.columns, kernels.eval_table(x_columns_from_data(data), np.array([z]))[0])
+    kvecs = on_all_columns(data.columns, fib.chain.kvecs)
+    for ci in range(len(data.columns)):
         for i in range(1, data.r):  # K_i^(k) lives at chain step i (i <= r-1)
             S = factor_products(pis[:i], perps[:i], data.n)
             C = factor_products(None, perps[:i], data.n, top=i)
             for k in range(i + 1):
                 for j in range(k, i + 1):
-                    lhs = sum(S[s] @ ld[k][s - j].eval(z) for s in range(j, i + 1))
-                    rhs = sum(C[s] @ hd[k][s - j].eval(z) for s in range(j, i + 1))
+                    lhs = sum(S[s] @ ld[k, s - j, ci] for s in range(j, i + 1))
+                    rhs = sum(C[s] @ hd[k, s - j, ci] for s in range(j, i + 1))
                     assert np.linalg.norm(lhs - rhs) <= 1e-7
                     if j > k:
                         assert np.linalg.norm(lhs) <= 1e-7
@@ -382,7 +404,7 @@ def test_q_adapted_even_odd():
     l0 = MeroVector((P([1]), P([0, 1]), P([0]), P([0])))
     l2 = MeroVector((P([0]), P([0]), P([1, 1]), P([0, 0, 1])))
     zero = MeroVector.zero(4)
-    w = w_from_x([(l0, zero, l2)], Z)
+    w = w_from_x(_tables(4, 3, ((l0, zero, l2),)), Z)
     res = q_adapted_check(w, QInvolution.identity(4))
     assert res.defect <= 1e-7 and res.adapted
     n = 4

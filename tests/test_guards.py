@@ -47,8 +47,8 @@ GUARDS = {
     "builder-draw-count": (lambda: draw_sample_points(DATA, -1), BadShape, "count must be >= 0"),
     "cli-rect-parts": (lambda: _parse_rect("0,1,2"), ValueError, "--rect expects x0,x1,y0,y1"),
     "grassmannian-w-rows": (lambda: WSubspace(2, 3, np.zeros((5, 1))), BadShape, "basis rows must equal r*n"),
-    "grassmannian-x-blocks": (lambda: w_from_x([[ONE, ONE], [ONE]], 0.1), BadShape,
-                              "all sections must have r blocks"),
+    "grassmannian-x-blocks": (lambda: w_from_x(np.zeros((2, 1, 1, 3, 1)), 0.1), BadShape,
+                              "X must be a derivative table (r, r, J, n, L), got shape (2, 1, 1, 3, 1)"),
     "grassmannian-no-points": (lambda: normalize_type_one(lambda z: None, []), BadShape,
                                "need at least one sample point"),
     "grassmannian-not-type-one": (

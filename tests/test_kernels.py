@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from unitons import DataArray, MeroVector, cli, kernels, random_data, s1_invariant_data, serialize
-from unitons.builder import _live_values
+from unitons.builder import _tables
 
 SHAPES = {
     "echelon": random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3),
@@ -29,7 +29,7 @@ def _kernel_input(data, P, seed=0):
     """The kernel's derivative table at P random points, every 37th row
     zeroed as `chain_arrays` zeroes the rows of points whose values overflow."""
     zs = np.random.default_rng(seed).uniform(-1.5, 1.5, (P, 2)) @ [1, 1j]
-    vals = _live_values(data.n, data.r, data.columns, zs)[1]
+    vals = kernels.eval_table(_tables(data.n, data.r, data.columns), zs)
     vals[::37] = 0.0
     return vals
 
@@ -56,6 +56,19 @@ def test_a_split_batch_is_the_one_chunk_build_bit_for_bit(shape, P, monkeypatch)
     split = kernels.build_chain(vals)
     assert len(starts) == min(4, P // kernels.SPLIT_POINTS) - 1
     assert not any(s.is_alive() for s in starts)
+    _assert_same_bits(whole, split)
+
+
+def test_without_an_affinity_mask_the_split_counts_all_cpus(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the split reads os.cpu_count()
+    vals = _kernel_input(SHAPES["echelon"], 4 * kernels.SPLIT_POINTS)
+    _cpus(monkeypatch, 1)
+    whole = kernels.build_chain(vals)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    starts = _counted_starts(monkeypatch)
+    split = kernels.build_chain(vals)
+    assert len(starts) == 3 and not any(s.is_alive() for s in starts)
     _assert_same_bits(whole, split)
 
 

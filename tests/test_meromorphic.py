@@ -14,7 +14,6 @@ from unitons import (
     eval_rational,
     random_data,
     s1_invariant_data,
-    x_columns_from_data,
 )
 from unitons.meromorphic import SCALE_FLOOR, polynomial_column
 from unitons.serialize import data_from_json, data_to_json, dumps
@@ -187,8 +186,9 @@ def _numerators_times_a_power_of_two(column, form):
 
 
 def test_generated_data_deflates_nothing():
-    # no generated column has a common root: each normal form of a live data or X column is its
-    # numerators times a power of two, bit for bit, so outputs on generated data keep their bytes
+    # no generated column has a common root: each live column's normal form is its numerators
+    # times a power of two, bit for bit, so outputs on generated data keep their bytes; X is the
+    # Pascal product of that table and has no normal form of its own
     shapes = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2))]
     datasets = [random_data(n, r, 3, sparsity_pattern=p, seed=seed) for n, r, p in shapes for seed in range(100)]
     datasets += [random_data(n, r, 3, sparsity_pattern=p, seed=seed)
@@ -196,11 +196,11 @@ def test_generated_data_deflates_nothing():
     datasets += [s1_invariant_data(n, steps, 3, seed=seed) for n, steps in [(4, (1, 2, 3)), (5, (1, 2, 4))] for seed in range(20)]
     checked = 0
     for data in datasets:
-        for col in data.columns + tuple(map(tuple, x_columns_from_data(data))):
+        for col in data.columns:
             if any(not f.is_zero for vec in col for f in vec.entries):
                 assert _numerators_times_a_power_of_two(col, polynomial_column(col))
                 checked += 1
-    assert checked == 2000
+    assert checked == 1000
 
 
 def test_random_data_r0():
