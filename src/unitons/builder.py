@@ -279,7 +279,8 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
             th = 2.0 * math.pi * v
             cands.append(complex(zr * math.cos(th), zr * math.sin(th)))
         batch = chain_arrays(data, (offsets[:, None] + np.array(cands, np.complex128)).ravel())
-        batch = batch.take(np.arange(batch.zs.size).reshape(len(offsets), -1))  # (offsets, candidates)
+        # the points are laid out offsets-major: (offsets, candidates) is a reshape of every field
+        batch = ChainBatch(*(f.reshape(len(offsets), len(cands), *f.shape[1:]) for f in batch))
         good = ~batch.ambiguous.any(axis=0) & (batch.ranks == batch.ranks[:1]).all(axis=(0, 2))
         taken = []
         for col, ok in enumerate(good.tolist()):
@@ -295,9 +296,10 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
                     raise DegeneratePoint(
                         f"could not find a generic sample point in {MAX_SAMPLE_TRIES} tries"
                     )
-        accepted.append(batch.take((slice(None), taken)))
-        if len(points) == count:
-            batch = ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
+        accepted.append(batch if len(taken) == len(cands) else batch.take((slice(None), taken)))
+        if len(points) == count:  # only a block that rejected a candidate is followed by another
+            if len(accepted) > 1:
+                batch = ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
             _last_draw = (data.columns, dict(zip(points, range(count))), batch.take(0))
             return points, batch
 

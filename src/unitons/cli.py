@@ -207,9 +207,6 @@ def _sample_records(data, zs, eye) -> list[dict]:
     maps, ambiguous = extended_product(batch.pis, batch.perps, -1, eye), batch.ambiguous
     pairs = batch.zs.view(np.float64).reshape(-1, 2).tolist()
     del batch  # the chains are read no more: free them before the records are built
-    # a ufunc after the complex matrix products: with the products last, orjson's
-    # float encoding ran about 4x slower for the rest of the process (AVX-512 CPU;
-    # dumps of 256 5x5 maps 1.5 -> 5.9 ms as numpy rows, 1.0 -> 3.9 ms as lists)
     bad = np.logical_or(ambiguous, ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
     return [{"z": z, "phi": None if b else phi}
             for z, b, phi in zip(pairs, bad, serialize.matrices_to_json(maps))]

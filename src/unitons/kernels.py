@@ -35,12 +35,12 @@ def build_chain(hvals):
     """Build the projection chain at every point from its derivative table.
 
     hvals: (P, r, r, J, n); hvals[p, k, m, j] = k'th derivative of the row-m
-    entry of column j at point p.  At step i the vectors
-    K^(k)_{i,j} = sum_s C^i_s hvals[k, s-k, j] span the next subspace, whose
-    projector feeds the Pascal update of C.  Ranks may differ between points,
-    so each point's SVD basis is masked to its own rank; it is not returned,
-    the projector pi_i holds the step.  ``status`` (P,) is 1 where a singular
-    value lies within a decade of the rank threshold (ambiguous rank).
+    entry of column j at point p.  At step i the vectors K^(k)_{i,j} =
+    sum_s C^i_s hvals[k, s-k, j] span the next subspace; C^i is never formed,
+    the lambda-coefficients of C^i H^(k) are stepped by I + lambda perp_i.  Ranks
+    may differ between points, so each point's SVD basis is masked to its own
+    rank; it is not returned, the projector pi_i holds the step.  ``status`` (P,)
+    is 1 where a singular value is within a decade of the rank threshold (ambiguous).
 
     The points are split into k = min(usable CPUs, P // SPLIT_POINTS)
     contiguous chunks, or one when that is below 2 (usable CPUs: the affinity
@@ -94,17 +94,19 @@ def _build_chunk(hvals, pis, perps, ranks, kvecs, status):
     """``build_chain`` on one chunk of points, written into its output slices."""
     P, r, _, J, n = hvals.shape
     eye = np.eye(n, dtype=np.complex128)
-    C = np.zeros((P, r, n, n), np.complex128)  # C^i_s for s < r: the last step's C is never read
-    C[:, :1] = eye
+    # column k J + j of W_t is sum_s C^i_s H^(k)_{s-q,j}, q = t + k - (r - 1): from C^0 = I, the table rows reversed
+    W = np.zeros((P, r, n, r, J), np.complex128)
+    for k in range(r):
+        W[:, : r - k, :, k] = hvals[:, k, r - 1 - k :: -1].swapaxes(2, 3)
+    W = W.reshape(P, r, n, r * J)
     for i in range(r):
-        for k in range(i + 1):
-            kvecs[:, i, k] = np.einsum("psab,psjb->pja", C[:, k : i + 1], hvals[:, k, : i + 1 - k])
-        # column k J + j is K^(k)_{i,j}; (i+1) J, not -1, which an empty point axis leaves undetermined
-        basis, sv, rank = masked_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
+        K = W[:, r - 1, :, : (i + 1) * J]  # column k J + j is K^(k)_{i,j}; no -1, which P = 0 leaves undetermined
+        kvecs[:, i, : i + 1] = K.reshape(P, n, i + 1, J).transpose(0, 2, 3, 1)
+        basis, sv, rank = masked_basis(K)
         thr = RANK_TOL * sv[:, :1]
         status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
         perps[:, i] = eye - pis[:, i]
         ranks[:, i] = rank
-        if i + 1 < r:
-            factor_step(C, None, perps[:, i], i + 1, True)
+        if i + 1 < r:  # C^{i+1} = (I + lambda perp_i) C^i on the coefficients a later step reads
+            factor_step(W[:, i:], None, perps[:, i], r - 1 - i, True)

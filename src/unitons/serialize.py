@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .grassmannian import LoopPoly
 
 PROJECTOR_TOL = 1e-11  # a decoded projection must be Hermitian and idempotent to this
+_FLAGS = np.zeros(3, bool)  # the operands of dumps' state-restoring ufunc
 
 
 def _decoder(decode):
@@ -245,6 +246,9 @@ def dumps(obj) -> str:
     """Canonical JSON text: sorted keys, tight separators, trailing newline;
     numpy scalars and arrays are written as the numbers they hold."""
     options = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    # a bool ufunc just before the encoding: right after numpy's complex matrix products
+    # orjson's float encoding runs about 4x slower (AVX-512 CPU), whatever the caller ran last
+    np.logical_or(_FLAGS, _FLAGS)
     return orjson.dumps(obj, option=options).decode()
 
 

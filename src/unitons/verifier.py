@@ -303,7 +303,7 @@ def verification_report(data: DataArray, samples: int = 10, seed: int = 7, toler
         "samples": samples,
         "seed": seed,
         "ranks": ranks.tolist(),
-        "proper": bool(((0 < ranks) & (ranks < data.n)).all()),
+        "proper": bool(data.r > 0 and ((0 < ranks) & (ranks < data.n)).all()),  # r = 0 has no uniton step
         "constant": bool(((ranks == 0) | (ranks == data.n)).all()),
         "checks": checks,
         "passed": all(c["pass"] for c in checks),

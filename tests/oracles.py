@@ -16,16 +16,31 @@ encoding of matrix stacks, chains, loop fibers and sample records with
 Python floats from tolist().  The
 separate recursions that ``projections.factor_step`` replaced (the C and S
 rows, the constant-loop step, the kernel descent's update and the Iwasawa
-loop that rebuilt S at every step) are kept as bit-for-bit references."""
+loop that rebuilt S at every step) are kept as bit-for-bit references, and
+the chain kernel's chunk build that advanced the n x n C operators, which
+the build on the K-vectors' coefficients replaced, as a reference within
+rounding.  The sample-point draw's fancy-index re-layout of its batch, which
+reshaped views replaced, is kept as a bit-for-bit reference."""
 
+import math
 from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from unitons import BadShape, DataArray, MeroVector, RationalFn, eval_rational
-from unitons.projections import Span, orthonormal_basis, principal_angles, projection_pair, projector_gap
+from unitons import BadShape, DataArray, MeroVector, RationalFn, builder, eval_rational
+from unitons.meromorphic import DISC_RADIUS
+from unitons.projections import (
+    RANK_TOL,
+    Span,
+    factor_step,
+    masked_basis,
+    orthonormal_basis,
+    principal_angles,
+    projection_pair,
+    projector_gap,
+)
 
 SPAN_EQ_TOL = 1e-8  # spans are equal when ranks match and all angles are below this
 
@@ -199,6 +214,47 @@ def s_rows_reference(pis, perps, n):
         S[..., 1 : ell + 1, :, :] = perp @ S[..., :ell, :, :] + pi @ S[..., 1 : ell + 1, :, :]
         S[..., 0, :, :] = pis[..., ell - 1, :, :] @ S[..., 0, :, :]
     return S
+
+
+def build_chunk_reference(hvals, pis, perps, ranks, kvecs, status):
+    """The chain kernel's chunk build on the C operators: C^i_s (P, r, n, n) from C^0 = I,
+    K^(k)_i = sum_s C^i_s H^(k)_{s-k} by one einsum per k, and the Pascal update of C."""
+    P, r, _, J, n = hvals.shape
+    eye = np.eye(n, dtype=np.complex128)
+    C = np.zeros((P, r, n, n), np.complex128)  # C^i_s for s < r: the last step's C is never read
+    C[:, :1] = eye
+    for i in range(r):
+        for k in range(i + 1):
+            kvecs[:, i, k] = np.einsum("psab,psjb->pja", C[:, k : i + 1], hvals[:, k, : i + 1 - k])
+        # column k J + j is K^(k)_{i,j}; (i+1) J, not -1, which an empty point axis leaves undetermined
+        basis, sv, rank = masked_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
+        thr = RANK_TOL * sv[:, :1]
+        status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
+        pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
+        perps[:, i] = eye - pis[:, i]
+        ranks[:, i] = rank
+        if i + 1 < r:
+            factor_step(C, None, perps[:, i], i + 1, True)
+
+
+def draw_reference(data, count, seed, stencil_h):
+    """``builder._draw``'s points and batch as it laid them out by fancy index:
+    a (offsets, candidates) index array per block, then one take and one
+    concatenate whatever was accepted.  It leaves the served draw alone."""
+    rng = np.random.default_rng(seed)
+    offsets = builder.STENCIL_OFFSETS * stencil_h if stencil_h is not None else builder.STENCIL_OFFSETS[:1]
+    points, accepted = [], []
+    while len(points) < count:
+        cands = [complex(DISC_RADIUS * math.sqrt(u) * math.cos(2.0 * math.pi * v),
+                         DISC_RADIUS * math.sqrt(u) * math.sin(2.0 * math.pi * v))
+                 for u, v in rng.random((count - len(points), 2)).tolist()]
+        batch = builder.chain_arrays(data, (offsets[:, None] + np.array(cands, np.complex128)).ravel())
+        batch = batch.take(np.arange(batch.zs.size).reshape(len(offsets), -1))
+        good = ~batch.ambiguous.any(axis=0) & (batch.ranks == batch.ranks[:1]).all(axis=(0, 2))
+        taken = [col for col, ok in enumerate(good.tolist()) if ok]
+        points += [cands[col] for col in taken]
+        accepted.append(batch.take((slice(None), taken)))
+    return points, builder.ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
 
 
 def constant_step_reference(coeffs, pi, perp, degree):

@@ -633,6 +633,52 @@ def test_the_slot_holds_the_last_draw_only():
     assert all(builder._last_draw[1].keys().isdisjoint(pts) for _, pts in draws[:-1])
 
 
+CRITERION_2 = [(n, r, pattern, seed) for seed in range(4)
+               for n, r, pattern in [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)),
+                                     (5, 3, (1, 2, 2))]]
+
+
+@pytest.mark.parametrize("mode", ["stencil", "stencil-reject", "points"])
+@pytest.mark.parametrize("case", CRITERION_2, ids=lambda c: f"{c[0]}-{c[1]}-s{c[3]}-{'-'.join(map(str, c[2]))}")
+def test_draw_lays_its_batch_out_as_the_fancy_index_did_bit_for_bit(case, mode, monkeypatch):
+    # the draw reshapes each block to (offsets, candidates) and takes a block whole when it
+    # rejects nothing; a rejecting first block is still taken and concatenated with the next
+    from unitons import builder
+    from unitons.verifier import FD_STEP
+
+    from oracles import draw_reference
+
+    n, r, pattern, seed = case
+    data = random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+    h = None if mode == "points" else FD_STEP
+    if mode == "stencil-reject":
+        arrays, blocks = builder.chain_arrays, []
+
+        def flagged(data, zs):  # candidate 1 of the first (27-point) block changes rank at its centre
+            batch = arrays(data, zs)
+            blocks.append(len(zs))
+            if len(zs) == 27:
+                ranks = batch.ranks.copy()
+                ranks[1, 0] += 1
+                batch = batch._replace(ranks=ranks)
+            return batch
+
+        monkeypatch.setattr(builder, "chain_arrays", flagged)
+    want_points, want = draw_reference(data, 3, 5, h)
+    points, got = builder._draw(data, 3, 5, h)
+    if mode == "stencil-reject":
+        assert blocks == [27, 9, 27, 9]
+        monkeypatch.setattr(builder, "chain_arrays", arrays)
+    assert points == want_points
+    for name in got._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for p, z in enumerate(points):  # served one-point builds: the row-0 view, taken at the point
+        served, head = chain_arrays(data, [z]), want.take(0).take([p])
+        for a, b in zip(served, head, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_served_builds_make_no_kernel_call(monkeypatch):
     # counts repeat exactly for fixed seeds: the one-point builds at drawn points
     # add no call to the draws' own

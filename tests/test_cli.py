@@ -155,7 +155,8 @@ def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
     (DataArray(3, 2, ((MeroVector.zero(3), MeroVector.zero(3)),)), [0, 0], False, True),
     (random_data(5, 3, 3, sparsity_pattern=(1, 2, 2), seed=1), [1, 3, 5], False, False),
     (random_data(4, 3, 3, sparsity_pattern=(1, 1, 1), seed=3), [1, 2, 3], True, False),
-], ids=["zero-columns", "alpha3-full", "echelon"])
+    (random_data(3, 0, 3), [], False, True),  # the constant map: no uniton step, so none is proper
+], ids=["zero-columns", "alpha3-full", "echelon", "r0"])
 def test_verify_labels_the_rank_profile(tmp_path, data, ranks, proper, constant):
     # verdicts are unchanged; the report says which chains are improper or constant
     data_file, report_file = tmp_path / "d.json", tmp_path / "rep.json"

@@ -1,7 +1,8 @@
-"""The chain kernel's point split: a batch of P points is built in
-min(usable CPUs, P // SPLIT_POINTS) contiguous chunks, each but the first on
-its own thread, bit for bit as one chunk builds it, and no thread outlives
-the call."""
+"""The chain kernel: its recursion on the K-vectors' coefficients gives the
+chains of the build on the n x n C operators, and its point split builds a
+batch of P points in min(usable CPUs, P // SPLIT_POINTS) contiguous chunks,
+each but the first on its own thread, bit for bit as one chunk builds it,
+and no thread outlives the call."""
 
 import os
 import sys
@@ -10,14 +11,27 @@ import threading
 import numpy as np
 import pytest
 
-from unitons import DataArray, MeroVector, cli, kernels, random_data, s1_invariant_data, serialize
-from unitons.builder import _tables
+from oracles import build_chunk_reference
+from unitons import DataArray, MeroVector, cli, draw_sample_points, kernels, random_data, s1_invariant_data, serialize
+from unitons.builder import STENCIL_OFFSETS, _tables
+from unitons.meromorphic import DISC_RADIUS
+from unitons.verifier import FD_STEP
 
 SHAPES = {
     "echelon": random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=3),
     "s1": s1_invariant_data(4, (1, 1, 1), 3, seed=2),
     "dense": random_data(4, 3, 3, seed=1),
     "all-dead": DataArray(4, 2, tuple((MeroVector.zero(4), MeroVector.zero(4)) for _ in range(3))),
+}
+
+ECHELON = [(3, 2, (1, 1)), (4, 3, (1, 1, 1)), (5, 4, (1, 1, 1, 1)), (4, 2, (1, 2)), (5, 3, (1, 2, 2))]
+REFERENCE_SETS = {
+    **{f"echelon-{n}-{r}-s{seed}": random_data(n, r, 3, sparsity_pattern=pattern, seed=seed)
+       for n, r, pattern in ECHELON for seed in range(4)},
+    "s1-111": s1_invariant_data(4, (1, 1, 1), 3, seed=0),
+    "s1-123": s1_invariant_data(4, (1, 2, 3), 3, seed=0),
+    "dense-J5": random_data(5, 3, 3, seed=0),  # (i + 1) J columns: K-matrices wider than n
+    "r1": random_data(3, 1, 3, seed=0),
 }
 
 
@@ -43,6 +57,24 @@ def _counted_starts(monkeypatch):
 def _assert_same_bits(whole, split):
     for a, b in zip(whole, split, strict=True):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("name", REFERENCE_SETS)
+def test_the_k_vector_recursion_builds_the_c_operator_chain(name):
+    data = REFERENCE_SETS[name]
+    drawn = np.array(draw_sample_points(data, 3, seed=5, stencil_h=FD_STEP))
+    u, v = np.random.default_rng(0).random((2, 256))
+    disc = DISC_RADIUS * np.sqrt(u) * np.exp(2j * np.pi * v)
+    for zs in ((STENCIL_OFFSETS[:, None] * FD_STEP + drawn).ravel(), disc, disc[:0]):
+        vals = kernels.eval_table(_tables(data.n, data.r, data.columns), zs)
+        got = kernels.build_chain(vals)
+        want = tuple(np.zeros_like(a) for a in got)
+        build_chunk_reference(vals, *want)
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[4], want[4])  # ranks, status
+        for a, b in zip(got[:2], want[:2]):  # pis, perps
+            assert np.abs(a - b).max(initial=0.0) <= 1e-13
+        axes = (1, 2, 3, 4)  # each point's K-vectors (kvecs)
+        assert (np.abs(got[3] - want[3]).max(axis=axes) <= 1e-13 * np.abs(want[3]).max(axis=axes)).all()
 
 
 @pytest.mark.parametrize("P", [127, 128, 129, 256, 257])
