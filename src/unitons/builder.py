@@ -296,10 +296,9 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
                     raise DegeneratePoint(
                         f"could not find a generic sample point in {MAX_SAMPLE_TRIES} tries"
                     )
-        accepted.append(batch if len(taken) == len(cands) else batch.take((slice(None), taken)))
-        if len(points) == count:  # only a block that rejected a candidate is followed by another
-            if len(accepted) > 1:
-                batch = ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
+        accepted.append(batch.take((slice(None), taken)))
+        if len(points) == count:
+            batch = ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
             _last_draw = (data.columns, dict(zip(points, range(count))), batch.take(0))
             return points, batch
 

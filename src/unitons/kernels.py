@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .projections import RANK_TOL, factor_step, masked_basis
+from .projections import RANK_TOL, masked_basis
 
 BACKEND = "numpy"
 SPLIT_POINTS = 64  # fewest points per chunk: on fewer a thread costs more than it saves
@@ -36,11 +36,11 @@ def build_chain(hvals):
 
     hvals: (P, r, r, J, n); hvals[p, k, m, j] = k'th derivative of the row-m
     entry of column j at point p.  At step i the vectors K^(k)_{i,j} =
-    sum_s C^i_s hvals[k, s-k, j] span the next subspace; C^i is never formed,
-    the lambda-coefficients of C^i H^(k) are stepped by I + lambda perp_i.  Ranks
-    may differ between points, so each point's SVD basis is masked to its own
-    rank; it is not returned, the projector pi_i holds the step.  ``status`` (P,)
-    is 1 where a singular value is within a decade of the rank threshold (ambiguous).
+    sum_s C^i_s hvals[k, s-k, j] span the next subspace.  C^i is never formed:
+    kvecs rows x > i hold these sums on the table shifted x - i rows, stepped in
+    place by I + lambda perp_i.  Each point's SVD basis is masked to its own rank
+    (ranks may differ between points); the projector pi_i holds the step.  ``status``
+    (P,) is 1 where a singular value is within a decade of the rank threshold (ambiguous).
 
     The points are split into k = min(usable CPUs, P // SPLIT_POINTS)
     contiguous chunks, or one when that is below 2 (usable CPUs: the affinity
@@ -91,22 +91,22 @@ def build_chain(hvals):
 
 
 def _build_chunk(hvals, pis, perps, ranks, kvecs, status):
-    """``build_chain`` on one chunk of points, written into its output slices."""
+    """``build_chain`` on one chunk of points, written into its zeroed output slices."""
     P, r, _, J, n = hvals.shape
     eye = np.eye(n, dtype=np.complex128)
-    # column k J + j of W_t is sum_s C^i_s H^(k)_{s-q,j}, q = t + k - (r - 1): from C^0 = I, the table rows reversed
-    W = np.zeros((P, r, n, r, J), np.complex128)
+    # at step i, row x >= i of block k holds sum_s C^i_s H^(k)_{s-k+x-i}: the table row x - k from C^0 = I
     for k in range(r):
-        W[:, : r - k, :, k] = hvals[:, k, r - 1 - k :: -1].swapaxes(2, 3)
-    W = W.reshape(P, r, n, r * J)
+        kvecs[:, k:, k] = hvals[:, k, : r - k]
     for i in range(r):
-        K = W[:, r - 1, :, : (i + 1) * J]  # column k J + j is K^(k)_{i,j}; no -1, which P = 0 leaves undetermined
-        kvecs[:, i, : i + 1] = K.reshape(P, n, i + 1, J).transpose(0, 2, 3, 1)
-        basis, sv, rank = masked_basis(K)
+        # row i is the K-vectors; column k J + j is K^(k)_{i,j}; (i+1) J, not -1, which P = 0 leaves undetermined
+        basis, sv, rank = masked_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
         thr = RANK_TOL * sv[:, :1]
         status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
         perps[:, i] = eye - pis[:, i]
         ranks[:, i] = rank
-        if i + 1 < r:  # C^{i+1} = (I + lambda perp_i) C^i on the coefficients a later step reads
-            factor_step(W[:, i:], None, perps[:, i], r - 1 - i, True)
+        for x in range(r - 1, i, -1):  # C^{i+1} = (I + lambda perp_i) C^i: row x <- row x-1 + perp_i row x
+            row = kvecs[:, x, : x + 1].reshape(P, (x + 1) * J, n)  # blocks k > x stay zero
+            new = row @ perps[:, i].swapaxes(1, 2)  # vectors are rows, v^T perp^T
+            new += kvecs[:, x - 1, : x + 1].reshape(P, (x + 1) * J, n)
+            row[...] = new

@@ -641,8 +641,8 @@ CRITERION_2 = [(n, r, pattern, seed) for seed in range(4)
 @pytest.mark.parametrize("mode", ["stencil", "stencil-reject", "points"])
 @pytest.mark.parametrize("case", CRITERION_2, ids=lambda c: f"{c[0]}-{c[1]}-s{c[3]}-{'-'.join(map(str, c[2]))}")
 def test_draw_lays_its_batch_out_as_the_fancy_index_did_bit_for_bit(case, mode, monkeypatch):
-    # the draw reshapes each block to (offsets, candidates) and takes a block whole when it
-    # rejects nothing; a rejecting first block is still taken and concatenated with the next
+    # the draw reshapes each block to (offsets, candidates), then takes and concatenates the
+    # accepted candidates; a rejecting first block is followed by a second
     from unitons import builder
     from unitons.verifier import FD_STEP
 

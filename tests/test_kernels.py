@@ -1,5 +1,6 @@
-"""The chain kernel: its recursion on the K-vectors' coefficients gives the
-chains of the build on the n x n C operators, and its point split builds a
+"""The chain kernel: its in-place recursion on the K-vector rows gives the
+chains of the build on the n x n C operators with no more work memory on
+data of many columns, and its point split builds a
 batch of P points in min(usable CPUs, P // SPLIT_POINTS) contiguous chunks,
 each but the first on its own thread, bit for bit as one chunk builds it,
 and no thread outlives the call."""
@@ -7,6 +8,7 @@ and no thread outlives the call."""
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +77,29 @@ def test_the_k_vector_recursion_builds_the_c_operator_chain(name):
             assert np.abs(a - b).max(initial=0.0) <= 1e-13
         axes = (1, 2, 3, 4)  # each point's K-vectors (kvecs)
         assert (np.abs(got[3] - want[3]).max(axis=axes) <= 1e-13 * np.abs(want[3]).max(axis=axes)).all()
+
+
+def _work_peak(build, vals):
+    """Traced heap peak of one chunk build into outputs allocated beforehand."""
+    P, r, _, J, n = vals.shape
+    out = (np.zeros((P, r, n, n), np.complex128), np.zeros((P, r, n, n), np.complex128), np.zeros((P, r), np.int64),
+           np.zeros((P, r, r, J, n), np.complex128), np.zeros(P, np.int64))
+    tracemalloc.start()
+    try:
+        build(vals, *out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (8, 7)])
+def test_dense_data_needs_no_more_work_memory_than_the_c_operator_build(shape):
+    # J = n data columns: a work array of the K-vectors' coefficients would be r J / n times C's size
+    data = random_data(*shape, 3, seed=0)
+    zs = np.random.default_rng(0).uniform(-1, 1, (cli.SAMPLE_BLOCK, 2)) @ [1, 1j]
+    vals = kernels.eval_table(_tables(data.n, data.r, data.columns), zs)
+    assert vals.shape[3] == data.n
+    assert _work_peak(kernels._build_chunk, vals) <= 1.1 * _work_peak(build_chunk_reference, vals)
 
 
 @pytest.mark.parametrize("P", [127, 128, 129, 256, 257])
