@@ -83,8 +83,8 @@ class ChainBatch(NamedTuple):
         return ChainBatch(*(field[index] for field in self))
 
 
-# the last _draw's data columns, {point: index} of its accepted points, and their
-# chains (a view of the draw's batch); r >= 1 data owns its columns tuple
+# the last _draw's data object, {point: index} of its accepted points, and their
+# chains (a view of the draw's batch)
 _last_draw: tuple = (None, {}, None)
 
 
@@ -99,21 +99,15 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     a point the last draw accepted on this data object gets a fresh copy of
     the chain the draw built there, bit for bit the one-point build's chain.
     """
-    n, r, P = data.n, data.r, len(zs)
+    P = len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)
-    if r == 0:
-        empty = np.zeros((P, 0, n, n), np.complex128)
-        none = np.zeros((P, 0), np.int64)
-        return ChainBatch(zs, empty, empty, none, np.zeros((P, 0, 0, 0, n), np.complex128), np.zeros(P, bool))
-    if P == 1 and data.columns is _last_draw[0] and (p := _last_draw[1].get(complex(zs[0]))) is not None:
+    if P == 1 and data is _last_draw[0] and (p := _last_draw[1].get(complex(zs[0]))) is not None:
         return _last_draw[2].take([p])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = kernels.eval_table(_tables(n, r, data.columns), zs)
-    unfit = np.zeros(P, bool)
-    if not np.isfinite(vals).all():
-        # the table overflowed at a point far out: flag it, and give the SVD zeros, not inf
-        unfit = ~np.isfinite(vals).reshape(P, -1).all(axis=1)
-        vals[unfit] = 0.0
+        vals = kernels.eval_table(_tables(data.n, data.r, data.columns), zs)
+    # a point far out whose table values overflow is flagged, and the SVD gets zeros, not inf
+    unfit = ~np.isfinite(vals).all(axis=tuple(range(1, vals.ndim)))
+    vals[unfit] = 0.0
     pis, perps, ranks, kvecs, status = kernels.build_chain(vals)
     return ChainBatch(zs, pis, perps, ranks, kvecs, (status != 0) | unfit)
 
@@ -299,7 +293,7 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
         accepted.append(batch.take((slice(None), taken)))
         if len(points) == count:
             batch = ChainBatch(*(np.concatenate(fields, axis=1) for fields in zip(*accepted)))
-            _last_draw = (data.columns, dict(zip(points, range(count))), batch.take(0))
+            _last_draw = (data, dict(zip(points, range(count))), batch.take(0))
             return points, batch
 
 

@@ -105,12 +105,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
-def _loop_fibers(data, samples, seed):
-    """The drawn sample points, their loops as one stack and the builder's pis, from the draw's kernel call."""
+def _loop_fibers(data, samples, seed, trim=False):
+    """The drawn points, their loops as one stack and the builder's pis, from the draw's kernel call; trim
+    drops the chain's trailing steps of rank n at every point, whose factors pi + lambda 0 = I leave the loop."""
     from .grassmannian import LoopPoly
 
     points, batch = _draw(data, samples, seed, None)
-    return points, LoopPoly(extended_coefficients(batch.pis[0], batch.perps[0], data.n)), batch.pis[0]
+    keep = data.r
+    while trim and keep and (batch.ranks[0, :, keep - 1] == data.n).all():
+        keep -= 1
+    pis, perps = batch.pis[0, :, :keep], batch.perps[0, :, :keep]
+    return points, LoopPoly(extended_coefficients(pis, perps, data.n)), pis
 
 
 def cmd_factorize(args) -> int:
@@ -121,7 +126,7 @@ def cmd_factorize(args) -> int:
     obj = serialize.read_json(args.input)
     if isinstance(obj, dict) and "columns" in obj:
         data = serialize.data_from_json(obj)
-        zs, loops, builder_pis = _loop_fibers(data, args.samples, args.seed)
+        zs, loops, builder_pis = _loop_fibers(data, args.samples, args.seed, trim=True)
         full = alpha1_is_full(data, seed=args.seed)
     else:
         (zs, loops), builder_pis, full = serialize.loop_fibers_from_json(obj), None, None
@@ -289,7 +294,7 @@ def main(argv=None) -> int:
     except DegeneratePoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (UnitonsError, ValueError, KeyError, OSError) as exc:
+    except (UnitonsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,11 +113,6 @@ class WSubspace:
         norms = np.linalg.norm(shifted, axis=-2)
         ratio = np.divide(np.linalg.norm(resid, axis=-2), norms, out=np.zeros_like(norms), where=norms > NORM_FLOOR)
         return ratio.max(axis=-1, initial=0.0)
-
-    def at(self, p: int) -> "WSubspace":
-        """Fiber p of a stack, without its zeroed columns."""
-        b = self.basis[p]
-        return WSubspace(self.r, self.n, b[:, b.any(axis=0)])
 
 
 def binomial_transform(table: np.ndarray) -> np.ndarray:
@@ -331,30 +326,18 @@ class QInvolution:
 
 @dataclass(frozen=True)
 class QAdaptedResult:
-    """Outcome of the nu_Q-invariance test, for one W or per fiber of a stack.
+    """Outcome of the nu_Q-invariance test, for one W or per fiber of a stack."""
 
-    plus/minus hold an adapted basis split by eigenvalue of nu_Q; they are
-    None when the defect exceeds the tolerance, and for a stack.
-    """
-
-    defect: float | np.ndarray
-    plus: Optional[np.ndarray]
-    minus: Optional[np.ndarray]
+    defect: np.ndarray
 
     @property
-    def adapted(self) -> bool | np.ndarray:
+    def adapted(self) -> np.ndarray:
         return self.defect <= Q_ADAPTED_TOL
 
 
 def q_adapted_check(w: WSubspace, q: QInvolution) -> QAdaptedResult:
-    """Defect of nu_Q-invariance of W, the projector gap between W and nu_Q W; on
-    success, a Q-adapted spanning basis.  A stack of W gives each fiber's defect."""
+    """Defect of nu_Q-invariance of W, the projector gap between W and nu_Q W,
+    for one W or per fiber of a stack.  An invariant W is spanned by its nu_Q
+    eigenvectors, the spans of basis + nu_Q basis and basis - nu_Q basis."""
     moved = q.nu_matrix(w.r) @ w.basis
-    defect = projector_gap(*(b @ b.conj().swapaxes(-1, -2) for b in (w.basis, moved)))
-    if w.basis.ndim == 3:
-        return QAdaptedResult(defect, None, None)
-    if defect > Q_ADAPTED_TOL:
-        return QAdaptedResult(float(defect), None, None)
-    plus = orthonormal_basis(w.basis + moved)
-    minus = orthonormal_basis(w.basis - moved)
-    return QAdaptedResult(float(defect), plus.basis, minus.basis)
+    return QAdaptedResult(projector_gap(*(b @ b.conj().swapaxes(-1, -2) for b in (w.basis, moved))))

@@ -48,8 +48,7 @@ def build_chain(hvals):
     builds the first and k - 1 threads the rest, each into its slices of the
     outputs, since the stacked SVDs that dominate the kernel run in LAPACK
     without the interpreter lock.  Every thread is joined before the call
-    returns or raises, and the first failing chunk's exception is raised, as
-    the one-chunk build would raise it.
+    returns or raises, and the first failing chunk's exception is raised.
     """
     P, r, _, J, n = hvals.shape
     out = (
@@ -62,9 +61,7 @@ def build_chain(hvals):
     k = P // SPLIT_POINTS
     if k >= 2:
         k = min(k, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if k < 2:
-        _build_chunk(hvals, *out)
-        return out
+    k = max(k, 1)
     cuts = [c * P // k for c in range(k + 1)]
     chunks = [(hvals[a:b], *(o[a:b] for o in out)) for a, b in zip(cuts, cuts[1:])]
     errors = [None] * k
@@ -80,7 +77,7 @@ def build_chain(hvals):
     for w in workers:
         w.start()
     try:
-        _build_chunk(*chunks[0])
+        build(0)
     finally:
         for w in workers:
             w.join()

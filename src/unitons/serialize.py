@@ -29,12 +29,14 @@ _FLAGS = np.zeros(3, bool)  # the operands of dumps' state-restoring ufunc
 def _decoder(decode):
     """JSON of the wrong type (null, a number, an array where an object
     belongs) fails inside a decoder as a TypeError, ValueError or
-    OverflowError; it is malformed input, so raise BadShape."""
+    OverflowError, and a missing key as a KeyError: malformed input, so BadShape."""
 
     @functools.wraps(decode)
     def checked(*args):
         try:
             return decode(*args)
+        except KeyError as exc:
+            raise BadShape(f"malformed JSON: missing key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadShape(f"malformed JSON: {exc}") from exc
 

@@ -113,10 +113,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _scalar(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def connection_form(map_sampler: Callable, z: complex) -> ConnectionFiber:
     """A_z = (1/2) phi^{-1} d_z phi and A_zbar = (1/2) phi^{-1} d_zbar phi.
 
@@ -137,7 +133,7 @@ def harmonicity_residual(source, z, conn: Optional[ConnectionFiber] = None):
     """
     maps = _evaluate(source, _stencil(z, FD_STEP)) if callable(source) else source
     a_z, a_zbar, inv = conn if conn is not None else _connection(maps, FD_STEP)
-    return _scalar(_norms(inv @ _laplacian(maps, FD_STEP) / 8 - (a_zbar @ a_z + a_z @ a_zbar)))
+    return _norms(inv @ _laplacian(maps, FD_STEP) / 8 - (a_zbar @ a_z + a_z @ a_zbar))
 
 
 def _extended_values(T: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -167,9 +163,9 @@ def extended_checks(T: np.ndarray, conn: Optional[ConnectionFiber] = None) -> di
     es = (_norms(dz - (1 - 1 / lam) * val @ cf.a_z[..., None, :, :])
           + _norms(dzb - (1 - lam) * val @ cf.a_zbar[..., None, :, :]))
     unit = np.abs(val @ val.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
-    return {"es_residual": _scalar(es.max(axis=-1, initial=0.0)),
-            "unitarity_defect": _scalar(unit.max(axis=-1, initial=0.0)),
-            "phi1_defect": _scalar(np.abs(ext[0, ..., 1, :, :] - eye).max(axis=(-2, -1)))}
+    return {"es_residual": es.max(axis=-1, initial=0.0),
+            "unitarity_defect": unit.max(axis=-1, initial=0.0),
+            "phi1_defect": np.abs(ext[0, ..., 1, :, :] - eye).max(axis=(-2, -1))}
 
 
 def _prefix_maps(chains: ChainBatch) -> np.ndarray:
@@ -183,9 +179,8 @@ def section_identities(chains: ChainBatch, seed: int = 0, conn: Optional[Connect
 
     ``chains`` is the chains on ``_stencil(z, FD_STEP)``, as ``stencil_chains``
     lays them out; ``conn`` may hold the prefix maps' connections.  Each family
-    is one stacked field, differenced once: a list for a point z, an array with
-    the residual index last for an array of points; K-vectors run over the live
-    columns.
+    is one stacked field, differenced once, an array of z's shape with the
+    residual index last; K-vectors run over the live columns.
 
     dbar_K:        D^{phi_i}_zbar K^(k)_{i,j} = 0      (holomorphic sections)
     Az_K:          A^{phi_i}_z K^(k)_{i,j} + K^(k+1)_{i,j} = 0  (K^(i+1) := 0)
@@ -217,10 +212,7 @@ def section_identities(chains: ChainBatch, seed: int = 0, conn: Optional[Connect
                  + perp[..., ell - 1, None, :, :] @ dzb[..., ell:, :, :])
         lemma.append(_norms(resid))
     out = {"dbar_K": dbar_k, "Az_K": az_k, "dzbar_lemma": np.concatenate(lemma, axis=-1), "antibasic": antibasic}
-    maxima = {f"max_{name}": _scalar(vals.max(axis=-1, initial=0.0)) for name, vals in out.items()}
-    if chains.zs.ndim == 1:
-        out = {name: vals.tolist() for name, vals in out.items()}
-    return {**out, **maxima}
+    return {**out, **{f"max_{name}": vals.max(axis=-1, initial=0.0) for name, vals in out.items()}}
 
 
 def _lemma_vector_values(seed: int, n: int, zs: np.ndarray) -> np.ndarray:

@@ -2,17 +2,19 @@
 byte-identity checks between two checkouts, and a field-by-field comparison
 for when the bytes differ.
 
-    python tests/cli_digest.py > digest.txt
-    python tests/cli_digest.py --keep DIR > digest.txt
+    python tests/cli_digest.py [--src DIR] > digest.txt
+    python tests/cli_digest.py [--src DIR] --keep DIR > digest.txt
     python tests/cli_digest.py --compare DIR_A DIR_B
 
-The script imports the package from the ``src`` next to it, so running the
-copy in each checkout and diffing the two listings compares them.  It
-generates the five echelon shapes of acceptance criterion 2 and two
-S^1-invariant shapes, each with seeds 0-3, then runs ``verify --samples 3
---seed 5``, ``factorize --samples 5``, ``grassmann --samples 4`` and
-``sample --grid 12`` on each file.  Every line holds a command's exit code,
-the sha256 of the file it wrote (``-`` when it wrote none) and the command.
+The script imports the package from the ``src`` next to it, or from the
+directory given with ``--src``, so one copy of the script lists two
+checkouts, and diffing the two listings compares them.  It generates the
+five echelon shapes of acceptance criterion 2, two S^1-invariant shapes and
+random r = 0 data with n = 3, each with seeds 0-3, then runs ``verify
+--samples 3 --seed 5``, ``factorize --samples 5``, ``grassmann --samples 4``
+and ``sample --grid 12`` on each file.  Every line holds a command's exit
+code, the sha256 of the file it wrote (``-`` when it wrote none) and the
+command.
 
 ``--keep DIR`` leaves every output file, and the listing as ``digest.txt``,
 in DIR.  ``--compare`` reads two such directories and checks, per command,
@@ -33,12 +35,9 @@ from pathlib import Path
 
 import orjson
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from unitons.cli import main  # noqa: E402
-
 ECHELON = [(3, 2, "1,1"), (4, 3, "1,1,1"), (5, 4, "1,1,1,1"), (4, 2, "1,2"), (5, 3, "1,2,2")]
 S1 = [(4, 3, "1,1,1"), (4, 3, "1,2,3")]
+RANDOM = [(3, 0, None)]  # random mode takes no rank steps
 SEEDS = range(4)
 COMMANDS = [
     ("verify", "--samples", "3", "--seed", "5"),
@@ -51,13 +50,14 @@ EXACT_FLOATS = {"z"}  # float fields that must be identical: the drawn sample po
 
 def commands():
     """(label, argv without --output, output file name) of every call, in order."""
-    for mode, shapes in (("echelon", ECHELON), ("s1", S1)):
+    for mode, shapes in (("echelon", ECHELON), ("s1", S1), ("random", RANDOM)):
         for n, r, steps in shapes:
             for seed in SEEDS:
-                name = f"{mode} n={n} r={r} steps={steps} seed={seed}"
+                name = f"{mode} n={n} r={r}{f' steps={steps}' if steps else ''} seed={seed}"
                 data = f"{mode}-{n}-{r}-{steps}-{seed}"
                 yield (f"generate {name}", ["generate", "--mode", mode, "--n", str(n), "--r", str(r),
-                                            "--rank-steps", steps, "--seed", str(seed)], f"{data}.json")
+                                            *(["--rank-steps", steps] if steps else []), "--seed", str(seed)],
+                       f"{data}.json")
                 for command in COMMANDS:
                     yield (f"{' '.join(command)} {name}", [command[0], "--input", f"{data}.json", *command[1:]],
                            f"{data}.{command[0]}.json")
@@ -65,6 +65,8 @@ def commands():
 
 def run(argv, out, label):
     """One in-process CLI call writing to out: its exit code, out's digest and the label."""
+    from unitons.cli import main
+
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, "--output", str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
@@ -126,6 +128,10 @@ def compare(dir_a: Path, dir_b: Path) -> int:
 
 if __name__ == "__main__":
     args = sys.argv[1:]
+    src = Path(__file__).resolve().parents[1] / "src"
+    if args[:1] == ["--src"] and len(args) >= 2:
+        src, args = Path(args[1]), args[2:]
+    sys.path.insert(0, str(src))
     if args[:1] == ["--compare"] and len(args) == 3:
         sys.exit(compare(Path(args[1]), Path(args[2])))
     if args[:1] == ["--keep"] and len(args) == 2:

@@ -627,10 +627,26 @@ def test_the_slot_holds_the_last_draw_only():
     for seed in range(50):
         data = random_data(3, 2, 2, sparsity_pattern=(1, 1), seed=seed)
         draws.append((data, draw_sample_points(data, 3, seed=seed)))
-    columns, index, row = builder._last_draw
+    key, index, row = builder._last_draw
     data, points = draws[-1]
-    assert columns is data.columns and list(index) == points and row.zs.tolist() == points
+    assert key is data and list(index) == points and row.zs.tolist() == points
     assert all(builder._last_draw[1].keys().isdisjoint(pts) for _, pts in draws[:-1])
+
+
+@pytest.mark.parametrize("P", [0, 1, 9])
+def test_r0_chains_are_empty_and_a_drawn_point_keeps_its_own_n(P):
+    # r = 0 data go through the table and the kernel, whose loops run zero times
+    data = random_data(3, 0, 2, seed=0)
+    batch = chain_arrays(data, np.linspace(-1, 1, P) + 0.5j)
+    assert batch.pis.shape == batch.perps.shape == (P, 0, 3, 3) and batch.ranks.shape == (P, 0)
+    assert batch.pis.size == batch.perps.size == batch.ranks.size == batch.kvecs.size == 0
+    assert batch.ambiguous.tolist() == [False] * P
+    # every r = 0 DataArray shares the empty columns tuple: the slot is keyed on the data object
+    other = random_data(4, 0, 2, seed=1)
+    assert other.columns is data.columns
+    z = draw_sample_points(other, 3, seed=P)[0]
+    assert chain_arrays(data, [z]).pis.shape == (1, 0, 3, 3)
+    assert chain_arrays(other, [z]).pis.shape == (1, 0, 4, 4)
 
 
 CRITERION_2 = [(n, r, pattern, seed) for seed in range(4)

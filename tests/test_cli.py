@@ -232,17 +232,52 @@ def test_factorize_from_data(tmp_path):
     assert fib["iwasawa"]["ranks"] == fib["kernel"]["ranks"] == [1, 2, 3]
 
 
-@pytest.mark.parametrize("data", [
-    random_data(3, 1, 3, seed=6),  # alpha_1 = C^3
-    s1_invariant_data(4, (1, 2, 2), 3, seed=1),  # alpha_3 = C^4
+@pytest.mark.parametrize("data, kept", [
+    (random_data(3, 1, 3, seed=6), []),  # alpha_1 = C^3
+    (s1_invariant_data(4, (1, 2, 2), 3, seed=1), [1, 3]),  # alpha_3 = C^4
 ], ids=["alpha1-full", "alpha3-full"])
-def test_factorize_improper_chain_is_a_failed_check(tmp_path, capsys, data):
-    data_file = tmp_path / "d.json"
-    serialize.write_json(serialize.data_to_json(data), data_file)
-    assert run("factorize", "--input", data_file, "--samples", 2) == 4
+def test_factorize_improper_chain_is_a_failed_check(tmp_path, capsys, data, kept):
+    # a loop-fiber file is factored as given: its zero top coefficient is a failed check
+    from unitons import HarmonicMapSampler, draw_sample_points
+
+    s = HarmonicMapSampler(data)
+    fibers = [(z, LoopPoly(s.extended_coeffs_at(z))) for z in draw_sample_points(data, 2, seed=7)]
+    loop_file, data_file, out = tmp_path / "loops.json", tmp_path / "d.json", tmp_path / "fact.json"
+    serialize.write_json(serialize.loop_fibers_to_json(data.n, data.r, fibers), loop_file)
+    assert run("factorize", "--input", loop_file) == 4
     err = capsys.readouterr().err
     assert "kernel factorization of the fiber at z=(" in err
     assert "non-zero constant and top coefficients" in err
+    # data drop the chain's full trailing steps, whose factors are I, and factor the rest
+    serialize.write_json(serialize.data_to_json(data), data_file)
+    assert run("factorize", "--input", data_file, "--samples", 2, "--output", out) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] and all(f["iwasawa"]["ranks"] == f["kernel"]["ranks"] == kept for f in rep["fibers"])
+
+
+@pytest.mark.parametrize("mode, n, steps", [("echelon", 5, "1,2,2"), ("s1", 4, "1,2,3")])
+def test_factorize_drops_a_full_last_step_of_generated_data(tmp_path, mode, n, steps):
+    # the last uniton step is C^n at every drawn point, so T_3 = 0: the chain's
+    # first two steps factor the same loop
+    from unitons.builder import chain_arrays, extended_coefficients, extended_product
+    from unitons.grassmannian import loop_at
+
+    data_file, out = tmp_path / "d.json", tmp_path / "fact.json"
+    lams = np.exp(2j * np.pi * np.arange(8) / 8)[:, None, None]
+    for seed in range(4):
+        assert run("generate", "--mode", mode, "--n", n, "--r", 3, "--rank-steps", steps, "--seed", seed,
+                   "--output", data_file) == 0
+        assert run("factorize", "--input", data_file, "--samples", 5, "--output", out) == 0
+        rep = json.loads(out.read_text())
+        assert rep["passed"] and rep["max_gap"] <= 1e-13
+        data = serialize.data_from_json(serialize.read_json(data_file))
+        batch = chain_arrays(data, [serialize.decode_complex(f["z"]) for f in rep["fibers"]])
+        assert (batch.ranks[:, -1] == n).all()
+        loops = extended_coefficients(batch.pis, batch.perps, n)  # all three steps
+        for fib, loop in zip(rep["fibers"], loops, strict=True):
+            assert fib["iwasawa"]["ranks"] == fib["kernel"]["ranks"] == [1, 3]
+            pis, perps = serialize.chain_from_json(fib["iwasawa"])
+            assert np.abs(extended_product(pis, perps, lams[..., None], np.eye(n)) - loop_at(loop, lams)).max() <= 1e-13
 
 
 def test_factorize_from_loop_fibers(tmp_path):
@@ -642,6 +677,15 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, mutate):
     bad.write_text(json.dumps(mutate(obj)))
     assert run(command, "--input", bad, "--samples", 1) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, key", [("verify", "columns"), ("factorize", "coeffs")])
+def test_a_missing_key_exits_2_and_names_it(tmp_path, capsys, command, key):
+    obj = {"n": 3, "r": 1} if command == "verify" else {"n": 3, "r": 1, "fibers": [{"z": [0.0, 0.0]}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(command, "--input", bad) == 2
+    assert capsys.readouterr().err == f"error: malformed JSON: missing key '{key}'\n"
 
 
 @pytest.mark.parametrize("q_span", [

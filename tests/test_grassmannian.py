@@ -400,18 +400,22 @@ def test_the_in_place_factor_steps_leave_their_inputs_unchanged():
 
 
 def test_q_adapted_even_odd():
-    # X spanned by an even polynomial: W is nu_I-invariant with an adapted basis
+    # X spanned by an even polynomial: W is nu_I-invariant, spanned by its nu_I eigenvectors
     l0 = MeroVector((P([1]), P([0, 1]), P([0]), P([0])))
     l2 = MeroVector((P([0]), P([0]), P([1, 1]), P([0, 0, 1])))
     zero = MeroVector.zero(4)
     w = w_from_x(_tables(4, 3, ((l0, zero, l2),)), Z)
-    res = q_adapted_check(w, QInvolution.identity(4))
+    q = QInvolution.identity(4)
+    res = q_adapted_check(w, q)
     assert res.defect <= 1e-7 and res.adapted
+    moved = q.nu_matrix(w.r) @ w.basis
+    plus, minus = orthonormal_basis(w.basis + moved), orthonormal_basis(w.basis - moved)
+    assert plus.dim + minus.dim == w.dim
     n = 4
     for k in range(3):
         sign = (-1) ** k
-        blocks_plus = res.plus[k * n : (k + 1) * n]
-        blocks_minus = res.minus[k * n : (k + 1) * n]
+        blocks_plus = plus.basis[k * n : (k + 1) * n]
+        blocks_minus = minus.basis[k * n : (k + 1) * n]
         if sign == -1:
             assert np.abs(blocks_plus).max() <= 1e-9  # (+) vectors vanish on odd blocks for Q=I
         else:
@@ -476,15 +480,15 @@ def test_stacked_q_adapted_check_equals_each_fiber(data, adapted):
     q = QInvolution.identity(4)
     stacked = q_adapted_check(w, q)
     assert stacked.defect.shape == stacked.adapted.shape == (5,)
-    assert stacked.plus is None and stacked.minus is None
     assert stacked.adapted.tolist() == [adapted] * 5
     for p in range(5):
-        one = q_adapted_check(w.at(p), q)
-        assert one.adapted == stacked.adapted[p] and (one.plus is not None) == adapted
+        fiber = _fiber(w, p)
+        one = q_adapted_check(fiber, q)
+        assert one.defect.shape == () and one.adapted == stacked.adapted[p]
         assert abs(one.defect - stacked.defect[p]) <= 2e-14
         # the principal-angle route measures the same gap; compared as sines, since
         # near pi/2 arcsin amplifies the last bits of either route by 1/cos
-        assert abs(np.sin(one.defect) - np.sin(q_adapted_defect_per_fiber(w.at(p), q))) <= 2e-14
+        assert abs(np.sin(one.defect) - np.sin(q_adapted_defect_per_fiber(fiber, q))) <= 2e-14
 
 
 def test_q_involution_from_span():
@@ -543,6 +547,12 @@ def _projectors(basis):
     return basis @ basis.conj().swapaxes(-1, -2)
 
 
+def _fiber(w, p):
+    """Fiber p of a stack of W as one W, without its zeroed columns."""
+    b = w.basis[p]
+    return WSubspace(w.r, w.n, b[:, b.any(axis=0)])
+
+
 def _check_stack_against_reference(coeffs):
     """Stacked W, Iwasawa and kernel factorizations of loops (P, r+1, n, n)
     against the per-fiber reference: ranks exactly, projections to 1e-13, the
@@ -554,7 +564,7 @@ def _check_stack_against_reference(coeffs):
     assert iwa.shape == ker.shape == (P, r, n, n) and len(errors) == P and w.errors == [None] * P
     for p in range(P):
         basis = w_basis_per_fiber(coeffs[p])
-        assert w.at(p).dim == basis.shape[1]
+        assert _fiber(w, p).dim == basis.shape[1]
         assert np.abs(_projectors(w.basis[p]) - _projectors(basis)).max() <= 1e-13
         ref = iwasawa_per_fiber(basis, r, n)
         assert ranks(iwa[p]) == ranks(ref[0])
@@ -615,9 +625,9 @@ def test_a_stack_of_w_records_each_fibers_shift_defect():
     w = WSubspace(2, 2, stack)
     assert w.errors[0] is None and isinstance(w.errors[1], NotLambdaInvariant)
     assert np.allclose(w.lambda_defect(), [0.0, 1.0])
-    assert w.at(0).dim == 2
+    assert _fiber(w, 0).dim == 2
     with pytest.raises(NotLambdaInvariant):
-        w.at(1)
+        _fiber(w, 1)
 
 
 def test_loop_poly_stack_and_s_rows_broadcast():

@@ -64,6 +64,14 @@ GUARDS = {
                                    "principal angles need a common ambient space"),
     "serialize-data-pairs": (lambda: serialize.data_from_json(_triple_pairs_file()), BadShape,
                              "complex values must be [re, im] pairs"),
+    "serialize-data-missing-key": (lambda: serialize.data_from_json({"n": 3, "r": 1}), BadShape,
+                                   "malformed JSON: missing key 'columns'"),
+    "serialize-chain-missing-key": (lambda: serialize.chain_from_json({"n": 3, "r": 1}), BadShape,
+                                    "malformed JSON: missing key 'ranks'"),
+    "serialize-matrix-missing-key": (lambda: serialize.matrix_from_json({"shape": [1, 1]}), BadShape,
+                                     "malformed JSON: missing key 'data'"),
+    "serialize-loops-missing-key": (lambda: serialize.loop_fibers_from_json({"n": 1, "r": 0}), BadShape,
+                                    "malformed JSON: missing key 'fibers'"),
     "serialize-matrix-ndim": (lambda: serialize.matrix_to_json(np.zeros(3)), BadShape, "only 2-d matrices serialize"),
     "serialize-stack-shapes": (lambda: serialize.loop_fibers_from_json(_two_shape_loop_file()), BadShape,
                                "a stack needs matrices of one shape"),

@@ -163,6 +163,22 @@ def test_a_failing_chunk_raises_only_after_every_join(failing, monkeypatch):
     assert len(set(calls)) == 2  # the second chunk ran on its own thread
 
 
+def test_a_one_chunk_build_re_raises_its_chunks_exception_and_starts_no_thread(monkeypatch):
+    # one chunk runs through the same build wrapper and raise loop as k chunks
+    vals = _kernel_input(SHAPES["dense"], kernels.SPLIT_POINTS)
+    error = np.linalg.LinAlgError("SVD did not converge")
+
+    def failing_chunk(*chunk):
+        raise error
+
+    monkeypatch.setattr(kernels, "_build_chunk", failing_chunk)
+    _cpus(monkeypatch, 4)
+    starts = _counted_starts(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        kernels.build_chain(vals)
+    assert info.value is error and starts == []
+
+
 def test_a_chunk_that_cannot_converge_raises_as_the_serial_build(monkeypatch):
     vals = _kernel_input(SHAPES["dense"], 2 * kernels.SPLIT_POINTS)
     vals[-1, 0, 0, 0, 0] = np.nan  # a point of the second chunk
