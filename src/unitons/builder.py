@@ -9,9 +9,7 @@ leaves A = (1/2) phi^{-1} d phi, and so every identity, unchanged.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -25,6 +23,7 @@ from .meromorphic import (
     MAX_SAMPLE_TRIES,
     DataArray,
     MeroVector,
+    _integer,
     _polynomial_vectors,
     _random_coefficients,
     polynomial_column,
@@ -167,7 +166,7 @@ class HarmonicMapSampler:
         if not 0 <= ell <= self.r:
             raise BadShape(f"need 0 <= ell <= r = {self.r}, got ell={ell}")
         cd = self.chain_at(z)
-        return extended_product(cd.pis[:ell], cd.perps[:ell], -1, np.eye(self.n, dtype=np.complex128))
+        return extended_product(cd.pis[:ell], cd.perps[:ell], -1)
 
     def extended_coeffs_at(self, z: complex) -> np.ndarray:
         cd = self.chain_at(z)
@@ -176,24 +175,24 @@ class HarmonicMapSampler:
 
 def evaluate_map(sampler: HarmonicMapSampler, z: complex) -> np.ndarray:
     cd = sampler.chain_at(z)
-    return extended_product(cd.pis, cd.perps, -1, np.eye(sampler.n, dtype=np.complex128))
+    return extended_product(cd.pis, cd.perps, -1)
 
 
-def prefix_products(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> Iterator[np.ndarray]:
-    """left, left F_1, ..., left F_1 ... F_r with F_i = pi_i + lam pi_i_perp (phi_0..phi_r at
-    lam = -1), the first a read-only broadcast view of left.  The steps run along axis -3;
+def prefix_products(pis: np.ndarray, perps: np.ndarray, lam) -> Iterator[np.ndarray]:
+    """I, F_1, F_1 F_2, ..., F_1 ... F_r with F_i = pi_i + lam pi_i_perp (phi_0..phi_r at
+    lam = -1), the first a read-only broadcast view of I.  The steps run along axis -3;
     leading axes and an array lam broadcast, each product bit-identical to its single call."""
-    factors, out = pis + lam * perps, left
-    yield np.broadcast_to(left, factors.shape[:-3] + left.shape)
+    factors, out = pis + lam * perps, np.eye(pis.shape[-1], dtype=np.complex128)
+    yield np.broadcast_to(out, factors.shape[:-3] + out.shape)
     for i in range(factors.shape[-3]):
         out = out @ factors[..., i, :, :]
         yield out
 
 
-def extended_product(pis: np.ndarray, perps: np.ndarray, lam, left: np.ndarray) -> np.ndarray:
-    """left (pi_1 + lam pi_1_perp) ... (pi_r + lam pi_r_perp), a new array: the
+def extended_product(pis: np.ndarray, perps: np.ndarray, lam) -> np.ndarray:
+    """(pi_1 + lam pi_1_perp) ... (pi_r + lam pi_r_perp), a new array: the
     last of ``prefix_products``."""
-    for out in prefix_products(pis, perps, lam, left):  # each product is freed as the next is formed
+    for out in prefix_products(pis, perps, lam):  # each product is freed as the next is formed
         pass
     return out if pis.shape[-3] else out.copy()
 
@@ -218,7 +217,7 @@ def s1_invariant_data(
 
     The resulting unitons are nested and the map is S^1-invariant.
     """
-    d = tuple(int(x) for x in rank_steps)
+    n, d = _integer(n, "n"), tuple(_integer(x, "a rank step") for x in rank_steps)
     r = len(d)
     if r < 1 or d[0] < 1 or any(a > b for a, b in zip(d, d[1:])):
         raise BadShape("rank_steps must be ascending with d_1 >= 1")
@@ -230,14 +229,6 @@ def s1_invariant_data(
     rows = [next(i for i in range(r) if j < d[i]) for j in range(d[-1])]
     return DataArray(n, r, tuple(tuple(vec if i == row else zero for i in range(r))
                                  for row, vec in zip(rows, _polynomial_vectors(coeffs))))
-
-
-def _integer(value, name: str) -> int:
-    """An integer argument (np.int64 too); a bool or a float is malformed."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise BadShape(f"{name} must be an integer, got {value!r}")
 
 
 def draw_sample_points(data: DataArray, count: int, seed: int = 0, stencil_h: Optional[float] = None) -> list[complex]:
@@ -282,8 +273,6 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
                 points.append(cands[col])
                 taken.append(col)
                 misses = 0
-                if len(points) == count:
-                    break
             else:
                 misses += 1
                 if misses == MAX_SAMPLE_TRIES:

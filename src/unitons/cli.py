@@ -143,7 +143,7 @@ def cmd_factorize(args) -> int:
             return EXIT_FAILED
     # each loop and its Iwasawa product at the 8th roots of unity, all at once
     lams = np.exp(2j * np.pi * np.arange(8) / 8)[:, None, None, None]
-    prod = extended_product(iwa, perps, lams[..., None], np.eye(loops.n, dtype=np.complex128))
+    prod = extended_product(iwa, perps, lams[..., None])
     gaps = {
         "chain_agreement": projector_gap(iwa, ker).max(axis=-1, initial=0.0),
         "reconstruction": np.abs(prod - loops.at(lams)).max(axis=(0, 2, 3)),
@@ -203,13 +203,13 @@ def _rows_per_block(m: int) -> int:
     return max(1, SAMPLE_BLOCK // m)
 
 
-def _sample_records(data, zs, eye) -> list[dict]:
+def _sample_records(data, zs) -> list[dict]:
     """The map at each point of zs from one kernel call and one map product,
     written by one matrices_to_json; a degenerate point, or one whose map is
     not finite, gets phi: null.  The records' z pairs come from one tolist()
     of the (P, 2) float64 view of the block's points."""
     batch = chain_arrays(data, zs)
-    maps, ambiguous = extended_product(batch.pis, batch.perps, -1, eye), batch.ambiguous
+    maps, ambiguous = extended_product(batch.pis, batch.perps, -1), batch.ambiguous
     pairs = batch.zs.view(np.float64).reshape(-1, 2).tolist()
     del batch  # the chains are read no more: free them before the records are built
     bad = np.logical_or(ambiguous, ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
@@ -222,14 +222,13 @@ def cmd_sample(args) -> int:
     x0, x1, y0, y1 = _parse_rect(args.rect)
     data = serialize.data_from_json(serialize.read_json(args.input))
     m = args.grid
-    eye = np.eye(data.n, dtype=np.complex128)
     xs = [x0 + (x1 - x0) * (ix + 0.5) / m for ix in range(m)]
     step = _rows_per_block(m)
     records = []
     for first in range(0, m, step):
         # whole rows per call keep the kernel's memory bounded by SAMPLE_BLOCK points, not m^2
         ys = [y0 + (y1 - y0) * (iy + 0.5) / m for iy in range(first, min(first + step, m))]
-        records += _sample_records(data, [complex(x, y) for y in ys for x in xs], eye)
+        records += _sample_records(data, [complex(x, y) for y in ys for x in xs])
     _emit({"n": data.n, "r": data.r, "grid": m, "rect": [x0, x1, y0, y1], "records": records}, args.output)
     return EXIT_OK
 

@@ -279,23 +279,16 @@ def normalize_type_one(
     n, r0 = stack.shape[-1], stack.shape[-3] - 1
     steps: list[Span] = []
     pairs: list[tuple[np.ndarray, np.ndarray, int]] = []  # (pi, perp, degree after the step)
-
-    def constant_image() -> Span:
-        return orthonormal_basis(np.hstack(stack[:, 0]))
-
-    for _ in range(max(r0, 1)):
-        a_span = constant_image()
-        if a_span.dim == n:
-            break
+    # the image of the constant terms T_0 at every point, until it is full
+    while (a_span := orthonormal_basis(np.hstack(stack[:, 0]))).dim != n:
+        if len(steps) == max(r0, 1):
+            raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")
         if a_span.dim == 0:
             raise NoTermination("constant term vanishes identically")
         pi, perp = projection_pair(a_span)
         stack = LoopPoly(_constant_step(stack, pi, perp, stack.shape[-3] - 1)).trimmed().coeffs
         steps.append(a_span)
         pairs.append((pi, perp, stack.shape[-3] - 1))
-    else:
-        if constant_image().dim != n:
-            raise NoTermination(f"not type one after {max(r0, 1)} constant-loop steps")
 
     def sample(z: complex) -> LoopPoly:
         coeffs = loop_sampler(z).coeffs

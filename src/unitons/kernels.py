@@ -43,7 +43,7 @@ def build_chain(hvals):
     (P,) is 1 where a singular value is within a decade of the rank threshold (ambiguous).
 
     The points are split into k = min(usable CPUs, P // SPLIT_POINTS)
-    contiguous chunks, or one when that is below 2 (usable CPUs: the affinity
+    contiguous chunks, or one when that is below 2 or r = 0 (usable CPUs: the affinity
     mask's, or ``os.cpu_count()`` where the OS has none): the caller's thread
     builds the first and k - 1 threads the rest, each into its slices of the
     outputs, since the stacked SVDs that dominate the kernel run in LAPACK
@@ -58,7 +58,7 @@ def build_chain(hvals):
         np.zeros((P, r, r, J, n), np.complex128),  # kvecs
         np.zeros(P, np.int64),  # status
     )
-    k = P // SPLIT_POINTS
+    k = P // SPLIT_POINTS if r else 1
     if k >= 2:
         k = min(k, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     k = max(k, 1)

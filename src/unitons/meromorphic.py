@@ -11,7 +11,9 @@ derivatives, which no scalar multiplier moves.  The quotient-rule
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional, Sequence
@@ -240,11 +242,19 @@ class DataArray:
         object.__setattr__(self, "columns", cols)
 
 
+def _integer(value, name: str) -> int:
+    """An integer argument (np.int64 too); a bool or a float is malformed."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise BadShape(f"{name} must be an integer, got {value!r}")
+
+
 def _random_coefficients(rng: np.random.Generator, count: int, n: int, max_degree: int) -> np.ndarray:
     """Coefficients (count, n, max_degree + 1), degree-ascending, of count
     random polynomial C^n vectors: Gaussian integers from one draw, which
     gives the stream of one draw per polynomial."""
-    if max_degree < 0:
+    if _integer(max_degree, "max_degree") < 0:
         raise BadShape("max_degree must be >= 0")
     pairs = rng.integers(-_COEFF_RANGE, _COEFF_RANGE + 1, size=(count, n, max_degree + 1, 2))
     return pairs.astype(np.float64).view(np.complex128)[..., 0]
@@ -270,10 +280,11 @@ def random_data(
     in the first d_{i+1} columns (echelon shape).  The live entries, column
     by column, take their coefficients from one draw.
     """
+    n, r = _integer(n, "n"), _integer(r, "r")
     if not 0 <= r <= n - 1:
         raise BadShape(f"need 0 <= r <= n-1, got r={r}, n={n}")
     if sparsity_pattern is not None:
-        d = tuple(int(x) for x in sparsity_pattern)
+        d = tuple(_integer(x, "a sparsity pattern entry") for x in sparsity_pattern)
         if len(d) != r or any(x < 0 for x in d) or any(a > b for a, b in zip(d, d[1:])):
             raise BadShape("sparsity pattern must be r ascending non-negative ranks")
         if d and d[-1] > n:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import orjson
 
 from .errors import BadShape
-from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn
+from .meromorphic import MAX_COEFFICIENT, DataArray, MeroVector, RationalFn, _integer
 
 if TYPE_CHECKING:
     from .grassmannian import LoopPoly
@@ -48,22 +47,24 @@ def _decoder(decode):
 _NUMBER_TYPES = frozenset({int, float, type(None), np.float64})
 
 
-def _floats(nested, ndim: int) -> np.ndarray:
-    """Lists of JSON numbers nested ndim deep as one float64 array.  numpy
-    would read true as 1 and "1" as 1, so a bool or a string in a number's
-    place is malformed."""
+def _complex(nested, shape: tuple, what: str) -> np.ndarray:
+    """Lists of [re, im] pairs of JSON numbers nested to ``shape`` as one
+    complex128 array of that shape; ``what`` is the message for another shape.
+    numpy would read true as 1 and "1" as 1, so a bool or a string in a
+    number's place is malformed, and so is a non-finite value."""
     leaves = nested
-    for _ in range(ndim - 1):
+    for _ in shape:
         leaves = itertools.chain.from_iterable(leaves)
     if not _NUMBER_TYPES.issuperset(map(type, leaves)):
         raise BadShape("complex values must be [re, im] pairs of JSON numbers")
-    return np.array(nested, np.float64)
-
-
-def _integer(value, name: str) -> int:
-    if type(value) is not int:  # a float, a string or a bool of the same value is malformed
-        raise BadShape(f"{name} must be a JSON integer, got {value!r}")
-    return value
+    pairs = np.array(nested, np.float64)
+    if pairs.shape == shape and not pairs.size:  # no pair at all reads as shape (..., 0)
+        pairs = pairs.reshape(shape + (2,))
+    if pairs.shape != shape + (2,):
+        raise BadShape(what)
+    if not np.isfinite(pairs).all():
+        raise BadShape("complex values must be finite")
+    return pairs.view(np.complex128)[..., 0]
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -75,10 +76,7 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise BadShape("complex values must be [re, im] pairs")
-    re, im = _floats(pair, 1).tolist()
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise BadShape("complex values must be finite")
-    return complex(re, im)
+    return complex(_complex(pair, (), "complex values must be [re, im] pairs"))
 
 
 def rational_to_json(f: RationalFn) -> dict:
@@ -104,13 +102,10 @@ def data_from_json(obj) -> DataArray:
     columns = obj["columns"]
     coeffs = [part for col in columns for vec in col for f in vec for part in (f["num"], f["den"])]
     flat = [pair for part in coeffs for pair in part]
-    pairs = _floats(flat, 2) if flat else np.zeros((0, 2))
-    if pairs.shape != (len(flat), 2):
-        raise BadShape("complex values must be [re, im] pairs")
-    values = _complex_from_pairs(pairs)
+    values = _complex(flat, (len(flat),), "complex values must be [re, im] pairs")
     if (np.abs(values) > MAX_COEFFICIENT).any():
         raise BadShape(f"coefficient magnitude above {MAX_COEFFICIENT:g}")
-    values, raw, bounds = values.tolist(), pairs.tobytes(), [0, *itertools.accumulate(map(len, coeffs))]
+    values, raw, bounds = values.tolist(), values.tobytes(), [0, *itertools.accumulate(map(len, coeffs))]
     shared, entries = {}, []
     # the parts come in file order, each entry's numerator [a, b) before its denominator [b, c)
     for a, b, c in zip(bounds[::2], bounds[1::2], bounds[2::2]):
@@ -147,25 +142,15 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return matrices_to_json(m[None])[0]
 
 
-def _complex_from_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Each finite (re, im) float64 pair on the last axis read as one complex128 entry."""
-    if not np.isfinite(pairs).all():
-        raise BadShape("complex values must be finite")
-    return pairs.view(np.complex128)[..., 0]
-
-
 def _matrices_from_json(objs) -> np.ndarray:
     """Matrix objects of one shape decoded at once into a (len(objs), rows, cols) array."""
     shapes = {tuple(_integer(x, "shape") for x in m["shape"]) for m in objs}
     if len(shapes) != 1:
         raise BadShape("a stack needs matrices of one shape")
     (rows, cols), = shapes
-    pairs = _floats([m["data"] for m in objs], 3)
-    if pairs.shape == (len(objs), 0):  # every matrix is empty
-        pairs = pairs.reshape(len(objs), 0, 2)
-    if pairs.shape != (len(objs), rows * cols, 2):
-        raise BadShape("matrix data must be one [re, im] pair per entry of its shape")
-    return _complex_from_pairs(pairs).reshape(len(objs), rows, cols)  # row-major
+    data = _complex([m["data"] for m in objs], (len(objs), rows * cols),
+                    "matrix data must be one [re, im] pair per entry of its shape")
+    return data.reshape(len(objs), rows, cols)  # row-major
 
 
 @_decoder
@@ -179,10 +164,7 @@ def vectors_from_json(obj, n: int) -> np.ndarray:
     into the columns of an (n, k) matrix."""
     if not isinstance(obj, list) or not obj:
         raise BadShape("expected a non-empty list of vectors")
-    pairs = _floats(obj, 3)
-    if pairs.shape != (len(obj), n, 2):
-        raise BadShape(f"each vector must be {n} [re, im] pairs")
-    return _complex_from_pairs(pairs).T
+    return _complex(obj, (len(obj), n), f"each vector must be {n} [re, im] pairs").T
 
 
 def _ranks(pis: np.ndarray) -> list[int]:

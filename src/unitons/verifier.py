@@ -170,8 +170,7 @@ def extended_checks(T: np.ndarray, conn: Optional[ConnectionFiber] = None) -> di
 
 def _prefix_maps(chains: ChainBatch) -> np.ndarray:
     """phi_0 = I .. phi_r on axis -3, ``prefix_products`` at lambda = -1: phi_ell is ``extended_product`` on ell steps."""
-    eye = np.eye(chains.pis.shape[-1], dtype=np.complex128)
-    return np.stack(list(prefix_products(chains.pis, chains.perps, -1, eye)), axis=-3)
+    return np.stack(list(prefix_products(chains.pis, chains.perps, -1)), axis=-3)
 
 
 def section_identities(chains: ChainBatch, seed: int = 0, conn: Optional[ConnectionFiber] = None) -> dict:

@@ -517,7 +517,7 @@ def loop_fibers_to_json_tolist(n, r, fibers):
         {"z": [complex(z).real, complex(z).imag], "coeffs": matrices_to_json_tolist(loop.coeffs)} for z, loop in fibers]}
 
 
-def sample_records_tolist(data, zs, eye):
+def sample_records_tolist(data, zs):
     """The records of one `unitons sample` block, the same kernel call and map
     product as the command's, written with Python floats: z from complex(z),
     phi from the tolist() encoding, null where the point is ambiguous or the
@@ -525,7 +525,7 @@ def sample_records_tolist(data, zs, eye):
     from unitons.builder import chain_arrays, extended_product
 
     batch = chain_arrays(data, zs)
-    maps = extended_product(batch.pis, batch.perps, -1, eye)
+    maps = extended_product(batch.pis, batch.perps, -1)
     bad = (batch.ambiguous | ~np.isfinite(maps).all(axis=(-2, -1))).tolist()
     return [{"z": [complex(z).real, complex(z).imag], "phi": None if b else phi}
             for z, b, phi in zip(zs, bad, matrices_to_json_tolist(maps))]

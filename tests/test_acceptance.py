@@ -125,7 +125,7 @@ def test_criterion_02_harmonicity():
     for data in _harmonic_datasets():
         zs = np.array(draw_sample_points(data, 30, seed=5, stencil_h=1e-3))
         chains = stencil_chains(data, zs)  # one kernel call on the 30 points' stencils
-        maps = extended_product(chains.pis, chains.perps, -1, np.eye(data.n, dtype=complex))
+        maps = extended_product(chains.pis, chains.perps, -1)
         worst = max(worst, harmonicity_residual(maps, zs).max())
     # negative control: replace the second factor by a non-uniton projection
     data = random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=0)

@@ -134,7 +134,7 @@ def test_map_unitary_at_30_points():
 def _extended(sampler, z, lam):
     """Phi_lambda at z: the Cartan product of the chain with left factor I."""
     cd = sampler.chain_at(z)
-    return extended_product(cd.pis, cd.perps, lam, np.eye(sampler.n, dtype=np.complex128))
+    return extended_product(cd.pis, cd.perps, lam)
 
 
 def test_extended_at_lambda_one_and_minus_one():
@@ -474,14 +474,13 @@ def test_extended_product_broadcasts_bit_for_bit():
     data = random_data(5, 4, 3, sparsity_pattern=(1, 1, 1, 1), seed=2)
     batch = chain_arrays(data, draw_sample_points(data, 4, seed=3))
     lams = np.exp(2j * np.pi * np.arange(3) / 3)
-    eye = np.eye(5, dtype=np.complex128)
-    got = extended_product(batch.pis[:, None], batch.perps[:, None], lams[:, None, None, None], eye)
+    got = extended_product(batch.pis[:, None], batch.perps[:, None], lams[:, None, None, None])
     assert got.shape == (4, 3, 5, 5)
     for p in range(4):
         for q, lam in enumerate(lams):
-            assert np.array_equal(got[p, q], extended_product(batch.pis[p], batch.perps[p], lam, eye))
+            assert np.array_equal(got[p, q], extended_product(batch.pis[p], batch.perps[p], lam))
     r0 = chain_arrays(random_data(3, 0, 2, seed=0), [0.1, 0.2])
-    assert np.array_equal(extended_product(r0.pis, r0.perps, -1, np.eye(3)), np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert np.array_equal(extended_product(r0.pis, r0.perps, -1), np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -720,4 +719,4 @@ def test_served_builds_make_no_kernel_call(monkeypatch):
     del calls[:]
     chains = stencil_chains(data, z)  # a stencil at a drawn point is one 9-point build
     assert calls == [9]
-    assert harmonicity_residual(extended_product(chains.pis, chains.perps, -1, np.eye(5, dtype=np.complex128)), z) < 1e-5
+    assert harmonicity_residual(extended_product(chains.pis, chains.perps, -1), z) < 1e-5

@@ -277,7 +277,7 @@ def test_factorize_drops_a_full_last_step_of_generated_data(tmp_path, mode, n, s
         for fib, loop in zip(rep["fibers"], loops, strict=True):
             assert fib["iwasawa"]["ranks"] == fib["kernel"]["ranks"] == [1, 3]
             pis, perps = serialize.chain_from_json(fib["iwasawa"])
-            assert np.abs(extended_product(pis, perps, lams[..., None], np.eye(n)) - loop_at(loop, lams)).max() <= 1e-13
+            assert np.abs(extended_product(pis, perps, lams[..., None]) - loop_at(loop, lams)).max() <= 1e-13
 
 
 def test_factorize_from_loop_fibers(tmp_path):
@@ -541,7 +541,7 @@ def test_sample_blocks_match_per_point_chains(tmp_path, monkeypatch):
         for ix in range(5):
             z = complex(-2.5 + 5.0 * (ix + 0.5) / 5, -2.5 + 5.0 * (iy + 0.5) / 5)
             b = chain_arrays(data, [z])
-            phi = extended_product(b.pis[0], b.perps[0], -1, np.eye(4, dtype=np.complex128))
+            phi = extended_product(b.pis[0], b.perps[0], -1)
             bad = bool(b.ambiguous[0])
             expected.append({"z": serialize.encode_complex(z), "phi": None if bad else serialize.matrix_to_json(phi)})
     records = json.loads(out.read_text())["records"]

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import build_chunk_reference
 from unitons import DataArray, MeroVector, cli, draw_sample_points, kernels, random_data, s1_invariant_data, serialize
-from unitons.builder import STENCIL_OFFSETS, _tables
+from unitons.builder import STENCIL_OFFSETS, _tables, chain_arrays
 from unitons.meromorphic import DISC_RADIUS
 from unitons.verifier import FD_STEP
 
@@ -177,6 +177,14 @@ def test_a_one_chunk_build_re_raises_its_chunks_exception_and_starts_no_thread(m
     with pytest.raises(np.linalg.LinAlgError) as info:
         kernels.build_chain(vals)
     assert info.value is error and starts == []
+
+
+def test_an_r0_batch_builds_no_chain_and_starts_no_thread(monkeypatch):
+    # r = 0 data has nothing to build, however many points the batch holds
+    _cpus(monkeypatch, 4)
+    starts = _counted_starts(monkeypatch)
+    batch = chain_arrays(random_data(3, 0, 2), np.linspace(-1, 1, 4 * kernels.SPLIT_POINTS))
+    assert starts == [] and batch.pis.shape == (4 * kernels.SPLIT_POINTS, 0, 3, 3)
 
 
 def test_a_chunk_that_cannot_converge_raises_as_the_serial_build(monkeypatch):

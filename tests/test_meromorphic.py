@@ -232,6 +232,23 @@ def test_random_data_bad_shape():
         random_data(4, 2, 2, sparsity_pattern=(2, 1), seed=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_data(3, 2, 1, sparsity_pattern=(1.7, 2.2)),
+    lambda: random_data(3, 2, 1, sparsity_pattern=(True, 2)),
+    lambda: random_data(3, 2.0, 1),
+    lambda: random_data(3.0, 2, 1),
+    lambda: random_data(3, 2, 1.5),
+    lambda: s1_invariant_data(4, (1.9, 2.5), 1),
+    lambda: s1_invariant_data(4.0, (1, 2), 1),
+    lambda: s1_invariant_data(4, (1, 2), True),
+], ids=["pattern-float", "pattern-bool", "r-float", "n-float", "degree-float", "steps-float", "s1-n-float",
+        "s1-degree-bool"])
+def test_generators_reject_a_non_integer_argument(make):
+    # once read as int(x), or failing deep inside numpy with a TypeError
+    with pytest.raises(BadShape, match="must be an integer"):
+        make()
+
+
 def test_random_data_echelon_zero_blocks():
     data = random_data(4, 3, 2, sparsity_pattern=(1, 2, 2), seed=4)
     for j, col in enumerate(data.columns):

@@ -49,7 +49,7 @@ def _disc(count, seed):
 
 def _maps(data, zs):
     batch = chain_arrays(data, zs)
-    return batch, extended_product(batch.pis, batch.perps, -1, np.eye(data.n, dtype=np.complex128))
+    return batch, extended_product(batch.pis, batch.perps, -1)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

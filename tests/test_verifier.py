@@ -40,7 +40,7 @@ def _wirtinger_of(field, z):
 
 def _maps(chains):
     """The map (pi_1 - pi_1_perp) ... (pi_r - pi_r_perp) on every point of a chain stack."""
-    return builder.extended_product(chains.pis, chains.perps, -1, np.eye(chains.pis.shape[-1], dtype=np.complex128))
+    return builder.extended_product(chains.pis, chains.perps, -1)
 
 
 def test_wirtinger_holomorphic_monomial():
@@ -356,7 +356,7 @@ def test_shared_connection_gives_the_standalone_residuals():
     prefix = verifier._prefix_maps(batch)
     conn = verifier._connection(prefix, verifier.FD_STEP)
     last = verifier.ConnectionFiber(*(f[..., -1, :, :] for f in conn))
-    maps = builder.extended_product(batch.pis, batch.perps, -1, np.eye(5, dtype=complex))
+    maps = builder.extended_product(batch.pis, batch.perps, -1)
     assert prefix[..., -1, :, :].tobytes() == maps.tobytes()
     assert harmonicity_residual(maps, z, conn=last).tobytes() == harmonicity_residual(maps, z).tobytes()
     shared, own = section_identities(batch, seed=2, conn=conn), section_identities(batch, seed=2)
@@ -497,7 +497,7 @@ def test_extended_values_from_coefficients_match_the_per_lambda_product(case):
     ext = verifier._extended_values(builder.extended_coefficients(batch.pis, batch.perps, n), lams)
     assert ext.shape == batch.zs.shape + (len(lams), n, n)
     for k, lam in enumerate(lams):
-        product = builder.extended_product(batch.pis, batch.perps, lam, np.eye(n, dtype=np.complex128))
+        product = builder.extended_product(batch.pis, batch.perps, lam)
         assert np.abs(ext[..., k, :, :] - product).max() <= 1e-13, lam
 
 
@@ -541,12 +541,11 @@ def test_report_is_bit_for_bit_that_of_the_static_checks_own_coefficients(case, 
     random_data(3, 0, 2, seed=0),
 ], ids=["J>1", "r=4", "r0"])
 def test_prefix_maps_are_the_products_of_their_steps_bit_for_bit(data):
-    eye = np.eye(data.n, dtype=np.complex128)
     chains = stencil_chains(data, draw_sample_points(data, 2, seed=17, stencil_h=FD_STEP))
     prefix = verifier._prefix_maps(chains)
     assert prefix.shape == chains.zs.shape + (data.r + 1, data.n, data.n)
     for ell in range(data.r + 1):
-        expected = builder.extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1, eye)
+        expected = builder.extended_product(chains.pis[..., :ell, :, :], chains.perps[..., :ell, :, :], -1)
         assert np.array_equal(prefix[..., ell, :, :], expected), ell
 
 
