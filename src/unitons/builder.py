@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -217,13 +217,15 @@ def s1_invariant_data(
 
     The resulting unitons are nested and the map is S^1-invariant.
     """
+    if not isinstance(rank_steps, Iterable):
+        raise BadShape("rank_steps must be ascending with d_1 >= 1")
     n, d = _integer(n, "n"), tuple(_integer(x, "a rank step") for x in rank_steps)
     r = len(d)
     if r < 1 or d[0] < 1 or any(a > b for a, b in zip(d, d[1:])):
         raise BadShape("rank_steps must be ascending with d_1 >= 1")
     if d[-1] > n or r > n - 1:
         raise BadShape("need d_r <= n and r <= n-1")
-    coeffs = _random_coefficients(np.random.default_rng(seed), d[-1], n, max_degree)
+    coeffs = _random_coefficients(seed, d[-1], n, max_degree)
     zero = MeroVector.zero(n)
     # column j is live in the first row i with j < d_{i+1}
     rows = [next(i for i in range(r) if j < d[i]) for j in range(d[-1])]
@@ -252,7 +254,7 @@ def _draw(data: DataArray, count: int, seed: int, stencil_h: Optional[float]) ->
         raise BadShape("count must be >= 0")
     if stencil_h is not None and not 0 < stencil_h <= DISC_RADIUS:  # nan fails the comparison too
         raise BadShape(f"stencil_h must be in (0, {DISC_RADIUS}], got {stencil_h!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     offsets = STENCIL_OFFSETS * stencil_h if stencil_h is not None else STENCIL_OFFSETS[:1]
     points: list[complex] = []
     accepted: list[ChainBatch] = []

@@ -3,7 +3,9 @@
 Both kernels take a leading point axis: each point's chain depends on that
 point alone, so one call serves a whole grid row or finite-difference stencil,
 and a large batch's chains are built in contiguous chunks on every CPU the
-process may use, bit for bit as one chunk would build them.
+process may use, bit for bit as one chunk would build them.  Each uniton
+step's basis is a reduced QR's Q wherever R proves the SVD would give full
+rank and no ambiguity, and the rank-masked SVD basis everywhere else.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import threading
 
 import numpy as np
 
-from .projections import RANK_TOL, masked_basis
+from .projections import certified_basis
 
 BACKEND = "numpy"
 SPLIT_POINTS = 64  # fewest points per chunk: on fewer a thread costs more than it saves
@@ -38,16 +40,20 @@ def build_chain(hvals):
     entry of column j at point p.  At step i the vectors K^(k)_{i,j} =
     sum_s C^i_s hvals[k, s-k, j] span the next subspace.  C^i is never formed:
     kvecs rows x > i hold these sums on the table shifted x - i rows, stepped in
-    place by I + lambda perp_i.  Each point's SVD basis is masked to its own rank
-    (ranks may differ between points); the projector pi_i holds the step.  ``status``
-    (P,) is 1 where a singular value is within a decade of the rank threshold (ambiguous).
+    place by I + lambda perp_i.  Each step's basis comes from
+    ``projections.certified_basis``: where the step has no more K-vectors than n,
+    a reduced QR whose R proves the SVD would give full rank and no ambiguity
+    gives Q, and every other point, and every step with more K-vectors than n,
+    takes the SVD basis masked to its own rank (ranks may differ between points).
+    The projector pi_i holds the step.  ``status`` (P,) is 1 where a singular
+    value is within a decade of the rank threshold (ambiguous).
 
     The points are split into k = min(usable CPUs, P // SPLIT_POINTS)
     contiguous chunks, or one when that is below 2 or r = 0 (usable CPUs: the affinity
     mask's, or ``os.cpu_count()`` where the OS has none): the caller's thread
     builds the first and k - 1 threads the rest, each into its slices of the
-    outputs, since the stacked SVDs that dominate the kernel run in LAPACK
-    without the interpreter lock.  Every thread is joined before the call
+    outputs, since the stacked QRs and SVDs that dominate the kernel run in
+    LAPACK without the interpreter lock.  Every thread is joined before the call
     returns or raises, and the first failing chunk's exception is raised.
     """
     P, r, _, J, n = hvals.shape
@@ -96,9 +102,8 @@ def _build_chunk(hvals, pis, perps, ranks, kvecs, status):
         kvecs[:, k:, k] = hvals[:, k, : r - k]
     for i in range(r):
         # row i is the K-vectors; column k J + j is K^(k)_{i,j}; (i+1) J, not -1, which P = 0 leaves undetermined
-        basis, sv, rank = masked_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
-        thr = RANK_TOL * sv[:, :1]
-        status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
+        basis, rank, ambiguous = certified_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
+        status |= ambiguous
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
         perps[:, i] = eye - pis[:, i]
         ranks[:, i] = rank

@@ -250,12 +250,13 @@ def _integer(value, name: str) -> int:
     raise BadShape(f"{name} must be an integer, got {value!r}")
 
 
-def _random_coefficients(rng: np.random.Generator, count: int, n: int, max_degree: int) -> np.ndarray:
+def _random_coefficients(seed: int, count: int, n: int, max_degree: int) -> np.ndarray:
     """Coefficients (count, n, max_degree + 1), degree-ascending, of count
-    random polynomial C^n vectors: Gaussian integers from one draw, which
-    gives the stream of one draw per polynomial."""
+    random polynomial C^n vectors: Gaussian integers from one draw of the
+    seed's generator, which gives the stream of one draw per polynomial."""
     if _integer(max_degree, "max_degree") < 0:
         raise BadShape("max_degree must be >= 0")
+    rng = np.random.default_rng(_integer(seed, "seed"))
     pairs = rng.integers(-_COEFF_RANGE, _COEFF_RANGE + 1, size=(count, n, max_degree + 1, 2))
     return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
@@ -284,6 +285,8 @@ def random_data(
     if not 0 <= r <= n - 1:
         raise BadShape(f"need 0 <= r <= n-1, got r={r}, n={n}")
     if sparsity_pattern is not None:
+        if not isinstance(sparsity_pattern, Iterable):
+            raise BadShape("sparsity pattern must be r ascending non-negative ranks")
         d = tuple(_integer(x, "a sparsity pattern entry") for x in sparsity_pattern)
         if len(d) != r or any(x < 0 for x in d) or any(a > b for a, b in zip(d, d[1:])):
             raise BadShape("sparsity pattern must be r ascending non-negative ranks")
@@ -293,6 +296,6 @@ def random_data(
         d = (n,) * r
     ncols = n if r > 0 else 0
     live = [(j, i) for j in range(ncols) for i in range(r) if j < d[i]]
-    coeffs = _random_coefficients(np.random.default_rng(seed), len(live), n, max_degree)
+    coeffs = _random_coefficients(seed, len(live), n, max_degree)
     vectors, zero = dict(zip(live, _polynomial_vectors(coeffs))), MeroVector.zero(n)
     return DataArray(n, r, tuple(tuple(vectors.get((j, i), zero) for i in range(r)) for j in range(ncols)))

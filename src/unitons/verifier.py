@@ -218,7 +218,7 @@ def _lemma_vector_values(seed: int, n: int, zs: np.ndarray) -> np.ndarray:
     """The lemma's test vector H, a fresh random cubic polynomial C^n vector,
     at every point of zs: zs.shape + (n,), from one table evaluation of its
     drawn coefficients (not a normal form, and outside the data's table cache)."""
-    coeffs = _random_coefficients(np.random.default_rng(seed), 1, n, 3)[0]
+    coeffs = _random_coefficients(seed, 1, n, 3)[0]
     return kernels.eval_table(coeffs, zs.ravel()).reshape(zs.shape + (n,))
 
 

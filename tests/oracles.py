@@ -19,7 +19,8 @@ rows, the constant-loop step, the kernel descent's update and the Iwasawa
 loop that rebuilt S at every step) are kept as bit-for-bit references, and
 the chain kernel's chunk build that advanced the n x n C operators, which
 the build on the K-vectors' coefficients replaced, as a reference within
-rounding.  The sample-point draw's fancy-index re-layout of its batch, which
+rounding, with the rank rule by the SVD alone that the QR certificate skips
+at generic points.  The sample-point draw's fancy-index re-layout of its batch, which
 reshaped views replaced, is kept as a bit-for-bit reference."""
 
 import math
@@ -216,6 +217,14 @@ def s_rows_reference(pis, perps, n):
     return S
 
 
+def svd_rank_rule(mat):
+    """The chain kernel's rank rule by the SVD alone, for a stack (..., n, m): masked u,
+    rank, and the flag for a singular value within a decade of the cutoff RANK_TOL sigma_max."""
+    u, sv, rank = masked_basis(mat)
+    thr = RANK_TOL * sv[..., :1]
+    return u, rank, ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=-1)
+
+
 def build_chunk_reference(hvals, pis, perps, ranks, kvecs, status):
     """The chain kernel's chunk build on the C operators: C^i_s (P, r, n, n) from C^0 = I,
     K^(k)_i = sum_s C^i_s H^(k)_{s-k} by one einsum per k, and the Pascal update of C."""
@@ -227,9 +236,8 @@ def build_chunk_reference(hvals, pis, perps, ranks, kvecs, status):
         for k in range(i + 1):
             kvecs[:, i, k] = np.einsum("psab,psjb->pja", C[:, k : i + 1], hvals[:, k, : i + 1 - k])
         # column k J + j is K^(k)_{i,j}; (i+1) J, not -1, which an empty point axis leaves undetermined
-        basis, sv, rank = masked_basis(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
-        thr = RANK_TOL * sv[:, :1]
-        status |= ((thr / 10.0 < sv) & (sv < thr * 10.0)).any(axis=1)
+        basis, rank, ambiguous = svd_rank_rule(kvecs[:, i, : i + 1].reshape(P, (i + 1) * J, n).swapaxes(1, 2))
+        status |= ambiguous
         pis[:, i] = basis @ basis.conj().swapaxes(1, 2)
         perps[:, i] = eye - pis[:, i]
         ranks[:, i] = rank

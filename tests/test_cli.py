@@ -368,26 +368,34 @@ def test_verify_builds_one_table_and_chains_on_the_live_columns(tmp_path, monkey
 
     from unitons import builder, kernels
 
-    calls, widths, svd, build_chain = Counter(), [], np.linalg.svd, kernels.build_chain
+    calls, widths, inside, build_chain = Counter(), [], [], kernels.build_chain
 
-    def counted_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls[name, "kernel" if inside else "static"] += 1
+            return call(*args, **kwargs)
+        return wrapper
 
     def recorded_build(hvals):
         widths.append(hvals.shape[3])
-        return build_chain(hvals)
+        inside.append(True)
+        try:
+            return build_chain(hvals)
+        finally:
+            inside.pop()
 
     data_file = tmp_path / "d.json"
     run("generate", "--n", 5, "--r", 4, "--mode", "echelon", "--rank-steps", "1,1,1,1", "--seed", 0,
         "--output", data_file)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for name in ("svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(kernels, "build_chain", recorded_build)
     builder._tables.cache_clear()
     assert run("verify", "--input", data_file, "--samples", 2, "--output", tmp_path / "rep.json") == 0
     assert builder._tables.cache_info().misses == 1
     assert widths == [1]
-    assert calls["svd"] == 6  # one per chain step and two in the static checks, as with all five columns
+    # one certified QR per chain step, no kernel SVD at the drawn generic points, two SVDs in the static checks
+    assert calls == {("qr", "kernel"): 4, ("svd", "static"): 2}
 
 
 @pytest.mark.parametrize("mutate", [

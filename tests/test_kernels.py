@@ -14,7 +14,17 @@ import numpy as np
 import pytest
 
 from oracles import build_chunk_reference
-from unitons import DataArray, MeroVector, cli, draw_sample_points, kernels, random_data, s1_invariant_data, serialize
+from unitons import (
+    DataArray,
+    MeroVector,
+    cli,
+    draw_sample_points,
+    kernels,
+    projections,
+    random_data,
+    s1_invariant_data,
+    serialize,
+)
 from unitons.builder import STENCIL_OFFSETS, _tables, chain_arrays
 from unitons.meromorphic import DISC_RADIUS
 from unitons.verifier import FD_STEP
@@ -77,6 +87,35 @@ def test_the_k_vector_recursion_builds_the_c_operator_chain(name):
             assert np.abs(a - b).max(initial=0.0) <= 1e-13
         axes = (1, 2, 3, 4)  # each point's K-vectors (kvecs)
         assert (np.abs(got[3] - want[3]).max(axis=axes) <= 1e-13 * np.abs(want[3]).max(axis=axes)).all()
+
+
+MIXED = {
+    "echelon-5-2-(2,2)": random_data(5, 2, 3, sparsity_pattern=(2, 2), seed=0),  # QR-certified at generic points
+    "echelon-4-2-(1,2)": random_data(4, 2, 3, sparsity_pattern=(1, 2), seed=0),  # step 0's column 1 is zero
+}
+
+
+@pytest.mark.parametrize("name", MIXED)
+def test_certified_and_svd_points_of_one_batch_build_the_svd_kernels_chain(name, monkeypatch):
+    vals = _kernel_input(MIXED[name], 80)  # rows 0, 37 and 74 zeroed
+    noise = np.random.default_rng(1).standard_normal((vals.shape[-1], 2)) @ [1, 1j]
+    vals[1, 0, 0, 1] = vals[1, 0, 0, 0] + 3e-9 * np.abs(vals[1, 0, 0, 0]).max() * noise  # in the band at step 0
+    svd_points, masked_basis = [], projections.masked_basis
+
+    def recorded(mat, scale=0.0):
+        svd_points.append(len(mat))
+        return masked_basis(mat, scale)
+
+    monkeypatch.setattr(projections, "masked_basis", recorded)
+    got = kernels.build_chain(vals)
+    want = tuple(np.zeros_like(a) for a in got)
+    build_chunk_reference(vals, *want)
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[4], want[4])  # ranks, status
+    for a, b in zip(got[:2], want[:2]):  # pis, perps
+        assert np.abs(a - b).max() <= 1e-13
+    assert got[4][1] == 1 and not got[2][[0, 37, 74]].any()
+    # per step, the SVD runs on the zeroed rows and the band point, or on every point where a column is zero
+    assert svd_points == ([4, 3] if name.endswith("(2,2)") else [80, 80])
 
 
 def _work_peak(build, vals):

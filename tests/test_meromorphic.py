@@ -11,6 +11,7 @@ from unitons import (
     MeroVector,
     RationalFn,
     differentiate,
+    draw_sample_points,
     eval_rational,
     random_data,
     s1_invariant_data,
@@ -246,6 +247,19 @@ def test_random_data_bad_shape():
 def test_generators_reject_a_non_integer_argument(make):
     # once read as int(x), or failing deep inside numpy with a TypeError
     with pytest.raises(BadShape, match="must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: random_data(3, 2, 1, seed=1.5), "seed must be an integer"),
+    (lambda: s1_invariant_data(4, (1, 2), 1, seed="a"), "seed must be an integer"),
+    (lambda: draw_sample_points(random_data(3, 2, 1), 1, seed=1.5), "seed must be an integer"),
+    (lambda: random_data(3, 2, 1, sparsity_pattern=3), "sparsity pattern must be"),
+    (lambda: s1_invariant_data(4, 2, 1), "rank_steps must be"),
+], ids=["seed-float", "s1-seed-str", "draw-seed-float", "pattern-int", "s1-steps-int"])
+def test_generators_reject_a_non_integer_seed_and_a_non_iterable_pattern(make, message):
+    # each once a bare TypeError from numpy's seeding or from iterating an int
+    with pytest.raises(BadShape, match=message):
         make()
 
 

@@ -20,7 +20,13 @@ from unitons import (
 )
 from unitons.builder import chain_arrays
 from unitons.grassmannian import _constant_step
-from unitons.projections import factor_products, masked_basis, numerical_rank, projector_gap
+from unitons.projections import (
+    certified_basis,
+    factor_products,
+    masked_basis,
+    numerical_rank,
+    projector_gap,
+)
 
 from oracles import (
     c_rows_reference,
@@ -35,6 +41,7 @@ from oracles import (
     s_words,
     span_gap,
     spans_equal,
+    svd_rank_rule,
 )
 
 
@@ -187,6 +194,59 @@ def test_masked_basis_projects_onto_each_column_span():
     for p in range(5):
         span = orthonormal_basis(mats[p])
         assert np.array_equal(u[p, :, : rank[p]], span.basis) and not u[p, :, rank[p] :].any()
+
+
+def _prescribed_stack(rng, n, m, ratios):
+    """One (n, m) matrix U diag(sigma) V* per sigma_min / sigma_max ratio (1 where m = 1):
+    random orthonormal U and unitary V, sigma_max from [0.1, 10] and the singular
+    values between the ends log-uniform.  Returns the stack and each matrix's ratio."""
+    P = len(ratios)
+
+    def orthonormal(rows, cols):
+        return np.linalg.qr(rng.standard_normal((P, rows, cols)) + 1j * rng.standard_normal((P, rows, cols)))[0]
+
+    exponents = np.sort(rng.random((P, m)), axis=1)
+    exponents[:, 0], exponents[:, -1] = 0.0, 1.0 if m > 1 else 0.0
+    sigma = 10.0 ** rng.uniform(-1, 1, (P, 1)) * ratios[:, None] ** exponents
+    mat = (orthonormal(n, m) * sigma[:, None, :]) @ orthonormal(m, m).conj().swapaxes(1, 2)
+    return mat, sigma[:, -1] / sigma[:, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_the_qr_certificate_keeps_the_svd_rank_rule(n):
+    # sigma_min / sigma_max from 1e-12 to 1 in eighth decades, through the ambiguity band
+    rng = np.random.default_rng(n)
+    for m in range(1, n + 1):
+        mat, ratio = _prescribed_stack(rng, n, m, 10.0 ** np.linspace(-12, 0, 97))
+        basis, rank, ambiguous = certified_basis(mat)
+        u, want_rank, want_ambiguous = svd_rank_rule(mat)
+        assert np.array_equal(rank, want_rank) and np.array_equal(ambiguous, want_ambiguous)
+        q = np.linalg.qr(mat)[0]
+        certified = np.array([np.array_equal(a, b) for a, b in zip(basis, q)])
+        assert np.array_equal(basis[~certified], u[~certified])  # every other point is the SVD's, bit for bit
+        # lo / hi = ratio / (1 + ratio^2) at m = 2, so at ratio = 1e-7 itself rounding decides
+        assert not certified[ratio <= 1e-7 * (1 - 1e-9)].any() and certified[ratio > 1e-5].all()
+        gap = np.abs(q @ q.conj().swapaxes(1, 2) - u @ u.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        assert (gap[certified] <= 1e-14 / ratio[certified]).all()  # the same span as the SVD's u
+
+
+def test_a_stack_the_qr_cannot_certify_takes_the_svd_rule_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(14)
+    tall = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+    tall[1] = 0.0  # a zeroed row of the kernel
+    tall[2, :, 2] = 0.0  # a structurally zero column
+    tall[3, :, 2] = tall[3, :, 0]  # dependent columns
+    tall[4, :, 2] = tall[4, :, 0] + 3e-9 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))  # in the band
+    tall[5] *= 1e-170  # |R|_F underflows and |R^-1|_F overflows
+    basis, rank, ambiguous = certified_basis(tall)
+    u, want_rank, want_ambiguous = svd_rank_rule(tall)
+    assert rank.tolist() == want_rank.tolist() == [3, 0, 2, 2, 2, 3]
+    assert ambiguous.tolist() == want_ambiguous.tolist() == [False, False, False, False, True, False]
+    assert np.array_equal(basis[0], np.linalg.qr(tall[0])[0]) and np.array_equal(basis[1:], u[1:])
+    wide = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    monkeypatch.setattr(np.linalg, "qr", None)  # m > n: no QR
+    for got, want in zip(certified_basis(wide), svd_rank_rule(wide), strict=True):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_spans_equal():
