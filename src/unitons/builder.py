@@ -96,7 +96,9 @@ def chain_arrays(data: DataArray, zs: Sequence[complex]) -> ChainBatch:
     table's values overflow (far from the origin) is flagged ``ambiguous``
     and gets the chain of zero values, with no warning.  A one-point call at
     a point the last draw accepted on this data object gets a fresh copy of
-    the chain the draw built there, bit for bit the one-point build's chain.
+    the chain the draw built there, bit for bit the one-point build's chain
+    but where a K-vector column that other drawn points fill is exactly zero
+    at that point alone (``projections.certified_basis``).
     """
     P = len(zs)
     zs = np.asarray(zs, np.complex128).reshape(P)

@@ -64,10 +64,12 @@ def certified_basis(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rule at scale 0: ``masked_basis``'s u and rank, ambiguous where a singular value
     lies within a decade of the cutoff RANK_TOL sigma_max.
 
-    Where m <= n, one reduced QR bounds each point's singular values: lo = 1/|R^-1|_F
-    <= sigma_min and hi = |R|_F >= sigma_max.  Where lo > 100 RANK_TOL hi, a decade
-    above the ambiguity band that absorbs rounding, the SVD would give rank m and no
-    flag, and Q spans the same space as its u, so the point takes Q.  Every other
+    Where m <= n, one reduced QR of the columns that are nonzero at some point of the
+    stack bounds each point's singular values: lo = 1/|R^-1|_F <= sigma_min and
+    hi = |R|_F >= sigma_max (a column zero at every point adds only a zero singular
+    value).  Where lo > 100 RANK_TOL hi, a decade above the ambiguity band that
+    absorbs rounding, the SVD would give rank R's width and no flag, and Q, padded
+    with zero columns to m, spans the same space as its u, so the point takes Q.  Every other
     point (a near-degenerate, zero or non-finite matrix) and every stack with m > n
     takes ``masked_basis`` and the band rule, bit for bit as without the QR."""
 
@@ -79,16 +81,20 @@ def certified_basis(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     m = mat.shape[-1]
     if m > mat.shape[-2]:
         return svd_rule(mat)
-    q, R = np.linalg.qr(mat)
+    nonzero = mat.any(axis=tuple(range(mat.ndim - 2))).any(axis=0)
+    q, R = np.linalg.qr(mat if nonzero.all() else mat[..., nonzero])
+    live = R.shape[-1]
     inv = np.zeros_like(R)  # R^-1, upper triangular, row by row from the last
     with np.errstate(all="ignore"):  # a zero pivot leaves lo = 0 or nan: not certified
-        for k in range(m - 1, -1, -1):
+        for k in range(live - 1, -1, -1):
             inv[..., k, k] = 1.0
             inv[..., k, k:] -= (R[..., k : k + 1, k + 1 :] @ inv[..., k + 1 :, k:])[..., 0, :]
             inv[..., k, k:] /= R[..., k, k, None]
         lo = 1.0 / np.linalg.norm(inv, axis=(-2, -1))
         bad = ~(lo > 100.0 * RANK_TOL * np.linalg.norm(R, axis=(-2, -1)))
-    rank, ambiguous = np.full(bad.shape, m), np.zeros(bad.shape, bool)
+    if live < m:  # back to the SVD's m columns
+        q = np.concatenate((q, np.zeros(q.shape[:-1] + (m - live,), q.dtype)), axis=-1)
+    rank, ambiguous = np.full(bad.shape, live), np.zeros(bad.shape, bool)
     if bad.any():
         q[bad], rank[bad], ambiguous[bad] = svd_rule(mat[bad])
     return q, rank, ambiguous

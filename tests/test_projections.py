@@ -249,6 +249,25 @@ def test_a_stack_the_qr_cannot_certify_takes_the_svd_rule_bit_for_bit(monkeypatc
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def test_a_column_zero_at_every_point_is_left_out_of_the_qr():
+    rng = np.random.default_rng(15)
+    tall = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+    tall[:, :, 1] = 0.0  # structurally zero at every point
+    tall[1] = 0.0
+    tall[2, :, 2] = tall[2, :, 0]  # dependent columns
+    basis, rank, ambiguous = certified_basis(tall)
+    u, want_rank, want_ambiguous = svd_rank_rule(tall)
+    assert rank.tolist() == want_rank.tolist() == [2, 0, 1, 2]
+    assert not ambiguous.any() and not want_ambiguous.any()
+    q = np.linalg.qr(tall[:, :, [0, 2]])[0]
+    for p in (0, 3):  # certified: the QR of the two live columns, padded with a zero column
+        assert np.array_equal(basis[p, :, :2], q[p]) and not basis[p, :, 2].any()
+    assert np.array_equal(basis[1:3], u[1:3])  # every other point is the SVD's, bit for bit
+    empty = certified_basis(np.zeros((2, 4, 3), np.complex128))  # no live column: rank 0, the zero basis
+    for got, want in zip(empty, svd_rank_rule(np.zeros((2, 4, 3), np.complex128)), strict=True):
+        assert np.array_equal(got, want) and got.shape == want.shape
+
+
 def test_spans_equal():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
