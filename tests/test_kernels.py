@@ -106,6 +106,28 @@ def test_certified_and_svd_points_of_one_batch_build_the_svd_kernels_chain(name,
     assert svd_points == ([4, 3] if name.endswith("(2,2)") else [80, 3])
 
 
+@pytest.mark.parametrize("n, r, pattern", [(4, 2, (1, 2)), (5, 3, (1, 2, 2))], ids=["(1,2)", "(1,2,2)"])
+def test_at_generic_points_only_steps_with_more_k_vectors_than_n_run_the_svd(n, r, pattern, monkeypatch):
+    # step 0's column 1 is zero at every point: it is left out of the QR, not sent to the SVD
+    data = random_data(n, r, 3, sparsity_pattern=pattern, seed=0)
+    u, v = np.random.default_rng(0).random((2, 256))
+    vals = kernels.eval_table(_tables(n, r, data.columns), DISC_RADIUS * np.sqrt(u) * np.exp(2j * np.pi * v))
+    svd_shapes, masked_basis = [], projections.masked_basis
+
+    def recorded(mat, scale=0.0):
+        svd_shapes.append(mat.shape)
+        return masked_basis(mat, scale)
+
+    monkeypatch.setattr(projections, "masked_basis", recorded)
+    got = kernels.build_chain(vals)
+    want = tuple(np.zeros_like(a) for a in got)
+    build_chunk_reference(vals, *want)
+    assert np.array_equal(got[2], want[2]) and not got[4].any()  # ranks, status
+    for a, b in zip(got[:2], want[:2]):  # pis, perps
+        assert np.abs(a - b).max() <= 1e-13
+    assert svd_shapes == ([] if r == 2 else [(256, n, 6)])  # (5, 3)'s step 2 has 6 K-vectors in C^5
+
+
 def _work_peak(build, vals):
     """Traced heap peak of one chunk build into outputs allocated beforehand."""
     P, r, _, J, n = vals.shape
@@ -153,26 +175,44 @@ def test_an_r0_batch_builds_no_chain():
     assert batch.pis.shape == (cli.SAMPLE_BLOCK, 0, 3, 3)
 
 
-def test_a_point_that_cannot_converge_raises():
+@pytest.mark.parametrize("point", [0, 64, 127])
+def test_a_point_that_cannot_converge_raises(point):
     vals = _kernel_input(SHAPES["dense"], 128)
-    vals[-1, 0, 0, 0, 0] = np.nan
+    vals[point, 0, 0, 0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         kernels.build_chain(vals)
 
 
-def test_the_kernel_runs_under_the_callers_errstate():
+@pytest.mark.parametrize("point", [1, 64, 127])
+def test_the_kernel_runs_under_the_callers_errstate(point):
     vals = _kernel_input(SHAPES["dense"], 128)
-    vals[-1] *= 1e-300  # the last point's rank threshold underflows
+    vals[point] *= 1e-300  # this point's rank threshold underflows (every 37th point is zero)
     kernels.build_chain(vals)
     with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
         kernels.build_chain(vals)
 
 
-def test_verify_and_sample_start_no_thread(tmp_path, monkeypatch):
+def test_a_failing_build_raises_its_own_exception(monkeypatch):
+    # the error reaches the caller as the body raised it, not wrapped or replaced
+    error = np.linalg.LinAlgError("SVD did not converge")
+
+    def failing_build(*batch):
+        raise error
+
+    monkeypatch.setattr(kernels, "_build_chunk", failing_build)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        kernels.build_chain(_kernel_input(SHAPES["dense"], 128))
+    assert info.value is error
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--samples", "3", "--output", "rep.json"],
+    ["sample", "--grid", "16", "--output", "grid.json"],  # a 16 x 16 grid is one 256-point kernel call
+], ids=["verify", "sample"])
+def test_verify_and_sample_start_no_thread(command, tmp_path, monkeypatch):
     path = tmp_path / "data.json"
     serialize.write_json(serialize.data_to_json(SHAPES["echelon"]), path)
     starts = _counted_starts(monkeypatch)
-    assert cli.main(["verify", "--input", str(path), "--samples", "3", "--output", str(tmp_path / "rep.json")]) == 0
-    # a 16 x 16 grid is one 256-point kernel call
-    assert cli.main(["sample", "--input", str(path), "--grid", "16", "--output", str(tmp_path / "grid.json")]) == 0
+    command = command[:-1] + [str(tmp_path / command[-1])]
+    assert cli.main([command[0], "--input", str(path), *command[1:]]) == 0
     assert starts == []
