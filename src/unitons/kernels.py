@@ -2,9 +2,9 @@
 
 Both kernels take a leading point axis: each point's chain depends on that
 point alone, so one call on the calling thread serves a whole grid row or
-finite-difference stencil.  Each uniton step's basis is a reduced QR's Q
-wherever R proves the SVD would give full rank and no ambiguity, and the
-rank-masked SVD basis everywhere else.
+finite-difference stencil.  Each uniton step's basis is the Q of a two-pass
+Gram-Schmidt sweep wherever its R proves the SVD would give full rank and no
+ambiguity, and the rank-masked SVD basis everywhere else.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def build_chain(hvals):
     kvecs rows x > i hold these sums on the table shifted x - i rows, stepped in
     place by I + lambda perp_i.  Each step's basis comes from
     ``projections.certified_basis``: where the step has no more K-vectors than n,
-    a reduced QR whose R proves the SVD would give full rank and no ambiguity
-    gives Q, and every other point, and every step with more K-vectors than n,
+    a two-pass Gram-Schmidt sweep whose R proves the SVD would give full rank and
+    no ambiguity gives Q, and every other point, and every step with more K-vectors than n,
     takes the SVD basis masked to its own rank (ranks may differ between points).
     The projector pi_i holds the step.  ``status`` (P,) is 1 where a singular
     value is within a decade of the rank threshold (ambiguous).

@@ -59,19 +59,56 @@ def masked_basis(mat: np.ndarray, scale: float = 0.0) -> tuple[np.ndarray, np.nd
     return u * (np.arange(sv.shape[-1]) < rank[..., None])[..., None, :], sv, rank
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, bit for bit np.linalg.norm's."""
+    x = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _gram_schmidt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, R, R^-1) of each matrix of a stack (..., n, m), m <= n, swept column by column:
+    classical Gram-Schmidt with one reorthogonalization pass ("twice is enough",
+    Giraud, Langou and Rozloznik 2005), and R^-1's column j as
+    -R^-1[:j, :j] R[:j, j] / r_jj.  A zero, dependent or non-finite column, or one
+    whose squares over- or underflow, leaves r_jj 0, inf or nan; the caller holds
+    the errstate."""
+    cols = mat.swapaxes(-1, -2)  # column j as a row
+    m = cols.shape[-2]
+    qt = np.zeros(cols.shape, np.complex128)
+    R = np.zeros(cols.shape[:-2] + (m, m), np.complex128)
+    inv = np.zeros_like(R)
+    for j in range(m):
+        v = cols[..., j, :]  # a view of mat: the first pass makes the copy that the second updates
+        if j:
+            done = qt[..., :j, :]
+            c = np.vecdot(done, v[..., None, :])  # done* v
+            v = v - (c[..., None, :] @ done)[..., 0, :]
+            d = np.vecdot(done, v[..., None, :])
+            v -= (d[..., None, :] @ done)[..., 0, :]
+            R[..., :j, j] = c + d
+        rjj = _norms(v[..., None, :])
+        R[..., j, j] = rjj
+        qt[..., j, :] = v / rjj[..., None]
+        inv[..., j, j] = 1.0 / rjj
+        if j:
+            inv[..., :j, j] = (inv[..., :j, :j] @ R[..., :j, j, None])[..., 0] / -rjj[..., None]
+    return qt.swapaxes(-1, -2), R, inv
+
+
 def certified_basis(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(basis, rank, ambiguous) of each matrix of a stack (..., n, m) under the SVD
     rule at scale 0: ``masked_basis``'s u and rank, ambiguous where a singular value
     lies within a decade of the cutoff RANK_TOL sigma_max.
 
-    Where m <= n, one reduced QR of the columns that are nonzero at some point of the
-    stack bounds each point's singular values: lo = 1/|R^-1|_F <= sigma_min and
-    hi = |R|_F >= sigma_max (a column zero at every point adds only a zero singular
-    value).  Where lo > 100 RANK_TOL hi, a decade above the ambiguity band that
-    absorbs rounding, the SVD would give rank R's width and no flag, and Q, padded
-    with zero columns to m, spans the same space as its u, so the point takes Q.  Every other
-    point (a near-degenerate, zero or non-finite matrix) and every stack with m > n
-    takes ``masked_basis`` and the band rule, bit for bit as without the QR."""
+    Where m <= n, one two-pass Gram-Schmidt sweep (``_gram_schmidt``) of the columns
+    that are nonzero at some point of the stack bounds each point's singular values:
+    lo = 1/|R^-1|_F <= sigma_min and hi = |R|_F >= sigma_max (a column zero at every
+    point adds only a zero singular value).  Where lo > 100 RANK_TOL hi, a decade
+    above the ambiguity band that absorbs rounding, the SVD would give rank R's width
+    and no flag, and Q, padded with zero columns to m, spans the same space as its u,
+    so the point takes Q.  Every other point (a near-degenerate, zero, non-finite or
+    over- or underflowing matrix) and every stack with m > n takes ``masked_basis``
+    and the band rule, bit for bit as without the sweep."""
 
     def svd_rule(stack):
         u, sv, rank = masked_basis(stack)
@@ -82,16 +119,10 @@ def certified_basis(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if m > mat.shape[-2]:
         return svd_rule(mat)
     nonzero = mat.any(axis=tuple(range(mat.ndim - 2))).any(axis=0)
-    q, R = np.linalg.qr(mat if nonzero.all() else mat[..., nonzero])
+    with np.errstate(all="ignore"):  # a zero pivot leaves lo = 0, inf or nan: not certified
+        q, R, inv = _gram_schmidt(mat if nonzero.all() else mat[..., nonzero])
+        bad = ~(1.0 / _norms(inv) > 100.0 * RANK_TOL * _norms(R))
     live = R.shape[-1]
-    inv = np.zeros_like(R)  # R^-1, upper triangular, row by row from the last
-    with np.errstate(all="ignore"):  # a zero pivot leaves lo = 0 or nan: not certified
-        for k in range(live - 1, -1, -1):
-            inv[..., k, k] = 1.0
-            inv[..., k, k:] -= (R[..., k : k + 1, k + 1 :] @ inv[..., k + 1 :, k:])[..., 0, :]
-            inv[..., k, k:] /= R[..., k, k, None]
-        lo = 1.0 / np.linalg.norm(inv, axis=(-2, -1))
-        bad = ~(lo > 100.0 * RANK_TOL * np.linalg.norm(R, axis=(-2, -1)))
     if live < m:  # back to the SVD's m columns
         q = np.concatenate((q, np.zeros(q.shape[:-1] + (m - live,), q.dtype)), axis=-1)
     rank, ambiguous = np.full(bad.shape, live), np.zeros(bad.shape, bool)
@@ -191,7 +222,8 @@ def principal_angles(a: Span, b: Span) -> np.ndarray:
 def projector_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Largest principal angle between the images of orthogonal projectors p
     and q (..., n, n): arcsin ||p - q||_2 where their rounded traces (ranks)
-    agree, pi/2 where they do not.  Leading axes broadcast."""
-    sin = np.minimum(1.0, np.linalg.svd(p - q, compute_uv=False).max(axis=-1, initial=0.0))
+    agree, pi/2 where they do not.  p - q is Hermitian, so its 2-norm is its
+    largest |eigenvalue|.  Leading axes broadcast."""
+    sin = np.minimum(1.0, np.abs(np.linalg.eigvalsh(p - q)).max(axis=-1, initial=0.0))
     ranks = [np.rint(np.trace(m, axis1=-2, axis2=-1).real) for m in (p, q)]
     return np.where(ranks[0] == ranks[1], np.arcsin(sin), np.pi / 2)

@@ -30,7 +30,7 @@ from .builder import (
 )
 from .errors import BadShape
 from .meromorphic import DataArray, _random_coefficients
-from .projections import factor_products, masked_basis, projector_gap
+from .projections import _norms, factor_products, masked_basis, projector_gap
 
 FD_STEP = 1e-3  # step h of the 4th-order central differences behind the Wirtinger operators
 DEFAULT_LAMBDAS = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
@@ -105,12 +105,6 @@ def _connection(maps: np.ndarray, h: float) -> ConnectionFiber:
     dz, dzb = _wirtinger(maps[1:], h)
     inv = np.linalg.inv(maps[0])
     return ConnectionFiber(0.5 * inv @ dz, 0.5 * inv @ dzb, inv)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    # Frobenius norms over the last two axes, bit for bit np.linalg.norm's
-    x = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def connection_form(map_sampler: Callable, z: complex) -> ConnectionFiber:

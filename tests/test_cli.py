@@ -387,15 +387,16 @@ def test_verify_builds_one_table_and_chains_on_the_live_columns(tmp_path, monkey
     data_file = tmp_path / "d.json"
     run("generate", "--n", 5, "--r", 4, "--mode", "echelon", "--rank-steps", "1,1,1,1", "--seed", 0,
         "--output", data_file)
-    for name in ("svd", "qr"):
+    for name in ("svd", "qr", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(kernels, "build_chain", recorded_build)
     builder._tables.cache_clear()
     assert run("verify", "--input", data_file, "--samples", 2, "--output", tmp_path / "rep.json") == 0
     assert builder._tables.cache_info().misses == 1
     assert widths == [1]
-    # one certified QR per chain step, no kernel SVD at the drawn generic points, two SVDs in the static checks
-    assert calls == {("qr", "kernel"): 4, ("svd", "static"): 2}
+    # every chain step is certified by the Gram-Schmidt sweep at the drawn generic points: no QR and no SVD in
+    # the kernel; the static checks take their image projectors from one SVD and their gaps from one eigvalsh
+    assert calls == {("svd", "static"): 1, ("eigvalsh", "static"): 1}
 
 
 @pytest.mark.parametrize("mutate", [

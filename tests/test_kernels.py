@@ -176,16 +176,18 @@ def test_an_r0_batch_builds_no_chain():
 
 
 @pytest.mark.parametrize("point", [0, 64, 127])
-def test_a_point_that_cannot_converge_raises(point):
-    vals = _kernel_input(SHAPES["dense"], 128)
+@pytest.mark.parametrize("shape", ["echelon", "dense"])  # on echelon data every step goes to the sweep first
+def test_a_point_that_cannot_converge_raises(shape, point):
+    vals = _kernel_input(SHAPES[shape], 128)
     vals[point, 0, 0, 0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         kernels.build_chain(vals)
 
 
 @pytest.mark.parametrize("point", [1, 64, 127])
-def test_the_kernel_runs_under_the_callers_errstate(point):
-    vals = _kernel_input(SHAPES["dense"], 128)
+@pytest.mark.parametrize("shape", ["echelon", "dense"])
+def test_the_kernel_runs_under_the_callers_errstate(shape, point):
+    vals = _kernel_input(SHAPES[shape], 128)
     vals[point] *= 1e-300  # this point's rank threshold underflows (every 37th point is zero)
     kernels.build_chain(vals)
     with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):

@@ -21,6 +21,7 @@ from unitons import (
 from unitons.builder import chain_arrays
 from unitons.grassmannian import _constant_step
 from unitons.projections import (
+    _gram_schmidt,
     certified_basis,
     factor_products,
     masked_basis,
@@ -212,20 +213,27 @@ def _prescribed_stack(rng, n, m, ratios):
     return mat, sigma[:, -1] / sigma[:, 0]
 
 
+def _orthonormality(q):
+    """Largest entry of Q* Q - I for each matrix of a stack (..., n, m)."""
+    return np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1])).max(axis=(-2, -1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-def test_the_qr_certificate_keeps_the_svd_rank_rule(n):
+def test_the_qr_certificate_keeps_the_svd_rank_rule(n, monkeypatch):
     # sigma_min / sigma_max from 1e-12 to 1 in eighth decades, through the ambiguity band
     rng = np.random.default_rng(n)
-    for m in range(1, n + 1):
-        mat, ratio = _prescribed_stack(rng, n, m, 10.0 ** np.linspace(-12, 0, 97))
+    stacks = [_prescribed_stack(rng, n, m, 10.0 ** np.linspace(-12, 0, 97)) for m in range(1, n + 1)]
+    monkeypatch.setattr(np.linalg, "qr", None)  # the sweep runs no LAPACK QR
+    for mat, ratio in stacks:
         basis, rank, ambiguous = certified_basis(mat)
         u, want_rank, want_ambiguous = svd_rank_rule(mat)
         assert np.array_equal(rank, want_rank) and np.array_equal(ambiguous, want_ambiguous)
-        q = np.linalg.qr(mat)[0]
+        q = _gram_schmidt(mat)[0]
         certified = np.array([np.array_equal(a, b) for a, b in zip(basis, q)])
         assert np.array_equal(basis[~certified], u[~certified])  # every other point is the SVD's, bit for bit
         # lo / hi = ratio / (1 + ratio^2) at m = 2, so at ratio = 1e-7 itself rounding decides
         assert not certified[ratio <= 1e-7 * (1 - 1e-9)].any() and certified[ratio > 1e-5].all()
+        assert (_orthonormality(q[certified]) <= 2e-15).all()
         gap = np.abs(q @ q.conj().swapaxes(1, 2) - u @ u.conj().swapaxes(1, 2)).max(axis=(1, 2))
         assert (gap[certified] <= 1e-14 / ratio[certified]).all()  # the same span as the SVD's u
 
@@ -237,35 +245,68 @@ def test_a_stack_the_qr_cannot_certify_takes_the_svd_rule_bit_for_bit(monkeypatc
     tall[2, :, 2] = 0.0  # a structurally zero column
     tall[3, :, 2] = tall[3, :, 0]  # dependent columns
     tall[4, :, 2] = tall[4, :, 0] + 3e-9 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))  # in the band
-    tall[5] *= 1e-170  # |R|_F underflows and |R^-1|_F overflows
+    tall[5] *= 1e-170  # |R^-1|_F overflows
+    wide = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    monkeypatch.setattr(np.linalg, "qr", None)  # no LAPACK QR, tall or wide
     basis, rank, ambiguous = certified_basis(tall)
     u, want_rank, want_ambiguous = svd_rank_rule(tall)
     assert rank.tolist() == want_rank.tolist() == [3, 0, 2, 2, 2, 3]
     assert ambiguous.tolist() == want_ambiguous.tolist() == [False, False, False, False, True, False]
-    assert np.array_equal(basis[0], np.linalg.qr(tall[0])[0]) and np.array_equal(basis[1:], u[1:])
-    wide = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
-    monkeypatch.setattr(np.linalg, "qr", None)  # m > n: no QR
+    assert np.array_equal(basis[0], _gram_schmidt(tall[0])[0]) and np.array_equal(basis[1:], u[1:])
     for got, want in zip(certified_basis(wide), svd_rank_rule(wide), strict=True):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
-def test_a_column_zero_at_every_point_is_left_out_of_the_qr():
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+def test_a_stack_scaled_out_of_the_sweeps_range_takes_the_svd_rule_bit_for_bit(scale, monkeypatch):
+    # |R|_F or |R^-1|_F is a sum of squares: past 1e+-154 it over- or underflows, and the point goes to the SVD
+    rng = np.random.default_rng(16)
+    stacks = [_prescribed_stack(rng, 5, m, 10.0 ** np.linspace(-2, 0, 9))[0] * scale for m in (1, 2, 3, 5)]
+    monkeypatch.setattr(np.linalg, "qr", None)
+    for mat in stacks:
+        got, want = certified_basis(mat), svd_rank_rule(mat)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])  # ranks, flags
+        assert (want[1] == mat.shape[-1]).all() and not want[2].any()
+        if abs(np.log10(scale)) < 154:  # within range every point is certified: the sweep's Q
+            q = _gram_schmidt(mat)[0]
+            assert np.array_equal(got[0], q) and (_orthonormality(q) <= 2e-15).all()
+        else:
+            assert (got[0].dtype, got[0].shape, got[0].tobytes()) == (want[0].dtype, want[0].shape, want[0].tobytes())
+
+
+def test_a_column_zero_at_every_point_is_left_out_of_the_qr(monkeypatch):
     rng = np.random.default_rng(15)
     tall = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
     tall[:, :, 1] = 0.0  # structurally zero at every point
     tall[1] = 0.0
     tall[2, :, 2] = tall[2, :, 0]  # dependent columns
+    monkeypatch.setattr(np.linalg, "qr", None)
     basis, rank, ambiguous = certified_basis(tall)
     u, want_rank, want_ambiguous = svd_rank_rule(tall)
     assert rank.tolist() == want_rank.tolist() == [2, 0, 1, 2]
     assert not ambiguous.any() and not want_ambiguous.any()
-    q = np.linalg.qr(tall[:, :, [0, 2]])[0]
-    for p in (0, 3):  # certified: the QR of the two live columns, padded with a zero column
+    with np.errstate(all="ignore"):  # points 1 and 2 leave r_jj = 0
+        q = _gram_schmidt(tall[:, :, [0, 2]])[0]
+    for p in (0, 3):  # certified: the sweep of the two live columns, padded with a zero column
         assert np.array_equal(basis[p, :, :2], q[p]) and not basis[p, :, 2].any()
     assert np.array_equal(basis[1:3], u[1:3])  # every other point is the SVD's, bit for bit
     empty = certified_basis(np.zeros((2, 4, 3), np.complex128))  # no live column: rank 0, the zero basis
     for got, want in zip(empty, svd_rank_rule(np.zeros((2, 4, 3), np.complex128)), strict=True):
         assert np.array_equal(got, want) and got.shape == want.shape
+
+
+def test_the_sweep_is_a_qr_with_its_inverse():
+    # A = Q R with R upper triangular and a positive real diagonal, and R R^-1 = I
+    rng = np.random.default_rng(17)
+    for n, m in [(1, 1), (4, 1), (5, 3), (8, 8)]:
+        mat = rng.standard_normal((7, n, m)) + 1j * rng.standard_normal((7, n, m))
+        q, R, inv = _gram_schmidt(mat)
+        assert np.abs(q @ R - mat).max() <= 1e-14 and (_orthonormality(q) <= 2e-15).all()
+        assert not np.tril(R, -1).any() and (np.diagonal(R, axis1=1, axis2=2).real > 0).all()
+        assert not np.diagonal(R, axis1=1, axis2=2).imag.any()
+        assert np.abs(R @ inv - np.eye(m)).max() <= 1e-13 and not np.tril(inv, -1).any()
+        for p in (0, 6):  # each matrix as a stack of its own
+            assert all(np.array_equal(a[p], b[0]) for a, b in zip((q, R, inv), _gram_schmidt(mat[p : p + 1])))
 
 
 def test_spans_equal():
@@ -314,6 +355,26 @@ def test_projector_gap_broadcasts_over_a_stack():
     pairs = [[projector_gap(pis[p, i], pis[p, i + 1]) for i in range(2)] for p in range(5)]
     assert np.abs(stacked - pairs).max() <= 1e-15
     assert np.abs(projector_gap(pis, pis[0, 0]) - [[projector_gap(q, pis[0, 0]) for q in c] for c in pis]).max() <= 1e-15
+
+
+def test_projector_gap_is_the_svd_form_from_the_eigenvalues():
+    # p - q is Hermitian: its largest |eigenvalue| is its largest singular value, up to rounding
+    rng = np.random.default_rng(18)
+    pairs = []
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            spans = [[_projector(_random_span(rng, n, k)) for _ in range(2)] for _ in range(6)]
+            pairs.append(np.array(spans))  # (6, 2, n, n): one stack per (n, k)
+    for stack in pairs:
+        p, q = stack[:, 0], stack[:, 1]
+        want = np.minimum(1.0, np.linalg.svd(p - q, compute_uv=False).max(axis=-1))
+        for got in (projector_gap(p, q), [projector_gap(a, b) for a, b in zip(p, q)]):
+            # both are backward stable: at sin ~ 1 they differ in the last few units in the last place
+            assert np.abs(np.sin(got) - want).max() <= 2e-15
+        assert not projector_gap(p, p).any()
+    p = _projector(_random_span(rng, 5, 2))
+    assert projector_gap(p, _projector(_random_span(rng, 5, 3))) == np.pi / 2  # a rank mismatch
+    assert (projector_gap(np.broadcast_to(p, (3, 5, 5)), np.zeros((5, 5))) == np.pi / 2).all()
 
 
 chains = st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
