@@ -245,7 +245,7 @@ def test_a_stack_the_qr_cannot_certify_takes_the_svd_rule_bit_for_bit(monkeypatc
     tall[2, :, 2] = 0.0  # a structurally zero column
     tall[3, :, 2] = tall[3, :, 0]  # dependent columns
     tall[4, :, 2] = tall[4, :, 0] + 3e-9 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))  # in the band
-    tall[5] *= 1e-170  # |R^-1|_F overflows
+    tall[5] *= 1e-170  # |R|_F underflows and |R^-1|_F overflows
     wide = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
     monkeypatch.setattr(np.linalg, "qr", None)  # no LAPACK QR, tall or wide
     basis, rank, ambiguous = certified_basis(tall)
